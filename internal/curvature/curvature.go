@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/field"
 	"repro/internal/geom"
@@ -105,23 +104,6 @@ func solve(a *linalg.Matrix, b []float64, method Method) ([]float64, error) {
 	default:
 		return linalg.LeastSquares(a, b)
 	}
-}
-
-// FitNearest fits using only the m samples nearest to origin — the
-// "m nearest-neighbors method" of the paper. When fewer than m samples
-// exist, all are used.
-func FitNearest(origin geom.Vec2, samples []field.Sample, m int, method Method) (Estimate, error) {
-	if m < 3 {
-		m = 3
-	}
-	if len(samples) > m {
-		sorted := append([]field.Sample(nil), samples...)
-		sort.Slice(sorted, func(i, j int) bool {
-			return sorted[i].Pos.Dist2(origin) < sorted[j].Pos.Dist2(origin)
-		})
-		samples = sorted[:m]
-	}
-	return Fit(origin, samples, method)
 }
 
 // AbsGaussian returns |G| — the magnitude used for curvature weighting;

@@ -113,39 +113,6 @@ func TestFitNormalAgreesWithQR(t *testing.T) {
 	}
 }
 
-func TestFitNearestUsesOnlyMSamples(t *testing.T) {
-	// Far samples come from a different surface; with m small enough the
-	// fit must ignore them.
-	f := field.Quadratic(geom.Square(100), 1, 0, 1)
-	center := geom.V2(50, 50)
-	samples := discSamples(f, center, 3)
-	near := len(samples)
-	// Pollute with far samples of wild value.
-	for i := 0; i < 30; i++ {
-		samples = append(samples, field.Sample{
-			Pos: geom.V2(90+float64(i%5), 90+float64(i/5)), Z: 1e6,
-		})
-	}
-	est, err := FitNearest(center, samples, near, QR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Samples != near {
-		t.Fatalf("used %d samples, want %d", est.Samples, near)
-	}
-	if math.Abs(est.A-1) > 1e-6 || math.Abs(est.C-1) > 1e-6 {
-		t.Errorf("polluted fit = (%v,%v,%v)", est.A, est.B, est.C)
-	}
-}
-
-func TestFitNearestClampsM(t *testing.T) {
-	f := field.Quadratic(geom.Square(100), 1, 0, 1)
-	samples := discSamples(f, geom.V2(50, 50), 2)
-	if _, err := FitNearest(geom.V2(50, 50), samples, 1, QR); err != nil {
-		t.Errorf("m<3 should clamp, got %v", err)
-	}
-}
-
 func TestAbsGaussian(t *testing.T) {
 	e := Estimate{Gaussian: -4}
 	if e.AbsGaussian() != 4 {

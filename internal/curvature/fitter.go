@@ -10,20 +10,18 @@ import (
 
 // Fitter runs repeated curvature fits from persistent scratch buffers. A
 // CMA controller performs dozens of fits per slot (its own estimate plus
-// one FitNearest per peak candidate); the package-level Fit/FitNearest
-// allocate a design matrix, a right-hand side, a QR factorization and a
-// sorted sample copy on every call, which dominates the whole simulation's
-// allocation profile at swarm scale. A Fitter owns all of that scratch and
-// grows it monotonically, so steady-state fits are allocation-free on the
-// QR path.
+// one FitNearest per peak candidate); the package-level Fit allocates a
+// design matrix, a right-hand side and a QR factorization on every call,
+// which dominates the whole simulation's allocation profile at swarm
+// scale. A Fitter owns all of that scratch plus an m-slot nearest-sample
+// buffer and grows them monotonically, so steady-state fits are
+// allocation-free on the QR path.
 //
-// Results are bit-for-bit identical to the package functions
-// (TestFitterBitIdentical): the design matrix is filled in the same order,
-// the QR arithmetic is linalg.LSQ's exact mirror of LeastSquares, and the
-// nearest-m selection sorts with the standard library's pdqsort — the same
-// algorithm sort.Slice uses — so even distance ties resolve to the same
-// permutation. The Normal and Huber backends delegate to the package
-// solvers unchanged (they are ablation/degraded-mode paths, not hot ones).
+// Fit is bit-for-bit identical to the package-level Fit
+// (TestFitterBitIdentical): the design matrix is filled in the same order
+// and the QR arithmetic is linalg.LSQ's exact mirror of LeastSquares. The
+// Normal and Huber backends delegate to the package solvers unchanged
+// (they are ablation/degraded-mode paths, not hot ones).
 //
 // A Fitter is not safe for concurrent use; give each goroutine (each
 // controller) its own.
@@ -32,7 +30,10 @@ type Fitter struct {
 	mat    *linalg.Matrix
 	rhs    []float64
 	lsq    linalg.LSQ
-	sorter sampleSorter
+	// near and nearKey are the m-slot selection buffer of FitNearest:
+	// the nearest samples so far and their squared distances, ascending.
+	near    []field.Sample
+	nearKey []float64
 }
 
 // NewFitter returns a fitter using the given least-squares backend.
@@ -96,45 +97,37 @@ func (f *Fitter) Fit(origin geom.Vec2, samples []field.Sample) (Estimate, error)
 	}, nil
 }
 
-// FitNearest is the scratch-reusing equivalent of the package-level
-// FitNearest: it fits using only the m samples nearest to origin.
+// FitNearest fits using only the m samples nearest to origin — the
+// paper's "m nearest-neighbors method" (Section 5.2); m below 3 counts as
+// 3, and with fewer than m samples all are used. Nearness is the total
+// order (Dist² to origin, then index in samples), and the selected
+// samples enter the fit in that order, so the result is the package-level
+// Fit over the first m samples of a stable sort by Dist²
+// (FuzzFitNearest). The selection is a bounded insertion into the
+// fitter's m-slot buffer: one comparison per sample against the current
+// m-th key, and a shift only for samples that enter the buffer.
 func (f *Fitter) FitNearest(origin geom.Vec2, samples []field.Sample, m int) (Estimate, error) {
 	if m < 3 {
 		m = 3
 	}
-	if len(samples) > m {
-		f.sorter.s = append(f.sorter.s[:0], samples...)
-		if cap(f.sorter.key) < len(samples) {
-			f.sorter.key = make([]float64, len(samples))
+	near, key := f.near[:0], f.nearKey[:0]
+	for _, s := range samples {
+		k := s.Pos.Dist2(origin)
+		j := len(key)
+		if j < m {
+			near, key = append(near, s), append(key, k)
+		} else if k < key[m-1] {
+			j = m - 1 // evict the current m-th nearest
+		} else {
+			continue
 		}
-		f.sorter.key = f.sorter.key[:len(samples)]
-		for i, s := range samples {
-			f.sorter.key[i] = s.Pos.Dist2(origin)
+		// Shift strictly farther entries up; an equal key stays ahead, as
+		// it came first in samples.
+		for ; j > 0 && key[j-1] > k; j-- {
+			near[j], key[j] = near[j-1], key[j-1]
 		}
-		sortByKey(f.sorter.key, f.sorter.s)
-		samples = f.sorter.s[:m]
+		near[j], key[j] = s, k
 	}
-	return f.Fit(origin, samples)
-}
-
-// sampleSorter holds samples alongside their precomputed squared distances
-// to the fit origin. The hot path sorts it with the specialized sortByKey
-// (see sortkeys.go); the sort.Interface methods below describe the same
-// ordering and exist as the oracle the tests compare the specialization
-// against. Either way each comparison observes the exact float64 values
-// the package-level FitNearest's on-the-fly Dist2 expression would
-// produce, so the pdqsort permutation — including the placement of
-// equal-distance lattice samples — matches bit for bit.
-type sampleSorter struct {
-	s   []field.Sample
-	key []float64
-}
-
-func (ss *sampleSorter) Len() int { return len(ss.s) }
-
-func (ss *sampleSorter) Less(i, j int) bool { return ss.key[i] < ss.key[j] }
-
-func (ss *sampleSorter) Swap(i, j int) {
-	ss.s[i], ss.s[j] = ss.s[j], ss.s[i]
-	ss.key[i], ss.key[j] = ss.key[j], ss.key[i]
+	f.near, f.nearKey = near, key
+	return f.Fit(origin, near)
 }

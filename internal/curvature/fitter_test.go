@@ -10,9 +10,9 @@ import (
 	"repro/internal/geom"
 )
 
-// discSamples builds the integer-lattice sensing disc the simulator feeds
+// noisyDisc builds the integer-lattice sensing disc the simulator feeds
 // the fitter — the tie-heavy geometry (symmetric lattice distances) that
-// stresses the sort-permutation contract.
+// stresses the nearest-m tie order.
 func noisyDisc(rng *rand.Rand, center geom.Vec2, rs float64) []field.Sample {
 	var out []field.Sample
 	out = append(out, field.Sample{Pos: center, Z: rng.NormFloat64()})
@@ -38,11 +38,22 @@ func sameEstimate(t *testing.T, label string, got, want Estimate) {
 	}
 }
 
-// TestFitterBitIdentical pins the fitter to the package-level functions:
-// across methods, degenerate inputs, and tie-heavy lattice discs, every
-// coefficient and curvature must match bit for bit — including FitNearest,
-// whose nearest-m selection must resolve distance ties to the identical
-// permutation.
+// fitNearestRef is the oracle for Fitter.FitNearest: the package-level Fit
+// over the first m samples (m clamped to at least 3) of a stable sort by
+// Dist² to origin.
+func fitNearestRef(origin geom.Vec2, samples []field.Sample, m int, method Method) (Estimate, error) {
+	sorted := append([]field.Sample(nil), samples...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		return sorted[i].Pos.Dist2(origin) < sorted[j].Pos.Dist2(origin)
+	})
+	return Fit(origin, sorted[:min(max(m, 3), len(sorted))], method)
+}
+
+// TestFitterBitIdentical pins the fitter to the package-level Fit and to
+// the nearest-m oracle: across methods, degenerate inputs, and tie-heavy
+// lattice discs, every coefficient and curvature must match bit for bit —
+// including FitNearest, whose selection must resolve distance ties by
+// sample index exactly as the stable sort does.
 func TestFitterBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, method := range []Method{QR, Normal, Huber} {
@@ -64,7 +75,7 @@ func TestFitterBitIdentical(t *testing.T) {
 					continue
 				}
 				got, gotErr = f.FitNearest(s.Pos, samples, 12)
-				want, wantErr = FitNearest(s.Pos, samples, 12, method)
+				want, wantErr = fitNearestRef(s.Pos, samples, 12, method)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("method %d FitNearest error mismatch: %v vs %v", method, gotErr, wantErr)
 				}
@@ -116,81 +127,79 @@ func TestFitterAllocFree(t *testing.T) {
 	}
 }
 
-// TestSortByKeyMatchesSortSort pins the specialized pdqsort port to the
-// standard library: over random and adversarial inputs — tie-heavy lattice
-// keys, sorted, reversed, constant, organ-pipe — sortByKey must produce the
-// exact element order sort.Sort produces on the same data, so swapping it
-// into FitNearest cannot move a single sample.
-func TestSortByKeyMatchesSortSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	shapes := []func(n int) []float64{
-		func(n int) []float64 { // uniform random
-			k := make([]float64, n)
-			for i := range k {
-				k[i] = rng.Float64()
-			}
-			return k
-		},
-		func(n int) []float64 { // tie-heavy small ints (lattice Dist2-like)
-			k := make([]float64, n)
-			for i := range k {
-				k[i] = float64(rng.Intn(8))
-			}
-			return k
-		},
-		func(n int) []float64 { // already sorted
-			k := make([]float64, n)
-			for i := range k {
-				k[i] = float64(i)
-			}
-			return k
-		},
-		func(n int) []float64 { // reversed
-			k := make([]float64, n)
-			for i := range k {
-				k[i] = float64(n - i)
-			}
-			return k
-		},
-		func(n int) []float64 { // constant
-			k := make([]float64, n)
-			for i := range k {
-				k[i] = 3.25
-			}
-			return k
-		},
-		func(n int) []float64 { // organ pipe
-			k := make([]float64, n)
-			for i := range k {
-				k[i] = float64(min(i, n-i))
-			}
-			return k
-		},
+func TestFitNearestUsesOnlyMSamples(t *testing.T) {
+	// Far samples come from a different surface; with m small enough the
+	// fit must ignore them.
+	f := field.Quadratic(geom.Square(100), 1, 0, 1)
+	center := geom.V2(50, 50)
+	samples := discSamples(f, center, 3)
+	near := len(samples)
+	// Pollute with far samples of wild value.
+	for i := 0; i < 30; i++ {
+		samples = append(samples, field.Sample{
+			Pos: geom.V2(90+float64(i%5), 90+float64(i/5)), Z: 1e6,
+		})
 	}
-	for _, n := range []int{0, 1, 2, 5, 12, 13, 40, 81, 200, 1000} {
-		for si, shape := range shapes {
-			keys := shape(n)
-			// Tag each sample with its original index so permutations are
-			// observable even among equal keys.
-			base := make([]field.Sample, n)
-			for i := range base {
-				base[i] = field.Sample{Pos: geom.V2(float64(i), 0), Z: keys[i]}
-			}
+	est, err := NewFitter(QR).FitNearest(center, samples, near)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Samples != near {
+		t.Fatalf("used %d samples, want %d", est.Samples, near)
+	}
+	if math.Abs(est.A-1) > 1e-6 || math.Abs(est.C-1) > 1e-6 {
+		t.Errorf("polluted fit = (%v,%v,%v)", est.A, est.B, est.C)
+	}
+}
 
-			wantKey := append([]float64(nil), keys...)
-			wantS := append([]field.Sample(nil), base...)
-			sort.Sort(&sampleSorter{s: wantS, key: wantKey})
+func TestFitNearestClampsM(t *testing.T) {
+	f := field.Quadratic(geom.Square(100), 1, 0, 1)
+	samples := discSamples(f, geom.V2(50, 50), 2)
+	est, err := NewFitter(QR).FitNearest(geom.V2(50, 50), samples, 1)
+	if err != nil {
+		t.Fatalf("m<3 should clamp, got %v", err)
+	}
+	if est.Samples != 3 {
+		t.Fatalf("m<3 fit used %d samples, want 3", est.Samples)
+	}
+}
 
-			gotKey := append([]float64(nil), keys...)
-			gotS := append([]field.Sample(nil), base...)
-			sortByKey(gotKey, gotS)
-
-			for i := range wantS {
-				if gotS[i] != wantS[i] || math.Float64bits(gotKey[i]) != math.Float64bits(wantKey[i]) {
-					t.Fatalf("n=%d shape=%d: permutation diverged at %d: got (%v, %v) want (%v, %v)",
-						n, si, i, gotS[i], gotKey[i], wantS[i], wantKey[i])
-				}
-			}
+// FuzzFitNearest pins Fitter.FitNearest's bounded selection to the
+// stable-sort oracle, Float64bits-equal, on every backend. Clouds live on
+// a small integer lattice around a half-lattice origin, so equal distances
+// and duplicate positions are the norm rather than the exception; m ranges
+// over 1..len+2 to cover the clamp, the partial buffer and the all-samples
+// case.
+func FuzzFitNearest(f *testing.F) {
+	disc := make([]byte, 0, 3*81)
+	for x := 0; x < 9; x++ {
+		for y := 0; y < 9; y++ {
+			disc = append(disc, byte(x+4), byte(y+4), byte(x*y))
 		}
 	}
+	f.Add(disc, int8(0), int8(0), uint8(12))
+	f.Add(disc, int8(3), int8(-5), uint8(40))
+	f.Add([]byte{1, 1, 7, 1, 1, 9, 1, 1, 3, 2, 2, 0, 2, 2, 1, 0, 3, 5}, int8(2), int8(2), uint8(3))
+	f.Add([]byte{8, 8, 1, 9, 8, 2, 8, 9, 3}, int8(0), int8(0), uint8(1))
+	f.Add([]byte{}, int8(0), int8(0), uint8(0))
+	fitters := []*Fitter{NewFitter(QR), NewFitter(Normal), NewFitter(Huber)}
+	f.Fuzz(func(t *testing.T, cloud []byte, ox, oy int8, mRaw uint8) {
+		var samples []field.Sample
+		for i := 0; i+2 < len(cloud) && len(samples) < 200; i += 3 {
+			samples = append(samples, field.Sample{
+				Pos: geom.V2(float64(int(cloud[i]%16)-8), float64(int(cloud[i+1]%16)-8)),
+				Z:   float64(int8(cloud[i+2])) / 16,
+			})
+		}
+		origin := geom.V2(float64(ox%16)/2, float64(oy%16)/2)
+		m := 1 + int(mRaw)%(len(samples)+2)
+		for _, fit := range fitters {
+			got, gotErr := fit.FitNearest(origin, samples, m)
+			want, wantErr := fitNearestRef(origin, samples, m, fit.Method())
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("method %d m=%d: error mismatch: %v vs %v", fit.Method(), m, gotErr, wantErr)
+			}
+			sameEstimate(t, "FitNearest", got, want)
+		}
+	})
 }

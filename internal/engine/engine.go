@@ -41,9 +41,8 @@
 //
 // Stages share one spatial.Index over the current positions (rebuilt
 // lazily per position epoch) instead of rebuilding a full communication
-// graph every slot. Boundary semantics replicate graph.NewUnitDisk
-// exactly: small swarms use the sqrt predicate Dist ≤ Rc, large ones the
-// squared predicate Dist² ≤ Rc².
+// graph every slot. Membership is Dist² ≤ Rc² at every swarm size, the
+// same predicate graph.NewUnitDisk applies.
 package engine
 
 import (
@@ -610,11 +609,6 @@ func (e *Engine) ensureFitters(k int) {
 	}
 }
 
-// scanThreshold is the node count above which graph.NewUnitDisk switches
-// from the sqrt distance predicate to the squared one; neighbor discovery
-// here must replicate that boundary choice bit for bit.
-const scanThreshold = 256
-
 // escapedRebuildDiv sets the incremental index's full-rebuild trigger: a
 // rebuild re-anchors the frozen grid once more than 1/escapedRebuildDiv of
 // the points have drifted outside it (clamped queries stay exact but
@@ -755,10 +749,6 @@ func (e *Engine) refreshNeighbors() error {
 	if reused == n {
 		return nil
 	}
-	queryR := e.opts.Config.Rc
-	if len(e.pos) <= scanThreshold {
-		queryR *= sqrtInflate
-	}
 	return e.forNodes(true, func(w, i int) error {
 		if e.nbrValid[i] {
 			return nil
@@ -766,7 +756,7 @@ func (e *Engine) refreshNeighbors() error {
 		e.nbrLists[i] = e.neighborsOf(i, e.nbrLists[i][:0])
 		e.nbrRef[i] = e.pos[i]
 		if e.idx != nil {
-			loI, hiI, loJ, hiJ := e.idx.QueryRange(e.pos[i], queryR)
+			loI, hiI, loJ, hiJ := e.idx.QueryRange(e.pos[i], e.opts.Config.Rc)
 			e.nbrRange[i] = [4]int{loI, hiI, loJ, hiJ}
 		}
 		e.nbrValid[i] = true
@@ -774,48 +764,22 @@ func (e *Engine) refreshNeighbors() error {
 	})
 }
 
-// sqrtInflate pads an index query radius just enough that every pair the
-// correctly-rounded sqrt predicate Dist ≤ rc accepts also passes the
-// squared pre-filter Dist² ≤ (rc·sqrtInflate)²; the exact sqrt comparison
-// then decides membership.
-const sqrtInflate = 1 + 1e-12
-
 // neighborsOf appends to dst the unit-disk neighbors of node i at the
 // engine's Rc, ascending and excluding i itself, and returns the extended
-// slice. Semantics replicate graph.NewUnitDisk exactly: swarms of at most
-// scanThreshold nodes use Dist ≤ rc, larger ones Dist² ≤ rc². Callers must
-// refreshIndex() first.
+// slice. Membership is Dist² ≤ Rc², the predicate of graph.NewUnitDisk
+// and of the index's Within. Callers must refreshIndex() first.
 func (e *Engine) neighborsOf(i int, dst []int) []int {
-	rc := e.opts.Config.Rc
-	sqrtPred := len(e.pos) <= scanThreshold
+	start := len(dst)
 	if e.idx == nil {
+		rc2 := e.opts.Config.Rc * e.opts.Config.Rc
 		for j := range e.pos {
-			if j == i {
-				continue
-			}
-			if sqrtPred {
-				if e.pos[i].Dist(e.pos[j]) <= rc {
-					dst = append(dst, j)
-				}
-			} else if e.pos[i].Dist2(e.pos[j]) <= rc*rc {
+			if e.pos[i].Dist2(e.pos[j]) <= rc2 {
 				dst = append(dst, j)
 			}
 		}
-		return dst
+	} else {
+		dst = e.idx.Within(dst, e.pos[i], e.opts.Config.Rc)
 	}
-	if sqrtPred {
-		start := len(dst)
-		dst = e.idx.Within(dst, e.pos[i], rc*sqrtInflate)
-		out := dst[:start]
-		for _, j := range dst[start:] {
-			if j != i && e.pos[i].Dist(e.pos[j]) <= rc {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	start := len(dst)
-	dst = e.idx.Within(dst, e.pos[i], rc)
 	out := dst[:start]
 	for _, j := range dst[start:] {
 		if j != i {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -136,36 +137,81 @@ func TestStageInsertionInvariant(t *testing.T) {
 }
 
 // TestNeighborsMatchGraph pins the engine's index-backed neighbor
-// discovery to graph.NewUnitDisk's adjacency, including the sqrt-vs-
-// squared boundary predicate switch at the scan threshold, on clustered
-// random layouts both below and above it.
+// discovery to graph.NewUnitDisk's adjacency and to the brute-force
+// predicate Dist² ≤ Rc² they both promise, below and above the graph's
+// 256-node scan-vs-index switch. Besides clustered random layouts, which
+// never land on the boundary, it runs two boundary-tie layouts: a lattice
+// at spacing exactly Rc from a non-integer origin, and well-separated
+// pairs at distance Nextafter(Rc, ±Inf) and Rc in many directions.
 func TestNeighborsMatchGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	forest := field.NewForest(field.DefaultForestConfig())
-	for _, k := range []int{40, 200, 400} {
+	// A wide region, so New's clamp leaves the boundary layouts intact;
+	// random layouts stay clustered in the default 100 m square.
+	cfg := field.DefaultForestConfig()
+	cfg.Region = geom.Square(600)
+	forest := field.NewForest(cfg)
+	rc := mobile.DefaultConfig().Rc
+	random := func(k int) []geom.Vec2 {
 		pts := make([]geom.Vec2, k)
-		bb := forest.Bounds()
+		bb := geom.Square(100)
 		for i := range pts {
 			pts[i] = geom.V2(bb.Min.X+rng.Float64()*bb.Width(), bb.Min.Y+rng.Float64()*bb.Height())
 		}
-		opts := Options{Config: mobile.DefaultConfig()}
-		e, err := New(forest, pts, opts)
-		if err != nil {
-			t.Fatal(err)
+		return pts
+	}
+	lattice := func(k int) []geom.Vec2 {
+		pts := make([]geom.Vec2, k)
+		for i := range pts {
+			pts[i] = geom.V2(0.1+float64(i%20)*rc, 0.3+float64(i/20)*rc)
 		}
-		rc := opts.Config.Rc
-		g := graph.NewUnitDisk(e.Pos(), rc)
-		e.refreshIndex()
-		var buf []int
-		for i := 0; i < k; i++ {
-			buf = e.neighborsOf(i, buf[:0])
-			want := g.Neighbors(i)
-			if len(buf) != len(want) {
-				t.Fatalf("k=%d node %d: %d neighbors via index, %d via graph", k, i, len(buf), len(want))
+		return pts
+	}
+	pairs := func(k int) []geom.Vec2 {
+		gaps := []float64{math.Nextafter(rc, math.Inf(1)), math.Nextafter(rc, math.Inf(-1)), rc}
+		var pts []geom.Vec2
+		for p := 0; len(pts) < k; p++ {
+			a := geom.V2(0.1+float64(p%12)*3*rc, 0.3+float64(p/12)*3*rc)
+			// Spread the partner direction by the golden angle: at some
+			// angles the rounded Dist² and the rounded Dist disagree on
+			// which side of Rc a partner near the boundary falls.
+			theta := float64(p) * 2.399963229728653
+			d := gaps[p%3]
+			pts = append(pts, a, a.Add(geom.V2(d*math.Cos(theta), d*math.Sin(theta))))
+		}
+		return pts
+	}
+	layouts := []struct {
+		name string
+		gen  func(k int) []geom.Vec2
+		ks   []int
+	}{
+		{"random", random, []int{40, 200, 400}},
+		{"lattice", lattice, []int{200, 400}},
+		{"pairs", pairs, []int{200, 400}},
+	}
+	for _, l := range layouts {
+		for _, k := range l.ks {
+			pts := l.gen(k)
+			e, err := New(forest, pts, Options{Config: mobile.DefaultConfig()})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for a := range want {
-				if buf[a] != want[a] {
-					t.Fatalf("k=%d node %d neighbor %d: %d via index, %d via graph", k, i, a, buf[a], want[a])
+			g := graph.NewUnitDisk(e.Pos(), rc)
+			e.refreshIndex()
+			var buf, brute []int
+			for i := 0; i < k; i++ {
+				buf = e.neighborsOf(i, buf[:0])
+				brute = brute[:0]
+				for j, q := range e.Pos() {
+					if j != i && e.Pos()[i].Dist2(q) <= rc*rc {
+						brute = append(brute, j)
+					}
+				}
+				if want := g.Neighbors(i); !slices.Equal(buf, want) {
+					t.Fatalf("%s k=%d node %d: %v via index, %v via graph", l.name, k, i, buf, want)
+				}
+				if !slices.Equal(buf, brute) {
+					t.Fatalf("%s k=%d node %d: %v via index, %v by brute force", l.name, k, i, buf, brute)
 				}
 			}
 		}
@@ -200,8 +246,8 @@ func TestConnectedInMatchesGraph(t *testing.T) {
 }
 
 // largeNPositions spreads n nodes uniformly over the bounds — the
-// BenchmarkStepLargeN layout, above the scan threshold so the squared
-// predicate and the spatial index path are the ones measured.
+// BenchmarkStepLargeN layout, above graph.NewUnitDisk's 256-node scan
+// threshold so its spatial index path is the one measured.
 func largeNPositions(bb geom.Rect, n int, seed int64) []geom.Vec2 {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]geom.Vec2, n)

@@ -24,18 +24,23 @@ type Graph struct {
 }
 
 // unitDiskIndexThreshold is the node count above which edge enumeration
-// switches from the quadratic scan to the spatial hash.
+// switches from the quadratic scan to the spatial hash. It is a speed
+// choice only: both paths apply the same membership predicate.
 const unitDiskIndexThreshold = 256
 
 // NewUnitDisk builds the unit-disk graph over positions: an edge joins
 // every pair at distance ≤ rc (paper Section 3.2: "We provide edges when
-// the distance between any two vertices is no more than Rc"). Large point
-// sets are bucketed through a spatial hash so construction stays
-// near-linear in the number of edges.
+// the distance between any two vertices is no more than Rc"), tested as
+// Dist² ≤ rc² — the spatial index's native predicate — on every path.
+// Large point sets are bucketed through a spatial hash so construction
+// stays near-linear in the number of edges. A negative rc yields no edges.
 func NewUnitDisk(positions []geom.Vec2, rc float64) *Graph {
 	g := &Graph{
 		pos: append([]geom.Vec2(nil), positions...),
 		adj: make([][]int, len(positions)),
+	}
+	if rc < 0 {
+		return g
 	}
 	if len(positions) > unitDiskIndexThreshold && rc > 0 {
 		if idx, err := spatial.NewIndex(positions, rc); err == nil {
@@ -49,9 +54,10 @@ func NewUnitDisk(positions []geom.Vec2, rc float64) *Graph {
 			return g
 		}
 	}
+	rc2 := rc * rc
 	for i := 0; i < len(positions); i++ {
 		for j := i + 1; j < len(positions); j++ {
-			if positions[i].Dist(positions[j]) <= rc {
+			if positions[i].Dist2(positions[j]) <= rc2 {
 				g.adj[i] = append(g.adj[i], j)
 				g.adj[j] = append(g.adj[j], i)
 			}

@@ -75,36 +75,40 @@ func betterLink(l, cur componentLink) bool {
 }
 
 // closestPerRoot returns, for each current component root, the closest
-// committed member to p (link endpoints are (member, p)).
-func (o *RelayOracle) closestPerRoot(p geom.Vec2) map[int]componentLink {
-	minD := make(map[int]componentLink)
+// committed member to p (link endpoints are (member, p)), and the set of
+// roots with a member unit-disk adjacent to p (Dist² ≤ rc², the predicate
+// of NewUnitDisk).
+func (o *RelayOracle) closestPerRoot(p geom.Vec2) (minD map[int]componentLink, adj map[int]bool) {
+	minD = make(map[int]componentLink)
+	adj = make(map[int]bool)
+	rc2 := o.rc * o.rc
 	for i, q := range o.pts {
 		r := o.uf.Find(i)
+		if o.rc >= 0 && q.Dist2(p) <= rc2 {
+			adj[r] = true
+		}
 		d := q.Dist(p)
 		if cur, ok := minD[r]; !ok || d < cur.dist {
 			minD[r] = componentLink{a: q, b: p, dist: d}
 		}
 	}
-	return minD
+	return minD, adj
 }
 
 // Commit adds p to the committed set, merging it into every component
 // within rc and updating the inter-component closest-pair table. O(k + C²).
 func (o *RelayOracle) Commit(p geom.Vec2) {
-	minD := o.closestPerRoot(p)
+	minD, inS := o.closestPerRoot(p)
 	id := o.uf.Add()
 	o.pts = append(o.pts, p)
 
 	// Merge p's component with every component it can reach directly, in
 	// sorted root order so the union-by-rank outcome is deterministic.
-	inS := map[int]bool{id: true}
 	var mergeRoots []int
-	for r, l := range minD {
-		if l.dist <= o.rc {
-			mergeRoots = append(mergeRoots, r)
-			inS[r] = true
-		}
+	for r := range inS {
+		mergeRoots = append(mergeRoots, r)
 	}
+	inS[id] = true
 	sort.Ints(mergeRoots)
 	for _, r := range mergeRoots {
 		o.uf.Union(id, r)
@@ -211,15 +215,8 @@ func (o *RelayOracle) Relays() int {
 // added — without mutating the oracle. This is FRA's affordability check,
 // answered in O(k + C² log C) instead of rebuilding the graph.
 func (o *RelayOracle) RelaysWith(p geom.Vec2) int {
-	minD := o.closestPerRoot(p)
-
-	// Components the candidate would absorb directly.
-	inS := make(map[int]bool)
-	for r, l := range minD {
-		if l.dist <= o.rc {
-			inS[r] = true
-		}
-	}
+	// Components the candidate would absorb directly: inS.
+	minD, inS := o.closestPerRoot(p)
 
 	rs := o.roots()
 	surviving := rs[:0:0]

@@ -159,7 +159,7 @@ func TestAnalyzeRobustness(t *testing.T) {
 
 func TestUnitDiskLargeUsesIndexEquivalently(t *testing.T) {
 	// Above the index threshold, adjacency must be identical to the
-	// quadratic construction.
+	// brute-force Dist² ≤ rc² predicate the quadratic construction uses.
 	rng := rand.New(rand.NewSource(3))
 	n := unitDiskIndexThreshold + 100
 	pos := make([]geom.Vec2, n)
@@ -172,7 +172,7 @@ func TestUnitDiskLargeUsesIndexEquivalently(t *testing.T) {
 	for i := 0; i < n; i++ {
 		var want []int
 		for j := 0; j < n; j++ {
-			if i != j && pos[i].Dist(pos[j]) <= rc {
+			if i != j && pos[i].Dist2(pos[j]) <= rc*rc {
 				want = append(want, j)
 			}
 		}

@@ -194,34 +194,60 @@ func (s *Server) Drain() {
 }
 
 // handle mounts h at "METHOD path" behind the shared middleware: the
-// drain barrier, the per-route/status counter and the request-latency
-// histogram.
+// drain barrier, panic recovery, the per-route/status counter and the
+// request-latency histogram.
 func (s *Server) handle(method, path string, h http.HandlerFunc) {
 	s.mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
 		t := s.met.seconds.StartTimer()
 		cw := &codeWriter{ResponseWriter: w, code: http.StatusOK}
-		s.drainMu.RLock()
-		if s.draining {
-			s.drainMu.RUnlock()
-			http.Error(cw, "server draining", http.StatusServiceUnavailable)
-		} else {
-			h(cw, r)
-			s.drainMu.RUnlock()
-		}
+		s.serveGuarded(cw, r, h)
 		t.Stop()
 		s.met.requests(path, cw.code).Inc()
 	})
 }
 
-// codeWriter records the response status for the request counter.
+// serveGuarded runs h inside the drain barrier. The read lock is released
+// on every exit, so a panicking handler cannot wedge Drain; the panic
+// itself is logged and answered with a 500 (or recorded as one, if the
+// handler had already sent its header).
+func (s *Server) serveGuarded(cw *codeWriter, r *http.Request, h http.HandlerFunc) {
+	s.drainMu.RLock()
+	defer s.drainMu.RUnlock()
+	if s.draining {
+		http.Error(cw, "server draining", http.StatusServiceUnavailable)
+		return
+	}
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		fmt.Fprintf(s.cfg.Log, "serve: %s %s: handler panic: %v\n", r.Method, r.URL.Path, v)
+		if cw.wrote {
+			cw.code = http.StatusInternalServerError
+		} else {
+			http.Error(cw, "internal server error", http.StatusInternalServerError)
+		}
+	}()
+	h(cw, r)
+}
+
+// codeWriter records the response status for the request counter, and
+// whether the header has gone out.
 type codeWriter struct {
 	http.ResponseWriter
-	code int
+	code  int
+	wrote bool
 }
 
 func (cw *codeWriter) WriteHeader(code int) {
-	cw.code = code
+	cw.code, cw.wrote = code, true
 	cw.ResponseWriter.WriteHeader(code)
+}
+
+func (cw *codeWriter) Write(b []byte) (int, error) {
+	cw.wrote = true
+	return cw.ResponseWriter.Write(b)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -376,3 +376,34 @@ func TestMetricsExport(t *testing.T) {
 		}
 	}
 }
+
+// TestHandlerPanicReleasesDrainBarrier mounts a panicking route through
+// the shared middleware: the client must get a 500 that the route/status
+// counter records, the panic value must reach the log, and the drain
+// barrier's read lock must be released so Drain still returns.
+func TestHandlerPanicReleasesDrainBarrier(t *testing.T) {
+	var log bytes.Buffer
+	s, reg := newTestServer(t, func(c *Config) { c.Log = &log })
+	s.handle("GET", "/test/panic", func(http.ResponseWriter, *http.Request) {
+		panic("boom")
+	})
+	if w := get(s, "/test/panic"); w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking handler answered %d, want 500", w.Code)
+	}
+	if n := reg.Counter(`serve_requests_total{route="/test/panic",code="500"}`).Value(); n != 1 {
+		t.Fatalf("500 counter = %d, want 1", n)
+	}
+	if !strings.Contains(log.String(), "boom") {
+		t.Fatalf("panic value missing from log: %q", log.String())
+	}
+	done := make(chan struct{})
+	go func() {
+		s.Drain()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Drain blocked after a handler panic: drain barrier leaked")
+	}
+}

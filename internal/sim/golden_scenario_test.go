@@ -18,7 +18,7 @@ import (
 //
 //	go test ./internal/sim -run TestGoldenScenarios -update
 //
-// only when a behavior change is intended and reviewed.
+// only under the re-baseline rule of updateGolden.
 const scenarioGoldenPath = "testdata/golden_scenarios.json"
 
 var scenarioGoldenNames = []string{"plume", "replay", "tour"}

@@ -13,11 +13,10 @@ import (
 	"repro/internal/mobile"
 )
 
-// updateGolden regenerates the golden trajectory file from the current
-// engine. It must only ever be run against an implementation already known
-// to reproduce the seed dynamics: the whole point of the file is to pin
-// every future engine against the original monolithic World.Step bit for
-// bit.
+// updateGolden regenerates the golden trajectory files from the current
+// engine. Run it only in a change that declares a re-baseline and records
+// the old → new δ of every golden run in EXPERIMENTS.md: the whole point of
+// the files is that every other change reproduces them bit for bit.
 var updateGolden = flag.Bool("update", false, "rewrite golden step testdata from the current engine")
 
 const goldenPath = "testdata/golden_step.json"
@@ -144,14 +143,14 @@ func recordRun(t *testing.T, name string, w *World, slots int) goldenRun {
 
 // TestGoldenBitIdentity is the cross-engine golden test demanded by the
 // staged-engine refactor (the successor of TestFaultRateZeroBitIdentical's
-// property): the current engine must reproduce the recorded pre-refactor
-// trajectories exactly — every position bit, every statistic, every
-// connectivity verdict — for a fault-free run, a fault.Profile run, and an
-// explicitly scheduled fault run. Regenerate with
+// property): the current engine must reproduce the recorded trajectories
+// exactly — every position bit, every statistic, every connectivity
+// verdict — for a fault-free run, a fault.Profile run, and an explicitly
+// scheduled fault run. Regenerate with
 //
 //	go test ./internal/sim -run TestGoldenBitIdentity -update
 //
-// only when a behavior change is intended and reviewed.
+// only under the re-baseline rule of updateGolden.
 func TestGoldenBitIdentity(t *testing.T) {
 	if *updateGolden {
 		var runs []goldenRun
