@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/curvature"
-	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/field"
 	"repro/internal/sim"
@@ -296,39 +295,6 @@ func BenchmarkAblationLeastSquares(b *testing.B) {
 	b.Run("normal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := curvature.Fit(V2(50, 76), samples, curvature.Normal); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationRuntime compares one CMA slot on the sequential
-// simulator versus the goroutine-per-node runtime (identical trajectories,
-// different execution models).
-func BenchmarkAblationRuntime(b *testing.B) {
-	forest := benchForest()
-	init := field.GridLayout(forest.Bounds(), 100)
-	b.Run("sequential", func(b *testing.B) {
-		w, err := sim.NewWorld(forest, init, sim.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := w.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("concurrent", func(b *testing.B) {
-		r, err := dist.New(forest, init, dist.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Step(); err != nil {
 				b.Fatal(err)
 			}
 		}

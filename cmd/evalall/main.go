@@ -91,11 +91,11 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 
 	fmt.Printf("\n=== Fig. 7: δ vs k, %s vs random deployment ===\n", strings.ToUpper(strat))
 	// The δ-versus-k sweep rides the scenario-sweep engine: a single-field,
-	// single-rc, fault-free grid over the paper's k values. The engine's
-	// cell runner mirrors eval.DeltaVsK's per-k computation, so the rows —
-	// and therefore this table — are bit-identical to the old direct loop,
-	// but the cells now shard across the worker pool, checkpoint, and show
-	// up in the sweep metrics.
+	// single-rc, fault-free grid over the paper's k values. Each cell runs
+	// eval.PlaceCell and eval.RandomDraw, the same Fig. 7 cell as
+	// eval.DeltaVsK, so the rows — and therefore this table — equal
+	// DeltaVsK's bit for bit, while the cells shard across the worker
+	// pool, checkpoint, and show up in the sweep metrics.
 	kSpec := sweep.Spec{
 		Name:        "fig7",
 		Fields:      []sweep.FieldSpec{{Kind: "forest"}},

@@ -7,7 +7,6 @@
 //	ostd                       # 45 slots (10:00→10:45), δ table
 //	ostd -slots 45 -csv        # same as CSV
 //	ostd -snap 0,25            # also render topology at those minutes
-//	ostd -concurrent -drop 0.2 # goroutine runtime with 20% message loss
 //	ostd -fault-rate 0.1       # run with 10% seeded failures injected
 //	ostd -fault-sweep 0,0.1,0.3 # δ-vs-failure-rate degradation table
 //	ostd -strategy lloyd       # a competitor movement from the registry
@@ -21,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/field"
@@ -59,11 +57,9 @@ func main() {
 		deltaN     = flag.Int("delta-grid", 100, "δ integration lattice divisions")
 		beta       = flag.Float64("beta", 2, "repulsion weight β")
 		noise      = flag.Float64("noise", 0, "sensing noise standard deviation")
-		seed       = flag.Int64("seed", 1, "noise / radio seed")
+		seed       = flag.Int64("seed", 1, "sensing-noise seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of a text table")
 		snaps      = flag.String("snap", "", "comma-separated minutes at which to render topology")
-		concurrent = flag.Bool("concurrent", false, "use the goroutine-per-node runtime")
-		drop       = flag.Float64("drop", 0, "message drop probability (concurrent runtime only)")
 		faultRate  = flag.Float64("fault-rate", 0, "run-level failure rate injected via fault.Profile")
 		faultSweep = flag.String("fault-sweep", "", "comma-separated failure rates for the degradation sweep")
 		faultSeed  = flag.Int64("fault-seed", 1, "fault-injection seed")
@@ -86,9 +82,6 @@ func main() {
 	if err != nil {
 		fatalf("bad -strategy: %v", err)
 	}
-	if *concurrent && *strat != "cma" {
-		fatalf("-concurrent runs the goroutine-per-node CMA runtime; -strategy %s is only available in the staged engine", *strat)
-	}
 
 	forest := field.NewForest(field.DefaultForestConfig())
 	init := field.GridLayout(forest.Bounds(), *k)
@@ -110,12 +103,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		closeRun()
-		return
-	}
-
-	if *concurrent {
-		runConcurrent(forest, init, *slots, *deltaN, *beta, *noise, *seed, *drop, snapAt)
 		closeRun()
 		return
 	}
@@ -159,49 +146,6 @@ func main() {
 	}
 	emit(rows, *csv)
 	closeRun()
-}
-
-func runConcurrent(forest *field.Forest, init []geom.Vec2, slots, deltaN int, beta, noise float64, seed int64, drop float64, snapAt map[float64]bool) {
-	opts := dist.DefaultOptions()
-	opts.Config.Beta = beta
-	opts.NoiseStd = noise
-	opts.Seed = seed
-	opts.DropProb = drop
-	r, err := dist.New(forest, init, opts)
-	if err != nil {
-		fatal(err)
-	}
-	defer r.Close()
-	maybeSnap(forest.Bounds(), r.Positions(), r.Time(), opts.Config.Rc, snapAt)
-
-	var rows []eval.DeltaVsTimeRow
-	rows = append(rows, eval.DeltaVsTimeRow{T: 0, Delta: deltaOf(forest, r.Positions(), 0, deltaN), Connected: r.Connected()})
-	for s := 0; s < slots; s++ {
-		st, err := r.Step()
-		if err != nil {
-			fatal(err)
-		}
-		rows = append(rows, eval.DeltaVsTimeRow{
-			T: st.T, Delta: deltaOf(forest, r.Positions(), st.T, deltaN),
-			Moved: st.Moved, MeanDisplacement: st.MeanDisplacement,
-			Connected: r.Connected(),
-		})
-		maybeSnap(forest.Bounds(), r.Positions(), st.T, opts.Config.Rc, snapAt)
-	}
-	emit(rows, false)
-}
-
-func deltaOf(dyn field.DynField, nodes []geom.Vec2, t float64, n int) float64 {
-	slice := field.Slice(dyn, t)
-	samples := make([]field.Sample, 0, len(nodes))
-	for _, p := range nodes {
-		samples = append(samples, field.Sample{Pos: p, Z: slice.Eval(p)})
-	}
-	d, err := surface.DeltaSamples(slice, samples, n)
-	if err != nil {
-		fatal(err)
-	}
-	return d
 }
 
 func emit(rows []eval.DeltaVsTimeRow, csv bool) {

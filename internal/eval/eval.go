@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/field"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/strategy"
@@ -97,12 +96,6 @@ func DeltaVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, err
 	if err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
 	}
-	// The random baselines reuse FRA's reconstruction anchors (the region
-	// corners) for fairness; they are a fixed property of the region, so
-	// the random tasks need not wait for the FRA tasks.
-	corners := f.Bounds().Corners()
-	anchors := append([]geom.Vec2(nil), corners[:]...)
-
 	rows := make([]DeltaVsKRow, len(ks))
 	randDelta := make([][]float64, len(ks))
 	for i := range randDelta {
@@ -110,37 +103,23 @@ func DeltaVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, err
 	}
 	tasks := make([]func() error, 0, len(ks)*(1+opts.RandomDraws))
 	for i, k := range ks {
-		i, k := i, k
 		tasks = append(tasks, func() error {
-			p, err := placer.Place(f, strategy.PlaceOptions{
+			row, err := PlaceCell(f, placer, strategy.PlaceOptions{
 				K: k, Rc: opts.Rc, GridN: opts.GridN, Seed: opts.Seed, Metrics: opts.Metrics,
-			})
+			}, opts.DeltaN)
 			if err != nil {
-				return fmt.Errorf("eval: %s k=%d: %w", opts.Strategy, k, err)
+				return fmt.Errorf("eval: k=%d: %w", k, err)
 			}
-			ev, err := core.Evaluate(f, p, opts.Rc, opts.DeltaN)
-			if err != nil {
-				return fmt.Errorf("eval: evaluate %s k=%d: %w", opts.Strategy, k, err)
-			}
-			rows[i] = DeltaVsKRow{
-				K:         k,
-				FRA:       ev.Delta,
-				Refined:   p.Refined,
-				Relays:    p.Relays,
-				Connected: ev.Connected,
-			}
+			rows[i] = row
 			return nil
 		})
 		for d := 0; d < opts.RandomDraws; d++ {
-			d := d
 			tasks = append(tasks, func() error {
-				r := core.RandomPlacement(f.Bounds(), k, opts.Seed+int64(d))
-				r.Anchors = anchors
-				rev, err := core.Evaluate(f, r, opts.Rc, opts.DeltaN)
+				delta, err := RandomDraw(f, k, opts.Rc, opts.DeltaN, opts.Seed, d)
 				if err != nil {
-					return fmt.Errorf("eval: evaluate random k=%d: %w", k, err)
+					return fmt.Errorf("eval: k=%d: %w", k, err)
 				}
-				randDelta[i][d] = rev.Delta
+				randDelta[i][d] = delta
 				return nil
 			})
 		}
@@ -156,6 +135,45 @@ func DeltaVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, err
 		rows[i].Random = sum / float64(opts.RandomDraws)
 	}
 	return rows, nil
+}
+
+// PlaceCell is the placement half of one Fig. 7 cell: placer puts
+// opts.K nodes on f and core.Evaluate scores the placement on a
+// deltaN-division lattice. The returned row has every field but Random.
+// DeltaVsK and the sweep engine's static phase (sweep.RunCell) both run
+// exactly this, so their δ agree bit for bit.
+func PlaceCell(f field.Field, placer strategy.Placement, opts strategy.PlaceOptions, deltaN int) (DeltaVsKRow, error) {
+	p, err := placer.Place(f, opts)
+	if err != nil {
+		return DeltaVsKRow{}, fmt.Errorf("%s: %w", placer.Name(), err)
+	}
+	ev, err := core.Evaluate(f, p, opts.Rc, deltaN)
+	if err != nil {
+		return DeltaVsKRow{}, fmt.Errorf("evaluate %s: %w", placer.Name(), err)
+	}
+	return DeltaVsKRow{
+		K:         opts.K,
+		FRA:       ev.Delta,
+		Refined:   p.Refined,
+		Relays:    p.Relays,
+		Connected: ev.Connected,
+	}, nil
+}
+
+// RandomDraw is the baseline half of one Fig. 7 cell: δ of random
+// deployment number d (seeded seed+d) of k nodes on f. The draw reuses
+// FRA's reconstruction anchors, the region corners, for fairness. A
+// cell's Random is the mean of draws 0..RandomDraws-1 summed in draw
+// order.
+func RandomDraw(f field.Field, k int, rc float64, deltaN int, seed int64, d int) (float64, error) {
+	corners := f.Bounds().Corners()
+	r := core.RandomPlacement(f.Bounds(), k, seed+int64(d))
+	r.Anchors = corners[:]
+	ev, err := core.Evaluate(f, r, rc, deltaN)
+	if err != nil {
+		return 0, fmt.Errorf("evaluate random draw %d: %w", d, err)
+	}
+	return ev.Delta, nil
 }
 
 // runTasks drains the task list with up to workers goroutines (0 =

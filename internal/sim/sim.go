@@ -260,15 +260,6 @@ func (w *World) Step() (StepStats, error) {
 	return st, nil
 }
 
-// ResolveLCM applies the Local Connectivity Mechanism to a set of
-// tentative next positions over the all-alive view; it is a shim over
-// mobile.ResolveLCM, which documents the projection semantics. The
-// pre-move positions oldPos must be feasible; when projection fails the
-// movement is reverted wholesale and follows is -1.
-func ResolveLCM(region geom.Rect, rc float64, oldPos, next []geom.Vec2, neighborInfos [][]mobile.NeighborInfo) (resolved []geom.Vec2, follows int) {
-	return mobile.ResolveLCM(region, rc, view.All(oldPos), next, neighborInfos)
-}
-
 // NodeEnergy returns the cumulative movement energy (meters traveled)
 // of node i since the world started.
 func (w *World) NodeEnergy(i int) float64 { return w.eng.NodeEnergy(i) }

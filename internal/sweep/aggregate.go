@@ -102,8 +102,10 @@ func WriteTable(w io.Writer, rep *Report) error {
 
 // DeltaVsKRows projects a report onto the Fig. 7 series: one row per
 // cell, in cell order. It is how cmd/evalall's δ-versus-k sweep rides the
-// sweep engine — a single-field, single-rc, fault-free spec over the
-// paper's k grid reproduces eval.DeltaVsK's rows bit for bit.
+// sweep engine. RunCell's static phase is eval.PlaceCell plus
+// eval.RandomDraw, the cell eval.DeltaVsK runs, so a single-field,
+// single-rc, fault-free spec over the paper's k grid reproduces
+// DeltaVsK's rows bit for bit (TestFig7Parity).
 func DeltaVsKRows(rep *Report) []eval.DeltaVsKRow {
 	rows := make([]eval.DeltaVsKRow, 0, len(rep.Cells))
 	for _, r := range rep.Cells {

@@ -3,10 +3,8 @@ package sweep
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/field"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/strategy"
@@ -112,47 +110,35 @@ func RunCell(s *Spec, c Cell, reg *obs.Registry) (res Result) {
 	}
 	ref := field.Slice(dyn, 0)
 
-	// Static phase: the cell's placement strategy against the reference
-	// surface. For "fra" the registry forwards to core.FRA with exactly
-	// the arguments this function used to pass, so a sweep cell still
-	// reproduces the Fig. 7 series bit for bit.
+	// Static phase: the cell's placement strategy and its random baseline
+	// against the reference surface — the same Fig. 7 cell eval.DeltaVsK
+	// runs, so a sweep cell reproduces that series bit for bit.
 	placer, err := strategy.LookupPlacement(name)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	p, err := placer.Place(ref, strategy.PlaceOptions{
+	row, err := eval.PlaceCell(ref, placer, strategy.PlaceOptions{
 		K: c.K, Rc: c.Rc, GridN: s.GridN, Seed: c.Seed, Metrics: reg,
-	})
+	}, s.DeltaN)
 	if err != nil {
-		res.Err = fmt.Sprintf("%s: %v", name, err)
+		res.Err = err.Error()
 		return res
 	}
-	ev, err := core.Evaluate(ref, p, c.Rc, s.DeltaN)
-	if err != nil {
-		res.Err = fmt.Sprintf("evaluate %s: %v", name, err)
-		return res
-	}
-	res.Delta = ev.Delta
-	res.Refined = p.Refined
-	res.Relays = p.Relays
-	res.Connected = ev.Connected
+	res.Delta = row.FRA
+	res.Refined = row.Refined
+	res.Relays = row.Relays
+	res.Connected = row.Connected
 
 	if s.RandomDraws > 0 {
-		// The random baselines reuse FRA's reconstruction anchors (the
-		// region corners) for fairness.
-		corners := ref.Bounds().Corners()
-		anchors := append([]geom.Vec2(nil), corners[:]...)
 		sum := 0.0
 		for d := 0; d < s.RandomDraws; d++ {
-			r := core.RandomPlacement(ref.Bounds(), c.K, c.Seed+int64(d))
-			r.Anchors = anchors
-			rev, err := core.Evaluate(ref, r, c.Rc, s.DeltaN)
+			delta, err := eval.RandomDraw(ref, c.K, c.Rc, s.DeltaN, c.Seed, d)
 			if err != nil {
-				res.Err = fmt.Sprintf("evaluate random draw %d: %v", d, err)
+				res.Err = err.Error()
 				return res
 			}
-			sum += rev.Delta
+			sum += delta
 		}
 		res.DeltaRandom = sum / float64(s.RandomDraws)
 	}

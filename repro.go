@@ -24,9 +24,8 @@
 // The underlying packages (internal/...) implement every substrate from
 // scratch on the standard library: incremental Delaunay triangulation,
 // dense least squares, unit-disk graphs with MST relay planning, curvature
-// estimation, a deterministic simulator and a goroutine-per-node
-// distributed runtime. See DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-versus-measured results.
+// estimation and a deterministic staged simulator. See DESIGN.md for the
+// system inventory and EXPERIMENTS.md for paper-versus-measured results.
 package repro
 
 import (
@@ -34,7 +33,6 @@ import (
 
 	"repro/internal/collect"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/field"
@@ -92,10 +90,6 @@ type (
 	Snapshot = sim.Snapshot
 	// StepStats summarizes one simulation slot.
 	StepStats = sim.StepStats
-	// Runtime is the concurrent goroutine-per-node CMA runtime.
-	Runtime = dist.Runtime
-	// RuntimeOptions configures a Runtime.
-	RuntimeOptions = dist.Options
 )
 
 // Experiment harness API.
@@ -235,15 +229,6 @@ func NewWorld(dyn DynField, positions []Vec2, opts WorldOptions) (*World, error)
 
 // DefaultWorldOptions returns the paper's Section 6 OSTD settings.
 func DefaultWorldOptions() WorldOptions { return sim.DefaultOptions() }
-
-// NewRuntime creates the concurrent goroutine-per-node CMA runtime.
-// Callers must Close it.
-func NewRuntime(dyn DynField, positions []Vec2, opts RuntimeOptions) (*Runtime, error) {
-	return dist.New(dyn, positions, opts)
-}
-
-// DefaultRuntimeOptions mirrors DefaultWorldOptions with a lossless radio.
-func DefaultRuntimeOptions() RuntimeOptions { return dist.DefaultOptions() }
 
 // DeltaVsK regenerates the Fig. 7 data series.
 func DeltaVsK(f Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, error) {

@@ -90,18 +90,6 @@ func TestFacadeRendering(t *testing.T) {
 	}
 }
 
-func TestFacadeRuntime(t *testing.T) {
-	forest := NewForest(DefaultForestConfig())
-	r, err := NewRuntime(forest, GridLayout(forest.Bounds(), 9), DefaultRuntimeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.Step(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeBaselines(t *testing.T) {
 	if got := len(RandomPlacement(Square(100), 7, 1).Nodes); got != 7 {
 		t.Errorf("random nodes = %d", got)
