@@ -32,15 +32,13 @@ type CoordinatorOptions struct {
 	Log io.Writer
 }
 
-// cellState is the coordinator's view of one grid cell.
+// cellState is the coordinator's lease view of one grid cell.
 type cellState struct {
-	digest string
 	// leaseID is the cell's current live lease (the fencing token);
 	// 0 when the cell is pending or done.
 	leaseID  int64
 	worker   string
 	deadline time.Time
-	done     bool
 	// everLeased marks the first grant; regrants counts how many times
 	// the cell was re-leased after that — the per-cell retry counter.
 	everLeased bool
@@ -82,54 +80,38 @@ func newCoordMetrics(reg *obs.Registry) coordMetrics {
 	}
 }
 
-// Coordinator owns a sweep's lease and result tables and serves them
-// over HTTP. All mutable state sits behind one mutex; lease expiry is
-// evaluated lazily at the top of every request (and by a background
-// ticker, so progress does not depend on traffic). Determinism note:
-// which worker computes a cell is timing-dependent, but every worker
-// computes the same bytes, so the aggregate is not.
+// Coordinator owns a sweep's lease table, admits results into the
+// sweep's ledger, and serves both over HTTP. Lease state sits behind one
+// mutex; lease expiry is evaluated lazily at the top of every request
+// (and by a background ticker, so progress does not depend on traffic).
+// Determinism note: which worker computes a cell is timing-dependent,
+// but every worker computes the same bytes, so the aggregate is not.
 type Coordinator struct {
-	spec       sweep.Spec
-	cells      []sweep.Cell
-	specDigest string
-	specJSON   []byte
-	ttl        time.Duration
-	logw       io.Writer
-	met        coordMetrics
+	ledger   *sweep.Ledger
+	specJSON []byte
+	ttl      time.Duration
+	logw     io.Writer
+	met      coordMetrics
 
 	mu       sync.Mutex
 	now      func() time.Time // injectable clock; guarded by mu for tests
 	state    []cellState
-	results  []sweep.Result
-	doneFlag []bool
 	byLease  map[int64]int // live lease ID -> cell index
 	pending  []int         // FIFO of cell indices awaiting a lease
 	workers  map[string]time.Time
 	nextID   int64
-	done     int
-	resumed  int
 	err      error
 	started  time.Time
 	finished bool
-	ckpt     *sweep.CheckpointWriter
 
 	complete chan struct{} // closed once done==total or err is set
 	stopTick chan struct{}
 	closed   bool
 }
 
-// NewCoordinator validates the spec, replays the checkpoint when
-// resuming, opens the checkpoint writer, and starts the expiry ticker.
-// Call Close when done with it.
+// NewCoordinator opens the spec's ledger (replaying the checkpoint when
+// resuming) and starts the expiry ticker. Call Close when done with it.
 func NewCoordinator(spec sweep.Spec, opts CoordinatorOptions) (*Coordinator, error) {
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("dsweep: marshal spec: %w", err)
-	}
 	ttl := opts.LeaseTTL
 	if ttl <= 0 {
 		ttl = 15 * time.Second
@@ -138,59 +120,33 @@ func NewCoordinator(spec sweep.Spec, opts CoordinatorOptions) (*Coordinator, err
 	if logw == nil {
 		logw = io.Discard
 	}
+	l, err := sweep.OpenLedger(spec, opts.Checkpoint, opts.Resume, logw)
+	if err != nil {
+		return nil, err
+	}
+	specJSON, err := json.Marshal(l.Spec())
+	if err != nil {
+		l.Close()
+		return nil, fmt.Errorf("dsweep: marshal spec: %w", err)
+	}
 	c := &Coordinator{
-		spec:       spec,
-		cells:      spec.Cells(),
-		specDigest: spec.SpecDigest(),
-		specJSON:   specJSON,
-		ttl:        ttl,
-		logw:       logw,
-		met:        newCoordMetrics(opts.Metrics),
-		now:        time.Now,
-		byLease:    make(map[int64]int),
-		workers:    make(map[string]time.Time),
-		complete:   make(chan struct{}),
-		stopTick:   make(chan struct{}),
+		ledger:   l,
+		specJSON: specJSON,
+		ttl:      ttl,
+		logw:     logw,
+		met:      newCoordMetrics(opts.Metrics),
+		now:      time.Now,
+		state:    make([]cellState, l.Spec().NumCells()),
+		byLease:  make(map[int64]int),
+		pending:  l.Pending(),
+		workers:  make(map[string]time.Time),
+		complete: make(chan struct{}),
+		stopTick: make(chan struct{}),
 	}
-	c.state = make([]cellState, len(c.cells))
-	c.results = make([]sweep.Result, len(c.cells))
-	c.doneFlag = make([]bool, len(c.cells))
-	for i, cell := range c.cells {
-		c.state[i].digest = c.spec.Digest(cell)
-	}
-
-	var prior map[string]sweep.Result
-	if opts.Checkpoint != "" && opts.Resume {
-		var header string
-		if prior, header, err = sweep.ReadCheckpoint(opts.Checkpoint, logw); err != nil {
-			return nil, err
-		}
-		if header != "" && header != c.specDigest {
-			return nil, fmt.Errorf("dsweep: checkpoint %s was written by a different spec (digest %s, want %s); refusing resume",
-				opts.Checkpoint, header, c.specDigest)
-		}
-	}
-	for i := range c.state {
-		if r, ok := prior[c.state[i].digest]; ok {
-			r.Index = i
-			c.results[i] = r
-			c.doneFlag[i] = true
-			c.state[i].done = true
-			c.done++
-			c.resumed++
-			continue
-		}
-		c.pending = append(c.pending, i)
-	}
-	c.met.cellsDone.Set(float64(c.done))
-
-	if opts.Checkpoint != "" {
-		if c.ckpt, err = sweep.NewCheckpointWriter(opts.Checkpoint, c.specDigest, opts.Resume); err != nil {
-			return nil, err
-		}
-	}
+	done, _ := l.Progress()
+	c.met.cellsDone.Set(float64(done))
 	c.started = c.now()
-	if c.done == len(c.cells) {
+	if done == len(c.state) {
 		c.finished = true
 		close(c.complete)
 	}
@@ -219,16 +175,11 @@ func NewCoordinator(spec sweep.Spec, opts CoordinatorOptions) (*Coordinator, err
 	return c, nil
 }
 
-// Resumed reports how many cells were replayed from the checkpoint at
-// construction.
-func (c *Coordinator) Resumed() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resumed
-}
+// Resumed is the number of cells replayed from the checkpoint.
+func (c *Coordinator) Resumed() int { return c.ledger.Resumed() }
 
 // Total is the grid size.
-func (c *Coordinator) Total() int { return len(c.cells) }
+func (c *Coordinator) Total() int { return len(c.state) }
 
 // setNow swaps the clock under the lock; tests use it to drive expiry
 // deterministically.
@@ -283,27 +234,19 @@ func (c *Coordinator) touchLocked(worker string) {
 	}
 }
 
-// completeLocked seals the sweep: close the completion channel exactly
-// once and record the end-to-end histogram sample.
-func (c *Coordinator) completeLocked() {
+// finishLocked seals the sweep exactly once and unblocks Wait. err is
+// the fatal coordinator error (checkpoint persistence failure); a nil
+// err means the sweep completed and records the end-to-end histogram
+// sample.
+func (c *Coordinator) finishLocked(err error) {
 	if c.finished {
 		return
 	}
-	c.finished = true
-	c.met.sweepSeconds.Observe(c.now().Sub(c.started).Seconds())
+	c.finished, c.err = true, err
+	if err == nil {
+		c.met.sweepSeconds.Observe(c.now().Sub(c.started).Seconds())
+	}
 	close(c.complete)
-}
-
-// failLocked records the first fatal coordinator error (checkpoint
-// persistence failure) and unblocks Wait.
-func (c *Coordinator) failLocked(err error) {
-	if c.err == nil {
-		c.err = err
-	}
-	if !c.finished {
-		c.finished = true
-		close(c.complete)
-	}
 }
 
 // Handler returns the coordinator's HTTP surface.
@@ -337,7 +280,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (c *Coordinator) handleSpec(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, SpecResponse{Name: c.spec.Name, SpecDigest: c.specDigest, Spec: c.specJSON})
+	writeJSON(w, SpecResponse{Name: c.ledger.Spec().Name, SpecDigest: c.ledger.SpecDigest(), Spec: c.specJSON})
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -355,15 +298,15 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.touchLocked(req.Worker)
 	c.expireLocked()
-	resp := LeaseResponse{Done: c.done, Total: len(c.cells)}
+	resp := LeaseResponse{Total: len(c.state)}
 	now := c.now()
 	for len(resp.Leases) < max && len(c.pending) > 0 {
 		idx := c.pending[0]
 		c.pending = c.pending[1:]
-		st := &c.state[idx]
-		if st.done { // a stale queue entry (result landed while queued)
+		if c.ledger.Done(idx) { // a stale queue entry (result landed while queued)
 			continue
 		}
+		st := &c.state[idx]
 		c.nextID++
 		st.leaseID = c.nextID
 		st.worker = req.Worker
@@ -376,18 +319,18 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.byLease[st.leaseID] = idx
 		c.met.granted.Inc()
 		resp.Leases = append(resp.Leases, Lease{
-			ID: st.leaseID, Index: idx, Digest: st.digest, TTLMillis: c.ttl.Milliseconds(),
+			ID: st.leaseID, Index: idx, Digest: c.ledger.Digest(idx), TTLMillis: c.ttl.Milliseconds(),
 		})
 	}
+	resp.Done, _ = c.ledger.Progress()
 	switch {
 	case len(resp.Leases) > 0:
 		resp.Status = StatusOK
-	case c.done == len(c.cells):
+	case resp.Done == resp.Total:
 		resp.Status = StatusDone
 	default:
 		resp.Status = StatusWait
 	}
-	resp.Done = c.done
 	c.mu.Unlock()
 	writeJSON(w, resp)
 }
@@ -426,13 +369,13 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.touchLocked(req.Worker)
 	c.expireLocked()
 	status, err := c.admitLocked(&req)
-	done := c.done == len(c.cells)
+	done, _ := c.ledger.Progress()
 	c.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, ResultResponse{Status: status, Done: done})
+	writeJSON(w, ResultResponse{Status: status, Done: done == len(c.state)})
 }
 
 // admitLocked applies the result-admission policy (see the package
@@ -446,7 +389,7 @@ func (c *Coordinator) admitLocked(req *ResultRequest) (string, error) {
 	st := &c.state[req.Index]
 	var res sweep.Result
 	switch {
-	case req.Digest != st.digest,
+	case req.Digest != c.ledger.Digest(req.Index),
 		sweep.IntegritySum(req.Digest, req.Result) != req.Sum,
 		json.Unmarshal(req.Result, &res) != nil,
 		res.Index != req.Index,
@@ -455,7 +398,7 @@ func (c *Coordinator) admitLocked(req *ResultRequest) (string, error) {
 		fmt.Fprintf(c.logw, "dsweep: rejected corrupt result for cell %d from worker %s\n", req.Index, req.Worker)
 		return ResultCorrupt, nil
 	}
-	if st.done {
+	if c.ledger.Done(req.Index) {
 		c.met.duplicate.Inc()
 		return ResultDuplicate, nil
 	}
@@ -465,25 +408,20 @@ func (c *Coordinator) admitLocked(req *ResultRequest) (string, error) {
 			req.Index, req.Worker, req.LeaseID)
 		return ResultStale, nil
 	}
-	// Persist before acknowledging: once the worker hears "accepted" the
-	// cell must survive a coordinator crash.
-	if c.ckpt != nil {
-		if err := c.ckpt.Append(res); err != nil {
-			c.failLocked(fmt.Errorf("dsweep: checkpoint result: %w", err))
-			return "", err
-		}
+	// The ledger persists before marking done: once the worker hears
+	// "accepted" the cell must survive a coordinator crash.
+	if err := c.ledger.Record(res); err != nil {
+		c.finishLocked(fmt.Errorf("dsweep: checkpoint result: %w", err))
+		return "", err
 	}
 	delete(c.byLease, st.leaseID)
 	st.leaseID = 0
-	st.done = true
-	c.results[req.Index] = res
-	c.doneFlag[req.Index] = true
-	c.done++
+	done, _ := c.ledger.Progress()
 	c.met.accepted.Inc()
-	c.met.cellsDone.Set(float64(c.done))
+	c.met.cellsDone.Set(float64(done))
 	c.met.cellRetries.Observe(float64(st.regrants))
-	if c.done == len(c.cells) {
-		c.completeLocked()
+	if done == len(c.state) {
+		c.finishLocked(nil)
 	}
 	return ResultAccepted, nil
 }
@@ -492,22 +430,17 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	c.mu.Lock()
 	c.expireLocked()
 	c.refreshWorkerGaugeLocked()
-	failed := 0
-	for i, ok := range c.doneFlag {
-		if ok && c.results[i].Err != "" {
-			failed++
-		}
-	}
+	done, failed := c.ledger.Progress()
 	resp := StatusResponse{
-		Name:       c.spec.Name,
-		SpecDigest: c.specDigest,
-		Total:      len(c.cells),
-		Done:       c.done,
+		Name:       c.ledger.Spec().Name,
+		SpecDigest: c.ledger.SpecDigest(),
+		Total:      len(c.state),
+		Done:       done,
 		Failed:     failed,
 		Leased:     len(c.byLease),
 		Pending:    len(c.pending),
 		Workers:    len(c.workers),
-		Complete:   c.done == len(c.cells),
+		Complete:   done == len(c.state),
 	}
 	c.mu.Unlock()
 	writeJSON(w, resp)
@@ -531,26 +464,17 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*sweep.Report, bool, error) {
 	if c.err != nil {
 		return nil, false, c.err
 	}
-	rep := sweep.NewReport(&c.spec, c.results, c.doneFlag)
-	rep.Resumed = c.resumed
-	rep.Computed = len(rep.Cells) - c.resumed
-	return rep, c.done == len(c.cells), nil
+	rep := c.ledger.Report()
+	return rep, !rep.Interrupted, nil
 }
 
-// Close stops the expiry ticker and closes the checkpoint. Idempotent.
+// Close stops the expiry ticker and closes the ledger. Idempotent.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
+	if !c.closed {
+		c.closed = true
+		close(c.stopTick)
 	}
-	c.closed = true
-	close(c.stopTick)
-	ckpt := c.ckpt
-	c.ckpt = nil
 	c.mu.Unlock()
-	if ckpt != nil {
-		return ckpt.Close()
-	}
-	return nil
+	return c.ledger.Close()
 }

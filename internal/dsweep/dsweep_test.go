@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -427,6 +429,38 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	other.DeltaN = 9
 	if _, err := NewCoordinator(other, CoordinatorOptions{Checkpoint: ckpt, Resume: true}); err == nil {
 		t.Fatal("mismatched spec resumed against foreign checkpoint")
+	}
+}
+
+// TestCoordinatorRefusesHeaderless: a coordinator resuming from a
+// checkpoint with cell lines but no spec-digest header refuses it and
+// names the header line to prepend, exactly as sweep.Run does.
+func TestCoordinatorRefusesHeaderless(t *testing.T) {
+	spec := protoSpec()
+	ckpt := filepath.Join(t.TempDir(), "coord.ckpt")
+	c1, _ := newTestCoordinator(t, spec, CoordinatorOptions{Checkpoint: ckpt})
+	h1 := c1.Handler()
+	l := leaseOne(t, h1, "w")
+	var rr ResultResponse
+	do(t, h1, http.MethodPost, "/result", fakeSubmission(t, &spec, l.Index, l.ID, "w"), &rr)
+	if rr.Status != ResultAccepted {
+		t.Fatalf("result: %v", rr.Status)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cells, _ := strings.Cut(string(raw), "\n")
+	if err := os.WriteFile(ckpt, []byte(cells), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewCoordinator(spec, CoordinatorOptions{Checkpoint: ckpt, Resume: true})
+	want := `{"spec_digest":"` + spec.SpecDigest() + `"}`
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("headerless resume: err=%v, want a refusal naming %s", err, want)
 	}
 }
 

@@ -22,24 +22,18 @@ const (
 	jobInterrupted = "interrupted"
 )
 
-// job is one asynchronous sweep. lines accumulates the checkpoint-format
-// JSONL stream (header first, then one line per completed cell, in
-// completion order — exactly what the on-disk checkpoint holds); report
-// is the aggregated JSON, byte-identical to cmd/sweep's -out, once the
-// job is done.
+// job is one asynchronous sweep. ledger is its run's bookkeeping,
+// opened when the job takes a compute slot: progress, the results
+// stream and the report all read from it.
 type job struct {
 	id     string
 	spec   sweep.Spec
 	digest string
-	total  int
 
 	mu     sync.Mutex
 	state  string
-	done   int
-	failed int
 	errMsg string
-	lines  bytes.Buffer
-	report []byte
+	ledger *sweep.Ledger
 }
 
 // JobStatus is the poll response for one sweep job.
@@ -57,36 +51,21 @@ type JobStatus struct {
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JobStatus{
+	st := JobStatus{
 		ID: j.id, Name: j.spec.Name, SpecDigest: j.digest, State: j.state,
-		Total: j.total, Done: j.done, Failed: j.failed, Error: j.errMsg,
+		Total: j.spec.NumCells(), Error: j.errMsg,
 	}
-}
-
-// appendResult streams one completed cell into the job's JSONL buffer;
-// it is the sweep.RunOptions.OnResult hook and runs on worker
-// goroutines.
-func (j *job) appendResult(r sweep.Result) {
-	line, err := sweep.CheckpointCell(r)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err != nil { // cannot happen for a Result the engine produced
-		j.errMsg = err.Error()
-		return
+	if j.ledger != nil {
+		st.Done, st.Failed = j.ledger.Progress()
 	}
-	j.lines.Write(line)
-	j.lines.WriteByte('\n')
-	j.done++
-	if r.Err != "" {
-		j.failed++
-	}
+	return st
 }
 
 // jobPool runs submitted sweeps on a bounded in-process pool: at most
 // MaxJobs compute at once, at most QueueDepth more wait behind them,
-// and every job reuses the batch engine (sweep.Run) with the server's
-// stop channel wired in so a drain checkpoints in-flight cells and
-// parks the rest.
+// and every job runs the batch engine's pool (sweep.Ledger.Run) with the
+// server's stop channel wired in so a drain checkpoints in-flight cells
+// and parks the rest.
 type jobPool struct {
 	cfg Config
 	met serveMetrics
@@ -135,7 +114,6 @@ func (p *jobPool) submit(spec sweep.Spec) (*job, bool) {
 		id:     fmt.Sprintf("j%d-%s", p.seq, spec.SpecDigest()[:8]),
 		spec:   spec,
 		digest: spec.SpecDigest(),
-		total:  spec.NumCells(),
 		state:  jobQueued,
 	}
 	p.jobs[j.id] = j
@@ -159,9 +137,9 @@ func (j *job) setState(s string) {
 	j.mu.Unlock()
 }
 
-// run takes a compute slot, executes the sweep, and records the
-// outcome. The header line is written before the first cell so a
-// partially streamed job is still a well-formed checkpoint.
+// run takes a compute slot, opens the job's ledger — only then, so a job
+// parked while queued leaves no checkpoint file — executes the sweep,
+// and records the outcome.
 func (p *jobPool) run(j *job) {
 	defer p.wg.Done()
 	select {
@@ -178,31 +156,25 @@ func (p *jobPool) run(j *job) {
 	default:
 	}
 
-	j.setState(jobRunning)
-	p.met.jobsRun.Add(1)
-	defer p.met.jobsRun.Add(-1)
-	fmt.Fprintf(p.cfg.Log, "serve: job %s running: %s, %d cells\n", j.id, j.spec.Name, j.total)
-
-	header, err := sweep.CheckpointHeader(j.digest)
+	path := ""
+	if p.cfg.JobDir != "" {
+		path = filepath.Join(p.cfg.JobDir, j.id+".ckpt")
+	}
+	l, err := sweep.OpenLedger(j.spec, path, false, nil)
 	if err != nil {
 		j.fail(err)
 		return
 	}
 	j.mu.Lock()
-	j.lines.Write(header)
-	j.lines.WriteByte('\n')
+	j.state, j.ledger = jobRunning, l
 	j.mu.Unlock()
-
-	opts := sweep.RunOptions{
-		Workers:  p.cfg.SweepWorkers,
-		Stop:     p.stop,
-		Metrics:  p.cfg.Metrics,
-		OnResult: j.appendResult,
+	p.met.jobsRun.Add(1)
+	defer p.met.jobsRun.Add(-1)
+	fmt.Fprintf(p.cfg.Log, "serve: job %s running: %s, %d cells\n", j.id, j.spec.Name, j.spec.NumCells())
+	rep, err := l.Run(sweep.RunOptions{Workers: p.cfg.SweepWorkers, Stop: p.stop, Metrics: p.cfg.Metrics})
+	if cerr := l.Close(); err == nil {
+		err = cerr
 	}
-	if p.cfg.JobDir != "" {
-		opts.Checkpoint = filepath.Join(p.cfg.JobDir, j.id+".ckpt")
-	}
-	rep, err := sweep.Run(j.spec, opts)
 	if err != nil {
 		j.fail(err)
 		return
@@ -212,15 +184,7 @@ func (p *jobPool) run(j *job) {
 		fmt.Fprintf(p.cfg.Log, "serve: job %s interrupted after %d/%d cells\n", j.id, len(rep.Cells), rep.Total)
 		return
 	}
-	var buf bytes.Buffer
-	if err := sweep.WriteJSON(&buf, rep); err != nil {
-		j.fail(err)
-		return
-	}
-	j.mu.Lock()
-	j.report = buf.Bytes()
-	j.state = jobDone
-	j.mu.Unlock()
+	j.setState(jobDone)
 	p.met.jobsFin.Inc()
 	fmt.Fprintf(p.cfg.Log, "serve: job %s done: %d/%d cells (%d failed)\n", j.id, len(rep.Cells), rep.Total, rep.Failed)
 }
@@ -239,7 +203,7 @@ func (p *jobPool) get(id string) *job {
 }
 
 // drain refuses new jobs, stops running sweeps (they finish in-flight
-// cells and flush their checkpoints inside sweep.Run), and waits for
+// cells and flush their checkpoints inside Ledger.Run), and waits for
 // every job goroutine to park. Idempotent.
 func (p *jobPool) drain() {
 	p.mu.Lock()
@@ -275,10 +239,10 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status())
 }
 
-// handleSweepResults streams the job's completed cells so far in the
-// sweep checkpoint JSONL format: the spec-digest header line, then one
-// self-checking line per cell in completion order — byte-compatible
-// with an on-disk checkpoint, so `sweep -resume` semantics and tooling
+// handleSweepResults streams the job's completed cells so far as its
+// ledger renders them: the spec-digest header line, then one
+// self-checking line per cell in completion order — the bytes of the
+// job's on-disk checkpoint, so `sweep -resume` semantics and tooling
 // apply directly.
 func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs.get(r.PathValue("id"))
@@ -287,10 +251,18 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	snapshot := append([]byte(nil), j.lines.Bytes()...)
+	l := j.ledger
 	j.mu.Unlock()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Write(snapshot)
+	if l == nil {
+		return // still queued: nothing streamed yet
+	}
+	stream, err := l.Stream()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "render results: %v", err)
+		return
+	}
+	w.Write(stream)
 }
 
 // handleSweepReport serves the finished job's aggregate, byte-identical
@@ -302,12 +274,17 @@ func (s *Server) handleSweepReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	state, report := j.state, j.report
+	state, l := j.state, j.ledger
 	j.mu.Unlock()
 	if state != jobDone {
 		httpError(w, http.StatusConflict, "job %s is %s, report available once done", j.id, state)
 		return
 	}
+	var buf bytes.Buffer
+	if err := sweep.WriteJSON(&buf, l.Report()); err != nil {
+		httpError(w, http.StatusInternalServerError, "render report: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(report)
+	w.Write(buf.Bytes())
 }

@@ -202,7 +202,7 @@ func TestServeDrainParksJobs(t *testing.T) {
 		}
 		j1.mu.Lock()
 		defer j1.mu.Unlock()
-		return j1.lines.Len() > 0
+		return j1.ledger != nil
 	})
 	w2 := post(s, "/v1/sweeps", jobSpec, nil)
 	if w2.Code != http.StatusAccepted {
@@ -229,8 +229,12 @@ func TestServeDrainParksJobs(t *testing.T) {
 	// header plus exactly status.Done well-formed cell lines.
 	st := j1.status()
 	j1.mu.Lock()
-	stream := j1.lines.String()
+	raw, err := j1.ledger.Stream()
 	j1.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := string(raw)
 	lines := strings.Split(strings.TrimSuffix(stream, "\n"), "\n")
 	if len(lines) == 0 || lines[0] == "" {
 		t.Fatal("running job streamed no header before drain")

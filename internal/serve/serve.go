@@ -4,7 +4,7 @@
 // places k nodes on a field spec or inline samples and POST /v1/eval
 // scores a caller-supplied deployment — while whole scenario grids run
 // asynchronously: POST /v1/sweeps enqueues a job on a bounded in-process
-// pool backed by sweep.Run, GET /v1/sweeps/{id} polls it, and the
+// pool backed by a sweep.Ledger, GET /v1/sweeps/{id} polls it, and the
 // results stream in the sweep checkpoint JSONL format.
 //
 // Production concerns are first-class:

@@ -407,3 +407,90 @@ func TestHandlerPanicReleasesDrainBarrier(t *testing.T) {
 		t.Fatal("Drain blocked after a handler panic: drain barrier leaked")
 	}
 }
+
+// waitJob polls a sweep job, status and results stream both, until it
+// leaves queued/running.
+func waitJob(t *testing.T, s *Server, id string) JobStatus {
+	t.Helper()
+	var st JobStatus
+	deadline := time.Now().Add(60 * time.Second)
+	for st.State == "" || st.State == jobQueued || st.State == jobRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s stuck in state %q", id, st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if w := get(s, "/v1/sweeps/"+id+"/results"); w.Code != http.StatusOK {
+			t.Fatalf("results while %s: code %d", st.State, w.Code)
+		}
+		if err := json.Unmarshal(get(s, "/v1/sweeps/"+id).Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// TestSweepResultsMatchCheckpointFile: with four workers racing to
+// record cells, a finished job's results stream is byte-identical to
+// the checkpoint file its run wrote.
+func TestSweepResultsMatchCheckpointFile(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newTestServer(t, func(c *Config) {
+		c.JobDir = dir
+		c.SweepWorkers = 4
+	})
+	spec := `{"name":"stream","fields":[{"kind":"peaks"},{"kind":"ridge"}],"ks":[4,6,8,10],"rcs":[30,40],"grid_n":12,"delta_n":12}`
+	w := post(s, "/v1/sweeps", spec, nil)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %s", w.Code, w.Body.String())
+	}
+	var st JobStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st = waitJob(t, s, st.ID); st.State != jobDone || st.Done != 16 {
+		t.Fatalf("final status %+v", st)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, st.ID+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := get(s, "/v1/sweeps/"+st.ID+"/results").Body.Bytes(); !bytes.Equal(body, file) {
+		t.Fatalf("results stream differs from the checkpoint file:\n%s\nvs\n%s", body, file)
+	}
+}
+
+// TestSweepTraceDevZero: a spec naming /dev/zero as its trace file is
+// accepted promptly — the digest does not read the device — and the
+// cell fails with the refusal as its error instead of wedging the job.
+func TestSweepTraceDevZero(t *testing.T) {
+	if _, err := os.Stat("/dev/zero"); err != nil {
+		t.Skip("no /dev/zero on this system")
+	}
+	s, _ := newTestServer(t, nil)
+	spec := `{"name":"zero","traces":[{"path":"/dev/zero"}],"ks":[4],"rcs":[30],"grid_n":12,"delta_n":12}`
+	submitted := make(chan *httptest.ResponseRecorder, 1)
+	go func() { submitted <- post(s, "/v1/sweeps", spec, nil) }()
+	var w *httptest.ResponseRecorder
+	select {
+	case w = <-submitted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("submit naming /dev/zero did not answer within 5s")
+	}
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %s", w.Code, w.Body.String())
+	}
+	var st JobStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st = waitJob(t, s, st.ID); st.State != jobDone || st.Done != 1 || st.Failed != 1 {
+		t.Fatalf("final status %+v, want done with 1 failed cell", st)
+	}
+	var rep sweep.Report
+	if err := json.Unmarshal(get(s, "/v1/sweeps/"+st.ID+"/report").Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != 1 || !strings.Contains(rep.Cells[0].Err, "not a regular file") {
+		t.Fatalf("cell error %+v, want the trace refusal", rep.Cells)
+	}
+}

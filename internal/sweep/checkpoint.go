@@ -26,7 +26,7 @@ import (
 type checkpointLine struct {
 	// SpecDigest marks the header line (first line of the file): the
 	// Spec.SpecDigest of the sweep that wrote it. Resume refuses a file
-	// whose header names a different spec.
+	// whose header names a different spec, or that has none.
 	SpecDigest string `json:"spec_digest,omitempty"`
 	// Digest, Result and Sum form a cell line. Result stays raw on read
 	// so Sum can be verified over the exact bytes that were written.
@@ -35,30 +35,23 @@ type checkpointLine struct {
 	Sum    string          `json:"sum,omitempty"`
 }
 
-// CheckpointHeader renders the header line that binds a checkpoint
-// stream to its spec. It is shared by CheckpointWriter and by the serve
-// layer, whose in-memory job streams speak the same JSONL format as the
-// on-disk file.
-func CheckpointHeader(specDigest string) ([]byte, error) {
-	line, err := json.Marshal(checkpointLine{SpecDigest: specDigest})
-	if err != nil {
-		return nil, fmt.Errorf("sweep: marshal checkpoint header: %w", err)
-	}
-	return line, nil
+// headerLine renders the header line that binds a checkpoint stream to
+// its spec. CheckpointWriter and Ledger.Stream share it, so the stream
+// speaks the same JSONL format as the on-disk file.
+func headerLine(specDigest string) []byte {
+	line, _ := json.Marshal(checkpointLine{SpecDigest: specDigest}) // strings always marshal
+	return line
 }
 
-// CheckpointCell renders one completed cell in the checkpoint line
-// format: the cell digest, the raw Result, and the integrity sum over
-// both.
-func CheckpointCell(r Result) ([]byte, error) {
+// cellLine renders one completed cell in the checkpoint line format: the
+// cell digest, the raw Result, and the integrity sum over both.
+func cellLine(r Result) ([]byte, error) {
 	raw, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: marshal checkpoint entry: %w", err)
 	}
-	line, err := json.Marshal(checkpointLine{Digest: r.Digest, Result: raw, Sum: IntegritySum(r.Digest, raw)})
-	if err != nil {
-		return nil, fmt.Errorf("sweep: marshal checkpoint entry: %w", err)
-	}
+	// raw is valid JSON, so wrapping it cannot fail.
+	line, _ := json.Marshal(checkpointLine{Digest: r.Digest, Result: raw, Sum: IntegritySum(r.Digest, raw)})
 	return line, nil
 }
 
@@ -75,7 +68,7 @@ func IntegritySum(digest string, result []byte) string {
 }
 
 // ReadCheckpoint loads completed-cell results keyed by digest, plus the
-// header's spec digest ("" when the file predates headers or is
+// header's spec digest ("" when the file has no header or is
 // missing). A missing file is an empty checkpoint. A torn final line —
 // the expected residue of a kill mid-write — is skipped silently;
 // unparsable or sum-mismatched lines anywhere else are skipped with a
@@ -143,14 +136,13 @@ func ReadCheckpoint(path string, logw io.Writer) (map[string]Result, string, err
 	return prior, specDigest, nil
 }
 
-// CheckpointWriter appends one flushed JSONL entry per completed cell.
-// Appends are serialized by a mutex — workers call it concurrently — and
-// each entry is flushed to the OS before Append returns, so a kill after
-// a cell's completion never loses that cell.
+// CheckpointWriter appends one JSONL entry per completed cell. Appends
+// are serialized by a mutex — workers call it concurrently — and each
+// entry reaches the OS in a single write before Append returns, so a
+// kill after a cell's completion never loses that cell.
 type CheckpointWriter struct {
 	mu sync.Mutex
 	f  *os.File
-	w  *bufio.Writer
 }
 
 // NewCheckpointWriter opens path for appending and stamps the header
@@ -165,59 +157,42 @@ func NewCheckpointWriter(path, specDigest string, resume bool) (*CheckpointWrite
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open checkpoint for write: %w", err)
 	}
-	c := &CheckpointWriter{f: f, w: bufio.NewWriter(f)}
+	c := &CheckpointWriter{f: f}
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sweep: stat checkpoint: %w", err)
+		err = fmt.Errorf("sweep: stat checkpoint: %w", err)
+	} else if st.Size() == 0 {
+		err = c.writeLine(headerLine(specDigest))
 	}
-	if st.Size() == 0 {
-		line, err := CheckpointHeader(specDigest)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := c.writeLine(line); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return c, nil
 }
 
-// writeLine appends one flushed line under the mutex.
+// writeLine appends one line under the mutex.
 func (c *CheckpointWriter) writeLine(line []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.w.Write(line); err != nil {
+	if _, err := c.f.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("sweep: write checkpoint: %w", err)
-	}
-	if err := c.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("sweep: write checkpoint: %w", err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return fmt.Errorf("sweep: flush checkpoint: %w", err)
 	}
 	return nil
 }
 
 // Append records one completed cell.
 func (c *CheckpointWriter) Append(r Result) error {
-	line, err := CheckpointCell(r)
+	line, err := cellLine(r)
 	if err != nil {
 		return err
 	}
 	return c.writeLine(line)
 }
 
-// Close flushes and closes the underlying file.
+// Close closes the underlying file.
 func (c *CheckpointWriter) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ferr := c.w.Flush()
-	cerr := c.f.Close()
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
+	return c.f.Close()
 }

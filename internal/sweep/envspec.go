@@ -143,9 +143,9 @@ func (ts TraceSpec) Build() (field.DynField, error) {
 	}
 	content := ts.Inline
 	if ts.Path != "" {
-		raw, err := os.ReadFile(ts.Path)
+		raw, err := readTraceFile(ts.Path)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: trace: %w", err)
+			return nil, err
 		}
 		content = string(raw)
 	}
@@ -187,13 +187,34 @@ func (ts TraceSpec) contentHash() string {
 		return h.(string)
 	}
 	var h string
-	if raw, err := os.ReadFile(ts.Path); err == nil {
+	if raw, err := readTraceFile(ts.Path); err == nil {
 		h = fnvString(string(raw))
 	} else {
 		h = fnvString("unreadable:" + ts.Path)
 	}
 	traceHashCache.Store(ts.Path, h)
 	return h
+}
+
+// maxTraceBytes caps a trace file, so a spec naming a device or a
+// runaway file fails its cells fast instead of wedging the caller.
+const maxTraceBytes = 64 << 20
+
+// readTraceFile reads a trace file, refusing anything but a regular file
+// of at most maxTraceBytes.
+func readTraceFile(path string) ([]byte, error) {
+	st, err := os.Stat(path)
+	if err == nil && (!st.Mode().IsRegular() || st.Size() > maxTraceBytes) {
+		err = fmt.Errorf("%s is not a regular file of at most %d bytes", path, maxTraceBytes)
+	}
+	var raw []byte
+	if err == nil {
+		raw, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sweep: trace: %w", err)
+	}
+	return raw, nil
 }
 
 func fnvString(s string) string {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -19,7 +20,7 @@ type RunOptions struct {
 	// checkpointing (and therefore resume).
 	Checkpoint string
 	// Resume replays completed cells from the checkpoint instead of
-	// recomputing them. Without it an existing checkpoint is truncated.
+	// recomputing them, under OpenLedger's resume rule.
 	Resume bool
 	// MaxCells stops the run after completing that many new cells,
 	// leaving the rest for a later -resume. It exists to make
@@ -36,14 +37,6 @@ type RunOptions struct {
 	// worker-pool gauges sweep_workers / sweep_workers_busy.
 	// Observation only: results are bit-identical either way.
 	Metrics *obs.Registry
-	// OnResult, when non-nil, is invoked once per newly computed cell
-	// right after the cell is durably checkpointed (or immediately, with
-	// no checkpoint configured). It runs on worker goroutines, so
-	// implementations must be safe for concurrent use. Replayed (resumed)
-	// cells are not announced. This is the job-runner hook the serve
-	// layer streams live sweep progress from; it observes results and
-	// must not mutate them.
-	OnResult func(Result)
 	// Log, when non-nil, receives one progress line per finished cell.
 	// Progress lines are for humans; only the aggregated output is
 	// deterministic.
@@ -65,7 +58,8 @@ type Report struct {
 	Failed int `json:"failed"`
 	// Computed, Resumed and Interrupted describe THIS invocation — how
 	// many cells ran live versus replayed from the checkpoint, and
-	// whether MaxCells or Stop cut the run short. They are excluded
+	// whether cells are missing (MaxCells or Stop cut the run short, or
+	// a distributed sweep did not finish). They are excluded
 	// from the serialized report so that a resumed sweep's aggregated
 	// output stays byte-identical to an uninterrupted one.
 	Computed    int  `json:"-"`
@@ -100,116 +94,59 @@ func newSweepMetrics(reg *obs.Registry) sweepMetrics {
 	}
 }
 
-// Run executes the spec's scenario grid. Cells are sharded across the
-// worker pool by an atomic cursor; each runs in isolation (its own field,
-// world and injector; panics become per-cell errors) and lands in an
-// index-addressed slot, so the report is bit-identical to a serial run.
-// With a checkpoint configured every finished cell is durably recorded
-// before the run would admit to having done it, and with Resume set the
-// recorded cells are replayed instead of recomputed.
+// Run executes the spec's scenario grid: it opens the spec's Ledger
+// against opts.Checkpoint (replaying it with opts.Resume), runs the
+// pending cells on the ledger's worker pool, and returns the report.
 func Run(spec Spec, opts RunOptions) (*Report, error) {
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	l, err := OpenLedger(spec, opts.Checkpoint, opts.Resume, opts.Log)
+	if err != nil {
 		return nil, err
 	}
+	rep, err := l.Run(opts)
+	if cerr := l.Close(); err == nil && cerr != nil {
+		return nil, cerr
+	}
+	return rep, err
+}
+
+// Run computes the ledger's pending cells on a worker pool, recording
+// each into the ledger, which stays open; opts.Checkpoint and
+// opts.Resume are ignored. Cells are sharded by an atomic cursor and run
+// in isolation (panics become per-cell errors), so the report is
+// bit-identical to a serial run.
+func (l *Ledger) Run(opts RunOptions) (*Report, error) {
 	met := newSweepMetrics(opts.Metrics)
+	met.resumed.Add(int64(l.resumed))
 	logw := opts.Log
 	if logw == nil {
 		logw = io.Discard
 	}
-	cells := spec.Cells()
-	rep := &Report{Name: spec.Name, Total: len(cells)}
-
-	var prior map[string]Result
-	if opts.Checkpoint != "" && opts.Resume {
-		var (
-			header string
-			err    error
-		)
-		if prior, header, err = ReadCheckpoint(opts.Checkpoint, logw); err != nil {
-			return nil, err
-		}
-		// A header from a different spec means the file's cells belong to
-		// another grid: mixing them would silently splice two experiments,
-		// so resume refuses outright. Headerless files (pre-header format)
-		// fall back to per-cell digest matching with a warning.
-		if header != "" && header != spec.SpecDigest() {
-			return nil, fmt.Errorf("sweep: checkpoint %s was written by a different spec (digest %s, want %s); refusing resume",
-				opts.Checkpoint, header, spec.SpecDigest())
-		}
-		if header == "" && len(prior) > 0 {
-			fmt.Fprintf(logw, "sweep: checkpoint %s has no spec-digest header; trusting per-cell digests\n", opts.Checkpoint)
-		}
-	}
-
-	// Partition the grid: cells already in the checkpoint are replayed,
-	// the rest queue for the pool. Replay re-stamps the index so a
-	// reordered (but digest-compatible) spec still aggregates correctly.
-	results := make([]Result, len(cells))
-	done := make([]bool, len(cells))
-	var pending []int
-	for i, c := range cells {
-		if r, ok := prior[spec.Digest(c)]; ok {
-			r.Index = i
-			results[i] = r
-			done[i] = true
-			rep.Resumed++
-			met.resumed.Inc()
-			continue
-		}
-		pending = append(pending, i)
-	}
+	pending := l.Pending()
 	if opts.MaxCells > 0 && opts.MaxCells < len(pending) {
 		pending = pending[:opts.MaxCells]
-		rep.Interrupted = true
 	}
-
-	var ckpt *CheckpointWriter
-	if opts.Checkpoint != "" {
-		var err error
-		// Replayed cells are not re-recorded: with Resume the file is
-		// opened for append and their entries are already in it.
-		if ckpt, err = NewCheckpointWriter(opts.Checkpoint, spec.SpecDigest(), opts.Resume); err != nil {
-			return nil, err
-		}
-	}
-
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(pending)))
 	met.workers.Set(float64(workers))
 
-	// ckptFailure wraps the first checkpoint write error in a fixed
-	// concrete type, as atomic.Value requires.
-	type ckptFailure struct{ err error }
 	var (
 		next     atomic.Int64
-		stopped  atomic.Bool
-		ckptErr  atomic.Value
-		logMu    sync.Mutex
+		failed   atomic.Bool // a checkpoint write failed: stop taking cells
+		mu       sync.Mutex  // serializes records with their log lines; guards recErr
+		recErr   error
 		wg       sync.WaitGroup
 		timeCell = met.cellSeconds.StartTimer
 	)
 	worker := func() {
 		defer wg.Done()
-		for {
-			if opts.Stop != nil {
-				select {
-				case <-opts.Stop:
-					stopped.Store(true)
-					return
-				default:
-				}
-			}
-			if ckptErr.Load() != nil {
+		for !failed.Load() {
+			select {
+			case <-opts.Stop: // a nil Stop never fires
 				return
+			default:
 			}
 			n := int(next.Add(1)) - 1
 			if n >= len(pending) {
@@ -219,33 +156,24 @@ func Run(spec Spec, opts RunOptions) (*Report, error) {
 			met.started.Inc()
 			met.busy.Add(1)
 			t := timeCell()
-			r := RunCell(&spec, cells[i], opts.Metrics)
+			r := RunCell(&l.spec, l.cells[i], opts.Metrics)
 			t.Stop()
 			met.busy.Add(-1)
 			met.completed.Inc()
+			outcome := fmt.Sprintf("δ=%.2f", r.Delta)
 			if r.Err != "" {
 				met.failed.Inc()
+				outcome = "FAILED: " + r.Err
 			}
-			results[i] = r
-			done[i] = true
-			if ckpt != nil {
-				if err := ckpt.Append(r); err != nil {
-					ckptErr.CompareAndSwap(nil, ckptFailure{err})
-					return
-				}
-			}
-			if opts.OnResult != nil {
-				opts.OnResult(r)
-			}
-			logMu.Lock()
-			if r.Err != "" {
-				fmt.Fprintf(logw, "cell %d/%d %s k=%d rc=%g %s rate=%g seed=%d: FAILED: %s\n",
-					i+1, len(cells), r.Field, r.K, r.Rc, r.Strategy, r.FaultRate, r.Seed, r.Err)
+			mu.Lock()
+			if err := l.Record(r); err != nil {
+				recErr = cmp.Or(recErr, err) // keep the first
+				failed.Store(true)
 			} else {
-				fmt.Fprintf(logw, "cell %d/%d %s k=%d rc=%g %s rate=%g seed=%d: δ=%.2f\n",
-					i+1, len(cells), r.Field, r.K, r.Rc, r.Strategy, r.FaultRate, r.Seed, r.Delta)
+				fmt.Fprintf(logw, "cell %d/%d %s k=%d rc=%g %s rate=%g seed=%d: %s\n",
+					i+1, len(l.cells), r.Field, r.K, r.Rc, r.Strategy, r.FaultRate, r.Seed, outcome)
 			}
-			logMu.Unlock()
+			mu.Unlock()
 		}
 	}
 	wg.Add(workers)
@@ -254,38 +182,17 @@ func Run(spec Spec, opts RunOptions) (*Report, error) {
 	}
 	wg.Wait()
 
-	if f, ok := ckptErr.Load().(ckptFailure); ok {
-		if ckpt != nil {
-			_ = ckpt.Close()
-		}
-		return nil, f.err
+	if recErr != nil {
+		return nil, recErr
 	}
-	if ckpt != nil {
-		if err := ckpt.Close(); err != nil {
-			return nil, fmt.Errorf("sweep: close checkpoint: %w", err)
-		}
-	}
-	if stopped.Load() {
-		rep.Interrupted = true
-	}
-	for i := range results {
-		if !done[i] {
-			continue
-		}
-		rep.Cells = append(rep.Cells, results[i])
-		if results[i].Err != "" {
-			rep.Failed++
-		}
-	}
-	rep.Computed = len(rep.Cells) - rep.Resumed
-	return rep, nil
+	return l.Report(), nil
 }
 
 // NewReport assembles a Report from per-cell results in cell-index order,
 // skipping indices whose done flag is false. It is the aggregation step
-// shared by Run and the distributed coordinator: both feed it the same
-// deterministic per-cell results, which is why a distributed sweep's
-// JSON/CSV output is byte-identical to a local run's.
+// behind Ledger.Report, which every front door reports through — which
+// is why a distributed sweep's or a job's output is byte-identical to a
+// local run's.
 func NewReport(spec *Spec, results []Result, done []bool) *Report {
 	rep := &Report{Name: spec.Name, Total: spec.NumCells()}
 	for i := range results {

@@ -230,6 +230,57 @@ func TestResumeSpecMismatch(t *testing.T) {
 	}
 }
 
+// TestResumeHeaderlessRefused: resume refuses a checkpoint that has cell
+// lines but no spec-digest header, and the error names the exact header
+// line whose prepending adopts the file. A missing or empty file is a
+// fresh start.
+func TestResumeHeaderlessRefused(t *testing.T) {
+	spec := hundredCellSpec()
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	if _, err := Run(spec, RunOptions{Workers: 2, Checkpoint: ckpt, MaxCells: 10}); err != nil {
+		t.Fatalf("partial run: %v", err)
+	}
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, cells, _ := strings.Cut(string(raw), "\n")
+	if err := os.WriteFile(ckpt, []byte(cells), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(spec, RunOptions{Checkpoint: ckpt, Resume: true})
+	if err == nil {
+		t.Fatal("resume over a headerless checkpoint succeeded")
+	}
+	want := `{"spec_digest":"` + spec.SpecDigest() + `"}`
+	if header != want || !strings.Contains(err.Error(), want) {
+		t.Fatalf("refusal %q does not name the header line %s", err, want)
+	}
+
+	// Prepending the named line is the migration path.
+	if err := os.WriteFile(ckpt, []byte(want+"\n"+cells), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Run(spec, RunOptions{Checkpoint: ckpt, Resume: true})
+	if err != nil {
+		t.Fatalf("resume after prepending the header: %v", err)
+	}
+	if resumed.Resumed != 10 || len(resumed.Cells) != 100 {
+		t.Fatalf("resumed=%d cells=%d, want 10/100", resumed.Resumed, len(resumed.Cells))
+	}
+
+	empty := filepath.Join(t.TempDir(), "empty.ckpt")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, fresh := range []string{filepath.Join(t.TempDir(), "missing.ckpt"), empty} {
+		rep, err := Run(spec, RunOptions{Checkpoint: fresh, Resume: true, MaxCells: 1})
+		if err != nil || rep.Resumed != 0 {
+			t.Fatalf("resume over %s: resumed=%v err=%v", filepath.Base(fresh), rep, err)
+		}
+	}
+}
+
 // TestCheckpointMidFileCorruption flips bytes in the middle of a
 // checkpoint — a corrupted payload, a sum mismatch, and an unparsable
 // line — and requires resume to skip exactly those cells with logged
