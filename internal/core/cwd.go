@@ -125,7 +125,10 @@ func CWDPlacement(f field.Field, opts CWDOptions) (Placement, error) {
 		}
 		for j := range nodes {
 			if sumW[j] > 0 {
-				nodes[j] = geom.V2(sumX[j]/sumW[j], sumY[j]/sumW[j])
+				// The quotient can round one ulp past the edge when all
+				// the weight sits on a border column; clamp like every
+				// other placement.
+				nodes[j] = region.ClampPoint(geom.V2(sumX[j]/sumW[j], sumY[j]/sumW[j]))
 			}
 		}
 	}

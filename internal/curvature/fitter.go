@@ -34,6 +34,10 @@ type Fitter struct {
 	// the nearest samples so far and their squared distances, ascending.
 	near    []field.Sample
 	nearKey []float64
+	// memo is the attached per-slot peak-fit memo, if any, and memoHits
+	// counts the NearestAbsGaussian calls it served.
+	memo     *PeakMemo
+	memoHits int64
 }
 
 // NewFitter returns a fitter using the given least-squares backend.

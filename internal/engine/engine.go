@@ -26,7 +26,8 @@
 //   - Exchange is parallel only when the fault injector is inactive —
 //     link-loss queries advance shared Gilbert-Elliott chain state.
 //   - Fit and Plan are always parallel: a node's controller is touched by
-//     that node alone.
+//     that node alone. Workers may race to fill one entry of the shared
+//     peak-fit memo; they store identical bits through atomics.
 //   - Resolve, Move and Account are inherently serial (global constraint
 //     projection and ordered folds).
 //
@@ -43,6 +44,15 @@
 // lazily per position epoch) instead of rebuilding a full communication
 // graph every slot. Membership is Dist² ≤ Rc² at every swarm size, the
 // same predicate graph.NewUnitDisk applies.
+//
+// # Shared sensing lattice
+//
+// Neighbouring sensing discs cover the same lattice points. On noiseless
+// slots whose sensing box holds no more points than the discs read, Sense
+// evaluates the field once per integer point of the box, and Fit serves
+// peak fits that are provably a function of the lattice point alone from
+// a per-slot memo (see shareLattice and curvature.PeakMemo). Both share
+// arithmetic, not information, and are bit-identical to per-node work.
 package engine
 
 import (
@@ -164,6 +174,15 @@ type Engine struct {
 	fitters []*curvature.Fitter
 	// lcm is the Resolve stage's reusable constraint-projection scratch.
 	lcm mobile.LCMScratch
+
+	// lattice and memo are the shared sensing lattice of the slot (see
+	// shareLattice): the field values at every integer point of the alive
+	// swarm's sensing box, and the peak-fit memo over the same box.
+	// peakMemo is the memo attached to the fitters this slot — nil when
+	// sharing is off — and is reset at the start of every Step.
+	lattice  field.Lattice
+	memo     curvature.PeakMemo
+	peakMemo *curvature.PeakMemo
 
 	// idx is the shared neighbor-discovery index over pos, maintained
 	// lazily whenever epoch has advanced past idxEpoch: moved nodes are
@@ -440,7 +459,9 @@ type Slot struct {
 	Alive view.Alive
 	// AliveCount is the number of alive nodes.
 	AliveCount int
-	// Samples holds each node's sensed disc (Sense).
+	// Samples holds each node's sensed disc (Sense). Later stages must
+	// treat it as read-only: the peak-fit memo and the controllers' fit
+	// cache both assume the sensed values.
 	Samples [][]field.Sample
 	// Curv holds each node's own curvature estimate G (Fit).
 	Curv []float64
@@ -466,6 +487,7 @@ type Slot struct {
 // with an inert one) the slot is bit-identical to the fault-free dynamics.
 func (e *Engine) Step() (StepStats, error) {
 	inj := e.opts.Faults
+	e.peakMemo = nil
 	s := &Slot{
 		Epoch:  e.slot,
 		Faulty: inj != nil && inj.Active(),
@@ -545,11 +567,11 @@ const nodeBand = 64
 // forNodes runs fn(w, i) for every node index i, where w identifies the
 // executing worker (always 0 on the serial path). With parallel false — or
 // a swarm of at most one band — it is a plain ascending loop. Otherwise
-// workers pull fixed index bands from an atomic counter; fn must then only
-// write state owned by node i or by worker w (the per-worker fit scratch —
-// scratch placement cannot affect any result bit). The returned error is
-// the first error in ascending node order (a band stops at its first
-// error).
+// the nodes run in fixed nodeBand-wide bands through forBands; fn must
+// then only write state owned by node i or by worker w (the per-worker fit
+// scratch — scratch placement cannot affect any result bit). The returned
+// error is the first error in ascending node order (a band stops at its
+// first error).
 func (e *Engine) forNodes(parallel bool, fn func(w, i int) error) error {
 	n := e.N()
 	if !parallel || n <= nodeBand {
@@ -561,38 +583,16 @@ func (e *Engine) forNodes(parallel bool, fn func(w, i int) error) error {
 		}
 		return nil
 	}
-	bands := (n + nodeBand - 1) / nodeBand
-	workers := runtime.GOMAXPROCS(0)
-	if workers > bands {
-		workers = bands
-	}
-	e.ensureFitters(workers)
-	errs := make([]error, bands)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= bands {
-					return
-				}
-				hi := (b + 1) * nodeBand
-				if hi > n {
-					hi = n
-				}
-				for i := b * nodeBand; i < hi; i++ {
-					if err := fn(w, i); err != nil {
-						errs[b] = err
-						break
-					}
-				}
+	e.ensureFitters(bandWorkers(n, nodeBand))
+	errs := make([]error, (n+nodeBand-1)/nodeBand)
+	forBands(n, nodeBand, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := fn(w, i); err != nil {
+				errs[lo/nodeBand] = err
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -601,11 +601,57 @@ func (e *Engine) forNodes(parallel bool, fn func(w, i int) error) error {
 	return nil
 }
 
+// bandWorkers returns how many workers forBands runs for n items in
+// bands of the given width.
+func bandWorkers(n, band int) int {
+	return min(runtime.GOMAXPROCS(0), (n+band-1)/band)
+}
+
+// forBands runs fn(w, lo, hi) over [0, n) in fixed bands of the given
+// width. bandWorkers(n, band) workers, w numbering them from 0, pull band
+// indices from an atomic counter; a single worker loops over the bands in
+// order on the calling goroutine. fn must only write state owned by its
+// band or by worker w.
+func forBands(n, band int, fn func(w, lo, hi int)) {
+	bands := (n + band - 1) / band
+	workers := bandWorkers(n, band)
+	if workers <= 1 {
+		for b := 0; b < bands; b++ {
+			fn(0, b*band, min((b+1)*band, n))
+		}
+		return
+	}
+	// The band counter and the wait group escape to the heap together, as
+	// one allocation per call.
+	var pool struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
+	for w := 0; w < workers; w++ {
+		pool.wg.Add(1)
+		go func(w int) {
+			defer pool.wg.Done()
+			for {
+				b := int(pool.next.Add(1)) - 1
+				if b >= bands {
+					return
+				}
+				fn(w, b*band, min((b+1)*band, n))
+			}
+		}(w)
+	}
+	pool.wg.Wait()
+}
+
 // ensureFitters grows the per-worker fit-scratch pool to at least k
-// entries, all built with the configuration's fit method.
+// entries, all built with the configuration's fit method, and attaches the
+// slot's peak-fit memo (or none) to every entry.
 func (e *Engine) ensureFitters(k int) {
 	for len(e.fitters) < k {
 		e.fitters = append(e.fitters, curvature.NewFitter(e.opts.Config.FitMethod()))
+	}
+	for _, f := range e.fitters {
+		f.SetPeakMemo(e.peakMemo)
 	}
 }
 

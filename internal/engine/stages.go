@@ -38,7 +38,9 @@ func DefaultStages() []Stage {
 // (Table 2 lines 2-3) and routes the readings through the sensing-fault
 // channel (dropouts, outlier spikes). Dead nodes do not sense. Parallel
 // only with zero sensing noise: the sampler's noise RNG is shared, and its
-// draw order is observable otherwise.
+// draw order is observable otherwise. On dense noiseless slots the discs
+// read through the shared sensing lattice, and the Fit stage's peak-fit
+// memo is set up over it (Engine.shareLattice).
 type SenseStage struct{}
 
 // Name implements Stage.
@@ -47,13 +49,14 @@ func (SenseStage) Name() string { return "sense" }
 // Run implements Stage.
 func (SenseStage) Run(e *Engine, s *Slot) error {
 	inj := e.opts.Faults
+	dyn := e.shareLattice(s)
 	return e.forNodes(e.opts.NoiseStd == 0, func(w, i int) error {
 		if !s.Alive.Up(i) {
 			return nil
 		}
 		// Samples[i] arrives truncated to length zero with its previous
 		// capacity, so steady-state sensing reuses the slot arena.
-		s.Samples[i] = e.sampler.DiscTimeInto(s.Samples[i], e.dyn, e.pos[i], e.opts.Config.Rs, e.t)
+		s.Samples[i] = e.sampler.DiscTimeInto(s.Samples[i], dyn, e.pos[i], e.opts.Config.Rs, e.t)
 		if s.Faulty {
 			s.Samples[i] = inj.CorruptSamples(i, s.Samples[i])
 		}

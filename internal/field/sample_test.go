@@ -91,6 +91,60 @@ func TestDiscIncludesCenterAndClipsBounds(t *testing.T) {
 	}
 }
 
+// TestDiscLatticeOrder pins the order DiscTimeInto lists a disc in: the
+// center's own sample first, and only when the center is in bounds, then
+// every in-bounds lattice point within rs in ix-major, iy-minor order,
+// with a center that sits exactly on a lattice point not repeated. The
+// engine's peak-fit memo (curvature.PeakMemo) is correct only under this
+// order: it makes every node list shared lattice points alike.
+func TestDiscLatticeOrder(t *testing.T) {
+	region := geom.Square(100)
+	f := Plane(region, 0.5, -0.25, 3)
+	const rs = 5
+	centers := []geom.Vec2{
+		geom.V2(50.3, 40.7),   // off-lattice interior
+		geom.V2(50, 40),       // on-lattice interior
+		geom.V2(0, 37.5),      // off-lattice on the left edge
+		geom.V2(100, 50),      // on-lattice on the right edge
+		geom.V2(2.2, 99.6),    // off-lattice near a corner
+		geom.V2(0, 0),         // on-lattice corner
+		geom.V2(100, 100),     // on-lattice corner
+		geom.V2(-0.5, 50),     // outside the region: no own sample
+		geom.V2(100.25, 0.75), // outside, off-lattice, near a corner
+	}
+	s := NewSampler(0, 1)
+	for _, c := range centers {
+		got := s.DiscTimeInto(nil, Static(f), c, rs, 0)
+		lattice := got
+		if region.Contains(c) {
+			if len(got) == 0 || got[0].Pos != c {
+				t.Fatalf("center %v: first sample %v, want the own sample", c, got[:min(1, len(got))])
+			}
+			lattice = got[1:]
+		}
+		var want []geom.Vec2
+		for ix := -10; ix <= 110; ix++ {
+			for iy := -10; iy <= 110; iy++ {
+				p := geom.V2(float64(ix), float64(iy))
+				if p != c && region.Contains(p) && p.Dist(c) <= rs {
+					want = append(want, p)
+				}
+			}
+		}
+		if len(lattice) != len(want) {
+			t.Fatalf("center %v: %d lattice samples, want %d", c, len(lattice), len(want))
+		}
+		for i, sm := range lattice {
+			if sm.Pos != want[i] {
+				t.Fatalf("center %v: lattice sample %d at %v, want %v", c, i, sm.Pos, want[i])
+			}
+			if sm.Z != f.Eval(sm.Pos) {
+				t.Fatalf("center %v: sample at %v reads %v, want %v", c, sm.Pos, sm.Z, f.Eval(sm.Pos))
+			}
+		}
+	}
+}
+
 func TestGridPositions(t *testing.T) {
 	pos := GridPositions(geom.Square(10), 2)
 	if len(pos) != 9 {

@@ -94,7 +94,7 @@ func DefaultConfig() Config {
 		Beta:        2,
 		MaxStep:     1,
 		StopEps:     0.8,
-		PeakFitM:    12,
+		PeakFitM:    DefaultPeakFitM,
 		CurvGain:    0.15,
 		RepulseFrac: 1,
 	}
@@ -196,6 +196,10 @@ type fitCache struct {
 	peakG float64
 }
 
+// DefaultPeakFitM is the nearest-sample count of the peak-candidate fits
+// when Config.PeakFitM is zero.
+const DefaultPeakFitM = 12
+
 // restartFactor is the hysteresis ratio between the wake-up and stop
 // thresholds of the movement deadband.
 const restartFactor = 2
@@ -211,7 +215,7 @@ func NewController(id int, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	if cfg.PeakFitM == 0 {
-		cfg.PeakFitM = 12
+		cfg.PeakFitM = DefaultPeakFitM
 	}
 	if cfg.StopEps <= 0 {
 		cfg.StopEps = 0.8
@@ -436,7 +440,10 @@ func (c *Controller) weight(g float64) float64 {
 // part of the sensing disc: fits centered near the disc edge see only
 // one-sided neighborhoods and produce wildly unstable curvature
 // estimates, which would make pc — and hence F1 — jitter between slots.
-// With no samples it returns pos and 0.
+// Each candidate's |G| comes from f.NearestAbsGaussian, which serves it
+// from the engine's per-slot lattice memo when one is attached and the
+// fit is provably shared (curvature.PeakMemo). With no samples it returns
+// pos and 0.
 func (c *Controller) findPeak(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (geom.Vec2, float64) {
 	if len(samples) < 3 {
 		return pos, 0
@@ -447,11 +454,11 @@ func (c *Controller) findPeak(f *curvature.Fitter, pos geom.Vec2, samples []fiel
 		if s.Pos.Dist(pos) > inner {
 			continue
 		}
-		est, err := f.FitNearest(s.Pos, samples, c.cfg.PeakFitM)
+		g, err := f.NearestAbsGaussian(pos, s.Pos, samples, c.cfg.PeakFitM)
 		if err != nil {
 			continue
 		}
-		if g := est.AbsGaussian(); g > bestG {
+		if g > bestG {
 			bestPos, bestG = s.Pos, g
 		}
 	}
