@@ -1,40 +1,15 @@
-// Performance benchmarks for the incremental + parallel evaluation
-// engine: large-k FRA runs exercising the dirty-region lattice refresh and
-// the relay oracle, and the banded parallel δ integration. Baselines for
-// the pre-engine implementation are recorded in DESIGN.md §"Performance
-// architecture".
+// Performance benchmark for the banded parallel δ integration. The
+// large-k FRA runs live in the benchmark scenario table
+// (internal/benchsuite).
 package repro
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/surface"
 )
-
-// BenchmarkFRALargeK runs FRA at the paper's full lattice resolution
-// (GridN = 100) for node budgets well past the figures' k ≤ 200. These are
-// the workloads where the seed implementation's O(N²) full-grid refresh
-// and O(k²) per-candidate connectivity rebuild dominated.
-func BenchmarkFRALargeK(b *testing.B) {
-	f := benchForest().Reference()
-	for _, k := range []int{500, 2000} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var p core.Placement
-			var err error
-			for i := 0; i < b.N; i++ {
-				p, err = core.FRA(f, core.DefaultFRAOptions(k))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(p.Refined), "refined")
-			b.ReportMetric(float64(p.Relays), "relays")
-		})
-	}
-}
 
 // BenchmarkDeltaParallel measures the banded δ integration over a large
 // TIN at a fine lattice — the inner loop of every placement evaluation.

@@ -1,43 +1,43 @@
-// Command bench is the repo's performance harness: it runs the canonical
-// OSD/OSTD scenarios through testing.Benchmark, measures the
-// reproduction's quality metrics (δ, convergence), and writes a
-// machine-readable BENCH_<rev>.json that the CI bench-regression job
-// compares against the merge base.
+// Command bench is the repo's performance harness: it runs the benchmark
+// scenario table (internal/benchsuite) at each row's fixed iteration
+// count, measures the reproduction's quality metrics (δ, convergence),
+// and writes a host-stamped, machine-readable BENCH_<rev>.json that the
+// CI bench-regression job compares against the merge base.
 //
 // Usage:
 //
 //	bench                                  # full run, writes BENCH_<rev>.json
 //	bench -quick -out /tmp/b.json          # one iteration per scenario
 //	bench -scenario step_100k -quick       # only the named scenarios
-//	bench -compare -tol 0.15 -gate fra_k500,step_large_n base.json pr.json
-//
-// In -compare mode the gated scenarios are checked on ns/op against -tol
-// and on allocs/bytes per op against -alloctol, so allocation regressions
-// fail CI even when they have not yet cost enough wall time to trip the
-// timing gate.
+//	bench -compare base.json pr.json       # exit 1 on a gated regression
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"math"
-	"math/rand"
 	"os"
 	"os/exec"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/benchsuite"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/field"
-	"repro/internal/geom"
-	"repro/internal/mobile"
 	"repro/internal/sim"
-	"repro/internal/strategy"
+)
+
+// The -compare tolerances: a gated row fails when its ns/op grows by more
+// than timeTol, or its allocs/op or bytes/op by more than allocTol, so an
+// allocation regression fails before it costs enough time to trip timeTol.
+const (
+	timeTol  = 0.15
+	allocTol = 0.10
 )
 
 // Result is one benchmark scenario's measurement.
@@ -48,7 +48,7 @@ type Result struct {
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	// BytesPerOp is heap bytes per operation.
 	BytesPerOp int64 `json:"bytes_per_op"`
-	// Iters is the iteration count testing.Benchmark settled on.
+	// Iters is the iteration count the scenario ran.
 	Iters int `json:"iters"`
 }
 
@@ -56,8 +56,8 @@ type Result struct {
 type Report struct {
 	// Rev identifies the commit the numbers belong to.
 	Rev string `json:"rev"`
-	// GoVersion is runtime.Version at measurement time.
-	GoVersion string `json:"go_version"`
+	// Host is the measuring machine; nil in reports that predate it.
+	Host *benchsuite.Host `json:"host,omitempty"`
 	// Quick marks reduced-iteration runs, which are not comparable.
 	Quick bool `json:"quick,omitempty"`
 	// Benchmarks maps scenario name to its measurement.
@@ -72,22 +72,27 @@ func main() {
 	testing.Init()
 
 	var (
-		out      = flag.String("out", "", "output file (default BENCH_<rev>.json)")
-		rev      = flag.String("rev", "", "revision label (default git short HEAD)")
-		quick    = flag.Bool("quick", false, "run one iteration per scenario (fast, not comparable)")
-		only     = flag.String("scenario", "", "comma-separated scenario names to run (default all)")
-		compare  = flag.Bool("compare", false, "compare two report files: bench -compare base.json pr.json")
-		tol      = flag.Float64("tol", 0.15, "allowed ns/op regression fraction in -compare mode")
-		allocTol = flag.Float64("alloctol", 0.10, "allowed allocs/bytes per-op regression fraction in -compare mode")
-		gate     = flag.String("gate", "fra_k500,step_large_n,lloyd_k500,plume_round", "comma-separated scenarios that fail -compare on regression")
+		out     = flag.String("out", "", "output file (default BENCH_<rev>.json)")
+		rev     = flag.String("rev", "", "revision label (default git short HEAD)")
+		quick   = flag.Bool("quick", false, "run one iteration per scenario (fast, not comparable)")
+		only    = flag.String("scenario", "", "comma-separated scenario names to run (default all)")
+		compare = flag.Bool("compare", false, "compare two report files: bench -compare base.json pr.json")
 	)
 	flag.Parse()
 
 	if *compare {
 		if flag.NArg() != 2 {
-			log.Fatal("usage: bench -compare [-tol F] [-alloctol F] [-gate a,b] base.json pr.json")
+			log.Fatal("usage: bench -compare base.json pr.json")
 		}
-		ok, err := compareReports(os.Stdout, flag.Arg(0), flag.Arg(1), *tol, *allocTol, gateSet(*gate))
+		base, err := readReport(flag.Arg(0))
+		if err != nil {
+			log.Fatal(err)
+		}
+		pr, err := readReport(flag.Arg(1))
+		if err != nil {
+			log.Fatal(err)
+		}
+		ok, err := compareReports(os.Stdout, base, pr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -97,12 +102,9 @@ func main() {
 		return
 	}
 
-	if *quick {
-		// One iteration per scenario: exercises every code path in
-		// seconds. The numbers are smoke, not measurements.
-		if err := flag.Set("test.benchtime", "1x"); err != nil {
-			log.Fatal(err)
-		}
+	table, err := selectScenarios(benchsuite.Scenarios(), *only)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *rev == "" {
 		*rev = gitRev()
@@ -111,49 +113,37 @@ func main() {
 		*out = fmt.Sprintf("BENCH_%s.json", *rev)
 	}
 
+	host := benchsuite.StampHost()
 	rep := Report{
 		Rev:        *rev,
-		GoVersion:  runtime.Version(),
+		Host:       &host,
 		Quick:      *quick,
 		Benchmarks: map[string]Result{},
 		Quality:    map[string]float64{},
 	}
-	selected := gateSet(*only)
-	forest := field.NewForest(field.DefaultForestConfig())
-	matched := 0
-	for _, sc := range scenarios(forest) {
-		if len(selected) > 0 && !selected[sc.name] {
-			continue
+	for _, sc := range table {
+		iters := sc.Iters
+		if *quick {
+			iters = 1
 		}
-		matched++
-		fmt.Printf("running %-14s ... ", sc.name)
-		r := testing.Benchmark(sc.bench)
-		if !*quick && r.N < sc.minIters {
-			// testing.Benchmark settles on too few iterations when one op
-			// exceeds the benchtime budget (a 2+ second step yields n=1,
-			// pure noise). Rerun pinned to the scenario's floor.
-			if err := flag.Set("test.benchtime", fmt.Sprintf("%dx", sc.minIters)); err != nil {
-				log.Fatal(err)
-			}
-			r = testing.Benchmark(sc.bench)
-			if err := flag.Set("test.benchtime", "1s"); err != nil {
-				log.Fatal(err)
-			}
+		if err := flag.Set("test.benchtime", fmt.Sprintf("%dx", iters)); err != nil {
+			log.Fatal(err)
 		}
-		res := Result{
+		fmt.Printf("running %-20s ... ", sc.Name)
+		r := testing.Benchmark(sc.Bench)
+		if r.N != iters {
+			log.Fatalf("%s failed: ran %d of %d iterations", sc.Name, r.N, iters)
+		}
+		fmt.Println(r, r.MemString())
+		rep.Benchmarks[sc.Name] = Result{
 			NsPerOp:     float64(r.NsPerOp()),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			Iters:       r.N,
 		}
-		rep.Benchmarks[sc.name] = res
-		fmt.Printf("%12.0f ns/op  %8d allocs/op  (n=%d)\n", res.NsPerOp, res.AllocsPerOp, res.Iters)
 	}
-	if len(selected) > 0 && matched == 0 {
-		log.Fatalf("no scenario matches -scenario %q", *only)
-	}
-	if len(selected) == 0 {
-		if err := quality(forest, rep.Quality, *quick); err != nil {
+	if *only == "" {
+		if err := quality(rep.Quality, *quick); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -161,142 +151,42 @@ func main() {
 		fmt.Printf("quality %-20s %g\n", k, rep.Quality[k])
 	}
 
-	f, err := os.Create(*out)
+	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(rep)
-	cerr := f.Close()
-	if werr != nil {
-		log.Fatal(werr)
-	}
-	if cerr != nil {
-		log.Fatal(cerr)
+	if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s\n", *out)
 }
 
-// scenario is one named benchmark body. minIters is the minimum iteration
-// count a full (non-quick) run must reach before its numbers are recorded;
-// testing.Benchmark is rerun pinned to the floor when its time-budgeted
-// pass settles below it.
-type scenario struct {
-	name     string
-	minIters int
-	bench    func(b *testing.B)
-}
-
-// scenarios returns the canonical suite: the two FRA placements and the
-// Lloyd placement the CI gate watches, the n=2000 engine step, one OSTD
-// simulation round over the forest and one over the splitting plume, and
-// the 100k-node swarm slot that exists to keep steady-state stepping
-// allocation-free at scale.
-func scenarios(forest *field.Forest) []scenario {
-	ref := forest.Reference()
-	return []scenario{
-		{"fra_k100", 5, benchFRA(ref, 100)},
-		{"fra_k500", 3, benchFRA(ref, 500)},
-		{"lloyd_k500", 3, benchPlacement(ref, "lloyd", 500)},
-		{"step_large_n", 5, benchStep(forest, randomLayout(forest.Bounds(), 2000, 17), nil)},
-		{"ostd_round", 5, benchStep(forest, field.GridLayout(forest.Bounds(), 100), nil)},
-		{"plume_round", 5, benchPlumeRound()},
-		{"step_100k", 2, bench100k()},
+// selectScenarios returns the rows a -scenario list names, all of them for
+// an empty list; a name the table lacks is an error that lists the table.
+func selectScenarios(table []benchsuite.Scenario, list string) ([]benchsuite.Scenario, error) {
+	if list == "" {
+		return table, nil
 	}
-}
-
-// benchPlumeRound measures one simulation slot of a 100-node swarm
-// tracking a splitting two-source plume — the closed-form dynamic
-// environment's hot path, where EvalAt cost multiplies across every
-// sensed sample every slot.
-func benchPlumeRound() func(b *testing.B) {
-	plume := field.PlumeScenario(geom.Square(100), 2, 2, 0.6, 0.8, 0.01, 15)
-	return benchStep(plume, field.GridLayout(plume.Bounds(), 100), nil)
-}
-
-// bench100k builds the 100k-node scenario: a 1 km² forest with a connected
-// grid swarm at density-scaled sensing parameters (Rs = 3 keeps the
-// per-node sample disc and candidate count proportionate to the ~3.2 m
-// grid pitch; Rc = 8 keeps ~19 unit-disk neighbors). One op is one slot.
-func bench100k() func(b *testing.B) {
-	cfg := field.DefaultForestConfig()
-	cfg.Region = geom.Square(1000)
-	forest := field.NewForest(cfg)
-	mc := mobile.DefaultConfig()
-	mc.Region = forest.Bounds()
-	mc.Rs = 3
-	mc.Rc = 8
-	return benchStep(forest, field.GridLayout(forest.Bounds(), 100000), &mc)
-}
-
-// benchFRA measures one full FRA placement at node count k.
-func benchFRA(ref field.Field, k int) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.FRA(ref, core.FRAOptions{K: k, Rc: 10, GridN: 100, AnchorCorners: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
+	byName := map[string]benchsuite.Scenario{}
+	for _, sc := range table {
+		byName[sc.Name] = sc
 	}
-}
-
-// benchPlacement measures one full run of a registry placement strategy
-// at node count k, at the same Rc/lattice setting as benchFRA.
-func benchPlacement(ref field.Field, name string, k int) func(b *testing.B) {
-	return func(b *testing.B) {
-		placer, err := strategy.LookupPlacement(name)
-		if err != nil {
-			b.Fatal(err)
+	var out []benchsuite.Scenario
+	for _, name := range strings.Split(list, ",") {
+		sc, ok := byName[strings.TrimSpace(name)]
+		if !ok {
+			return nil, fmt.Errorf("unknown scenario %q; the table has %s", name, strings.Join(sortedKeys(byName), ", "))
 		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := placer.Place(ref, strategy.PlaceOptions{K: k, Rc: 10, GridN: 100, Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		out = append(out, sc)
 	}
-}
-
-// benchStep measures one simulation slot from the given initial layout.
-// The field is time-varying, so successive iterations sample successive
-// slots — the same regime the CI engine smoke measures. A non-nil cfg
-// overrides the default per-node configuration.
-func benchStep(dyn field.DynField, init []geom.Vec2, cfg *mobile.Config) func(b *testing.B) {
-	return func(b *testing.B) {
-		opts := sim.DefaultOptions()
-		if cfg != nil {
-			opts.Config = *cfg
-		}
-		w, err := sim.NewWorld(dyn, init, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := w.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// randomLayout mirrors the engine benchmark's uniform seed-17 layout.
-func randomLayout(bb geom.Rect, n int, seed int64) []geom.Vec2 {
-	rng := rand.New(rand.NewSource(seed))
-	pts := make([]geom.Vec2, n)
-	for i := range pts {
-		pts[i] = geom.V2(bb.Min.X+rng.Float64()*bb.Width(), bb.Min.Y+rng.Float64()*bb.Height())
-	}
-	return pts
+	return out, nil
 }
 
 // quality records the reproduction-accuracy metrics: the deterministic
 // FRA δ at k=100 and the OSTD run's final δ and convergence slot
 // (-1 when the run does not converge).
-func quality(forest *field.Forest, out map[string]float64, quick bool) error {
+func quality(out map[string]float64, quick bool) error {
+	forest := field.NewForest(field.DefaultForestConfig())
 	ref := forest.Reference()
 	p, err := core.FRA(ref, core.FRAOptions{K: 100, Rc: 10, GridN: 100, AnchorCorners: true})
 	if err != nil {
@@ -316,21 +206,11 @@ func quality(forest *field.Forest, out map[string]float64, quick bool) error {
 	if err != nil {
 		return err
 	}
-	rows := make([]eval.DeltaVsTimeRow, 0, slots)
-	for s := 0; s < slots; s++ {
-		st, err := w.Step()
-		if err != nil {
-			return err
-		}
-		rows = append(rows, eval.DeltaVsTimeRow{
-			T: st.T, Moved: st.Moved, MeanDisplacement: st.MeanDisplacement,
-		})
-	}
-	d, err := w.Delta(deltaN)
+	rows, err := eval.DeltaVsTime(w, slots, deltaN)
 	if err != nil {
 		return err
 	}
-	out["ostd_final_delta"] = d
+	out["ostd_final_delta"] = rows[len(rows)-1].Delta
 	out["ostd_convergence_slot"] = -1
 	if conv, ok := eval.ConvergenceTime(rows, 0.1); ok {
 		out["ostd_convergence_slot"] = conv
@@ -347,17 +227,6 @@ func gitRev() string {
 	return strings.TrimSpace(string(b))
 }
 
-// gateSet parses the -gate list into a lookup set.
-func gateSet(s string) map[string]bool {
-	out := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out[part] = true
-		}
-	}
-	return out
-}
-
 // readReport loads one BENCH_*.json.
 func readReport(path string) (Report, error) {
 	var rep Report
@@ -371,69 +240,63 @@ func readReport(path string) (Report, error) {
 	return rep, nil
 }
 
-// compareReports prints a scenario-by-scenario ratio table and reports
-// whether every gated scenario stayed within the tolerance. Scenarios
-// missing from the base (new benchmarks) pass; quick-mode reports are
-// rejected because their timings are single-shot noise.
-func compareReports(w *os.File, basePath, prPath string, tol, allocTol float64, gated map[string]bool) (bool, error) {
-	base, err := readReport(basePath)
-	if err != nil {
-		return false, err
-	}
-	pr, err := readReport(prPath)
-	if err != nil {
-		return false, err
-	}
+// compareReports prints a row-by-row ratio table and reports whether
+// every gated table row stayed within the tolerances. A row new in the PR
+// passes; a gated row missing from it fails. Quick-mode reports and
+// reports from different hosts are refused; a hostless one gets a warning.
+func compareReports(w io.Writer, base, pr Report) (bool, error) {
 	if base.Quick || pr.Quick {
-		return false, fmt.Errorf("refusing to compare -quick reports (%s vs %s)", basePath, prPath)
+		return false, errors.New("refusing to compare -quick reports")
+	}
+	switch {
+	case base.Host == nil || pr.Host == nil:
+		fmt.Fprintln(w, "warning: a report carries no host stamp; comparing without a host check")
+	case *base.Host != *pr.Host:
+		return false, fmt.Errorf("refusing to compare reports from different hosts:\n  base %+v\n  pr   %+v", *base.Host, *pr.Host)
 	}
 	ok := true
-	fmt.Fprintf(w, "base %s vs pr %s (tolerance %.0f%% time, %.0f%% allocs)\n", base.Rev, pr.Rev, tol*100, allocTol*100)
-	for _, name := range sortedKeys(pr.Benchmarks) {
-		cur := pr.Benchmarks[name]
-		old, seen := base.Benchmarks[name]
-		if !seen || old.NsPerOp <= 0 {
-			fmt.Fprintf(w, "  %-14s %12.0f ns/op  (new)\n", name, cur.NsPerOp)
+	fmt.Fprintf(w, "base %s vs pr %s (tolerance %.0f%% time, %.0f%% allocs)\n", base.Rev, pr.Rev, timeTol*100, allocTol*100)
+	for _, sc := range benchsuite.Scenarios() {
+		cur, inPR := pr.Benchmarks[sc.Name]
+		old, inBase := base.Benchmarks[sc.Name]
+		switch {
+		case !inPR:
+			if sc.Gated {
+				fmt.Fprintf(w, "  %-20s missing from the pr report  REGRESSION\n", sc.Name)
+				ok = false
+			}
+			continue
+		case !inBase:
+			fmt.Fprintf(w, "  %-20s %12.0f ns/op  (new)\n", sc.Name, cur.NsPerOp)
 			continue
 		}
-		ratio := cur.NsPerOp / old.NsPerOp
-		verdict := "ok"
-		if ratio > 1+tol {
-			if gated[name] {
-				verdict = "REGRESSION"
-				ok = false
-			} else {
-				verdict = "slower (ungated)"
-			}
-		}
-		fmt.Fprintf(w, "  %-14s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
-			name, old.NsPerOp, cur.NsPerOp, (ratio-1)*100, verdict)
 		for _, m := range []struct {
-			label    string
-			old, cur int64
+			label         string
+			old, cur, tol float64
 		}{
-			{"allocs/op", old.AllocsPerOp, cur.AllocsPerOp},
-			{"bytes/op", old.BytesPerOp, cur.BytesPerOp},
+			{"ns/op", old.NsPerOp, cur.NsPerOp, timeTol},
+			{"allocs/op", float64(old.AllocsPerOp), float64(cur.AllocsPerOp), allocTol},
+			{"bytes/op", float64(old.BytesPerOp), float64(cur.BytesPerOp), allocTol},
 		} {
 			if m.old <= 0 {
-				continue // older reports without the metric, or a zero base
+				continue // a zero base has no ratio
 			}
-			r := float64(m.cur) / float64(m.old)
-			if r <= 1+allocTol {
-				continue
+			r := m.cur / m.old
+			verdict := "ok"
+			if r > 1+m.tol {
+				verdict = "worse (ungated)"
+				if sc.Gated {
+					verdict = "REGRESSION"
+					ok = false
+				}
 			}
-			v := "more (ungated)"
-			if gated[name] {
-				v = "REGRESSION"
-				ok = false
-			}
-			fmt.Fprintf(w, "  %-14s %12d -> %12d %s  %+6.1f%%  %s\n",
-				name, m.old, m.cur, m.label, (r-1)*100, v)
+			fmt.Fprintf(w, "  %-20s %12.0f -> %12.0f %-9s %+6.1f%%  %s\n",
+				sc.Name, m.old, m.cur, m.label, (r-1)*100, verdict)
 		}
 	}
 	for _, name := range sortedKeys(pr.Quality) {
 		cur := pr.Quality[name]
-		if old, seen := base.Quality[name]; seen && !almostEqual(old, cur) {
+		if old, seen := base.Quality[name]; seen && old != cur {
 			fmt.Fprintf(w, "  quality %-20s %g -> %g\n", name, old, cur)
 		}
 	}
@@ -441,11 +304,6 @@ func compareReports(w *os.File, basePath, prPath string, tol, allocTol float64, 
 		fmt.Fprintln(w, "FAIL: gated benchmark regressed beyond tolerance")
 	}
 	return ok, nil
-}
-
-// almostEqual absorbs float formatting jitter in quality comparisons.
-func almostEqual(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
 // sortedKeys returns m's keys in sorted order for stable output.

@@ -245,41 +245,12 @@ func TestConnectedInMatchesGraph(t *testing.T) {
 	}
 }
 
-// largeNPositions spreads n nodes uniformly over the bounds — the
-// BenchmarkStepLargeN layout, above graph.NewUnitDisk's 256-node scan
-// threshold so its spatial index path is the one measured.
-func largeNPositions(bb geom.Rect, n int, seed int64) []geom.Vec2 {
-	rng := rand.New(rand.NewSource(seed))
-	pts := make([]geom.Vec2, n)
-	for i := range pts {
-		pts[i] = geom.V2(bb.Min.X+rng.Float64()*bb.Width(), bb.Min.Y+rng.Float64()*bb.Height())
-	}
-	return pts
-}
-
-// BenchmarkStepLargeN measures a full staged step at n=2000 nodes — the
-// CI smoke that catches step-loop regressions.
-func BenchmarkStepLargeN(b *testing.B) {
-	const n = 2000
-	forest := field.NewForest(field.DefaultForestConfig())
-	e, err := New(forest, largeNPositions(forest.Bounds(), n, 17), Options{Config: mobile.DefaultConfig(), SlotMinutes: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkNeighborDiscoveryIndex measures per-step neighbor enumeration
 // through the engine's cached spatial index at n=2000.
 func BenchmarkNeighborDiscoveryIndex(b *testing.B) {
 	const n = 2000
 	forest := field.NewForest(field.DefaultForestConfig())
-	e, err := New(forest, largeNPositions(forest.Bounds(), n, 17), Options{Config: mobile.DefaultConfig(), SlotMinutes: 1})
+	e, err := New(forest, field.RandomPositions(forest.Bounds(), n, 17), Options{Config: mobile.DefaultConfig(), SlotMinutes: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,7 +279,7 @@ func BenchmarkNeighborDiscoveryIndex(b *testing.B) {
 func BenchmarkNeighborDiscoveryGraph(b *testing.B) {
 	const n = 2000
 	forest := field.NewForest(field.DefaultForestConfig())
-	pts := largeNPositions(forest.Bounds(), n, 17)
+	pts := field.RandomPositions(forest.Bounds(), n, 17)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := graph.NewUnitDisk(pts, mobile.DefaultConfig().Rc)

@@ -91,7 +91,7 @@ func TestLatticeShareBitIdentity(t *testing.T) {
 func testLatticeShareLargeSwarm(t *testing.T) {
 	const n, slots = 2000, 2
 	forest := field.NewForest(field.DefaultForestConfig())
-	pos := largeNPositions(forest.Bounds(), n, 17)
+	pos := field.RandomPositions(forest.Bounds(), n, 17)
 	clean := func() Options { return Options{Config: mobile.DefaultConfig()} }
 
 	offStats, offBits, _ := runShared(t, forest, pos, clean, slots, false)

@@ -3,8 +3,6 @@ package engine
 import (
 	"testing"
 
-	"repro/internal/field"
-	"repro/internal/mobile"
 	"repro/internal/obs"
 )
 
@@ -98,29 +96,4 @@ func TestMetricsFaultCounters(t *testing.T) {
 	if got, want := snap.Gauges["fault_alive"], float64(e.Injector().AliveCount()); got != want {
 		t.Errorf("fault_alive = %v, injector says %v", got, want)
 	}
-}
-
-// benchStep is the shared body of the overhead pair: the acceptance
-// contract is that BenchmarkStepLargeNMetrics stays within 2% of
-// BenchmarkStepLargeN.
-func benchStep(b *testing.B, reg *obs.Registry) {
-	const n = 2000
-	forest := field.NewForest(field.DefaultForestConfig())
-	e, err := New(forest, largeNPositions(forest.Bounds(), n, 17),
-		Options{Config: mobile.DefaultConfig(), SlotMinutes: 1, Metrics: reg})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStepLargeNMetrics is BenchmarkStepLargeN with a live registry:
-// the <2% instrumentation-overhead contract of DESIGN.md §9.
-func BenchmarkStepLargeNMetrics(b *testing.B) {
-	benchStep(b, obs.NewRegistry())
 }

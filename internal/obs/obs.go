@@ -17,8 +17,8 @@
 //
 // The engine additionally hoists the nil check around its per-stage
 // timers so the disabled path never reads the clock; the benchmark
-// contract is <2% overhead on BenchmarkStepLargeN with a live registry
-// and zero overhead without one.
+// contract is <2% overhead on the step_large_n_metrics scenario with a
+// live registry and zero overhead without one.
 //
 // # Concurrency
 //
