@@ -278,27 +278,28 @@ func BenchmarkAblationForces(b *testing.B) {
 	b.ReportMetric(deltas[3], "δ_beta4")
 }
 
-// BenchmarkAblationLeastSquares compares the QR and normal-equation
-// least-squares backends of the curvature fit (Eqn 11) on speed; the
-// curvature package's tests pin down that their answers agree.
+// BenchmarkAblationLeastSquares compares the QR, normal-equation and
+// Huber IRLS least-squares backends of the curvature fit (Eqn 11) on one
+// disc, each through a warmed per-worker Fitter as the engine runs them;
+// the curvature package's tests pin down that QR and normal agree.
 func BenchmarkAblationLeastSquares(b *testing.B) {
 	f := field.Peaks(Square(100))
 	sampler := field.NewSampler(0, 1)
 	samples := sampler.Disc(f, V2(50, 76), 5)
-	b.Run("qr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := curvature.Fit(V2(50, 76), samples, curvature.QR); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name   string
+		method curvature.Method
+	}{{"qr", curvature.QR}, {"normal", curvature.Normal}, {"huber", curvature.Huber}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			fitter := curvature.NewFitter(bc.method)
+			for i := 0; i < b.N; i++ {
+				if _, err := fitter.Fit(V2(50, 76), samples); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("normal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := curvature.Fit(V2(50, 76), samples, curvature.Normal); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAblationInterp compares the Delaunay reconstruction against a

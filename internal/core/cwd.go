@@ -161,9 +161,10 @@ func ScoreCWD(f field.Field, nodes []geom.Vec2, rc, rs float64) (CWDScore, error
 		return CWDScore{}, fmt.Errorf("%w: rc=%v rs=%v", ErrBadParams, rc, rs)
 	}
 	sampler := field.NewSampler(0, 1)
+	fitter := curvature.NewFitter(curvature.QR)
 	curv := make([]float64, len(nodes))
 	for i, p := range nodes {
-		est, err := curvature.Fit(p, sampler.Disc(f, p, rs), curvature.QR)
+		est, err := fitter.Fit(p, sampler.Disc(f, p, rs))
 		if err != nil {
 			return CWDScore{}, fmt.Errorf("core: score node %d: %w", i, err)
 		}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/geom"
-	"repro/internal/linalg"
 )
 
 // ErrTooFewSamples is returned when fewer than three samples are
@@ -55,55 +54,10 @@ type Estimate struct {
 // slope and offset into (d, e, f) so that (a, b, c) measure only curvature
 // — and read off the second-order coefficients; with 3–5 samples we fall
 // back to the paper's literal 3-term model.
+//
+// Fit runs a fresh Fitter; callers fitting repeatedly should hold one.
 func Fit(origin geom.Vec2, samples []field.Sample, method Method) (Estimate, error) {
-	if len(samples) < 3 {
-		return Estimate{}, fmt.Errorf("%w: got %d", ErrTooFewSamples, len(samples))
-	}
-	n := len(samples)
-	cols := 6
-	if n < 6 {
-		cols = 3
-	}
-	quadA := linalg.NewMatrix(n, cols)
-	quadB := make([]float64, n)
-	for i, s := range samples {
-		x, y := s.Pos.X-origin.X, s.Pos.Y-origin.Y
-		quadA.Set(i, 0, x*x)
-		quadA.Set(i, 1, x*y)
-		quadA.Set(i, 2, y*y)
-		if cols == 6 {
-			quadA.Set(i, 3, x)
-			quadA.Set(i, 4, y)
-			quadA.Set(i, 5, 1)
-		}
-		quadB[i] = s.Z
-	}
-	coef, err := solve(quadA, quadB, method)
-	if err != nil {
-		// Degenerate geometry (e.g. collinear samples): no curvature
-		// information. Report a flat estimate rather than failing the
-		// node's control loop.
-		return Estimate{Samples: n}, nil
-	}
-	a, b, c := coef[0], coef[1], coef[2]
-	g1, g2 := linalg.PrincipalCurvatures(a, b, c)
-	return Estimate{
-		A: a, B: b, C: c,
-		G1: g1, G2: g2,
-		Gaussian: g1 * g2,
-		Samples:  n,
-	}, nil
-}
-
-func solve(a *linalg.Matrix, b []float64, method Method) ([]float64, error) {
-	switch method {
-	case Normal:
-		return linalg.LeastSquaresNormal(a, b)
-	case Huber:
-		return linalg.LeastSquaresHuber(a, b, 0, 0)
-	default:
-		return linalg.LeastSquares(a, b)
-	}
+	return NewFitter(method).Fit(origin, samples)
 }
 
 // AbsGaussian returns |G| — the magnitude used for curvature weighting;
@@ -124,11 +78,12 @@ func Map(f field.Field, n int, rs float64, method Method) (*GridMap, error) {
 		return nil, fmt.Errorf("curvature: sensing radius must be positive, got %v", rs)
 	}
 	sampler := field.NewSampler(0, 1)
+	fitter := NewFitter(method)
 	g := &GridMap{region: f.Bounds(), n: n, vals: make([]float64, (n+1)*(n+1))}
 	for i := 0; i <= n; i++ {
 		for j := 0; j <= n; j++ {
 			p := g.pos(i, j)
-			est, err := Fit(p, sampler.Disc(f, p, rs), method)
+			est, err := fitter.Fit(p, sampler.Disc(f, p, rs))
 			if err != nil {
 				return nil, fmt.Errorf("curvature: map cell (%d,%d): %w", i, j, err)
 			}

@@ -10,18 +10,15 @@ import (
 
 // Fitter runs repeated curvature fits from persistent scratch buffers. A
 // CMA controller performs dozens of fits per slot (its own estimate plus
-// one FitNearest per peak candidate); the package-level Fit allocates a
-// design matrix, a right-hand side and a QR factorization on every call,
-// which dominates the whole simulation's allocation profile at swarm
-// scale. A Fitter owns all of that scratch plus an m-slot nearest-sample
-// buffer and grows them monotonically, so steady-state fits are
-// allocation-free on the QR path.
-//
-// Fit is bit-for-bit identical to the package-level Fit
-// (TestFitterBitIdentical): the design matrix is filled in the same order
-// and the QR arithmetic is linalg.LSQ's exact mirror of LeastSquares. The
-// Normal and Huber backends delegate to the package solvers unchanged
-// (they are ablation/degraded-mode paths, not hot ones).
+// one FitNearest per peak candidate), and allocating a design matrix, a
+// right-hand side and a QR factorization per fit would dominate the whole
+// simulation's allocation profile at swarm scale. A Fitter owns all of
+// that scratch plus an m-slot nearest-sample buffer and grows them
+// monotonically. The QR and Huber backends run on its linalg.LSQ
+// workspace, so their steady-state fits are allocation-free; Huber is the
+// hot path of every faulty slot when robust fitting is on. The Normal
+// backend calls linalg.LeastSquaresNormal, which allocates; it exists for
+// the ablation only.
 //
 // A Fitter is not safe for concurrent use; give each goroutine (each
 // controller) its own.
@@ -48,7 +45,9 @@ func NewFitter(method Method) *Fitter {
 // Method returns the fitter's least-squares backend.
 func (f *Fitter) Method() Method { return f.method }
 
-// Fit is the scratch-reusing equivalent of the package-level Fit.
+// Fit fits the quadratic patch to samples in coordinates centered at
+// origin, as the package-level Fit documents, reusing the fitter's
+// scratch.
 func (f *Fitter) Fit(origin geom.Vec2, samples []field.Sample) (Estimate, error) {
 	if len(samples) < 3 {
 		return Estimate{}, fmt.Errorf("%w: got %d", ErrTooFewSamples, len(samples))
@@ -82,13 +81,18 @@ func (f *Fitter) Fit(origin geom.Vec2, samples []field.Sample) (Estimate, error)
 	}
 	var coef []float64
 	var err error
-	if f.method == QR {
+	switch f.method {
+	case Normal:
+		coef, err = linalg.LeastSquaresNormal(f.mat, f.rhs)
+	case Huber:
+		coef, err = f.lsq.SolveHuber(f.mat, f.rhs, 0, 0)
+	default:
 		coef, err = f.lsq.Solve(f.mat, f.rhs)
-	} else {
-		coef, err = solve(f.mat, f.rhs, f.method)
 	}
 	if err != nil {
-		// Degenerate geometry: flat estimate, exactly like Fit.
+		// Degenerate geometry (e.g. collinear samples): no curvature
+		// information. Report a flat estimate rather than failing the
+		// node's control loop.
 		return Estimate{Samples: n}, nil
 	}
 	a, b, c := coef[0], coef[1], coef[2]
@@ -105,8 +109,8 @@ func (f *Fitter) Fit(origin geom.Vec2, samples []field.Sample) (Estimate, error)
 // paper's "m nearest-neighbors method" (Section 5.2); m below 3 counts as
 // 3, and with fewer than m samples all are used. Nearness is the total
 // order (Dist² to origin, then index in samples), and the selected
-// samples enter the fit in that order, so the result is the package-level
-// Fit over the first m samples of a stable sort by Dist²
+// samples enter the fit in that order, so the result is Fit over the
+// first m samples of a stable sort by Dist²
 // (FuzzFitNearest). The selection is a bounded insertion into the
 // fitter's m-slot buffer: one comparison per sample against the current
 // m-th key, and a shift only for samples that enter the buffer.

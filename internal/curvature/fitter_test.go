@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/geom"
+	"repro/internal/linalg"
 )
 
 // noisyDisc builds the integer-lattice sensing disc the simulator feeds
@@ -38,19 +39,63 @@ func sameEstimate(t *testing.T, label string, got, want Estimate) {
 	}
 }
 
-// fitNearestRef is the oracle for Fitter.FitNearest: the package-level Fit
-// over the first m samples (m clamped to at least 3) of a stable sort by
-// Dist² to origin.
+// refFit is the oracle for Fitter.Fit: an allocating fit that builds a
+// fresh design matrix through the bounds-checked Set and calls the
+// package-level linalg solvers, each on a fresh workspace.
+func refFit(origin geom.Vec2, samples []field.Sample, method Method) (Estimate, error) {
+	if len(samples) < 3 {
+		return Estimate{}, ErrTooFewSamples
+	}
+	n := len(samples)
+	cols := 6
+	if n < 6 {
+		cols = 3
+	}
+	quadA := linalg.NewMatrix(n, cols)
+	quadB := make([]float64, n)
+	for i, s := range samples {
+		x, y := s.Pos.X-origin.X, s.Pos.Y-origin.Y
+		quadA.Set(i, 0, x*x)
+		quadA.Set(i, 1, x*y)
+		quadA.Set(i, 2, y*y)
+		if cols == 6 {
+			quadA.Set(i, 3, x)
+			quadA.Set(i, 4, y)
+			quadA.Set(i, 5, 1)
+		}
+		quadB[i] = s.Z
+	}
+	var coef []float64
+	var err error
+	switch method {
+	case Normal:
+		coef, err = linalg.LeastSquaresNormal(quadA, quadB)
+	case Huber:
+		coef, err = linalg.LeastSquaresHuber(quadA, quadB, 0, 0)
+	default:
+		coef, err = linalg.LeastSquares(quadA, quadB)
+	}
+	if err != nil {
+		return Estimate{Samples: n}, nil
+	}
+	a, b, c := coef[0], coef[1], coef[2]
+	g1, g2 := linalg.PrincipalCurvatures(a, b, c)
+	return Estimate{A: a, B: b, C: c, G1: g1, G2: g2, Gaussian: g1 * g2, Samples: n}, nil
+}
+
+// fitNearestRef is the oracle for Fitter.FitNearest: refFit over the
+// first m samples (m clamped to at least 3) of a stable sort by Dist² to
+// origin.
 func fitNearestRef(origin geom.Vec2, samples []field.Sample, m int, method Method) (Estimate, error) {
 	sorted := append([]field.Sample(nil), samples...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return sorted[i].Pos.Dist2(origin) < sorted[j].Pos.Dist2(origin)
 	})
-	return Fit(origin, sorted[:min(max(m, 3), len(sorted))], method)
+	return refFit(origin, sorted[:min(max(m, 3), len(sorted))], method)
 }
 
-// TestFitterBitIdentical pins the fitter to the package-level Fit and to
-// the nearest-m oracle: across methods, degenerate inputs, and tie-heavy
+// TestFitterBitIdentical pins the fitter to the refFit oracle and to the
+// nearest-m oracle: across methods, degenerate inputs, and tie-heavy
 // lattice discs, every coefficient and curvature must match bit for bit —
 // including FitNearest, whose selection must resolve distance ties by
 // sample index exactly as the stable sort does.
@@ -62,7 +107,7 @@ func TestFitterBitIdentical(t *testing.T) {
 			center := geom.V2(rng.Float64()*100, rng.Float64()*100)
 			samples := noisyDisc(rng, center, 5)
 			got, gotErr := f.Fit(center, samples)
-			want, wantErr := Fit(center, samples, method)
+			want, wantErr := refFit(center, samples, method)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("method %d Fit error mismatch: %v vs %v", method, gotErr, wantErr)
 			}
@@ -93,7 +138,7 @@ func TestFitterBitIdentical(t *testing.T) {
 			{Pos: geom.V2(2, 0), Z: 3}, {Pos: geom.V2(3, 0), Z: 4},
 		}
 		got, gotErr := f.Fit(geom.V2(0, 0), collinear)
-		want, wantErr := Fit(geom.V2(0, 0), collinear, method)
+		want, wantErr := refFit(geom.V2(0, 0), collinear, method)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("method %d collinear error mismatch: %v vs %v", method, gotErr, wantErr)
 		}
@@ -101,29 +146,33 @@ func TestFitterBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFitterAllocFree asserts the steady-state contract on the QR path:
-// once warmed up, Fit and FitNearest allocate nothing.
+// TestFitterAllocFree asserts the steady-state contract on the QR and
+// Huber paths: once warmed up, Fit and FitNearest allocate nothing. The
+// disc's noisy heights make Huber reweight and re-solve.
 func TestFitterAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := NewFitter(QR)
-	center := geom.V2(50, 50)
-	samples := noisyDisc(rng, center, 5)
-	if _, err := f.FitNearest(center, samples, 12); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Fit(center, samples); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	for _, method := range []Method{QR, Huber} {
+		rng := rand.New(rand.NewSource(5))
+		f := NewFitter(method)
+		center := geom.V2(50, 50)
+		samples := noisyDisc(rng, center, 5)
+		samples[7].Z += 40 // a gross outlier
 		if _, err := f.FitNearest(center, samples, 12); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := f.Fit(center, samples); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state fits allocate %.1f objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := f.FitNearest(center, samples, 12); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Fit(center, samples); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("method %d: steady-state fits allocate %.1f objects/op, want 0", method, allocs)
+		}
 	}
 }
 

@@ -7,27 +7,50 @@ import (
 	"testing"
 )
 
-// FuzzLeastSquaresHuber feeds arbitrary m×3 systems to the robust solver
-// and asserts its two contracts: finite, bounded inputs never produce
-// non-finite coefficients (nor a panic), and on outlier-free data — b
-// constructed exactly as A·x₀, where the residual spread collapses to FP
-// dust — the routine returns the plain QR least-squares solution
-// unchanged, bit for bit.
+// FuzzLeastSquaresHuber feeds arbitrary m×3 and m×6 systems (wide
+// selects the six-column quadric shape of the curvature fit's hot path) to
+// the robust solver and asserts its contracts: finite, bounded inputs
+// never produce non-finite coefficients (nor a panic); a workspace that
+// has already solved other systems returns the same bits as a fresh one;
+// and on outlier-free data — b constructed exactly as A·x₀, where the
+// residual spread collapses to FP dust — the routine returns the plain QR
+// least-squares solution unchanged, bit for bit.
 func FuzzLeastSquaresHuber(f *testing.F) {
-	// Seed a well-conditioned 5×3 system: A columns [1, x, x²], b mixed.
-	seed := make([]byte, 0, 8*23)
-	for _, v := range []float64{
+	seed := func(vals ...float64) []byte {
+		out := make([]byte, 0, 8*len(vals))
+		for _, v := range vals {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+		return out
+	}
+	// A well-conditioned 5×3 system: A columns [1, x, x²], b mixed.
+	f.Add(seed(
 		1, 0, 0, 1, 1, 1, 1, 2, 4, 1, 3, 9, 1, 4, 16, // A rows
 		0.5, 1.5, 4.2, 9.1, 16.3, // b
 		2, -1, 0.5, // x0
-	} {
-		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
-	}
-	f.Add(seed)
+	), false)
+	// A 7×6 quadric design [x², xy, y², x, y, 1] with one gross outlier.
+	f.Add(seed(
+		0, 0, 0, 0, 0, 1,
+		1, 0, 0, 1, 0, 1,
+		0, 0, 1, 0, 1, 1,
+		1, 1, 1, 1, 1, 1,
+		4, -2, 1, -2, 1, 1,
+		1, -2, 4, 1, -2, 1,
+		4, 4, 4, 2, 2, 1, // A rows
+		1, 2.1, 0.9, 3, 40, 2.2, 7.1, // b
+		0.5, -0.25, 1, 0.1, -0.2, 1, // x0
+	), true)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	// shared has solved every earlier input, so reuse bugs surface as a
+	// difference from the fresh-workspace wrapper.
+	var shared LSQ
+	f.Fuzz(func(t *testing.T, data []byte, wide bool) {
 		vals := decodeFloats(data, 1e8)
-		const n = 3
+		n := 3
+		if wide {
+			n = 6
+		}
 		m := (len(vals) - n) / (n + 1)
 		if m > 12 {
 			m = 12
@@ -45,11 +68,23 @@ func FuzzLeastSquaresHuber(f *testing.F) {
 		x0 := vals[m*n+m : m*n+m+n]
 
 		// Contract 1: arbitrary finite b never yields non-finite output.
-		if x, err := LeastSquaresHuber(a, b, 0, 0); err == nil {
+		x, err := LeastSquaresHuber(a, b, 0, 0)
+		if err == nil {
 			requireFinite(t, "huber(a, b)", x)
 		}
 
-		// Contract 2: zero outliers. b′ = A·x₀ computed by the same MulVec
+		// Contract 2: workspace reuse is invisible.
+		reused, errU := shared.SolveHuber(a, b, 0, 0)
+		if (err == nil) != (errU == nil) {
+			t.Fatalf("fresh err=%v but reused err=%v on the same system", err, errU)
+		}
+		for j := range x {
+			if math.Float64bits(reused[j]) != math.Float64bits(x[j]) {
+				t.Fatalf("reused workspace diverged from a fresh one: %v vs %v", reused, x)
+			}
+		}
+
+		// Contract 3: zero outliers. b′ = A·x₀ computed by the same MulVec
 		// the solver uses internally, so the first iterate's residuals are
 		// bit-zero and the routine must return the plain QR solution.
 		bc, err := a.MulVec(x0)

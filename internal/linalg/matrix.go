@@ -5,8 +5,9 @@
 // principal curvatures.
 //
 // Everything here is written against the standard library only; the
-// matrices involved are tiny (m×3 with m ≈ 80 for Rs = 5), so clarity wins
-// over blocking or SIMD tricks.
+// matrices involved are tiny (m×6 quadric designs from 6 samples up to
+// m ≈ 80 for Rs = 5, m×3 below 6 samples), so clarity wins over blocking
+// or SIMD tricks.
 package linalg
 
 import (

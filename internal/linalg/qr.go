@@ -5,112 +5,13 @@ import (
 	"math"
 )
 
-// QR holds a Householder QR factorization A = Q·R of an m×n matrix with
-// m ≥ n. Q is stored implicitly as the sequence of Householder reflectors.
-type QR struct {
-	qr   *Matrix   // packed reflectors (below diagonal) and R (upper part)
-	rdia []float64 // diagonal of R
-}
-
-// NewQR factors a (it does not modify a). It returns an error when the
-// matrix has more columns than rows.
-func NewQR(a *Matrix) (*QR, error) {
-	m, n := a.Rows(), a.Cols()
-	if m < n {
-		return nil, fmt.Errorf("%w: QR needs rows >= cols, got %dx%d", ErrShape, m, n)
-	}
-	qr := a.Clone()
-	rdia := make([]float64, n)
-	for k := 0; k < n; k++ {
-		// Norm of the k-th column below (and including) the diagonal.
-		nrm := 0.0
-		for i := k; i < m; i++ {
-			nrm = math.Hypot(nrm, qr.At(i, k))
-		}
-		if nrm != 0 {
-			if qr.At(k, k) < 0 {
-				nrm = -nrm
-			}
-			for i := k; i < m; i++ {
-				qr.Set(i, k, qr.At(i, k)/nrm)
-			}
-			qr.Set(k, k, qr.At(k, k)+1)
-			// Apply the reflector to the remaining columns.
-			for j := k + 1; j < n; j++ {
-				s := 0.0
-				for i := k; i < m; i++ {
-					s += qr.At(i, k) * qr.At(i, j)
-				}
-				s = -s / qr.At(k, k)
-				for i := k; i < m; i++ {
-					qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
-				}
-			}
-		}
-		rdia[k] = -nrm
-	}
-	return &QR{qr: qr, rdia: rdia}, nil
-}
-
-// FullRank reports whether R has no (numerically) zero diagonal entries.
-func (q *QR) FullRank() bool {
-	scale := q.qr.MaxAbs()
-	tol := 1e-12 * (1 + scale)
-	for _, d := range q.rdia {
-		if math.Abs(d) <= tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Solve returns the least-squares solution x minimizing ‖A·x − b‖₂.
-// It returns ErrSingular for rank-deficient systems.
-func (q *QR) Solve(b []float64) ([]float64, error) {
-	m, n := q.qr.Rows(), q.qr.Cols()
-	if len(b) != m {
-		return nil, fmt.Errorf("%w: rhs has %d entries, want %d", ErrShape, len(b), m)
-	}
-	if !q.FullRank() {
-		return nil, ErrSingular
-	}
-	y := make([]float64, m)
-	copy(y, b)
-	// Apply Qᵀ to b.
-	for k := 0; k < n; k++ {
-		s := 0.0
-		for i := k; i < m; i++ {
-			s += q.qr.At(i, k) * y[i]
-		}
-		if q.qr.At(k, k) == 0 {
-			continue
-		}
-		s = -s / q.qr.At(k, k)
-		for i := k; i < m; i++ {
-			y[i] += s * q.qr.At(i, k)
-		}
-	}
-	// Back-substitute R·x = y.
-	x := make([]float64, n)
-	for k := n - 1; k >= 0; k-- {
-		s := y[k]
-		for j := k + 1; j < n; j++ {
-			s -= q.qr.At(k, j) * x[j]
-		}
-		x[k] = s / q.rdia[k]
-	}
-	return x, nil
-}
-
 // LeastSquares solves the overdetermined system A·x ≈ b in the
-// least-squares sense by Householder QR. It is the workhorse behind the
-// curvature fit of paper Eqn 11.
+// least-squares sense by Householder QR (LSQ.Solve) on a fresh workspace,
+// so the caller owns the result. It is the workhorse behind the curvature
+// fit of paper Eqn 11.
 func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	qr, err := NewQR(a)
-	if err != nil {
-		return nil, err
-	}
-	return qr.Solve(b)
+	var w LSQ
+	return w.Solve(a, b)
 }
 
 // LeastSquaresNormal solves the same problem via the normal equations

@@ -8,7 +8,7 @@ import (
 )
 
 func TestQRShapeError(t *testing.T) {
-	if _, err := NewQR(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
+	if _, err := LeastSquares(NewMatrix(2, 3), []float64{1, 2}); !errors.Is(err, ErrShape) {
 		t.Errorf("want ErrShape, got %v", err)
 	}
 }
@@ -20,11 +20,7 @@ func TestQRSolveExactSquare(t *testing.T) {
 		{-2, 1, 2},
 	})
 	b := []float64{8, -11, -3}
-	qr, err := NewQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := qr.Solve(b)
+	x, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +33,8 @@ func TestQRSolveExactSquare(t *testing.T) {
 }
 
 func TestQRSolveRhsShapeError(t *testing.T) {
-	qr, err := NewQR(Identity(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := qr.Solve([]float64{1, 2}); !errors.Is(err, ErrShape) {
+	var w LSQ
+	if _, err := w.Solve(Identity(3), []float64{1, 2}); !errors.Is(err, ErrShape) {
 		t.Errorf("want ErrShape, got %v", err)
 	}
 }
@@ -52,14 +45,7 @@ func TestQRRankDeficient(t *testing.T) {
 		{2, 4},
 		{3, 6},
 	})
-	qr, err := NewQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qr.FullRank() {
-		t.Error("rank-deficient matrix reported full rank")
-	}
-	if _, err := qr.Solve([]float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
+	if _, err := LeastSquares(a, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
 		t.Errorf("want ErrSingular, got %v", err)
 	}
 }

@@ -5,23 +5,26 @@ import (
 	"math"
 )
 
-// LSQ is a reusable workspace for repeated Householder least-squares
-// solves. The curvature estimator runs tens of QR fits per node per
-// simulation slot; the package-level LeastSquares allocates a packed
-// factor, a diagonal, and two vectors on every call, which at swarm scale
-// dominates the allocation profile. An LSQ owns those four buffers and
-// grows them monotonically, so steady-state solves are allocation-free.
-//
-// Solve is arithmetically identical to LeastSquares — the same Householder
-// reflector construction, the same rank test, the same Qᵀ application and
-// back-substitution, in the same floating-point operation order — so
-// results are bit-for-bit equal (TestLSQBitIdentical). The zero value is
-// ready to use. An LSQ is not safe for concurrent use.
+// LSQ is the package's Householder least-squares kernel, held as a
+// reusable workspace. The curvature estimator runs tens of QR fits per
+// node per simulation slot; at swarm scale allocating a packed factor, a
+// diagonal and two vectors per fit would dominate the allocation profile.
+// An LSQ owns those buffers, plus the Huber IRLS scratch of SolveHuber,
+// and grows them monotonically, so steady-state solves are
+// allocation-free. LeastSquares and LeastSquaresHuber run it on a fresh
+// workspace. The zero value is ready to use. An LSQ is not safe for
+// concurrent use.
 type LSQ struct {
 	qr   []float64 // packed reflectors (below diagonal) and R (upper part)
 	rdia []float64 // diagonal of R
 	y    []float64 // Qᵀ·b scratch
 	x    []float64 // solution buffer, returned by Solve
+	// SolveHuber scratch: residuals, their absolute values (sorted in
+	// place for the median), the weighted right-hand side and matrix, and
+	// the IRLS iterate, which needs its own buffer because every inner
+	// Solve overwrites x.
+	res, abs, wb, it []float64
+	wa               Matrix
 }
 
 // grow returns buf resized to n, reusing its backing array when capacity
@@ -35,9 +38,9 @@ func grow(buf []float64, n int) []float64 {
 
 // Solve computes the least-squares solution x minimizing ‖A·x − b‖₂ by
 // Householder QR, reusing the workspace's buffers. The returned slice is
-// owned by the workspace and valid only until the next Solve call. It
-// returns ErrSingular for rank-deficient systems, exactly like
-// LeastSquares.
+// owned by the workspace and valid only until its next solve. It returns
+// ErrShape when A has more columns than rows or b does not match, and
+// ErrSingular for rank-deficient systems.
 func (w *LSQ) Solve(a *Matrix, b []float64) ([]float64, error) {
 	m, n := a.rows, a.cols
 	if m < n {
@@ -79,8 +82,8 @@ func (w *LSQ) Solve(a *Matrix, b []float64) ([]float64, error) {
 		}
 		rdia[k] = -nrm
 	}
-	// Rank test, replicating QR.FullRank: the tolerance scales with the
-	// largest absolute entry of the packed factor.
+	// Rank test: the tolerance scales with the largest absolute entry of
+	// the packed factor.
 	scale := 0.0
 	for _, v := range qr {
 		if a := math.Abs(v); a > scale {

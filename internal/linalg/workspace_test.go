@@ -2,16 +2,181 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// refLeastSquares is an independent, allocating Householder least-squares
+// solver: the arithmetic LSQ.Solve must reproduce bit for bit, written
+// against the bounds-checked Matrix accessors with a fresh factor and
+// fresh vectors on every call.
+func refLeastSquares(a *Matrix, b []float64) ([]float64, error) {
+	m, n := a.Rows(), a.Cols()
+	if m < n {
+		return nil, ErrShape
+	}
+	if len(b) != m {
+		return nil, ErrShape
+	}
+	qr := a.Clone()
+	rdia := make([]float64, n)
+	for k := 0; k < n; k++ {
+		nrm := 0.0
+		for i := k; i < m; i++ {
+			nrm = math.Hypot(nrm, qr.At(i, k))
+		}
+		if nrm != 0 {
+			if qr.At(k, k) < 0 {
+				nrm = -nrm
+			}
+			for i := k; i < m; i++ {
+				qr.Set(i, k, qr.At(i, k)/nrm)
+			}
+			qr.Set(k, k, qr.At(k, k)+1)
+			for j := k + 1; j < n; j++ {
+				s := 0.0
+				for i := k; i < m; i++ {
+					s += qr.At(i, k) * qr.At(i, j)
+				}
+				s = -s / qr.At(k, k)
+				for i := k; i < m; i++ {
+					qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+				}
+			}
+		}
+		rdia[k] = -nrm
+	}
+	tol := 1e-12 * (1 + qr.MaxAbs())
+	for _, d := range rdia {
+		if math.Abs(d) <= tol {
+			return nil, ErrSingular
+		}
+	}
+	y := make([]float64, m)
+	copy(y, b)
+	for k := 0; k < n; k++ {
+		s := 0.0
+		for i := k; i < m; i++ {
+			s += qr.At(i, k) * y[i]
+		}
+		if qr.At(k, k) == 0 {
+			continue
+		}
+		s = -s / qr.At(k, k)
+		for i := k; i < m; i++ {
+			y[i] += s * qr.At(i, k)
+		}
+	}
+	x := make([]float64, n)
+	for k := n - 1; k >= 0; k-- {
+		s := y[k]
+		for j := k + 1; j < n; j++ {
+			s -= qr.At(k, j) * x[j]
+		}
+		x[k] = s / rdia[k]
+	}
+	return x, nil
+}
+
+// refLeastSquaresHuber is an independent, allocating copy of the Huber
+// IRLS algorithm on top of refLeastSquares: the arithmetic
+// LSQ.SolveHuber must reproduce bit for bit.
+func refLeastSquaresHuber(a *Matrix, b []float64, tuning float64, iters int) ([]float64, error) {
+	if tuning <= 0 {
+		tuning = DefaultHuberTuning
+	}
+	if iters <= 0 {
+		iters = defaultHuberIters
+	}
+	x, err := refLeastSquares(a, b)
+	if err != nil {
+		return nil, err
+	}
+	m, n := a.Rows(), a.Cols()
+	res := make([]float64, m)
+	absRes := make([]float64, m)
+	wa := NewMatrix(m, n)
+	wb := make([]float64, m)
+	for it := 0; it < iters; it++ {
+		ax, err := a.MulVec(x)
+		if err != nil {
+			return nil, err
+		}
+		for i := range res {
+			res[i] = ax[i] - b[i]
+			absRes[i] = math.Abs(res[i])
+		}
+		srt := append([]float64(nil), absRes...)
+		sort.Float64s(srt)
+		med := srt[m/2]
+		if m%2 == 0 {
+			med = (srt[m/2-1] + srt[m/2]) / 2
+		}
+		sigma := 1.4826 * med
+		if sigma <= 1e-10*(1+maxAbsVec(b)) {
+			return x, nil
+		}
+		cut := tuning * sigma
+		changed := false
+		for i := 0; i < m; i++ {
+			w := 1.0
+			if r := math.Abs(res[i]); r > cut {
+				w = math.Sqrt(cut / r)
+				changed = true
+			}
+			for j := 0; j < n; j++ {
+				wa.Set(i, j, w*a.At(i, j))
+			}
+			wb[i] = w * b[i]
+		}
+		if !changed {
+			return x, nil
+		}
+		nx, err := refLeastSquares(wa, wb)
+		if err != nil {
+			return x, nil
+		}
+		if vecDelta(nx, x) <= 1e-12*(1+maxAbsVec(nx)) {
+			return nx, nil
+		}
+		x = nx
+	}
+	return x, nil
+}
+
+// sameSolution fails unless got and want agree in error kind and, when
+// both succeed, Float64bits-equal coefficients.
+func sameSolution(t *testing.T, label string, got []float64, gotErr error, want []float64, wantErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: error mismatch: got %v, want %v", label, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		if !errors.Is(gotErr, ErrSingular) || !errors.Is(wantErr, ErrSingular) {
+			t.Fatalf("%s: unexpected error kinds: got %v, want %v", label, gotErr, wantErr)
+		}
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: solution length %d, want %d", label, len(got), len(want))
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("%s x[%d]: bits %016x, want %016x",
+				label, k, math.Float64bits(got[k]), math.Float64bits(want[k]))
+		}
+	}
+}
 
 // TestLSQBitIdentical pins the workspace solver to the allocating path:
 // for random overdetermined systems — including the 12×6 and 78×6 shapes
 // the curvature fitter produces, rank-deficient ones, and repeated reuse
 // of one workspace across shapes — Solve must return bit-for-bit the same
-// solution (or the same error) as LeastSquares.
+// solution (or the same error) as the allocating reference
+// refLeastSquares.
 func TestLSQBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var w LSQ
@@ -32,7 +197,7 @@ func TestLSQBitIdentical(t *testing.T) {
 			}
 			b[i] = rng.NormFloat64()
 		}
-		want, wantErr := LeastSquares(a, b)
+		want, wantErr := refLeastSquares(a, b)
 		got, gotErr := w.Solve(a, b)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d (%dx%d): error mismatch: LeastSquares=%v LSQ=%v", trial, m, n, wantErr, gotErr)
@@ -55,6 +220,84 @@ func TestLSQBitIdentical(t *testing.T) {
 	}
 }
 
+// TestHuberWorkspaceBitIdentical pins LSQ.SolveHuber to the allocating
+// reference refLeastSquaresHuber, Float64bits-equal: quadric designs of
+// the curvature fitter's 12×6 and 78×6 shapes and m×3 ones, 0–3 gross
+// outliers, exact fits, singular systems and non-default tuning/iters.
+// One workspace serves every trial and is interleaved with plain Solve
+// calls, so an IRLS iterate aliased to Solve's output buffer would show.
+func TestHuberWorkspaceBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var w LSQ
+	shapes := [][2]int{{12, 6}, {78, 6}, {6, 3}, {20, 3}, {80, 3}, {7, 6}}
+	params := []struct {
+		tuning float64
+		iters  int
+	}{{0, 0}, {1, 2}, {2.5, 10}, {0.5, 1}}
+	reweighted := 0
+	for trial := 0; trial < 400; trial++ {
+		sh := shapes[trial%len(shapes)]
+		m, n := sh[0], sh[1]
+		a := NewMatrix(m, n)
+		coef := make([]float64, n)
+		for j := range coef {
+			coef[j] = rng.NormFloat64()
+		}
+		singular := trial%9 == 4
+		for i := 0; i < m; i++ {
+			x, y := rng.Float64()*10-5, rng.Float64()*10-5
+			row := []float64{x * x, x * y, y * y, x, y, 1}
+			for j := 0; j < n; j++ {
+				v := row[j]
+				if singular && j == n-1 {
+					v = 2 * row[0] // duplicate column: rank-deficient
+				}
+				a.Set(i, j, v)
+			}
+		}
+		b, err := a.MulVec(coef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outliers := (trial / len(shapes)) % 4
+		if trial%11 != 0 { // every 11th system stays an exact fit
+			for i := range b {
+				b[i] += 0.05 * rng.NormFloat64()
+			}
+			for k := 0; k < outliers; k++ {
+				b[rng.Intn(m)] += (20 + 40*rng.Float64()) * float64(1-2*rng.Intn(2))
+			}
+		}
+		p := params[(trial/3)%len(params)]
+		label := fmt.Sprintf("trial %d (%dx%d, %d outliers, tuning %v, iters %d)", trial, m, n, outliers, p.tuning, p.iters)
+
+		want, wantErr := refLeastSquaresHuber(a, b, p.tuning, p.iters)
+		got, gotErr := w.SolveHuber(a, b, p.tuning, p.iters)
+		sameSolution(t, label, got, gotErr, want, wantErr)
+		if plain, err := refLeastSquares(a, b); err == nil && math.Float64bits(plain[0]) != math.Float64bits(want[0]) {
+			reweighted++
+		}
+		fresh, freshErr := LeastSquaresHuber(a, b, p.tuning, p.iters)
+		sameSolution(t, label+" fresh wrapper", fresh, freshErr, want, wantErr)
+
+		// A plain solve of another system on the same workspace in between.
+		other := NewMatrix(m+1, n)
+		ob := make([]float64, m+1)
+		for i := 0; i <= m; i++ {
+			for j := 0; j < n; j++ {
+				other.Set(i, j, rng.NormFloat64())
+			}
+			ob[i] = rng.NormFloat64()
+		}
+		wantPlain, wantPlainErr := refLeastSquares(other, ob)
+		gotPlain, gotPlainErr := w.Solve(other, ob)
+		sameSolution(t, label+" interleaved Solve", gotPlain, gotPlainErr, wantPlain, wantPlainErr)
+	}
+	if reweighted < 100 {
+		t.Fatalf("only %d of 400 systems were reweighted; the IRLS loop is barely exercised", reweighted)
+	}
+}
+
 // TestLSQShapeErrors checks the workspace rejects underdetermined systems
 // and mismatched right-hand sides like the allocating path does.
 func TestLSQShapeErrors(t *testing.T) {
@@ -68,7 +311,9 @@ func TestLSQShapeErrors(t *testing.T) {
 }
 
 // TestLSQAllocFree asserts the steady-state contract: after the first
-// solve of a given shape, further solves do not allocate.
+// solve of a given shape, further Solve and SolveHuber calls do not
+// allocate — the latter on data whose outliers make IRLS reweight and
+// re-solve.
 func TestLSQAllocFree(t *testing.T) {
 	var w LSQ
 	a := NewMatrix(12, 6)
@@ -81,9 +326,13 @@ func TestLSQAllocFree(t *testing.T) {
 			}
 			b[i] = rng.NormFloat64()
 		}
+		b[rng.Intn(12)] += 50 // a gross outlier for the Huber path
 	}
 	fill()
 	if _, err := w.Solve(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.SolveHuber(a, b, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
@@ -91,10 +340,13 @@ func TestLSQAllocFree(t *testing.T) {
 		if _, err := w.Solve(a, b); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := w.SolveHuber(a, b, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 	})
-	// fill() itself allocates nothing; Solve must not either.
+	// fill() itself allocates nothing; the solves must not either.
 	if allocs != 0 {
-		t.Fatalf("steady-state Solve allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state solves allocate %.1f objects/op, want 0", allocs)
 	}
 }
 
