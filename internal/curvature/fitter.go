@@ -2,6 +2,7 @@ package curvature
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/field"
 	"repro/internal/geom"
@@ -37,6 +38,14 @@ type Fitter struct {
 	memoHits int64
 }
 
+// flatFloor is the flat-fit floor of Fit, 64 ulps of 1: a fitted
+// quadratic part of at most flatFloor·max|z| over the samples is below
+// the rounding resolution of the sampled values. On a constant or planar
+// field the QR solve returns such FP dust (|G| ≈ 1e-32) instead of an
+// exact zero, and the CMA weight, which normalises by the largest |G|
+// seen, would turn that dust into a full-strength force.
+const flatFloor = 64 * 0x1p-52
+
 // NewFitter returns a fitter using the given least-squares backend.
 func NewFitter(method Method) *Fitter {
 	return &Fitter{method: method}
@@ -66,6 +75,7 @@ func (f *Fitter) Fit(origin geom.Vec2, samples []field.Sample) (Estimate, error)
 		f.rhs = make([]float64, n)
 	}
 	f.rhs = f.rhs[:n]
+	r2max, zmax := 0.0, 0.0 // largest x²+y² and |z|, for the flat floor
 	for i, s := range samples {
 		x, y := s.Pos.X-origin.X, s.Pos.Y-origin.Y
 		row := f.mat.RowView(i)
@@ -78,6 +88,12 @@ func (f *Fitter) Fit(origin geom.Vec2, samples []field.Sample) (Estimate, error)
 			row[5] = 1
 		}
 		f.rhs[i] = s.Z
+		if r2 := row[0] + row[2]; r2 > r2max {
+			r2max = r2
+		}
+		if z := math.Abs(s.Z); z > zmax {
+			zmax = z
+		}
 	}
 	var coef []float64
 	var err error
@@ -96,6 +112,12 @@ func (f *Fitter) Fit(origin geom.Vec2, samples []field.Sample) (Estimate, error)
 		return Estimate{Samples: n}, nil
 	}
 	a, b, c := coef[0], coef[1], coef[2]
+	// Flat floor: a quadratic part that moves z by no more than flatFloor
+	// of the largest sampled |z| anywhere in the disc is rounding dust
+	// from the solve, not curvature, so report the patch flat.
+	if (math.Abs(a)+math.Abs(b)+math.Abs(c))*r2max <= flatFloor*zmax {
+		a, b, c = 0, 0, 0
+	}
 	g1, g2 := linalg.PrincipalCurvatures(a, b, c)
 	return Estimate{
 		A: a, B: b, C: c,

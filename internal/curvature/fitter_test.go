@@ -40,8 +40,10 @@ func sameEstimate(t *testing.T, label string, got, want Estimate) {
 }
 
 // refFit is the oracle for Fitter.Fit: an allocating fit that builds a
-// fresh design matrix through the bounds-checked Set and calls the
-// package-level linalg solvers, each on a fresh workspace.
+// fresh design matrix through the bounds-checked Set, calls the
+// package-level linalg solvers, each on a fresh workspace, and applies
+// the flat floor (a quadratic part within 64 ulps of max|z|) on its own
+// pass over the samples.
 func refFit(origin geom.Vec2, samples []field.Sample, method Method) (Estimate, error) {
 	if len(samples) < 3 {
 		return Estimate{}, ErrTooFewSamples
@@ -79,6 +81,15 @@ func refFit(origin geom.Vec2, samples []field.Sample, method Method) (Estimate, 
 		return Estimate{Samples: n}, nil
 	}
 	a, b, c := coef[0], coef[1], coef[2]
+	r2max, zmax := 0.0, 0.0
+	for _, s := range samples {
+		x, y := s.Pos.X-origin.X, s.Pos.Y-origin.Y
+		r2max = math.Max(r2max, x*x+y*y)
+		zmax = math.Max(zmax, math.Abs(s.Z))
+	}
+	if (math.Abs(a)+math.Abs(b)+math.Abs(c))*r2max <= 64*0x1p-52*zmax {
+		a, b, c = 0, 0, 0
+	}
 	g1, g2 := linalg.PrincipalCurvatures(a, b, c)
 	return Estimate{A: a, B: b, C: c, G1: g1, G2: g2, Gaussian: g1 * g2, Samples: n}, nil
 }
@@ -251,4 +262,43 @@ func FuzzFitNearest(f *testing.F) {
 			sameEstimate(t, "FitNearest", got, want)
 		}
 	})
+}
+
+// TestFitFlatAtWorkingPrecision pins the flat floor: on constant fields
+// (z = 5, z = 1e6) and on the plane z = 1e6 + 3x − 2y, whose fitted
+// quadratic part is rounding dust, every backend reports G exactly 0 —
+// through Fit and FitNearest, around on- and off-lattice origins.
+func TestFitFlatAtWorkingPrecision(t *testing.T) {
+	region := geom.Square(100)
+	fields := []struct {
+		name string
+		f    field.Field
+	}{
+		{"z=5", field.Constant(region, 5)},
+		{"z=1e6", field.Constant(region, 1e6)},
+		{"z=1e6+3x-2y", field.Plane(region, 3, -2, 1e6)},
+	}
+	origins := []geom.Vec2{geom.V2(50, 50), geom.V2(31, 72), geom.V2(50.37, 49.81), geom.V2(12.5, 80.25)}
+	for _, method := range []Method{QR, Normal, Huber} {
+		f := NewFitter(method)
+		for _, fc := range fields {
+			for _, o := range origins {
+				samples := discSamples(fc.f, o, 5)
+				est, err := f.Fit(o, samples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if est.Gaussian != 0 || est.A != 0 || est.B != 0 || est.C != 0 {
+					t.Errorf("method %d, %s at %v: Fit = %+v, want a flat patch", method, fc.name, o, est)
+				}
+				est, err = f.FitNearest(o, samples, 12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if est.Gaussian != 0 {
+					t.Errorf("method %d, %s at %v: FitNearest G = %v, want 0", method, fc.name, o, est.Gaussian)
+				}
+			}
+		}
+	}
 }

@@ -30,7 +30,7 @@ import (
 // offsets, and r² is the m-th one's dx²+dy² (4 for m = 12). When
 //
 //   - every canonical point p + o lies inside the region and passes the
-//     sampler's Dist ≤ rs test — checked with a relative margin, and at
+//     sampler's Dist² ≤ rs² test — checked with a relative margin, and at
 //     once for the whole radius-r ball when |p−pos| + r ≤ rs — and
 //   - Dist²(pos, p) > r², so the own-position sample — the only sample
 //     that can sit off the lattice or out of (ix, iy) order — is not

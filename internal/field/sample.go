@@ -53,9 +53,9 @@ func (s *Sampler) AtTime(d DynField, p geom.Vec2, t float64) Sample {
 }
 
 // Disc measures f at every integer-spaced position within radius rs of
-// center (and inside the field bounds) — the paper's sensing model where a
-// node "can get data of m = ⌊πRs²⌋ positions" in its sensing range. The
-// center position itself is always included.
+// center (Dist² ≤ rs², inside the field bounds) — the paper's sensing
+// model where a node "can get data of m = ⌊πRs²⌋ positions" in its
+// sensing range. The center position itself is always included.
 func (s *Sampler) Disc(f Field, center geom.Vec2, rs float64) []Sample {
 	return s.DiscTime(Static(f), center, rs, 0)
 }
@@ -83,7 +83,7 @@ func (s *Sampler) DiscTimeInto(dst []Sample, d DynField, center geom.Vec2, rs fl
 			if p == center || !bounds.Contains(p) {
 				continue
 			}
-			if p.Dist(center) > rs {
+			if p.Dist2(center) > rs*rs {
 				continue
 			}
 			out = append(out, s.AtTime(d, p, t))

@@ -10,11 +10,12 @@ import (
 // FuzzLeastSquaresHuber feeds arbitrary m×3 and m×6 systems (wide
 // selects the six-column quadric shape of the curvature fit's hot path) to
 // the robust solver and asserts its contracts: finite, bounded inputs
-// never produce non-finite coefficients (nor a panic); a workspace that
-// has already solved other systems returns the same bits as a fresh one;
-// and on outlier-free data — b constructed exactly as A·x₀, where the
-// residual spread collapses to FP dust — the routine returns the plain QR
-// least-squares solution unchanged, bit for bit.
+// never produce non-finite coefficients (nor a panic); a fresh workspace
+// returns the bits of the independent row-major oracle
+// refLeastSquaresHuber, and one that has already solved other systems
+// returns the same bits; and on outlier-free data — b constructed exactly
+// as A·x₀, where the residual spread collapses to FP dust — the routine
+// returns the plain QR least-squares solution unchanged, bit for bit.
 func FuzzLeastSquaresHuber(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		out := make([]byte, 0, 8*len(vals))
@@ -73,7 +74,10 @@ func FuzzLeastSquaresHuber(f *testing.F) {
 			requireFinite(t, "huber(a, b)", x)
 		}
 
-		// Contract 2: workspace reuse is invisible.
+		// Contract 2: the fresh solve is the row-major oracle's bit for
+		// bit, and workspace reuse is invisible.
+		want, errW := refLeastSquaresHuber(a, b, 0, 0)
+		sameSolution(t, "huber(a, b) vs oracle", x, err, want, errW)
 		reused, errU := shared.SolveHuber(a, b, 0, 0)
 		if (err == nil) != (errU == nil) {
 			t.Fatalf("fresh err=%v but reused err=%v on the same system", err, errU)

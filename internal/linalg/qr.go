@@ -15,9 +15,10 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 }
 
 // LeastSquaresNormal solves the same problem via the normal equations
-// AᵀA·x = Aᵀb and Cholesky-free Gaussian elimination. It is faster for
-// tiny column counts but less numerically robust; kept as the ablation
-// comparator (DESIGN.md §5).
+// AᵀA·x = Aᵀb and Cholesky-free Gaussian elimination. It is less
+// numerically robust than QR, allocates, and is no longer faster on the
+// curvature fit's 81×6 design; kept as the ablation comparator
+// (DESIGN.md §5).
 func LeastSquaresNormal(a *Matrix, b []float64) ([]float64, error) {
 	at := a.T()
 	ata, err := at.Mul(a)

@@ -41,6 +41,10 @@ func grow(buf []float64, n int) []float64 {
 // owned by the workspace and valid only until its next solve. It returns
 // ErrShape when A has more columns than rows or b does not match, and
 // ErrSingular for rank-deficient systems.
+//
+// The packed factor is held column-major (column k is qr[k*m:(k+1)*m]), so
+// every norm, reflector, Qᵀ·b and dot-product loop runs over contiguous
+// slices, and each column norm is the two-pass colNorm.
 func (w *LSQ) Solve(a *Matrix, b []float64) ([]float64, error) {
 	m, n := a.rows, a.cols
 	if m < n {
@@ -51,32 +55,36 @@ func (w *LSQ) Solve(a *Matrix, b []float64) ([]float64, error) {
 	}
 	qr := grow(w.qr, m*n)
 	w.qr = qr
-	copy(qr, a.data)
+	for i := 0; i < m; i++ {
+		for j, v := range a.data[i*n : (i+1)*n] {
+			qr[j*m+i] = v
+		}
+	}
 	rdia := grow(w.rdia, n)
 	w.rdia = rdia
 	for k := 0; k < n; k++ {
-		// Norm of the k-th column below (and including) the diagonal.
-		nrm := 0.0
-		for i := k; i < m; i++ {
-			nrm = math.Hypot(nrm, qr[i*n+k])
-		}
+		// v is the k-th column from the diagonal down.
+		v := qr[k*m+k : (k+1)*m]
+		nrm := colNorm(v)
 		if nrm != 0 {
-			if qr[k*n+k] < 0 {
+			if v[0] < 0 {
 				nrm = -nrm
 			}
-			for i := k; i < m; i++ {
-				qr[i*n+k] = qr[i*n+k] / nrm
+			for i := range v {
+				v[i] /= nrm
 			}
-			qr[k*n+k] = qr[k*n+k] + 1
+			v[0]++
 			// Apply the reflector to the remaining columns.
 			for j := k + 1; j < n; j++ {
+				c := qr[j*m+k : (j+1)*m]
+				c = c[:len(v)]
 				s := 0.0
-				for i := k; i < m; i++ {
-					s += qr[i*n+k] * qr[i*n+j]
+				for i, vi := range v {
+					s += vi * c[i]
 				}
-				s = -s / qr[k*n+k]
-				for i := k; i < m; i++ {
-					qr[i*n+j] = qr[i*n+j] + s*qr[i*n+k]
+				s = -s / v[0]
+				for i, vi := range v {
+					c[i] += s * vi
 				}
 			}
 		}
@@ -101,27 +109,55 @@ func (w *LSQ) Solve(a *Matrix, b []float64) ([]float64, error) {
 	copy(y, b)
 	// Apply Qᵀ to b.
 	for k := 0; k < n; k++ {
+		v := qr[k*m+k : (k+1)*m]
+		yk := y[k:]
+		yk = yk[:len(v)]
 		s := 0.0
-		for i := k; i < m; i++ {
-			s += qr[i*n+k] * y[i]
+		for i, vi := range v {
+			s += vi * yk[i]
 		}
-		if qr[k*n+k] == 0 {
+		if v[0] == 0 {
 			continue
 		}
-		s = -s / qr[k*n+k]
-		for i := k; i < m; i++ {
-			y[i] += s * qr[i*n+k]
+		s = -s / v[0]
+		for i, vi := range v {
+			yk[i] += s * vi
 		}
 	}
-	// Back-substitute R·x = y.
+	// Back-substitute R·x = y; R's entry (k, j) is qr[j*m+k].
 	x := grow(w.x, n)
 	w.x = x
 	for k := n - 1; k >= 0; k-- {
 		s := y[k]
 		for j := k + 1; j < n; j++ {
-			s -= qr[k*n+j] * x[j]
+			s -= qr[j*m+k] * x[j]
 		}
 		x[k] = s / rdia[k]
 	}
 	return x, nil
+}
+
+// colNorm returns ‖v‖₂ in two passes: the largest magnitude amax, then
+// amax·√Σ(vᵢ/amax)². Each scaled term lies in [−1, 1], so the sum of
+// squares neither overflows nor underflows where the plain Σvᵢ² would
+// (|v| beyond about 1e154 or below about 1e-154), and no term waits on the
+// previous one's square root as a math.Hypot chain does. It divides by
+// amax rather than multiplying by 1/amax, which overflows for a subnormal
+// amax and turns a zero entry into 0·∞ = NaN.
+func colNorm(v []float64) float64 {
+	amax := 0.0
+	for _, vi := range v {
+		if a := math.Abs(vi); a > amax {
+			amax = a
+		}
+	}
+	if amax == 0 {
+		return 0
+	}
+	ss := 0.0
+	for _, vi := range v {
+		t := vi / amax
+		ss += t * t
+	}
+	return amax * math.Sqrt(ss)
 }

@@ -11,9 +11,47 @@ import (
 
 // refLeastSquares is an independent, allocating Householder least-squares
 // solver: the arithmetic LSQ.Solve must reproduce bit for bit, written
-// against the bounds-checked Matrix accessors with a fresh factor and
-// fresh vectors on every call.
+// row-major against the bounds-checked Matrix accessors with a fresh factor
+// and fresh vectors on every call. Column norms take the kernel's two
+// passes: the largest magnitude amax, then amax·√Σ(v/amax)².
 func refLeastSquares(a *Matrix, b []float64) ([]float64, error) {
+	return householderRef(a, b, func(qr *Matrix, k int) float64 {
+		amax := 0.0
+		for i := k; i < qr.Rows(); i++ {
+			if v := math.Abs(qr.At(i, k)); v > amax {
+				amax = v
+			}
+		}
+		if amax == 0 {
+			return 0
+		}
+		ss := 0.0
+		for i := k; i < qr.Rows(); i++ {
+			t := qr.At(i, k) / amax
+			ss += t * t
+		}
+		return amax * math.Sqrt(ss)
+	})
+}
+
+// hypotLeastSquares is the same Householder solver with each column norm
+// accumulated as a math.Hypot chain: the kernel's arithmetic before the
+// two-pass norm, kept as the accuracy reference of
+// TestLSQAgreesWithHypotReference.
+func hypotLeastSquares(a *Matrix, b []float64) ([]float64, error) {
+	return householderRef(a, b, func(qr *Matrix, k int) float64 {
+		nrm := 0.0
+		for i := k; i < qr.Rows(); i++ {
+			nrm = math.Hypot(nrm, qr.At(i, k))
+		}
+		return nrm
+	})
+}
+
+// householderRef solves A·x ≈ b by Householder QR on a fresh row-major
+// copy of A, with norm(qr, k) the norm of column k from the diagonal
+// down.
+func householderRef(a *Matrix, b []float64, norm func(qr *Matrix, k int) float64) ([]float64, error) {
 	m, n := a.Rows(), a.Cols()
 	if m < n {
 		return nil, ErrShape
@@ -24,10 +62,7 @@ func refLeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	qr := a.Clone()
 	rdia := make([]float64, n)
 	for k := 0; k < n; k++ {
-		nrm := 0.0
-		for i := k; i < m; i++ {
-			nrm = math.Hypot(nrm, qr.At(i, k))
-		}
+		nrm := norm(qr, k)
 		if nrm != 0 {
 			if qr.At(k, k) < 0 {
 				nrm = -nrm
@@ -85,13 +120,19 @@ func refLeastSquares(a *Matrix, b []float64) ([]float64, error) {
 // IRLS algorithm on top of refLeastSquares: the arithmetic
 // LSQ.SolveHuber must reproduce bit for bit.
 func refLeastSquaresHuber(a *Matrix, b []float64, tuning float64, iters int) ([]float64, error) {
+	return huberRef(a, b, tuning, iters, refLeastSquares)
+}
+
+// huberRef runs the Huber IRLS algorithm with solve as the inner
+// least-squares solver.
+func huberRef(a *Matrix, b []float64, tuning float64, iters int, solve func(*Matrix, []float64) ([]float64, error)) ([]float64, error) {
 	if tuning <= 0 {
 		tuning = DefaultHuberTuning
 	}
 	if iters <= 0 {
 		iters = defaultHuberIters
 	}
-	x, err := refLeastSquares(a, b)
+	x, err := solve(a, b)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +176,7 @@ func refLeastSquaresHuber(a *Matrix, b []float64, tuning float64, iters int) ([]
 		if !changed {
 			return x, nil
 		}
-		nx, err := refLeastSquares(wa, wb)
+		nx, err := solve(wa, wb)
 		if err != nil {
 			return x, nil
 		}
@@ -220,21 +261,31 @@ func TestLSQBitIdentical(t *testing.T) {
 	}
 }
 
-// TestHuberWorkspaceBitIdentical pins LSQ.SolveHuber to the allocating
-// reference refLeastSquaresHuber, Float64bits-equal: quadric designs of
-// the curvature fitter's 12×6 and 78×6 shapes and m×3 ones, 0–3 gross
-// outliers, exact fits, singular systems and non-default tuning/iters.
-// One workspace serves every trial and is interleaved with plain Solve
-// calls, so an IRLS iterate aliased to Solve's output buffer would show.
-func TestHuberWorkspaceBitIdentical(t *testing.T) {
+// lsqCase is one system of huberCases: a quadric design with its
+// right-hand side and IRLS parameters, plus an unrelated (m+1)×n system to
+// solve in between on the same workspace.
+type lsqCase struct {
+	label    string
+	a        *Matrix
+	b        []float64
+	tuning   float64
+	iters    int
+	other    *Matrix
+	otherRHS []float64
+}
+
+// huberCases returns 400 systems: quadric designs of the curvature
+// fitter's 12×6 and 78×6 shapes and m×3 ones, 0–3 gross outliers, exact
+// fits, singular systems and non-default tuning/iters.
+func huberCases(t *testing.T) []lsqCase {
+	t.Helper()
 	rng := rand.New(rand.NewSource(13))
-	var w LSQ
 	shapes := [][2]int{{12, 6}, {78, 6}, {6, 3}, {20, 3}, {80, 3}, {7, 6}}
 	params := []struct {
 		tuning float64
 		iters  int
 	}{{0, 0}, {1, 2}, {2.5, 10}, {0.5, 1}}
-	reweighted := 0
+	cases := make([]lsqCase, 0, 400)
 	for trial := 0; trial < 400; trial++ {
 		sh := shapes[trial%len(shapes)]
 		m, n := sh[0], sh[1]
@@ -269,18 +320,6 @@ func TestHuberWorkspaceBitIdentical(t *testing.T) {
 			}
 		}
 		p := params[(trial/3)%len(params)]
-		label := fmt.Sprintf("trial %d (%dx%d, %d outliers, tuning %v, iters %d)", trial, m, n, outliers, p.tuning, p.iters)
-
-		want, wantErr := refLeastSquaresHuber(a, b, p.tuning, p.iters)
-		got, gotErr := w.SolveHuber(a, b, p.tuning, p.iters)
-		sameSolution(t, label, got, gotErr, want, wantErr)
-		if plain, err := refLeastSquares(a, b); err == nil && math.Float64bits(plain[0]) != math.Float64bits(want[0]) {
-			reweighted++
-		}
-		fresh, freshErr := LeastSquaresHuber(a, b, p.tuning, p.iters)
-		sameSolution(t, label+" fresh wrapper", fresh, freshErr, want, wantErr)
-
-		// A plain solve of another system on the same workspace in between.
 		other := NewMatrix(m+1, n)
 		ob := make([]float64, m+1)
 		for i := 0; i <= m; i++ {
@@ -289,12 +328,152 @@ func TestHuberWorkspaceBitIdentical(t *testing.T) {
 			}
 			ob[i] = rng.NormFloat64()
 		}
-		wantPlain, wantPlainErr := refLeastSquares(other, ob)
-		gotPlain, gotPlainErr := w.Solve(other, ob)
-		sameSolution(t, label+" interleaved Solve", gotPlain, gotPlainErr, wantPlain, wantPlainErr)
+		cases = append(cases, lsqCase{
+			label:  fmt.Sprintf("trial %d (%dx%d, %d outliers, tuning %v, iters %d)", trial, m, n, outliers, p.tuning, p.iters),
+			a:      a,
+			b:      b,
+			tuning: p.tuning, iters: p.iters,
+			other: other, otherRHS: ob,
+		})
+	}
+	return cases
+}
+
+// TestHuberWorkspaceBitIdentical pins LSQ.SolveHuber to the allocating
+// reference refLeastSquaresHuber, Float64bits-equal, over huberCases. One
+// workspace serves every trial and is interleaved with plain Solve calls,
+// so an IRLS iterate aliased to Solve's output buffer would show.
+func TestHuberWorkspaceBitIdentical(t *testing.T) {
+	var w LSQ
+	reweighted := 0
+	for _, c := range huberCases(t) {
+		want, wantErr := refLeastSquaresHuber(c.a, c.b, c.tuning, c.iters)
+		got, gotErr := w.SolveHuber(c.a, c.b, c.tuning, c.iters)
+		sameSolution(t, c.label, got, gotErr, want, wantErr)
+		if plain, err := refLeastSquares(c.a, c.b); err == nil && math.Float64bits(plain[0]) != math.Float64bits(want[0]) {
+			reweighted++
+		}
+		fresh, freshErr := LeastSquaresHuber(c.a, c.b, c.tuning, c.iters)
+		sameSolution(t, c.label+" fresh wrapper", fresh, freshErr, want, wantErr)
+
+		// A plain solve of another system on the same workspace in between.
+		wantPlain, wantPlainErr := refLeastSquares(c.other, c.otherRHS)
+		gotPlain, gotPlainErr := w.Solve(c.other, c.otherRHS)
+		sameSolution(t, c.label+" interleaved Solve", gotPlain, gotPlainErr, wantPlain, wantPlainErr)
 	}
 	if reweighted < 100 {
 		t.Fatalf("only %d of 400 systems were reweighted; the IRLS loop is barely exercised", reweighted)
+	}
+}
+
+// closeSolution fails unless got and want agree in error kind and, when
+// both succeed, ‖got − want‖∞ ≤ rel·‖want‖∞.
+func closeSolution(t *testing.T, label string, got []float64, gotErr error, want []float64, wantErr error, rel float64) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: error mismatch: got %v, want %v", label, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if d, s := vecDelta(got, want), maxAbsVec(want); d > rel*s {
+		t.Fatalf("%s: ‖Δx‖∞ = %g exceeds %g·‖x‖∞ = %g\ngot  %v\nwant %v", label, d, rel, rel*s, got, want)
+	}
+}
+
+// TestLSQAgreesWithHypotReference bounds what the two-pass column norm
+// changed: over huberCases, the plain, interleaved and Huber solutions
+// agree with the math.Hypot-norm reference within 1e-10 relative, and
+// both kernels reject the same singular systems.
+func TestLSQAgreesWithHypotReference(t *testing.T) {
+	var w LSQ
+	for _, c := range huberCases(t) {
+		want, wantErr := hypotLeastSquares(c.a, c.b)
+		got, gotErr := w.Solve(c.a, c.b)
+		closeSolution(t, c.label, got, gotErr, want, wantErr, 1e-10)
+
+		want, wantErr = hypotLeastSquares(c.other, c.otherRHS)
+		got, gotErr = w.Solve(c.other, c.otherRHS)
+		closeSolution(t, c.label+" other", got, gotErr, want, wantErr, 1e-10)
+
+		want, wantErr = huberRef(c.a, c.b, c.tuning, c.iters, hypotLeastSquares)
+		got, gotErr = w.SolveHuber(c.a, c.b, c.tuning, c.iters)
+		closeSolution(t, c.label+" huber", got, gotErr, want, wantErr, 1e-10)
+	}
+}
+
+// TestLSQExtremeScale covers the range the two-pass norm exists for: the
+// plain sum of squares of a column overflows beyond |v| ≈ 1e154 and
+// underflows below 1e-154. colNorm of a vector scaled by 1e±150 or 1e±200
+// is the scaled norm, and Solve on a system whose columns are all scaled
+// by 1e150 or 1e200 returns finite coefficients equal to the unscaled
+// ones after rescaling. Tiny columns meet the rank test's absolute 1e-12
+// floor instead, so a system scaled by 1e-150, or one with a subnormal
+// column, must come back as ErrSingular rather than as NaN.
+func TestLSQExtremeScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	v := make([]float64, 80)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	base := colNorm(v)
+	for _, s := range []float64{1e150, 1e-150, 1e200, 1e-200} {
+		sv := make([]float64, len(v))
+		for i := range v {
+			sv[i] = v[i] * s
+		}
+		got := colNorm(sv) / s
+		if math.IsNaN(got) || math.Abs(got-base) > 1e-14*base {
+			t.Fatalf("colNorm at scale %g: %v, want %v", s, got, base)
+		}
+	}
+
+	var w LSQ
+	for _, shape := range [][2]int{{12, 6}, {78, 6}, {20, 3}} {
+		m, n := shape[0], shape[1]
+		a := NewMatrix(m, n)
+		b := make([]float64, m)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, rng.NormFloat64())
+			}
+			b[i] = rng.NormFloat64()
+		}
+		want, err := LeastSquares(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaled := func(s float64) *Matrix {
+			as := NewMatrix(m, n)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					as.Set(i, j, a.At(i, j)*s)
+				}
+			}
+			return as
+		}
+		for _, s := range []float64{1e150, 1e200} {
+			x, err := w.Solve(scaled(s), b)
+			if err != nil {
+				t.Fatalf("%dx%d at scale %g: %v", m, n, s, err)
+			}
+			requireFinite(t, fmt.Sprintf("%dx%d at scale %g", m, n, s), x)
+			for j := range x {
+				x[j] *= s
+			}
+			closeSolution(t, fmt.Sprintf("%dx%d at scale %g", m, n, s), x, nil, want, nil, 1e-12)
+		}
+		if _, err := w.Solve(scaled(1e-150), b); !errors.Is(err, ErrSingular) {
+			t.Fatalf("%dx%d at scale 1e-150: got %v, want ErrSingular", m, n, err)
+		}
+		sub := a.Clone()
+		for i := 0; i < m; i++ {
+			sub.Set(i, n-1, a.At(i, n-1)*1e-310)
+		}
+		sub.Set(0, n-1, 0) // 0·(1/amax) would be NaN once 1/amax overflows
+		if _, err := w.Solve(sub, b); !errors.Is(err, ErrSingular) {
+			t.Fatalf("%dx%d with a subnormal column: got %v, want ErrSingular", m, n, err)
+		}
 	}
 }
 

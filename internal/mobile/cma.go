@@ -451,7 +451,7 @@ func (c *Controller) findPeak(f *curvature.Fitter, pos geom.Vec2, samples []fiel
 	inner := 0.7 * c.cfg.Rs
 	bestPos, bestG := pos, 0.0
 	for _, s := range samples {
-		if s.Pos.Dist(pos) > inner {
+		if s.Pos.Dist2(pos) > inner*inner {
 			continue
 		}
 		g, err := f.NearestAbsGaussian(pos, s.Pos, samples, c.cfg.PeakFitM)
