@@ -40,9 +40,11 @@
 //
 // # Neighbor discovery
 //
-// Stages share one spatial.Index over the current positions (rebuilt
-// lazily per position epoch) instead of rebuilding a full communication
-// graph every slot. Membership is Dist² ≤ Rc² at every swarm size, the
+// Stages share one spatial.Index over the current positions instead of
+// building a full communication graph every slot. It is re-indexed in
+// place once per position epoch, and Exchange queries every node's
+// neighbor list afresh each slot: nodes move nearly every slot, so no list
+// is kept across slots. Membership is Dist² ≤ Rc² at every swarm size, the
 // same predicate graph.NewUnitDisk applies.
 //
 // # Shared sensing lattice
@@ -115,16 +117,6 @@ type Options struct {
 	// the hook sim uses for movement-trace sampling. Both slices are
 	// read-only borrows.
 	BeforeMove func(old, next []geom.Vec2)
-	// NeighborReuseTol is the displacement tolerance (meters) of the
-	// neighbor-list cache: a node's cached unit-disk neighbor list is
-	// reused across slots until the node itself — or any node whose move
-	// touches the grid cells the list's query scanned — has moved more
-	// than the tolerance since the cache last saw it. Zero (the default)
-	// recomputes on any position change at all, which is exact: cached
-	// results are bit-identical to fresh queries. Positive tolerances
-	// trade exactness for fewer recomputations in slowly-moving swarms
-	// and should stay well below the cell size Rc.
-	NeighborReuseTol float64
 	// NewController builds each node's movement planner; nil means
 	// mobile.DefaultFactory — the paper's CMA controller — which keeps the
 	// default pipeline bit-identical to the pre-interface engine. Movement
@@ -184,31 +176,14 @@ type Engine struct {
 	memo     curvature.PeakMemo
 	peakMemo *curvature.PeakMemo
 
-	// idx is the shared neighbor-discovery index over pos, maintained
-	// lazily whenever epoch has advanced past idxEpoch: moved nodes are
-	// relocated between grid cells in place, with a full rebuild when too
-	// many have escaped the frozen grid bounds. epoch bumps at every
-	// position commit.
+	// idx is the shared neighbor-discovery index over pos, re-indexed in
+	// place whenever epoch has advanced past idxEpoch; epoch bumps at every
+	// position commit. nbrLists[i] is node i's unit-disk neighbor list for
+	// the current slot, recomputed by every Exchange.
 	idx      *spatial.Index
 	idxEpoch int
 	epoch    int
-
-	// Neighbor-list cache: nbrLists[i] is node i's unit-disk neighbor list
-	// as of the position nbrRef[i], valid while neither i nor any node
-	// whose move dirtied a cell of i's stored query rectangle nbrRange[i]
-	// has moved beyond Options.NeighborReuseTol. moveRef[i] is i's
-	// position when it last dirtied cells; cellStamp holds, per grid cell,
-	// (epoch+1) of the latest dirtying move, compared against nbrStamp —
-	// the stamp consumed by the last cache maintenance. allInvalid forces
-	// a wholesale recompute after a full index rebuild.
-	nbrLists   [][]int
-	nbrRef     []geom.Vec2
-	nbrRange   [][4]int
-	nbrValid   []bool
-	moveRef    []geom.Vec2
-	cellStamp  []int64
-	nbrStamp   int64
-	allInvalid bool
+	nbrLists [][]int
 
 	// met is the engine's observability surface; nil means off, and every
 	// instrumentation site is guarded so the disabled path never reads the
@@ -242,10 +217,7 @@ type engineMetrics struct {
 	disp     *obs.Gauge       // engine_mean_displacement
 	energy   *obs.Gauge       // engine_energy_total (cumulative meters)
 
-	idxRebuilds *obs.Counter // engine_index_rebuilds_total: full index builds
-	idxIncr     *obs.Counter // engine_index_incremental_total: in-place refreshes
-	nbrReused   *obs.Counter // engine_neighbor_lists_reused_total
-	nbrRecomp   *obs.Counter // engine_neighbor_lists_recomputed_total
+	idxRebuilds *obs.Counter // engine_index_rebuilds_total: index builds
 }
 
 func newEngineMetrics(reg *obs.Registry, stages []Stage) *engineMetrics {
@@ -261,9 +233,6 @@ func newEngineMetrics(reg *obs.Registry, stages []Stage) *engineMetrics {
 		energy:   reg.Gauge("engine_energy_total"),
 
 		idxRebuilds: reg.Counter("engine_index_rebuilds_total"),
-		idxIncr:     reg.Counter("engine_index_incremental_total"),
-		nbrReused:   reg.Counter("engine_neighbor_lists_reused_total"),
-		nbrRecomp:   reg.Counter("engine_neighbor_lists_recomputed_total"),
 	}
 	m.stages = make([]*obs.Histogram, len(stages))
 	for i, st := range stages {
@@ -375,13 +344,20 @@ func New(dyn field.DynField, positions []geom.Vec2, opts Options) (*Engine, erro
 		return nil, fmt.Errorf("engine: fault injector built for %d nodes, world has %d",
 			opts.Faults.N(), len(positions))
 	}
+	// Validate admits only a positive, finite Rc, so this cannot fail.
+	idx, err := spatial.NewIndex(nil, opts.Config.Rc)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	e := &Engine{
 		dyn:      dyn,
 		opts:     opts,
 		pos:      append([]geom.Vec2(nil), positions...),
 		sampler:  field.NewSampler(opts.NoiseStd, opts.Seed),
 		stages:   opts.Stages,
+		idx:      idx,
 		idxEpoch: -1,
+		nbrLists: make([][]int, len(positions)),
 	}
 	if e.stages == nil {
 		e.stages = DefaultStages()
@@ -655,157 +631,27 @@ func (e *Engine) ensureFitters(k int) {
 	}
 }
 
-// escapedRebuildDiv sets the incremental index's full-rebuild trigger: a
-// rebuild re-anchors the frozen grid once more than 1/escapedRebuildDiv of
-// the points have drifted outside it (clamped queries stay exact but
-// border buckets degenerate toward linear scans).
-const escapedRebuildDiv = 8
-
-// refreshIndex brings the shared neighbor index up to date with the
-// current positions. After the first full build the refresh is
-// incremental — only nodes whose position changed are relocated between
-// grid cells, and their moves dirty the cells consulted by the
-// neighbor-list cache — falling back to a full rebuild when too many
-// points have escaped the frozen grid bounds. A failed build (only
-// possible with a non-positive Rc, which New rejects) leaves idx nil and
-// neighborsOf falls back to direct scans.
+// refreshIndex re-indexes the shared neighbor index over the current
+// positions, once per position epoch.
 func (e *Engine) refreshIndex() {
 	if e.idxEpoch == e.epoch {
 		return
 	}
 	e.idxEpoch = e.epoch
-	if e.idx != nil && e.idx.N() == len(e.pos) {
-		for i, p := range e.pos {
-			if e.idx.Point(i) == p {
-				continue
-			}
-			e.idx.Update(i, p)
-			if e.beyondTol(e.moveRef[i], p) {
-				e.stampCell(e.moveRef[i])
-				e.stampCell(p)
-				e.moveRef[i] = p
-			}
-		}
-		if e.idx.Escaped()*escapedRebuildDiv <= len(e.pos) {
-			if e.met != nil {
-				e.met.idxIncr.Inc()
-			}
-			return
-		}
-	}
-	idx, err := spatial.NewIndex(e.pos, e.opts.Config.Rc)
-	if err != nil {
-		e.idx = nil
-		return
-	}
-	e.idx = idx
-	cols, rows := idx.Dims()
-	if cap(e.cellStamp) < cols*rows {
-		e.cellStamp = make([]int64, cols*rows)
-	} else {
-		e.cellStamp = e.cellStamp[:cols*rows]
-		clear(e.cellStamp)
-	}
-	e.moveRef = append(e.moveRef[:0], e.pos...)
-	e.allInvalid = true
+	e.idx.Reset(e.pos)
 	if e.met != nil {
 		e.met.idxRebuilds.Inc()
 	}
 }
 
-// beyondTol reports whether a move from from to to exceeds the neighbor
-// cache's displacement tolerance. At the default zero tolerance any
-// change at all counts, keeping cached lists exact.
-func (e *Engine) beyondTol(from, to geom.Vec2) bool {
-	if from == to {
-		return false
-	}
-	tol := e.opts.NeighborReuseTol
-	return tol <= 0 || from.Dist2(to) > tol*tol
-}
-
-// stampCell marks the grid cell holding p as dirtied at the current
-// epoch; neighbor lists whose query rectangle covers it recompute at the
-// next cache maintenance.
-func (e *Engine) stampCell(p geom.Vec2) {
-	ci, cj := e.idx.Cell(p)
-	cols, _ := e.idx.Dims()
-	e.cellStamp[cj*cols+ci] = int64(e.epoch) + 1
-}
-
-// rangeDirty reports whether any cell of the stored query rectangle was
-// dirtied since the last cache maintenance.
-func (e *Engine) rangeDirty(r [4]int) bool {
-	cols, _ := e.idx.Dims()
-	for cj := r[2]; cj <= r[3]; cj++ {
-		row := e.cellStamp[cj*cols : cj*cols+cols]
-		for ci := r[0]; ci <= r[1]; ci++ {
-			if row[ci] > e.nbrStamp {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// refreshNeighbors brings the per-node neighbor-list cache up to date:
-// after the index refresh it keeps every cached list whose owner has not
-// moved beyond the reuse tolerance and whose stored query rectangle saw no
-// dirtying move, and recomputes the rest in parallel bands. At zero
-// tolerance the kept lists are bit-identical to fresh queries: a list
-// survives only if neither its owner nor any point inside the cells its
-// query scanned has moved at all. Lists are purely geometric — the alive
-// mask does not affect them — and cover every node, dead or alive.
+// refreshNeighbors recomputes every node's unit-disk neighbor list over
+// the current positions in parallel bands. Lists are purely geometric —
+// the alive mask does not affect them — and cover every node, dead or
+// alive.
 func (e *Engine) refreshNeighbors() error {
 	e.refreshIndex()
-	n := e.N()
-	if len(e.nbrValid) != n {
-		e.nbrLists = make([][]int, n)
-		e.nbrRef = make([]geom.Vec2, n)
-		e.nbrRange = make([][4]int, n)
-		e.nbrValid = make([]bool, n)
-		e.allInvalid = true
-	}
-	if e.idx == nil {
-		// Degenerate fallback (no index): recompute everything by scan.
-		e.allInvalid = true
-	}
-	reused := 0
-	if e.allInvalid {
-		for i := range e.nbrValid {
-			e.nbrValid[i] = false
-		}
-		e.allInvalid = false
-	} else {
-		for i := 0; i < n; i++ {
-			valid := e.nbrValid[i] &&
-				!e.beyondTol(e.nbrRef[i], e.pos[i]) &&
-				!e.rangeDirty(e.nbrRange[i])
-			e.nbrValid[i] = valid
-			if valid {
-				reused++
-			}
-		}
-	}
-	e.nbrStamp = int64(e.epoch) + 1
-	if e.met != nil {
-		e.met.nbrReused.Add(int64(reused))
-		e.met.nbrRecomp.Add(int64(n - reused))
-	}
-	if reused == n {
-		return nil
-	}
 	return e.forNodes(true, func(w, i int) error {
-		if e.nbrValid[i] {
-			return nil
-		}
 		e.nbrLists[i] = e.neighborsOf(i, e.nbrLists[i][:0])
-		e.nbrRef[i] = e.pos[i]
-		if e.idx != nil {
-			loI, hiI, loJ, hiJ := e.idx.QueryRange(e.pos[i], e.opts.Config.Rc)
-			e.nbrRange[i] = [4]int{loI, hiI, loJ, hiJ}
-		}
-		e.nbrValid[i] = true
 		return nil
 	})
 }
@@ -816,16 +662,7 @@ func (e *Engine) refreshNeighbors() error {
 // and of the index's Within. Callers must refreshIndex() first.
 func (e *Engine) neighborsOf(i int, dst []int) []int {
 	start := len(dst)
-	if e.idx == nil {
-		rc2 := e.opts.Config.Rc * e.opts.Config.Rc
-		for j := range e.pos {
-			if e.pos[i].Dist2(e.pos[j]) <= rc2 {
-				dst = append(dst, j)
-			}
-		}
-	} else {
-		dst = e.idx.Within(dst, e.pos[i], e.opts.Config.Rc)
-	}
+	dst = e.idx.Within(dst, e.pos[i], e.opts.Config.Rc)
 	out := dst[:start]
 	for _, j := range dst[start:] {
 		if j != i {

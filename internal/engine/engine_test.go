@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -136,14 +137,59 @@ func TestStageInsertionInvariant(t *testing.T) {
 	compareRuns(t, "spliced-faulty", baseFStats, customFStats, baseFBits, customFBits)
 }
 
-// TestNeighborsMatchGraph pins the engine's index-backed neighbor
-// discovery to graph.NewUnitDisk's adjacency and to the brute-force
-// predicate Dist² ≤ Rc² they both promise, below and above the graph's
-// 256-node scan-vs-index switch. Besides clustered random layouts, which
-// never land on the boundary, it runs two boundary-tie layouts: a lattice
-// at spacing exactly Rc from a non-integer origin, and well-separated
-// pairs at distance Nextafter(Rc, ±Inf) and Rc in many directions.
+// checkNeighbors pins the engine's index-backed neighbor discovery over
+// its current positions to graph.NewUnitDisk's adjacency and to the
+// brute-force predicate Dist² ≤ Rc² they both promise.
+func checkNeighbors(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	rc := e.opts.Config.Rc
+	pos := e.Pos()
+	g := graph.NewUnitDisk(pos, rc)
+	e.refreshIndex()
+	var buf, brute []int
+	for i := range pos {
+		buf = e.neighborsOf(i, buf[:0])
+		brute = brute[:0]
+		for j, q := range pos {
+			if j != i && pos[i].Dist2(q) <= rc*rc {
+				brute = append(brute, j)
+			}
+		}
+		if want := g.Neighbors(i); !slices.Equal(buf, want) {
+			t.Fatalf("%s node %d: %v via index, %v via graph", label, i, buf, want)
+		}
+		if !slices.Equal(buf, brute) {
+			t.Fatalf("%s node %d: %v via index, %v by brute force", label, i, buf, brute)
+		}
+	}
+}
+
+// namedOpts is one configuration the after-movement checks step under.
+type namedOpts struct {
+	name string
+	opts Options
+}
+
+// stepOpts returns the clean and the fault-profiled options the
+// after-movement checks step a k-node engine under for the given slots.
+func stepOpts(k, slots int) []namedOpts {
+	return []namedOpts{
+		{"clean", Options{Config: mobile.DefaultConfig()}},
+		{"profile", profiledOpts(k, slots)},
+	}
+}
+
+// TestNeighborsMatchGraph checks neighbor discovery against the unit-disk
+// graph and brute force below and above the graph's 256-node
+// scan-vs-index switch, on the initial layout and after every one of
+// several slots of movement, clean and under a fault profile — so the
+// index is checked after re-indexing moved points too. Besides clustered
+// random layouts, which never land on the boundary, it starts from two
+// boundary-tie layouts: a lattice at spacing exactly Rc from a non-integer
+// origin, and well-separated pairs at distance Nextafter(Rc, ±Inf) and Rc
+// in many directions.
 func TestNeighborsMatchGraph(t *testing.T) {
+	const slots = 4
 	rng := rand.New(rand.NewSource(21))
 	// A wide region, so New's clamp leaves the boundary layouts intact;
 	// random layouts stay clustered in the default 100 m square.
@@ -192,26 +238,25 @@ func TestNeighborsMatchGraph(t *testing.T) {
 	for _, l := range layouts {
 		for _, k := range l.ks {
 			pts := l.gen(k)
-			e, err := New(forest, pts, Options{Config: mobile.DefaultConfig()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := graph.NewUnitDisk(e.Pos(), rc)
-			e.refreshIndex()
-			var buf, brute []int
-			for i := 0; i < k; i++ {
-				buf = e.neighborsOf(i, buf[:0])
-				brute = brute[:0]
-				for j, q := range e.Pos() {
-					if j != i && e.Pos()[i].Dist2(q) <= rc*rc {
-						brute = append(brute, j)
+			for _, o := range stepOpts(len(pts), slots) {
+				e, err := New(forest, pts, o.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				moved := 0
+				for s := 0; ; s++ {
+					checkNeighbors(t, fmt.Sprintf("%s k=%d %s slot %d", l.name, k, o.name, s), e)
+					if s == slots {
+						break
 					}
+					st, err := e.Step()
+					if err != nil {
+						t.Fatalf("%s k=%d %s slot %d: %v", l.name, k, o.name, s, err)
+					}
+					moved += st.Moved
 				}
-				if want := g.Neighbors(i); !slices.Equal(buf, want) {
-					t.Fatalf("%s k=%d node %d: %v via index, %v via graph", l.name, k, i, buf, want)
-				}
-				if !slices.Equal(buf, brute) {
-					t.Fatalf("%s k=%d node %d: %v via index, %v by brute force", l.name, k, i, buf, brute)
+				if moved == 0 {
+					t.Fatalf("%s k=%d %s: no node moved", l.name, k, o.name)
 				}
 			}
 		}
@@ -219,34 +264,53 @@ func TestNeighborsMatchGraph(t *testing.T) {
 }
 
 // TestConnectedInMatchesGraph compares the engine's index-backed BFS
-// connectivity with the graph package's component count under random alive
-// masks.
+// connectivity with the graph package's under random alive masks, on the
+// initial grid layout and after every one of several slots of movement,
+// clean and under a fault profile.
 func TestConnectedInMatchesGraph(t *testing.T) {
+	const slots = 4
 	rng := rand.New(rand.NewSource(33))
-	forest := field.NewForest(field.DefaultForestConfig())
 	for _, k := range []int{50, 120, 300} {
-		e := newTestEngine(t, k, Options{})
-		g := graph.NewUnitDisk(e.Pos(), mobile.DefaultConfig().Rc)
-		for trial := 0; trial < 10; trial++ {
-			mask := make([]bool, k)
-			for i := range mask {
-				mask[i] = rng.Float64() < 0.8
+		for _, o := range stepOpts(k, slots) {
+			e := newTestEngine(t, k, o.opts)
+			moved := 0
+			for s := 0; ; s++ {
+				label := fmt.Sprintf("k=%d %s slot %d", k, o.name, s)
+				checkNeighbors(t, label, e)
+				g := graph.NewUnitDisk(e.Pos(), mobile.DefaultConfig().Rc)
+				for trial := 0; trial < 10; trial++ {
+					mask := make([]bool, k)
+					for i := range mask {
+						mask[i] = rng.Float64() < 0.8
+					}
+					v := view.Alive{Pos: e.Pos(), Mask: mask}
+					if got, want := e.ConnectedIn(v), g.ConnectedIn(v); got != want {
+						t.Fatalf("%s trial %d: engine connected=%v, graph=%v", label, trial, got, want)
+					}
+				}
+				zero := view.Alive{}
+				if got, want := e.ConnectedIn(zero), g.ConnectedIn(zero); got != want {
+					t.Fatalf("%s all-alive: engine connected=%v, graph=%v", label, got, want)
+				}
+				if s == slots {
+					break
+				}
+				st, err := e.Step()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				moved += st.Moved
 			}
-			v := view.Alive{Pos: e.Pos(), Mask: mask}
-			if got, want := e.ConnectedIn(v), g.ConnectedIn(v); got != want {
-				t.Fatalf("k=%d trial %d: engine connected=%v, graph=%v", k, trial, got, want)
+			if moved == 0 {
+				t.Fatalf("k=%d %s: no node moved", k, o.name)
 			}
 		}
-		zero := view.Alive{}
-		if got, want := e.ConnectedIn(zero), g.ConnectedIn(zero); got != want {
-			t.Fatalf("k=%d all-alive: engine connected=%v, graph=%v", k, got, want)
-		}
-		_ = forest
 	}
 }
 
-// BenchmarkNeighborDiscoveryIndex measures per-step neighbor enumeration
-// through the engine's cached spatial index at n=2000.
+// BenchmarkNeighborDiscoveryIndex measures per-slot neighbor discovery
+// through the engine's spatial index at n=2000: one in-place re-index,
+// then every node's list.
 func BenchmarkNeighborDiscoveryIndex(b *testing.B) {
 	const n = 2000
 	forest := field.NewForest(field.DefaultForestConfig())
@@ -257,10 +321,8 @@ func BenchmarkNeighborDiscoveryIndex(b *testing.B) {
 	b.ResetTimer()
 	var buf []int
 	for i := 0; i < b.N; i++ {
-		// Force the full rebuild the old path paid every step; with the
-		// incremental index a stale idxEpoch alone would be a no-op walk
-		// over unmoved points.
-		e.idx = nil
+		// Stale the index epoch so every iteration pays the per-slot
+		// re-index a moving swarm pays.
 		e.idxEpoch = e.epoch - 1
 		e.refreshIndex()
 		total := 0

@@ -114,7 +114,7 @@ func (ExchangeStage) Run(e *Engine, s *Slot) error {
 		if !s.Alive.Up(i) {
 			return nil
 		}
-		// Fresh deliveries: the cached neighbor list is ascending, so the
+		// Fresh deliveries: the neighbor list is ascending, so the
 		// received reports arrive — and stay — sorted by ID with no
 		// explicit sort. DropLink must be consulted in exactly this order
 		// (ascending j within ascending i): it advances shared channel

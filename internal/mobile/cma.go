@@ -100,16 +100,18 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable: Rc, Rs and
+// MaxStep must be positive and finite, Beta non-negative and finite. The
+// comparisons are written so that NaN fails them.
 func (c Config) Validate() error {
 	switch {
-	case c.Rc <= 0:
+	case !(c.Rc > 0) || math.IsInf(c.Rc, 1):
 		return fmt.Errorf("%w: Rc=%v", ErrBadConfig, c.Rc)
-	case c.Rs <= 0:
+	case !(c.Rs > 0) || math.IsInf(c.Rs, 1):
 		return fmt.Errorf("%w: Rs=%v", ErrBadConfig, c.Rs)
-	case c.MaxStep <= 0:
+	case !(c.MaxStep > 0) || math.IsInf(c.MaxStep, 1):
 		return fmt.Errorf("%w: MaxStep=%v", ErrBadConfig, c.MaxStep)
-	case c.Beta < 0:
+	case !(c.Beta >= 0) || math.IsInf(c.Beta, 1):
 		return fmt.Errorf("%w: Beta=%v", ErrBadConfig, c.Beta)
 	case c.Region.Area() <= 0:
 		return fmt.Errorf("%w: empty region", ErrBadConfig)

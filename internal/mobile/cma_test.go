@@ -26,6 +26,17 @@ func TestConfigValidate(t *testing.T) {
 		{"beta-negative", func(c *Config) { c.Beta = -1 }, false},
 		{"beta-zero-ok", func(c *Config) { c.Beta = 0 }, true},
 		{"region", func(c *Config) { c.Region = geom.Rect{} }, false},
+		{"rc-nan", func(c *Config) { c.Rc = math.NaN() }, false},
+		{"rc-inf", func(c *Config) { c.Rc = math.Inf(1) }, false},
+		{"rc-neg-inf", func(c *Config) { c.Rc = math.Inf(-1) }, false},
+		{"rs-nan", func(c *Config) { c.Rs = math.NaN() }, false},
+		{"rs-inf", func(c *Config) { c.Rs = math.Inf(1) }, false},
+		{"rs-neg-inf", func(c *Config) { c.Rs = math.Inf(-1) }, false},
+		{"maxstep-nan", func(c *Config) { c.MaxStep = math.NaN() }, false},
+		{"maxstep-inf", func(c *Config) { c.MaxStep = math.Inf(1) }, false},
+		{"maxstep-neg-inf", func(c *Config) { c.MaxStep = math.Inf(-1) }, false},
+		{"beta-nan", func(c *Config) { c.Beta = math.NaN() }, false},
+		{"beta-inf", func(c *Config) { c.Beta = math.Inf(1) }, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

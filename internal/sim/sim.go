@@ -30,7 +30,8 @@ import (
 // ErrNoNodes is returned when a world is created without nodes.
 var ErrNoNodes = errors.New("sim: no nodes")
 
-// Options configures a world.
+// Options configures a world. Neighbor discovery has no options: the
+// engine finds every node's single-hop neighbors afresh each slot.
 type Options struct {
 	// Config is the per-node CMA configuration.
 	Config mobile.Config
@@ -63,13 +64,6 @@ type Options struct {
 	// from internal/strategy plug their per-node controllers in here; the
 	// nil default is bit-identical to the pre-interface world.
 	NewController mobile.ControllerFactory
-	// NeighborReuseTol is the engine's neighbor-list reuse displacement
-	// tolerance in meters. The zero default keeps cached lists exact — a
-	// list is reused only when reusing it is bit-identical to recomputing
-	// it. A positive tolerance lets lists survive sub-tolerance drift,
-	// trading exact neighborhoods for fewer index queries in large slow
-	// swarms; keep it well under Config.Rc.
-	NeighborReuseTol float64
 }
 
 // DefaultOptions returns the paper's Section 6 OSTD settings.
@@ -149,8 +143,6 @@ func NewWorld(dyn field.DynField, positions []geom.Vec2, opts Options) (*World, 
 		BeforeMove:    w.beforeMove,
 		Metrics:       opts.Metrics,
 		NewController: opts.NewController,
-
-		NeighborReuseTol: opts.NeighborReuseTol,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)

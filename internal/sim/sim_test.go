@@ -7,7 +7,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/geom"
 	"repro/internal/mobile"
-	"repro/internal/obs"
 )
 
 func forestWorld(t *testing.T, k int) *World {
@@ -257,42 +256,5 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 	if diff := perNode - total; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("per-node sum %v != total %v", perNode, total)
-	}
-}
-
-// TestNeighborReuseTolPassThrough proves Options.NeighborReuseTol reaches
-// the engine: at an effectively infinite tolerance the engine's
-// neighbor-list reuse counter climbs across a moving run, while the
-// default exact mode on the same swarm recomputes instead.
-func TestNeighborReuseTolPassThrough(t *testing.T) {
-	const k, slots = 120, 5
-	run := func(tol float64) map[string]int64 {
-		forest := field.NewForest(field.DefaultForestConfig())
-		reg := obs.NewRegistry()
-		opts := DefaultOptions()
-		opts.Metrics = reg
-		opts.NeighborReuseTol = tol
-		w, err := NewWorld(forest, field.GridLayout(forest.Bounds(), k), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < slots; s++ {
-			if _, err := w.Step(); err != nil {
-				t.Fatalf("tol=%v slot %d: %v", tol, s, err)
-			}
-		}
-		return reg.Snapshot().Counters
-	}
-	relaxed := run(1e9)
-	if got := relaxed["engine_neighbor_lists_reused_total"]; got < int64(k) {
-		t.Errorf("relaxed reuse counter = %d, want ≥ %d", got, k)
-	}
-	exact := run(0)
-	if got := exact["engine_neighbor_lists_recomputed_total"]; got < int64(k) {
-		t.Errorf("exact recompute counter = %d, want ≥ %d", got, k)
-	}
-	if relaxed["engine_neighbor_lists_reused_total"] <= exact["engine_neighbor_lists_reused_total"] {
-		t.Errorf("relaxed run reused %d lists, exact run %d — tolerance had no effect",
-			relaxed["engine_neighbor_lists_reused_total"], exact["engine_neighbor_lists_reused_total"])
 	}
 }

@@ -114,17 +114,17 @@ func TestAllPointsCoincident(t *testing.T) {
 			t.Fatalf("within order: got[%d] = %d, want ascending identity", i, v)
 		}
 	}
-	count := 0
-	seen := map[[2]int]bool{}
-	idx.Pairs(0, func(i, j int) {
-		if seen[[2]int{i, j}] {
-			t.Fatalf("pair (%d,%d) reported twice", i, j)
+	// A bucket lists its points in ascending order, so the single bucket's
+	// pairs arrive in lexicographic order, each once.
+	var seq [][2]int
+	idx.Pairs(0, func(i, j int) { seq = append(seq, [2]int{i, j}) })
+	if want := n * (n - 1) / 2; len(seq) != want {
+		t.Fatalf("pairs over coincident set = %d, want %d", len(seq), want)
+	}
+	for k := 1; k < len(seq); k++ {
+		if a, b := seq[k-1], seq[k]; a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
+			t.Fatalf("pairs out of lexicographic order: %v then %v", a, b)
 		}
-		seen[[2]int{i, j}] = true
-		count++
-	})
-	if want := n * (n - 1) / 2; count != want {
-		t.Fatalf("pairs over coincident set = %d, want %d", count, want)
 	}
 	// A distant query sees nothing at small radius and everything at a
 	// covering one.
@@ -133,9 +133,6 @@ func TestAllPointsCoincident(t *testing.T) {
 	}
 	if out := idx.Within(nil, geom.V2(100, 100), 200); len(out) != n {
 		t.Fatalf("covering within found %d of %d", len(out), n)
-	}
-	if best := idx.Nearest(geom.V2(100, 100)); best < 0 || best >= n {
-		t.Fatalf("nearest over coincident set = %d", best)
 	}
 }
 

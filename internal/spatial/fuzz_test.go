@@ -3,6 +3,7 @@ package spatial
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -14,7 +15,8 @@ import (
 // (ascending, duplicates-free), and Pairs must enumerate exactly the
 // unordered pairs at distance ≤ r. Both comparisons use the same dist² ≤ r²
 // expression as the implementation so boundary points cannot diverge on
-// floating-point grounds.
+// floating-point grounds. The same index is then Reset onto a second point
+// set and must match a freshly built one exactly.
 func FuzzSpatialIndex(f *testing.F) {
 	mk := func(vs ...float64) []byte {
 		b := make([]byte, 0, 8*len(vs))
@@ -97,120 +99,51 @@ func FuzzSpatialIndex(f *testing.F) {
 		if len(gotPairs) != 0 {
 			t.Fatalf("Pairs(r=%v): emitted out-of-range indices: %v", r, gotPairs)
 		}
-	})
-}
 
-// FuzzIndexIncremental checks the move-aware update path against a full
-// rebuild: starting from an arbitrary point set, a sequence of Update
-// moves — including ones that escape the frozen grid bounds — must leave
-// the index answering Within and Pairs exactly like an index freshly built
-// over the moved points, with consistent bucket membership and escape
-// accounting throughout.
-func FuzzIndexIncremental(f *testing.F) {
-	mk := func(vs ...float64) []byte {
-		b := make([]byte, 0, 8*len(vs))
-		for _, v := range vs {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-		return b
-	}
-	// cell, query x/y, radius, points…, then implicit moves derived below.
-	f.Add(mk(10, 50, 50, 25, 0, 0, 100, 100, 50, 50, 50.1, 49.9))
-	f.Add(mk(1, 0, 0, 2, 0, 0, 1, 1, 2, 2))
-	f.Add(mk(5, 10, 10, 12, 3, 4, 18, 2, 9, 9, 0, 17))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		vals := decodeFloats(data, 1e6)
-		if len(vals) < 6 {
-			return
-		}
-		cell := 1 + math.Mod(math.Abs(vals[0]), 49)
-		q := geom.V2(math.Mod(vals[1], 200), math.Mod(vals[2], 200))
-		r := math.Mod(math.Abs(vals[3]), 250)
-		vals = vals[4:]
-		pts := make([]geom.Vec2, 0, len(vals)/2)
-		for i := 0; i+1 < len(vals) && len(pts) < 64; i += 2 {
-			pts = append(pts, geom.V2(math.Mod(vals[i], 200), math.Mod(vals[i+1], 200)))
-		}
-		if len(pts) == 0 {
-			return
-		}
-
-		idx, err := NewIndex(pts, cell)
+		// Reset onto a second point set of a different size must answer
+		// exactly like a fresh index over that set: the same Within result
+		// and the same Pairs callback sequence.
+		pts2 := tailPoints(vals, len(pts))
+		idx.Reset(pts2)
+		fresh, err := NewIndex(pts2, cell)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Three rounds of moves: derive displacements from the same float
-		// pool so escapes past the frozen bounds occur naturally.
-		moved := append([]geom.Vec2(nil), pts...)
-		for round := 0; round < 3; round++ {
-			for i := range moved {
-				v := vals[(round*2*len(moved)+2*i)%len(vals)]
-				w := vals[(round*2*len(moved)+2*i+1)%len(vals)]
-				moved[i] = moved[i].Add(geom.V2(math.Mod(v, 60), math.Mod(w, 60)))
-				idx.Update(i, moved[i])
-				if got := idx.Point(i); got != moved[i] {
-					t.Fatalf("round %d: Point(%d) = %v after Update to %v", round, i, got, moved[i])
-				}
-			}
-
-			fresh, err := NewIndex(moved, cell)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The rebuilt index re-anchors its grid to the moved bounding
-			// box; the incremental one keeps the original frame. Both must
-			// produce the identical (sorted) Within answer and Pairs set.
-			got := idx.Within(nil, q, r)
-			want := fresh.Within(nil, q, r)
-			if len(got) != len(want) {
-				t.Fatalf("round %d: Within: incremental %v, rebuild %v", round, got, want)
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("round %d: Within: incremental %v, rebuild %v", round, got, want)
-				}
-			}
-			type pair [2]int
-			gotPairs := map[pair]bool{}
-			idx.Pairs(r, func(i, j int) { gotPairs[pair{i, j}] = true })
-			wantPairs := map[pair]bool{}
-			fresh.Pairs(r, func(i, j int) { wantPairs[pair{i, j}] = true })
-			if len(gotPairs) != len(wantPairs) {
-				t.Fatalf("round %d: Pairs: %d edges incremental, %d rebuild", round, len(gotPairs), len(wantPairs))
-			}
-			for p := range wantPairs {
-				if !gotPairs[p] {
-					t.Fatalf("round %d: Pairs: missing edge %v", round, p)
-				}
-			}
-
-			// Escape accounting matches a direct scan, and every point is in
-			// exactly the bucket its (clamped) cell says.
-			wantEscaped := 0
-			for _, p := range moved {
-				if idx.outside(p) {
-					wantEscaped++
-				}
-			}
-			if idx.Escaped() != wantEscaped {
-				t.Fatalf("round %d: Escaped() = %d, want %d", round, idx.Escaped(), wantEscaped)
-			}
-			for i, p := range moved {
-				c := idx.cellOf(p)
-				found := false
-				for _, v := range idx.buckets[c] {
-					if int(v) == i {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("round %d: point %d missing from its bucket", round, i)
-				}
-			}
+		if got, want := idx.Within(nil, q, r), fresh.Within(nil, q, r); !slices.Equal(got, want) {
+			t.Fatalf("Within after Reset(%d pts): got %v, fresh %v (cell=%v)", len(pts2), got, want, cell)
+		}
+		if got, want := pairSeq(idx, r), pairSeq(fresh, r); !slices.Equal(got, want) {
+			t.Fatalf("Pairs after Reset(%d pts): got %v, fresh %v (cell=%v)", len(pts2), got, want, cell)
 		}
 	})
+}
+
+// pairSeq returns the exact sequence of Pairs(r) callbacks.
+func pairSeq(idx *Index, r float64) [][2]int {
+	var seq [][2]int
+	idx.Pairs(r, func(i, j int) { seq = append(seq, [2]int{i, j}) })
+	return seq
+}
+
+// tailPoints builds a second point set from the fuzz input's tail, read
+// backwards and cycled: n+1 ... 2n+1 points for small first sets, a third
+// as many for large ones, so Reset onto it both grows and shrinks the
+// index across inputs.
+func tailPoints(vals []float64, n int) []geom.Vec2 {
+	if len(vals) == 0 {
+		return nil
+	}
+	m := 2*n + 1
+	if n >= 32 {
+		m = n / 3
+	}
+	pts := make([]geom.Vec2, m)
+	for k := range pts {
+		x := vals[len(vals)-1-(2*k)%len(vals)]
+		y := vals[len(vals)-1-(2*k+1)%len(vals)]
+		pts[k] = geom.V2(math.Mod(x, 200), math.Mod(y, 200))
+	}
+	return pts
 }
 
 // decodeFloats splits data into 8-byte little-endian float64s, dropping

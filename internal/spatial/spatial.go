@@ -10,142 +10,81 @@ package spatial
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
 
 // Index is a uniform-grid spatial hash over a point set. Build one with
-// NewIndex; it is safe for concurrent reads. Update mutates a single
-// point's position in place (not concurrently with reads), keeping the
-// grid geometry — origin, cell size, dimensions — frozen at its build-time
-// bounding box: moved points that leave the original bounds are clamped
-// into the border cells, which keeps every query exact (queries clamp
-// identically) but degrades bucket balance as escapees pile up. Escaped
-// tracks that degradation so callers can fall back to a full rebuild.
+// NewIndex and re-point it at a new point set with Reset; it is safe for
+// concurrent reads, but Reset must not run concurrently with them.
+//
+// The buckets are stored as CSR arrays: bucket c lists the indices
+// order[start[c]:start[c+1]], in ascending point order.
 type Index struct {
-	pts      []geom.Vec2
-	cell     float64
-	minX     float64
-	minY     float64
-	cols     int
-	rows     int
-	buckets  [][]int32
-	numEmpty int
-	escaped  int
+	pts   []geom.Vec2
+	cell  float64
+	minX  float64
+	minY  float64
+	cols  int
+	rows  int
+	start []int32
+	order []int32
 }
 
 // NewIndex builds an index over pts with the given cell size (typically
-// the dominant query radius). cellSize must be positive.
+// the dominant query radius). cellSize must be positive and finite.
 func NewIndex(pts []geom.Vec2, cellSize float64) (*Index, error) {
 	if cellSize <= 0 || math.IsNaN(cellSize) || math.IsInf(cellSize, 0) {
 		return nil, fmt.Errorf("spatial: invalid cell size %v", cellSize)
 	}
-	idx := &Index{
-		pts:  append([]geom.Vec2(nil), pts...),
-		cell: cellSize,
-		cols: 1,
-		rows: 1,
-	}
-	if len(pts) > 0 {
-		bb, _ := geom.BoundingBox(pts)
-		idx.minX, idx.minY = bb.Min.X, bb.Min.Y
-		idx.cols = int(bb.Width()/cellSize) + 1
-		idx.rows = int(bb.Height()/cellSize) + 1
-	}
-	idx.buckets = make([][]int32, idx.cols*idx.rows)
-	for i, p := range idx.pts {
-		c := idx.cellOf(p)
-		idx.buckets[c] = append(idx.buckets[c], int32(i))
-	}
-	for _, b := range idx.buckets {
-		if len(b) == 0 {
-			idx.numEmpty++
-		}
-	}
+	idx := &Index{cell: cellSize}
+	idx.Reset(pts)
 	return idx, nil
 }
 
-// N returns the number of indexed points.
-func (x *Index) N() int { return len(x.pts) }
+// Reset re-indexes the index over pts (copied) at its cell size, with the
+// grid anchored at the new bounding box. It reuses the index's storage and
+// allocates only when the point count or the cell count outgrows every
+// earlier one. The result answers every query exactly like NewIndex(pts).
+func (x *Index) Reset(pts []geom.Vec2) {
+	x.pts = append(x.pts[:0], pts...)
+	x.minX, x.minY, x.cols, x.rows = 0, 0, 1, 1
+	if len(pts) > 0 {
+		bb, _ := geom.BoundingBox(pts)
+		x.minX, x.minY = bb.Min.X, bb.Min.Y
+		x.cols = int(bb.Width()/x.cell) + 1
+		x.rows = int(bb.Height()/x.cell) + 1
+	}
+	cells := x.cols * x.rows
+	x.start = slices.Grow(x.start[:0], cells+1)[:cells+1]
+	x.order = slices.Grow(x.order[:0], len(pts))[:len(pts)]
+	// Counting sort: count each bucket into start[c+1], prefix-sum into
+	// bucket starts, then place the points in ascending order, advancing
+	// start[c] to the end of bucket c, and shift the ends back by one.
+	clear(x.start)
+	for _, p := range x.pts {
+		x.start[x.cellOf(p)+1]++
+	}
+	for c := 1; c <= cells; c++ {
+		x.start[c] += x.start[c-1]
+	}
+	for i, p := range x.pts {
+		c := x.cellOf(p)
+		x.order[x.start[c]] = int32(i)
+		x.start[c]++
+	}
+	copy(x.start[1:], x.start[:cells])
+	x.start[0] = 0
+}
 
-// Point returns indexed point i.
-func (x *Index) Point(i int) geom.Vec2 { return x.pts[i] }
+// bucket returns the indices of the points in cell c, ascending.
+func (x *Index) bucket(c int) []int32 { return x.order[x.start[c]:x.start[c+1]] }
 
 func (x *Index) cellOf(p geom.Vec2) int {
 	ci := clampInt(int((p.X-x.minX)/x.cell), 0, x.cols-1)
 	cj := clampInt(int((p.Y-x.minY)/x.cell), 0, x.rows-1)
 	return cj*x.cols + ci
-}
-
-// outside reports whether p falls outside the frozen grid (it will be
-// clamped into a border cell). Used only as a rebuild heuristic.
-func (x *Index) outside(p geom.Vec2) bool {
-	ci := int((p.X - x.minX) / x.cell)
-	cj := int((p.Y - x.minY) / x.cell)
-	return ci < 0 || ci >= x.cols || cj < 0 || cj >= x.rows || p.X < x.minX || p.Y < x.minY
-}
-
-// Update moves indexed point i to p, relocating it between buckets only
-// when its cell changed, and reports whether it did. The bucket removal is
-// a swap-remove, so bucket-internal order is unspecified — Within results
-// are unaffected (they are sorted) and Pairs still enumerates the exact
-// edge set, though in a different order than a freshly built index.
-func (x *Index) Update(i int, p geom.Vec2) bool {
-	old := x.pts[i]
-	if x.outside(old) {
-		x.escaped--
-	}
-	if x.outside(p) {
-		x.escaped++
-	}
-	oldCell := x.cellOf(old)
-	newCell := x.cellOf(p)
-	x.pts[i] = p
-	if oldCell == newCell {
-		return false
-	}
-	b := x.buckets[oldCell]
-	for k, v := range b {
-		if v == int32(i) {
-			b[k] = b[len(b)-1]
-			x.buckets[oldCell] = b[:len(b)-1]
-			break
-		}
-	}
-	if len(x.buckets[oldCell]) == 0 {
-		x.numEmpty++
-	}
-	if len(x.buckets[newCell]) == 0 {
-		x.numEmpty--
-	}
-	x.buckets[newCell] = append(x.buckets[newCell], int32(i))
-	return true
-}
-
-// Escaped returns how many points currently sit outside the frozen grid
-// bounds (clamped into border cells). A caller-chosen fraction of N is the
-// usual full-rebuild trigger.
-func (x *Index) Escaped() int { return x.escaped }
-
-// Cell returns the clamped grid coordinates of the cell holding p.
-func (x *Index) Cell(p geom.Vec2) (ci, cj int) {
-	ci = clampInt(int((p.X-x.minX)/x.cell), 0, x.cols-1)
-	cj = clampInt(int((p.Y-x.minY)/x.cell), 0, x.rows-1)
-	return ci, cj
-}
-
-// Dims returns the grid dimensions (columns, rows).
-func (x *Index) Dims() (cols, rows int) { return x.cols, x.rows }
-
-// QueryRange returns the clamped cell-coordinate rectangle Within(q, r)
-// scans. Callers caching query results use it to detect whether a later
-// point move could have changed the result.
-func (x *Index) QueryRange(q geom.Vec2, r float64) (loI, hiI, loJ, hiJ int) {
-	loI = clampInt(int((q.X-r-x.minX)/x.cell), 0, x.cols-1)
-	hiI = clampInt(int((q.X+r-x.minX)/x.cell), 0, x.cols-1)
-	loJ = clampInt(int((q.Y-r-x.minY)/x.cell), 0, x.rows-1)
-	hiJ = clampInt(int((q.Y+r-x.minY)/x.cell), 0, x.rows-1)
-	return loI, hiI, loJ, hiJ
 }
 
 // Within appends to dst the indices of all points within radius r of q
@@ -163,7 +102,7 @@ func (x *Index) Within(dst []int, q geom.Vec2, r float64) []int {
 	start := len(dst)
 	for cj := loJ; cj <= hiJ; cj++ {
 		for ci := loI; ci <= hiI; ci++ {
-			for _, i := range x.buckets[cj*x.cols+ci] {
+			for _, i := range x.bucket(cj*x.cols + ci) {
 				if x.pts[i].Dist2(q) <= r2 {
 					dst = append(dst, int(i))
 				}
@@ -184,7 +123,7 @@ func (x *Index) Pairs(r float64, fn func(i, j int)) {
 	span := int(r/x.cell) + 1
 	for cj := 0; cj < x.rows; cj++ {
 		for ci := 0; ci < x.cols; ci++ {
-			home := x.buckets[cj*x.cols+ci]
+			home := x.bucket(cj*x.cols + ci)
 			if len(home) == 0 {
 				continue
 			}
@@ -209,7 +148,7 @@ func (x *Index) Pairs(r float64, fn func(i, j int)) {
 					if ni < 0 || ni >= x.cols || nj >= x.rows {
 						continue
 					}
-					other := x.buckets[nj*x.cols+ni]
+					other := x.bucket(nj*x.cols + ni)
 					for _, a := range home {
 						for _, b := range other {
 							i, j := int(a), int(b)
@@ -222,38 +161,6 @@ func (x *Index) Pairs(r float64, fn func(i, j int)) {
 			}
 		}
 	}
-}
-
-// Nearest returns the index of the point nearest to q, or -1 for an empty
-// index. It expands the search ring until a candidate is found.
-func (x *Index) Nearest(q geom.Vec2) int {
-	if len(x.pts) == 0 {
-		return -1
-	}
-	// Ring search: try increasing radii; fall back to a full scan for the
-	// pathological case of a far-away query.
-	r := x.cell
-	maxDim := float64(max(x.cols, x.rows)) * x.cell
-	var buf []int
-	for ; r <= 2*maxDim; r *= 2 {
-		buf = x.Within(buf[:0], q, r)
-		if len(buf) > 0 {
-			best := buf[0]
-			for _, i := range buf[1:] {
-				if x.pts[i].Dist2(q) < x.pts[best].Dist2(q) {
-					best = i
-				}
-			}
-			return best
-		}
-	}
-	best := 0
-	for i := 1; i < len(x.pts); i++ {
-		if x.pts[i].Dist2(q) < x.pts[best].Dist2(q) {
-			best = i
-		}
-	}
-	return best
 }
 
 func insertionSortInts(a []int) {

@@ -40,14 +40,8 @@ func TestEmptyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.N() != 0 {
-		t.Errorf("N = %d", idx.N())
-	}
 	if got := idx.Within(nil, geom.V2(0, 0), 5); len(got) != 0 {
 		t.Errorf("Within = %v", got)
-	}
-	if got := idx.Nearest(geom.V2(0, 0)); got != -1 {
-		t.Errorf("Nearest = %d, want -1", got)
 	}
 	idx.Pairs(5, func(i, j int) { t.Error("pair on empty index") })
 }
@@ -147,40 +141,6 @@ func TestPairsCellSmallerThanRadius(t *testing.T) {
 	}
 }
 
-func TestNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	pts := randPts(rng, 150, 100)
-	idx, err := NewIndex(pts, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 200; q++ {
-		query := geom.V2(rng.Float64()*140-20, rng.Float64()*140-20)
-		got := idx.Nearest(query)
-		best := 0
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Dist2(query) < pts[best].Dist2(query) {
-				best = i
-			}
-		}
-		if pts[got].Dist2(query) != pts[best].Dist2(query) {
-			t.Fatalf("Nearest(%v) = %d (%v), want %d (%v)",
-				query, got, pts[got], best, pts[best])
-		}
-	}
-}
-
-func TestNearestFarQuery(t *testing.T) {
-	pts := []geom.Vec2{geom.V2(0, 0), geom.V2(1, 1)}
-	idx, err := NewIndex(pts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.Nearest(geom.V2(1e6, 1e6)); got != 1 {
-		t.Errorf("far Nearest = %d, want 1", got)
-	}
-}
-
 func TestWithinProperty(t *testing.T) {
 	// Every reported index is within r; count matches brute force.
 	f := func(seed int64, rRaw float64) bool {
@@ -211,18 +171,45 @@ func TestWithinProperty(t *testing.T) {
 	}
 }
 
+// TestPointAccessor checks that queries read the index's own copy of the
+// points: NewIndex and Reset copy their input, so later writes to the
+// caller's slice move no indexed point.
 func TestPointAccessor(t *testing.T) {
 	pts := []geom.Vec2{geom.V2(3, 4)}
 	idx, err := NewIndex(pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Point(0) != geom.V2(3, 4) {
-		t.Errorf("Point = %v", idx.Point(0))
-	}
-	// The index copies its input.
 	pts[0] = geom.V2(-1, -1)
-	if idx.Point(0) != geom.V2(3, 4) {
-		t.Error("index shares caller storage")
+	if got := idx.Within(nil, geom.V2(3, 4), 0); len(got) != 1 {
+		t.Errorf("NewIndex shares caller storage: Within = %v", got)
+	}
+	idx.Reset(pts)
+	pts[0] = geom.V2(3, 4)
+	if got := idx.Within(nil, geom.V2(-1, -1), 0); len(got) != 1 {
+		t.Errorf("Reset shares caller storage: Within = %v", got)
+	}
+}
+
+// TestResetAllocFree checks that re-indexing a same-size point set reuses
+// the index's storage: a moving swarm re-indexes every slot for free.
+func TestResetAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b := randPts(rng, 200, 100), randPts(rng, 200, 140)
+	idx, err := NewIndex(a, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Reset(b) // grow to the larger of the two grids once
+	flip := false
+	allocs := testing.AllocsPerRun(100, func() {
+		if flip = !flip; flip {
+			idx.Reset(a)
+		} else {
+			idx.Reset(b)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reset allocates %v times per run, want 0", allocs)
 	}
 }
