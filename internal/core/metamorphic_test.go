@@ -37,7 +37,7 @@ func translate(f field.Field, t geom.Vec2) field.Field {
 	r := f.Bounds()
 	return field.Func{
 		F:      func(p geom.Vec2) float64 { return f.Eval(geom.V2(p.X-t.X, p.Y-t.Y)) },
-		Region: geom.NewRect(geom.V2(r.Min.X+t.X, r.Min.Y+t.Y), geom.V2(r.Max.X+t.X, r.Max.Y+t.Y)),
+		Region: geom.Rect{Min: geom.V2(r.Min.X+t.X, r.Min.Y+t.Y), Max: geom.V2(r.Max.X+t.X, r.Max.Y+t.Y)},
 	}
 }
 
@@ -47,7 +47,7 @@ func scale(f field.Field, s float64) field.Field {
 	r := f.Bounds()
 	return field.Func{
 		F:      func(p geom.Vec2) float64 { return f.Eval(geom.V2(p.X/s, p.Y/s)) },
-		Region: geom.NewRect(geom.V2(r.Min.X*s, r.Min.Y*s), geom.V2(r.Max.X*s, r.Max.Y*s)),
+		Region: geom.Rect{Min: geom.V2(r.Min.X*s, r.Min.Y*s), Max: geom.V2(r.Max.X*s, r.Max.Y*s)},
 	}
 }
 

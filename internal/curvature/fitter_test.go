@@ -69,13 +69,14 @@ func refFit(origin geom.Vec2, samples []field.Sample, method Method) (Estimate, 
 	}
 	var coef []float64
 	var err error
+	var w linalg.LSQ
 	switch method {
 	case Normal:
 		coef, err = linalg.LeastSquaresNormal(quadA, quadB)
 	case Huber:
-		coef, err = linalg.LeastSquaresHuber(quadA, quadB, 0, 0)
+		coef, err = w.SolveHuber(quadA, quadB, 0, 0)
 	default:
-		coef, err = linalg.LeastSquares(quadA, quadB)
+		coef, err = w.Solve(quadA, quadB)
 	}
 	if err != nil {
 		return Estimate{Samples: n}, nil

@@ -69,7 +69,7 @@ type Triangulation struct {
 	// last is the triangle index where the previous walk ended — a shared
 	// warm-start hint for the remembering walk. It is accessed atomically so
 	// that read-only queries (Find, NearestVertex, interpolation) are safe
-	// from multiple goroutines; Insert still requires exclusive access.
+	// from multiple goroutines; InsertDirty still requires exclusive access.
 	last atomic.Int64
 }
 
@@ -100,19 +100,11 @@ func New(bounds geom.Rect) *Triangulation {
 // NumVertices returns the number of real (caller-inserted) vertices.
 func (t *Triangulation) NumVertices() int { return len(t.pts) - nSuper }
 
-// Point returns the coordinates of vertex id (as returned by Insert).
+// Point returns the coordinates of vertex id (as returned by InsertDirty).
 func (t *Triangulation) Point(id int) geom.Vec2 { return t.pts[id] }
 
 // Bounds returns the construction rectangle.
 func (t *Triangulation) Bounds() geom.Rect { return t.bounds }
-
-// Insert adds p and returns its vertex ID. Re-inserting an existing point
-// returns a *DuplicateError (errors.Is(err, ErrDuplicate)) carrying the
-// prior ID.
-func (t *Triangulation) Insert(p geom.Vec2) (int, error) {
-	id, _, err := t.InsertDirty(p)
-	return id, err
-}
 
 // Dirty describes the region invalidated by one insertion: every point
 // whose covering triangle changed lies inside Region (the bounding box of
@@ -125,9 +117,11 @@ type Dirty struct {
 	Hull   bool
 }
 
-// InsertDirty is Insert plus a report of the dirty region the insertion
-// invalidated, enabling incremental re-evaluation of derived state (FRA's
-// local-error lattice) in O(|cavity|) instead of O(domain). A failed or
+// InsertDirty adds p, returns its vertex ID and reports the dirty region
+// the insertion invalidated, enabling incremental re-evaluation of derived
+// state (FRA's local-error lattice) in O(|cavity|) instead of O(domain).
+// Re-inserting an existing point returns a *DuplicateError
+// (errors.Is(err, ErrDuplicate)) carrying the prior ID. A failed or
 // duplicate insertion returns a zero Dirty: nothing changed.
 func (t *Triangulation) InsertDirty(p geom.Vec2) (int, Dirty, error) {
 	if !p.IsFinite() || !t.bounds.Contains(p) {
@@ -339,7 +333,7 @@ func (t *Triangulation) locate(p geom.Vec2) (int, error) {
 // walkFrom is the walk behind locate, starting from the given cursor hint
 // (revalidated; any value is acceptable). It reads but never writes the
 // triangulation, so any number of goroutines may walk concurrently as long
-// as no Insert runs at the same time.
+// as no InsertDirty runs at the same time.
 func (t *Triangulation) walkFrom(cur int, p geom.Vec2) (int, error) {
 	if cur < 0 || cur >= len(t.tris) || !t.tris[cur].alive {
 		cur = t.anyAlive()
@@ -454,8 +448,8 @@ func (t *Triangulation) realTriangleAt(ti int, p geom.Vec2) (v [3]int, ok bool) 
 // Each Locator owns an independent warm-start hint, so any number of
 // goroutines may query the same (quiescent) Triangulation concurrently,
 // one Locator per goroutine, without contending on the shared cursor.
-// A Locator stays valid across Inserts (the hint is revalidated on every
-// query), but queries must not run concurrently with an Insert.
+// A Locator stays valid across insertions (the hint is revalidated on
+// every query), but queries must not run concurrently with an insertion.
 type Locator struct {
 	t    *Triangulation
 	last int
@@ -496,52 +490,4 @@ func (t *Triangulation) VertexIDs() []int {
 		out = append(out, id)
 	}
 	return out
-}
-
-// checkInvariants validates structural invariants (adjacency symmetry,
-// counter-clockwise orientation and the empty-circumcircle property) and
-// returns the first violation found. Exposed to tests via export_test.go.
-func (t *Triangulation) checkInvariants() error {
-	for i := range t.tris {
-		tr := &t.tris[i]
-		if !tr.alive {
-			continue
-		}
-		a, b, c := t.pts[tr.v[0]], t.pts[tr.v[1]], t.pts[tr.v[2]]
-		if geom.Orient2D(a, b, c) != geom.CounterClockwise {
-			return fmt.Errorf("triangle %d not CCW", i)
-		}
-		for e := 0; e < 3; e++ {
-			nb := tr.adj[e]
-			if nb < 0 {
-				continue
-			}
-			if !t.tris[nb].alive {
-				return fmt.Errorf("triangle %d adjacent to dead %d", i, nb)
-			}
-			if !t.mutualAdjacent(i, nb) {
-				return fmt.Errorf("adjacency %d->%d not mutual", i, nb)
-			}
-		}
-		// Empty circumcircle against every real vertex (O(n²) — tests
-		// only), under the same symbolic semantics as the construction.
-		for id := nSuper; id < len(t.pts); id++ {
-			if id == tr.v[0] || id == tr.v[1] || id == tr.v[2] {
-				continue
-			}
-			if t.circumContains(i, t.pts[id]) {
-				return fmt.Errorf("vertex %d violates empty circumcircle of triangle %d", id, i)
-			}
-		}
-	}
-	return nil
-}
-
-func (t *Triangulation) mutualAdjacent(i, j int) bool {
-	for _, a := range t.tris[j].adj {
-		if a == i {
-			return true
-		}
-	}
-	return false
 }

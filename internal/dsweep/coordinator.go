@@ -181,14 +181,6 @@ func (c *Coordinator) Resumed() int { return c.ledger.Resumed() }
 // Total is the grid size.
 func (c *Coordinator) Total() int { return len(c.state) }
 
-// setNow swaps the clock under the lock; tests use it to drive expiry
-// deterministically.
-func (c *Coordinator) setNow(now func() time.Time) {
-	c.mu.Lock()
-	c.now = now
-	c.mu.Unlock()
-}
-
 // expireLocked reclaims every lease whose deadline has passed: the cell
 // goes back on the pending queue (in index order, for determinism of the
 // re-grant sequence) and the old lease ID dies forever.

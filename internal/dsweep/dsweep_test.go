@@ -555,3 +555,11 @@ func TestWorkerRejectsForeignSpec(t *testing.T) {
 		t.Fatal("worker joined a coordinator with a mismatched spec digest")
 	}
 }
+
+// setNow swaps the clock under the lock; tests use it to drive expiry
+// deterministically.
+func (c *Coordinator) setNow(now func() time.Time) {
+	c.mu.Lock()
+	c.now = now
+	c.mu.Unlock()
+}

@@ -403,10 +403,6 @@ func (e *Engine) Positions() []geom.Vec2 {
 	return append([]geom.Vec2(nil), e.pos...)
 }
 
-// NodeEnergy returns the cumulative movement energy (meters traveled) of
-// node i since the engine started.
-func (e *Engine) NodeEnergy(i int) float64 { return e.energy[i] }
-
 // TotalEnergy returns the cumulative movement energy of the whole swarm.
 func (e *Engine) TotalEnergy() float64 {
 	s := 0.0

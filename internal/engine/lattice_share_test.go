@@ -52,7 +52,7 @@ func runShared(t *testing.T, dyn field.DynField, pos []geom.Vec2, opts func() Op
 // the 2000-node forest under the derived enable rule.
 func TestLatticeShareBitIdentity(t *testing.T) {
 	const k, slots = 100, 12
-	pos := field.GridLayout(geom.NewRect(geom.V2(0, 0), geom.V2(45, 45)), k)
+	pos := field.GridLayout(geom.Square(45), k)
 	for name, dyn := range latticeScenes(t) {
 		for _, procs := range []int{1, 4} {
 			for _, rate := range []float64{0, 0.2} {

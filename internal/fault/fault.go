@@ -300,15 +300,6 @@ func (in *Injector) AliveCount() int {
 // subtract).
 func (in *Injector) Deaths() int { return in.deaths }
 
-// Battery returns node i's remaining charge, or +Inf when battery
-// accounting is disabled.
-func (in *Injector) Battery(i int) float64 {
-	if in.charge == nil {
-		return math.Inf(1)
-	}
-	return in.charge[i]
-}
-
 func (in *Injector) kill(i int, why cause) {
 	if in.down[i] != upNode {
 		return

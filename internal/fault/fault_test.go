@@ -26,8 +26,8 @@ func TestZeroConfigIsInert(t *testing.T) {
 	if got := in.CorruptSamples(0, s); &got[0] != &s[0] {
 		t.Error("zero config copied the sample slice")
 	}
-	if !math.IsInf(in.Battery(0), 1) {
-		t.Errorf("battery = %v, want +Inf when disabled", in.Battery(0))
+	if in.charge != nil {
+		t.Errorf("battery charge = %v, want none when disabled", in.charge)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestBatteryDepletionKills(t *testing.T) {
 	if in.Alive(0) || in.Alive(1) {
 		t.Fatalf("battery nodes survived: alive(0)=%v alive(1)=%v", in.Alive(0), in.Alive(1))
 	}
-	if in.Battery(0) > 0 {
-		t.Errorf("battery(0) = %v after death", in.Battery(0))
+	if in.charge[0] > 0 {
+		t.Errorf("battery(0) = %v after death", in.charge[0])
 	}
 	if in.Deaths() != 2 {
 		t.Errorf("deaths = %d, want 2", in.Deaths())

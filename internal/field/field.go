@@ -170,44 +170,3 @@ func (m *Mixture) Eval(p geom.Vec2) float64 {
 
 // Bounds implements Field.
 func (m *Mixture) Bounds() geom.Rect { return m.Region }
-
-// Stats summarizes a field sampled over an n×n grid.
-type Stats struct {
-	// Min and Max are the extreme sampled values.
-	Min, Max float64
-	// Mean is the arithmetic mean of the samples.
-	Mean float64
-	// RMS is the root mean square of the samples.
-	RMS float64
-}
-
-// Summarize samples f on an n×n grid over its bounds and returns summary
-// statistics. n must be at least 2.
-func Summarize(f Field, n int) Stats {
-	if n < 2 {
-		n = 2
-	}
-	r := f.Bounds()
-	var s Stats
-	s.Min = math.Inf(1)
-	s.Max = math.Inf(-1)
-	sum, sum2 := 0.0, 0.0
-	count := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			p := geom.V2(
-				r.Min.X+r.Width()*float64(i)/float64(n-1),
-				r.Min.Y+r.Height()*float64(j)/float64(n-1),
-			)
-			z := f.Eval(p)
-			s.Min = math.Min(s.Min, z)
-			s.Max = math.Max(s.Max, z)
-			sum += z
-			sum2 += z * z
-			count++
-		}
-	}
-	s.Mean = sum / float64(count)
-	s.RMS = math.Sqrt(sum2 / float64(count))
-	return s
-}

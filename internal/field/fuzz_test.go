@@ -85,19 +85,19 @@ func FuzzTraceReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round-tripped records rejected: %v", err)
 		}
-		if rp2.NumEpochs() != rp.NumEpochs() {
-			t.Fatalf("round-trip epochs %d != %d", rp2.NumEpochs(), rp.NumEpochs())
+		if len(rp2.times) != len(rp.times) {
+			t.Fatalf("round-trip epochs %d != %d", len(rp2.times), len(rp.times))
 		}
-		for i, tm := range rp.Times() {
-			if math.Float64bits(rp2.Times()[i]) != math.Float64bits(tm) {
-				t.Fatalf("round-trip epoch time %d: %g != %g", i, rp2.Times()[i], tm)
+		for i, tm := range rp.times {
+			if math.Float64bits(rp2.times[i]) != math.Float64bits(tm) {
+				t.Fatalf("round-trip epoch time %d: %g != %g", i, rp2.times[i], tm)
 			}
 		}
 
 		// Bit-equality at record timestamps: the stored (deduped) samples
 		// are the source of truth. A sample is exempt only when an earlier
 		// sample of the same epoch sits at computed distance zero.
-		for i, tm := range rp.Times() {
+		for i, tm := range rp.times {
 			epoch := rp.epochs[i]
 			for k, s := range epoch {
 				collision := false

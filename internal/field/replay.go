@@ -74,13 +74,6 @@ func NewReplay(region geom.Rect, records []TraceRecord) (*Replay, error) {
 // Bounds implements DynField.
 func (r *Replay) Bounds() geom.Rect { return r.region }
 
-// NumEpochs returns how many distinct timestamps the replay holds.
-func (r *Replay) NumEpochs() int { return len(r.times) }
-
-// Times returns the epoch timestamps in increasing order. The caller
-// must not mutate the returned slice.
-func (r *Replay) Times() []float64 { return r.times }
-
 // EvalAt implements DynField: time-bracketed nearest-sample fits.
 func (r *Replay) EvalAt(p geom.Vec2, t float64) float64 {
 	// SearchFloat64s returns the first index with times[i] >= t, so an

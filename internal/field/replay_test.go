@@ -26,8 +26,8 @@ func TestReplayBracketsAndClamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.NumEpochs() != 2 {
-		t.Fatalf("NumEpochs = %d, want 2", rp.NumEpochs())
+	if len(rp.times) != 2 {
+		t.Fatalf("epochs = %d, want 2", len(rp.times))
 	}
 	west := geom.V2(10, 50)
 	cases := []struct {
@@ -75,8 +75,8 @@ func TestReplayUnsortedDuplicateTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumEpochs() != want.NumEpochs() {
-		t.Fatalf("epochs %d != %d", got.NumEpochs(), want.NumEpochs())
+	if len(got.times) != len(want.times) {
+		t.Fatalf("epochs %d != %d", len(got.times), len(want.times))
 	}
 	for _, tm := range []float64{-1, 0, 3.25, 10, 11} {
 		for _, q := range GridPositions(geom.Square(100), 7) {

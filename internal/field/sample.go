@@ -111,16 +111,6 @@ func GridPositions(r geom.Rect, n int) []geom.Vec2 {
 	return out
 }
 
-// SampleGrid measures f at every position of an n-division lattice.
-func SampleGrid(f Field, n int, s *Sampler) []Sample {
-	pos := GridPositions(f.Bounds(), n)
-	out := make([]Sample, len(pos))
-	for i, p := range pos {
-		out[i] = s.At(f, p)
-	}
-	return out
-}
-
 // RandomPositions returns k positions uniformly distributed over r — the
 // "random deployment" baseline the paper compares FRA against (Fig. 7).
 func RandomPositions(r geom.Rect, k int, seed int64) []geom.Vec2 {

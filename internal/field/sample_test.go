@@ -248,3 +248,13 @@ func TestGridLayout100IsTenByTen(t *testing.T) {
 		}
 	}
 }
+
+// SampleGrid measures f at every position of an n-division lattice.
+func SampleGrid(f Field, n int, s *Sampler) []Sample {
+	pos := GridPositions(f.Bounds(), n)
+	out := make([]Sample, len(pos))
+	for i, p := range pos {
+		out[i] = s.At(f, p)
+	}
+	return out
+}

@@ -236,3 +236,41 @@ func TestSegmentsIntersect(t *testing.T) {
 		})
 	}
 }
+
+// Circumcenter returns the center of the circle through a, b and c, and
+// reports false when the points are (numerically) collinear.
+func Circumcenter(a, b, c Vec2) (Vec2, bool) {
+	d := 2 * ((a.X-c.X)*(b.Y-c.Y) - (b.X-c.X)*(a.Y-c.Y))
+	if math.Abs(d) < orientEps {
+		return Vec2{}, false
+	}
+	a2 := a.Len2() - c.Len2()
+	b2 := b.Len2() - c.Len2()
+	ux := (a2*(b.Y-c.Y) - b2*(a.Y-c.Y)) / d
+	uy := (b2*(a.X-c.X) - a2*(b.X-c.X)) / d
+	return Vec2{ux, uy}, true
+}
+
+// SegmentsIntersect reports whether segments (p1, p2) and (q1, q2)
+// properly intersect or touch.
+func SegmentsIntersect(p1, p2, q1, q2 Vec2) bool {
+	d1 := Orient2D(q1, q2, p1)
+	d2 := Orient2D(q1, q2, p2)
+	d3 := Orient2D(p1, p2, q1)
+	d4 := Orient2D(p1, p2, q2)
+	if d1 != d2 && d3 != d4 && d1 != Collinear && d2 != Collinear &&
+		d3 != Collinear && d4 != Collinear {
+		return true
+	}
+	return (d1 == Collinear && onSegment(q1, q2, p1)) ||
+		(d2 == Collinear && onSegment(q1, q2, p2)) ||
+		(d3 == Collinear && onSegment(p1, p2, q1)) ||
+		(d4 == Collinear && onSegment(p1, p2, q2))
+}
+
+// onSegment reports whether point p, known to be collinear with segment
+// (a, b), lies within the segment's bounding box.
+func onSegment(a, b, p Vec2) bool {
+	return math.Min(a.X, b.X)-orientEps <= p.X && p.X <= math.Max(a.X, b.X)+orientEps &&
+		math.Min(a.Y, b.Y)-orientEps <= p.Y && p.Y <= math.Max(a.Y, b.Y)+orientEps
+}

@@ -11,15 +11,6 @@ type Rect struct {
 	Min, Max Vec2
 }
 
-// NewRect returns the rectangle spanned by the two corner points in any
-// order.
-func NewRect(a, b Vec2) Rect {
-	return Rect{
-		Min: Vec2{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
-		Max: Vec2{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
-	}
-}
-
 // Square returns the side×side region with its lower-left corner at the
 // origin — the canonical region of interest in the paper's evaluation
 // (100 × 100 m²).
@@ -51,14 +42,6 @@ func (r Rect) ClampPoint(p Vec2) Vec2 {
 	return Vec2{clamp(p.X, r.Min.X, r.Max.X), clamp(p.Y, r.Min.Y, r.Max.Y)}
 }
 
-// Expand returns r grown by margin on every side.
-func (r Rect) Expand(margin float64) Rect {
-	return Rect{
-		Min: Vec2{r.Min.X - margin, r.Min.Y - margin},
-		Max: Vec2{r.Max.X + margin, r.Max.Y + margin},
-	}
-}
-
 // Corners returns the four corner points in counter-clockwise order
 // starting from Min.
 func (r Rect) Corners() [4]Vec2 {
@@ -68,16 +51,6 @@ func (r Rect) Corners() [4]Vec2 {
 		r.Max,
 		{r.Min.X, r.Max.Y},
 	}
-}
-
-// DistToBorder returns the distance from p to the nearest border of r.
-// Points outside r report 0.
-func (r Rect) DistToBorder(p Vec2) float64 {
-	if !r.Contains(p) {
-		return 0
-	}
-	d := math.Min(p.X-r.Min.X, r.Max.X-p.X)
-	return math.Min(d, math.Min(p.Y-r.Min.Y, r.Max.Y-p.Y))
 }
 
 // Diagonal returns the length of the rectangle's diagonal.

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -154,4 +155,31 @@ func TestRectDiagonal(t *testing.T) {
 	if got := Square(3).Diagonal(); !almostEqual(got, 4.242640687119285, 1e-12) {
 		t.Errorf("diagonal = %v", got)
 	}
+}
+
+// NewRect returns the rectangle spanned by the two corner points in any
+// order.
+func NewRect(a, b Vec2) Rect {
+	return Rect{
+		Min: Vec2{math.Min(a.X, b.X), math.Min(a.Y, b.Y)},
+		Max: Vec2{math.Max(a.X, b.X), math.Max(a.Y, b.Y)},
+	}
+}
+
+// Expand returns r grown by margin on every side.
+func (r Rect) Expand(margin float64) Rect {
+	return Rect{
+		Min: Vec2{r.Min.X - margin, r.Min.Y - margin},
+		Max: Vec2{r.Max.X + margin, r.Max.Y + margin},
+	}
+}
+
+// DistToBorder returns the distance from p to the nearest border of r.
+// Points outside r report 0.
+func (r Rect) DistToBorder(p Vec2) float64 {
+	if !r.Contains(p) {
+		return 0
+	}
+	d := math.Min(p.X-r.Min.X, r.Max.X-p.X)
+	return math.Min(d, math.Min(p.Y-r.Min.Y, r.Max.Y-p.Y))
 }

@@ -33,10 +33,6 @@ func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 // Dot returns the dot product v·w.
 func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
 
-// Cross returns the z component of the 3D cross product of v and w,
-// i.e. the signed area of the parallelogram they span.
-func (v Vec2) Cross(w Vec2) float64 { return v.X*w.Y - v.Y*w.X }
-
 // Len returns the Euclidean norm of v.
 func (v Vec2) Len() float64 { return math.Hypot(v.X, v.Y) }
 
@@ -59,11 +55,6 @@ func (v Vec2) Normalize() Vec2 {
 	return v.Scale(1 / l)
 }
 
-// Clamp returns v with each coordinate clamped to [lo, hi].
-func (v Vec2) Clamp(lo, hi float64) Vec2 {
-	return Vec2{clamp(v.X, lo, hi), clamp(v.Y, lo, hi)}
-}
-
 // ClampLen returns v truncated to at most maxLen while preserving
 // direction. Used to enforce the mobile-node velocity bound.
 func (v Vec2) ClampLen(maxLen float64) Vec2 {
@@ -81,9 +72,6 @@ func (v Vec2) ClampLen(maxLen float64) Vec2 {
 func (v Vec2) Lerp(w Vec2, t float64) Vec2 {
 	return Vec2{v.X + (w.X-v.X)*t, v.Y + (w.Y-v.Y)*t}
 }
-
-// Rot90 returns v rotated 90 degrees counter-clockwise.
-func (v Vec2) Rot90() Vec2 { return Vec2{-v.Y, v.X} }
 
 // IsFinite reports whether both coordinates are finite numbers.
 func (v Vec2) IsFinite() bool {
@@ -103,9 +91,6 @@ type Vec3 struct {
 // V3 is shorthand for constructing a Vec3.
 func V3(x, y, z float64) Vec3 { return Vec3{X: x, Y: y, Z: z} }
 
-// XY projects the surface point onto the region plane.
-func (v Vec3) XY() Vec2 { return Vec2{v.X, v.Y} }
-
 // Add returns v + w.
 func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 
@@ -117,15 +102,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
 // Dot returns the dot product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
-
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
 
 // Len returns the Euclidean norm of v.
 func (v Vec3) Len() float64 { return math.Sqrt(v.Dot(v)) }

@@ -137,9 +137,6 @@ func TestVec3Basics(t *testing.T) {
 	if got := a.Cross(b); got != V3(-3, 6, -3) {
 		t.Errorf("Cross = %v, want (-3,6,-3)", got)
 	}
-	if got := a.XY(); got != V2(1, 2) {
-		t.Errorf("XY = %v", got)
-	}
 	if got := V3(2, 3, 6).Len(); got != 7 {
 		t.Errorf("Len = %v, want 7", got)
 	}
@@ -170,5 +167,21 @@ func TestVec2String(t *testing.T) {
 	}
 	if got := V3(1, 2, 3).String(); got != "(1, 2, 3)" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// Cross returns the z component of the 3D cross product of v and w,
+// i.e. the signed area of the parallelogram they span.
+func (v Vec2) Cross(w Vec2) float64 { return v.X*w.Y - v.Y*w.X }
+
+// Rot90 returns v rotated 90 degrees counter-clockwise.
+func (v Vec2) Rot90() Vec2 { return Vec2{-v.Y, v.X} }
+
+// Cross returns the cross product v × w.
+func (v Vec3) Cross(w Vec3) Vec3 {
+	return Vec3{
+		v.Y*w.Z - v.Z*w.Y,
+		v.Z*w.X - v.X*w.Z,
+		v.X*w.Y - v.Y*w.X,
 	}
 }

@@ -7,7 +7,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -147,92 +146,12 @@ func (g *Graph) ConnectedIn(v view.Alive) bool {
 	return n <= 1
 }
 
-// BFSFrom returns the hop distance from src to every vertex (-1 when
-// unreachable).
-func (g *Graph) BFSFrom(src int) []int {
-	if src < 0 || src >= g.N() {
-		panic(fmt.Sprintf("graph: BFS source %d out of range [0,%d)", src, g.N()))
-	}
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
 // Edge is a weighted undirected edge.
 type Edge struct {
 	// U and V are the endpoint vertex indices.
 	U, V int
 	// W is the edge weight (Euclidean length for geometric graphs).
 	W float64
-}
-
-// MSTComplete computes the minimum spanning tree of the complete Euclidean
-// graph over the vertex positions using Prim's algorithm ("this foresight
-// step is carried out by prim algorithm", paper Section 4.2). It returns
-// the tree edges; an empty or single-vertex graph yields no edges.
-func (g *Graph) MSTComplete() []Edge {
-	n := g.N()
-	if n < 2 {
-		return nil
-	}
-	inTree := make([]bool, n)
-	bestW := make([]float64, n)
-	bestTo := make([]int, n)
-	for i := range bestW {
-		bestW[i] = math.Inf(1)
-		bestTo[i] = -1
-	}
-	inTree[0] = true
-	for j := 1; j < n; j++ {
-		bestW[j] = g.pos[0].Dist(g.pos[j])
-		bestTo[j] = 0
-	}
-	edges := make([]Edge, 0, n-1)
-	for len(edges) < n-1 {
-		pick, pw := -1, math.Inf(1)
-		for j := 0; j < n; j++ {
-			if !inTree[j] && bestW[j] < pw {
-				pick, pw = j, bestW[j]
-			}
-		}
-		if pick == -1 {
-			break
-		}
-		inTree[pick] = true
-		edges = append(edges, Edge{U: bestTo[pick], V: pick, W: pw})
-		for j := 0; j < n; j++ {
-			if !inTree[j] {
-				if d := g.pos[pick].Dist(g.pos[j]); d < bestW[j] {
-					bestW[j] = d
-					bestTo[j] = pick
-				}
-			}
-		}
-	}
-	return edges
-}
-
-// TotalWeight sums the weights of a set of edges.
-func TotalWeight(edges []Edge) float64 {
-	s := 0.0
-	for _, e := range edges {
-		s += e.W
-	}
-	return s
 }
 
 // UnionFind is a disjoint-set structure with union by rank and path
@@ -291,9 +210,6 @@ func (u *UnionFind) Add() int {
 
 // NumSets returns the current number of disjoint sets.
 func (u *UnionFind) NumSets() int { return u.sets }
-
-// Same reports whether a and b are in the same set.
-func (u *UnionFind) Same(a, b int) bool { return u.Find(a) == u.Find(b) }
 
 // componentLink is one inter-component stitching edge: the closest member
 // pair of two components, where the distance between components is the

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -230,10 +231,10 @@ func TestUnionFind(t *testing.T) {
 	if uf.NumSets() != 2 {
 		t.Errorf("sets = %d, want 2", uf.NumSets())
 	}
-	if !uf.Same(1, 2) {
+	if uf.Find(1) != uf.Find(2) {
 		t.Error("1 and 2 should be joined")
 	}
-	if uf.Same(0, 4) {
+	if uf.Find(0) == uf.Find(4) {
 		t.Error("4 should be separate")
 	}
 }
@@ -356,4 +357,84 @@ func TestComponentsIn(t *testing.T) {
 	if !g.ConnectedIn(in(make([]bool, 5))) {
 		t.Error("empty alive set should count as connected")
 	}
+}
+
+// BFSFrom returns the hop distance from src to every vertex (-1 when
+// unreachable).
+func (g *Graph) BFSFrom(src int) []int {
+	if src < 0 || src >= g.N() {
+		panic(fmt.Sprintf("graph: BFS source %d out of range [0,%d)", src, g.N()))
+	}
+	dist := make([]int, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range g.adj[v] {
+			if dist[w] == -1 {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
+}
+
+// MSTComplete computes the minimum spanning tree of the complete Euclidean
+// graph over the vertex positions using Prim's algorithm ("this foresight
+// step is carried out by prim algorithm", paper Section 4.2). It returns
+// the tree edges; an empty or single-vertex graph yields no edges.
+func (g *Graph) MSTComplete() []Edge {
+	n := g.N()
+	if n < 2 {
+		return nil
+	}
+	inTree := make([]bool, n)
+	bestW := make([]float64, n)
+	bestTo := make([]int, n)
+	for i := range bestW {
+		bestW[i] = math.Inf(1)
+		bestTo[i] = -1
+	}
+	inTree[0] = true
+	for j := 1; j < n; j++ {
+		bestW[j] = g.pos[0].Dist(g.pos[j])
+		bestTo[j] = 0
+	}
+	edges := make([]Edge, 0, n-1)
+	for len(edges) < n-1 {
+		pick, pw := -1, math.Inf(1)
+		for j := 0; j < n; j++ {
+			if !inTree[j] && bestW[j] < pw {
+				pick, pw = j, bestW[j]
+			}
+		}
+		if pick == -1 {
+			break
+		}
+		inTree[pick] = true
+		edges = append(edges, Edge{U: bestTo[pick], V: pick, W: pw})
+		for j := 0; j < n; j++ {
+			if !inTree[j] {
+				if d := g.pos[pick].Dist(g.pos[j]); d < bestW[j] {
+					bestW[j] = d
+					bestTo[j] = pick
+				}
+			}
+		}
+	}
+	return edges
+}
+
+// TotalWeight sums the weights of a set of edges.
+func TotalWeight(edges []Edge) float64 {
+	s := 0.0
+	for _, e := range edges {
+		s += e.W
+	}
+	return s
 }

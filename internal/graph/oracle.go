@@ -50,15 +50,6 @@ func NewRelayOracle(rc float64) *RelayOracle {
 	}
 }
 
-// NewRelayOracleOver returns an oracle preloaded with the given positions.
-func NewRelayOracleOver(positions []geom.Vec2, rc float64) *RelayOracle {
-	o := NewRelayOracle(rc)
-	for _, p := range positions {
-		o.Commit(p)
-	}
-	return o
-}
-
 // N returns the number of committed positions.
 func (o *RelayOracle) N() int { return len(o.pts) }
 

@@ -53,7 +53,10 @@ func TestRelayOracleWhatIf(t *testing.T) {
 	pts := randomPoints(40, 11, false)
 	cands := randomPoints(30, 13, true)
 	for _, rc := range []float64{5, 10, 20} {
-		o := NewRelayOracleOver(pts, rc)
+		o := NewRelayOracle(rc)
+		for _, p := range pts {
+			o.Commit(p)
+		}
 		for _, c := range cands {
 			want := RelaysNeeded(append(append([]geom.Vec2(nil), pts...), c), rc)
 			if got := o.RelaysWith(c); got != want {

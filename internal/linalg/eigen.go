@@ -2,63 +2,15 @@ package linalg
 
 import "math"
 
-// EigenSym2 returns the eigenvalues (l1 ≤ l2) of the symmetric 2×2 matrix
-//
-//	| a  b |
-//	| b  c |
-//
-// in closed form. For the second fundamental form of the quadratic patch
-// z = a·x² + b·x·y + c·y² evaluated at the origin, the shape operator is
-// the symmetric matrix {{2a, b}, {b, 2c}}, whose eigenvalues are the
-// principal curvatures; the paper's Eqns 12–13 use the (scaled) variant
-// g1,2 = a + c ∓ √((a−c)² + b²), which PrincipalCurvatures implements
-// verbatim to stay faithful to the reproduced algorithm.
-func EigenSym2(a, b, c float64) (l1, l2 float64) {
-	tr := a + c
-	det := a*c - b*b
-	disc := math.Sqrt(math.Max(0, tr*tr/4-det))
-	return tr/2 - disc, tr/2 + disc
-}
-
 // PrincipalCurvatures returns (g1, g2) from the fitted quadratic
 // coefficients exactly as in paper Eqns 12 and 13:
 //
 //	g1 = a + c − √((a−c)² + b²)
 //	g2 = a + c + √((a−c)² + b²)
+//
+// This is the paper's scaled variant, kept verbatim, not the eigenvalues
+// of the patch's shape operator {{2a, b}, {b, 2c}}.
 func PrincipalCurvatures(a, b, c float64) (g1, g2 float64) {
 	d := math.Sqrt((a-c)*(a-c) + b*b)
 	return a + c - d, a + c + d
-}
-
-// GaussianCurvature returns G = g1·g2 for the fitted quadratic
-// coefficients (paper Section 5.2).
-func GaussianCurvature(a, b, c float64) float64 {
-	g1, g2 := PrincipalCurvatures(a, b, c)
-	return g1 * g2
-}
-
-// EigenVectorsSym2 returns unit eigenvectors corresponding to the
-// eigenvalues returned by EigenSym2, as rows (v1 for l1, v2 for l2).
-func EigenVectorsSym2(a, b, c float64) (v1, v2 [2]float64) {
-	l1, l2 := EigenSym2(a, b, c)
-	v1 = eigVec2(a, b, c, l1)
-	v2 = eigVec2(a, b, c, l2)
-	return v1, v2
-}
-
-func eigVec2(a, b, c, l float64) [2]float64 {
-	// (A - l·I) v = 0. Pick the more numerically stable row.
-	r1 := [2]float64{a - l, b}
-	r2 := [2]float64{b, c - l}
-	var v [2]float64
-	if math.Hypot(r1[0], r1[1]) >= math.Hypot(r2[0], r2[1]) {
-		v = [2]float64{-r1[1], r1[0]}
-	} else {
-		v = [2]float64{-r2[1], r2[0]}
-	}
-	n := math.Hypot(v[0], v[1])
-	if n == 0 {
-		return [2]float64{1, 0} // isotropic: any direction is an eigenvector
-	}
-	return [2]float64{v[0] / n, v[1] / n}
 }

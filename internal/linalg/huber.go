@@ -14,14 +14,6 @@ const DefaultHuberTuning = 1.345
 // handful of rounds for the small systems used here.
 const defaultHuberIters = 5
 
-// LeastSquaresHuber solves the overdetermined system A·x ≈ b under the
-// Huber loss by iteratively reweighted least squares (see LSQ.SolveHuber)
-// on a fresh workspace, so the caller owns the result.
-func LeastSquaresHuber(a *Matrix, b []float64, tuning float64, iters int) ([]float64, error) {
-	var w LSQ
-	return w.SolveHuber(a, b, tuning, iters)
-}
-
 // SolveHuber solves A·x ≈ b under the Huber loss by iteratively
 // reweighted least squares: residuals within tuning·σ keep quadratic
 // weight 1, larger ones are downweighted to tuning·σ/|r|, with σ

@@ -120,3 +120,11 @@ func TestMedian(t *testing.T) {
 		}
 	}
 }
+
+// LeastSquaresHuber solves the overdetermined system A·x ≈ b under the
+// Huber loss by iteratively reweighted least squares (see LSQ.SolveHuber)
+// on a fresh workspace, so the caller owns the result.
+func LeastSquaresHuber(a *Matrix, b []float64, tuning float64, iters int) ([]float64, error) {
+	var w LSQ
+	return w.SolveHuber(a, b, tuning, iters)
+}

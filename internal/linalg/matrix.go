@@ -54,31 +54,6 @@ func (m *Matrix) Reuse(rows, cols int) {
 	m.rows, m.cols = rows, cols
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -181,14 +156,6 @@ func (m *Matrix) Sub(n *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// ScaleInPlace multiplies every element by s and returns m for chaining.
-func (m *Matrix) ScaleInPlace(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
 // RowView returns row i as a slice borrowing the matrix's backing storage:
 // writes through it update the matrix directly. It exists for hot fill
 // loops (the curvature fitter writes every cell of a small design matrix
@@ -199,31 +166,6 @@ func (m *Matrix) RowView(i int) []float64 {
 		panic(fmt.Sprintf("linalg: row %d out of bounds for %dx%d", i, m.rows, m.cols))
 	}
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest absolute element value.
@@ -252,15 +194,6 @@ func (m *Matrix) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Norm2 returns the Euclidean norm of a vector.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Dot returns the dot product of two equal-length vectors.

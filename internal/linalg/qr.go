@@ -5,15 +5,6 @@ import (
 	"math"
 )
 
-// LeastSquares solves the overdetermined system A·x ≈ b in the
-// least-squares sense by Householder QR (LSQ.Solve) on a fresh workspace,
-// so the caller owns the result. It is the workhorse behind the curvature
-// fit of paper Eqn 11.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	var w LSQ
-	return w.Solve(a, b)
-}
-
 // LeastSquaresNormal solves the same problem via the normal equations
 // AᵀA·x = Aᵀb and Cholesky-free Gaussian elimination. It is less
 // numerically robust than QR, allocates, and is no longer faster on the
@@ -85,21 +76,4 @@ func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 		x[k] = s / aug.At(k, k)
 	}
 	return x, nil
-}
-
-// Residual returns ‖A·x − b‖₂, useful for validating least-squares fits.
-func Residual(a *Matrix, x, b []float64) (float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return 0, err
-	}
-	if len(ax) != len(b) {
-		return 0, fmt.Errorf("%w: residual vec(%d) vs vec(%d)", ErrShape, len(ax), len(b))
-	}
-	s := 0.0
-	for i := range ax {
-		d := ax[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s), nil
 }

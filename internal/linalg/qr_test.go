@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -195,4 +196,30 @@ func TestResidualZeroForExactSolution(t *testing.T) {
 	if r != 0 {
 		t.Errorf("residual = %v", r)
 	}
+}
+
+// LeastSquares solves the overdetermined system A·x ≈ b in the
+// least-squares sense by Householder QR (LSQ.Solve) on a fresh workspace,
+// so the caller owns the result. It is the workhorse behind the curvature
+// fit of paper Eqn 11.
+func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
+	var w LSQ
+	return w.Solve(a, b)
+}
+
+// Residual returns ‖A·x − b‖₂, useful for validating least-squares fits.
+func Residual(a *Matrix, x, b []float64) (float64, error) {
+	ax, err := a.MulVec(x)
+	if err != nil {
+		return 0, err
+	}
+	if len(ax) != len(b) {
+		return 0, fmt.Errorf("%w: residual vec(%d) vs vec(%d)", ErrShape, len(ax), len(b))
+	}
+	s := 0.0
+	for i := range ax {
+		d := ax[i] - b[i]
+		s += d * d
+	}
+	return math.Sqrt(s), nil
 }

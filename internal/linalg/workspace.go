@@ -11,9 +11,8 @@ import (
 // diagonal and two vectors per fit would dominate the allocation profile.
 // An LSQ owns those buffers, plus the Huber IRLS scratch of SolveHuber,
 // and grows them monotonically, so steady-state solves are
-// allocation-free. LeastSquares and LeastSquaresHuber run it on a fresh
-// workspace. The zero value is ready to use. An LSQ is not safe for
-// concurrent use.
+// allocation-free. The zero value is ready to use. An LSQ is not safe
+// for concurrent use.
 type LSQ struct {
 	qr   []float64 // packed reflectors (below diagonal) and R (upper part)
 	rdia []float64 // diagonal of R

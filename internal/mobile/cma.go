@@ -58,7 +58,7 @@ type Config struct {
 	// attractions stronger than the paper's raw (physically tiny) G
 	// values; the gain restores the paper's regime where curvature
 	// perturbs the distance-controlled lattice rather than collapsing it.
-	// 0 defaults to 0.1.
+	// 0 defaults to 0.15.
 	CurvGain float64
 	// RobustFit selects Huber-weighted least squares for the curvature
 	// fits, so outlier samples injected by sensing faults cannot hijack
@@ -177,8 +177,8 @@ type Controller struct {
 	// (boundary flicker, LCM nudges) from waking the whole swarm and
 	// lets it genuinely converge, as in the paper's Fig. 10.
 	parked bool
-	// fitter is the lazily-created fallback fit scratch used by Plan when
-	// the caller does not supply shared scratch of its own.
+	// fitter is the lazily-created fallback fit scratch used when the
+	// caller does not supply shared scratch of its own.
 	fitter *curvature.Fitter
 	// fit is the single-slot cache filled by PlanEstimate and consumed by
 	// PlanCached: the engine runs the same (pos, samples) through a dry
@@ -206,7 +206,7 @@ const DefaultPeakFitM = 12
 // thresholds of the movement deadband.
 const restartFactor = 2
 
-// minFitSamples is the fewest sensed readings Plan will steer on: the full
+// minFitSamples is the fewest sensed readings a node will steer on: the full
 // quadric fit has six unknowns, and below that the force computation is
 // numerically meaningless. Nodes with a thinner view hold position.
 const minFitSamples = 6
@@ -240,16 +240,9 @@ func (c *Controller) ID() int { return c.id }
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Plan executes one CMA slot (Table 2 lines 2–18): estimate curvature from
-// the sensed samples, evaluate the virtual forces against the neighbor
-// reports, and decide whether and where to move.
-func (c *Controller) Plan(pos geom.Vec2, samples []field.Sample, neighbors []NeighborInfo) (Decision, error) {
-	return c.plan(c.ownFitter(), pos, samples, neighbors, false, false)
-}
-
 // PlanEstimate is the planning dry run on an empty neighbor set that the
 // engine's Fit stage performs to obtain the node's broadcastable curvature
-// estimate G. It behaves exactly like Plan(pos, samples, nil) — including
+// estimate G. It runs the full planning pass with no neighbors — including
 // the parked-state and normalizer side effects — and additionally caches
 // the pure sub-results (own curvature fit, peak scan) for the PlanCached
 // call of the same slot. f supplies shared fit scratch; it must have been
@@ -258,12 +251,15 @@ func (c *Controller) PlanEstimate(f *curvature.Fitter, pos geom.Vec2, samples []
 	return c.plan(f, pos, samples, nil, true, false)
 }
 
-// PlanCached is Plan reusing the fit cache deposited by a PlanEstimate
-// call with identical (pos, samples) inputs — the expensive own-fit and
-// peak-scan work is skipped, which is bit-identical by determinism. When
-// the cache does not match (different position, changed sample count, or
-// no preceding PlanEstimate) it transparently recomputes. The cache is
-// consumed either way.
+// PlanCached executes one CMA slot (Table 2 lines 2–18): estimate
+// curvature from the sensed samples, evaluate the virtual forces against
+// the neighbor reports, and decide whether and where to move. It reuses
+// the fit cache deposited by a PlanEstimate call with identical (pos,
+// samples) inputs — the expensive own-fit and peak-scan work is skipped,
+// which is bit-identical by determinism. When the cache does not match
+// (different position, changed sample count, or no preceding
+// PlanEstimate) it transparently recomputes. The cache is consumed either
+// way.
 func (c *Controller) PlanCached(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample, neighbors []NeighborInfo) (Decision, error) {
 	return c.plan(f, pos, samples, neighbors, false, true)
 }

@@ -72,6 +72,27 @@ func TestControllerAccessors(t *testing.T) {
 	if c.Config().Rc != 10 {
 		t.Errorf("Config.Rc = %v", c.Config().Rc)
 	}
+	// Zero-valued knobs take the documented defaults, which DefaultConfig
+	// must agree with.
+	z, err := NewController(0, Config{Region: geom.Square(100), Rc: 10, Rs: 5, MaxStep: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zc, dc := z.Config(), c.Config()
+	for _, row := range []struct {
+		name            string
+		zero, def, want float64
+	}{
+		{"PeakFitM", float64(zc.PeakFitM), float64(dc.PeakFitM), 12},
+		{"StopEps", zc.StopEps, dc.StopEps, 0.8},
+		{"CurvGain", zc.CurvGain, dc.CurvGain, 0.15},
+		{"RepulseFrac", zc.RepulseFrac, dc.RepulseFrac, 1},
+		{"StaleDecay", zc.StaleDecay, dc.StaleDecay, 0.5},
+	} {
+		if row.zero != row.want || row.def != row.want {
+			t.Errorf("%s: zero value fills %v, DefaultConfig gives %v, want %v", row.name, row.zero, row.def, row.want)
+		}
+	}
 }
 
 func TestPlanFlatFieldNoNeighborsStops(t *testing.T) {
@@ -425,4 +446,11 @@ func TestPlanRobustFitSurvivesOutliers(t *testing.T) {
 	if math.Abs(dr.G) > 1e-3 {
 		t.Errorf("robust G = %v on a flat field with outliers, want ≈0", dr.G)
 	}
+}
+
+// Plan executes one CMA slot (Table 2 lines 2–18): estimate curvature from
+// the sensed samples, evaluate the virtual forces against the neighbor
+// reports, and decide whether and where to move.
+func (c *Controller) Plan(pos geom.Vec2, samples []field.Sample, neighbors []NeighborInfo) (Decision, error) {
+	return c.plan(c.ownFitter(), pos, samples, neighbors, false, false)
 }

@@ -5,56 +5,14 @@ import (
 	"repro/internal/view"
 )
 
-// MoveAnnouncement is the tell(nd, N) broadcast of Table 2 line 17: a
-// moving node announces its destination and its current single-hop
-// neighbor list so each neighbor can decide whether it must follow.
-type MoveAnnouncement struct {
-	// Mover identifies the announcing node.
-	Mover int
-	// Target is the mover's destination nd.
-	Target geom.Vec2
-	// Neighbors are the mover's single-hop neighbors before the move.
-	Neighbors []NeighborInfo
+// LCMScratch holds the reusable edge buffer of the in-place LCM resolver.
+// The zero value is ready to use; a scratch is not safe for concurrent use.
+type LCMScratch struct {
+	edges [][2]int
 }
 
-// LCMFollow implements the Local Connectivity Mechanism check of Table 2
-// lines 19–21 for a node at pos receiving ann: if the node can still reach
-// the mover's destination either directly or through one of the mover's
-// other neighbors (paper Fig. 4: n4 stays because n3 bridges; n5 must
-// follow), it stays put; otherwise it returns a follow target at exactly
-// Rc from the mover's destination, and true.
-func LCMFollow(pos geom.Vec2, ann MoveAnnouncement, selfID int, rc float64) (geom.Vec2, bool) {
-	if ann.Mover == selfID {
-		return pos, false
-	}
-	// Direct link survives.
-	if pos.Dist(ann.Target) <= rc {
-		return pos, false
-	}
-	// Bridged through another of the mover's neighbors: nj2 must be within
-	// rc of both this node and the mover's destination.
-	for _, nb := range ann.Neighbors {
-		if nb.ID == selfID {
-			continue
-		}
-		if pos.Dist(nb.Pos) <= rc && nb.Pos.Dist(ann.Target) <= rc {
-			return pos, false
-		}
-	}
-	// Stranded: move to keep |d(ni, nd2)| = Rc (Table 2 line 21). The
-	// follow distance backs off from Rc by a relative margin so that
-	// floating-point rounding can never leave the restored link
-	// marginally outside communication range.
-	dir := pos.Sub(ann.Target)
-	if dir.Len() == 0 {
-		return pos, false
-	}
-	const followMargin = 1e-6
-	return ann.Target.Add(dir.Normalize().Scale(rc * (1 - followMargin))), true
-}
-
-// ResolveLCM applies the Local Connectivity Mechanism to a set of
-// tentative next positions. v is the pre-move alive-view of the swarm:
+// Resolve applies the Local Connectivity Mechanism to a set of tentative
+// next positions. v is the pre-move alive-view of the swarm:
 // v.Pos are the (always feasible) pre-move positions and dead nodes —
 // v.Up(i) false — neither announce, absorb corrections, nor bridge, so
 // their links place no constraints on the survivors. The all-alive view is
@@ -74,27 +32,10 @@ func LCMFollow(pos geom.Vec2, ann MoveAnnouncement, selfID int, rc float64) (geo
 // phantom neighbor. When projection fails to converge the movement is
 // reverted wholesale to v.Pos and follows is returned as -1; otherwise
 // follows counts the projection operations performed.
-func ResolveLCM(region geom.Rect, rc float64, v view.Alive, next []geom.Vec2, neighborInfos [][]NeighborInfo) (resolved []geom.Vec2, follows int) {
-	resolved = append([]geom.Vec2(nil), next...)
-	var s LCMScratch
-	follows = s.Resolve(region, rc, v, resolved, neighborInfos)
-	return resolved, follows
-}
-
-// LCMScratch holds the reusable edge buffer of the in-place LCM resolver.
-// The zero value is ready to use; a scratch is not safe for concurrent use.
-type LCMScratch struct {
-	edges [][2]int
-}
-
-// Resolve is ResolveLCM operating in place: next is both input and output —
-// the tentative positions are corrected (or, on projection failure, every
-// entry is overwritten with the pre-move position v.Pos[i]) without
-// allocating a result slice, and the critical-edge list is accumulated in
-// the scratch's reusable buffer. The return value is ResolveLCM's follows
-// count: projection operations performed, or -1 on wholesale revert. The
-// arithmetic — edge selection, projection order, convergence test — is
-// identical to ResolveLCM, so resolved positions match it bit for bit.
+//
+// It works in place: next is both input and output, and the critical-edge
+// list is accumulated in the scratch's reusable buffer, so no result slice
+// is allocated.
 func (s *LCMScratch) Resolve(region geom.Rect, rc float64, v view.Alive, next []geom.Vec2, neighborInfos [][]NeighborInfo) (follows int) {
 	oldPos := v.Pos
 	resolved := next

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/view"
 )
 
 func TestLCMScenarioFig4(t *testing.T) {
@@ -100,4 +101,61 @@ func TestLCMCoincidentWithTarget(t *testing.T) {
 	if _, follow := LCMFollow(geom.V2(50, 50), ann, 2, 10); follow {
 		t.Error("coincident node should not follow")
 	}
+}
+
+// MoveAnnouncement is the tell(nd, N) broadcast of Table 2 line 17: a
+// moving node announces its destination and its current single-hop
+// neighbor list so each neighbor can decide whether it must follow.
+type MoveAnnouncement struct {
+	// Mover identifies the announcing node.
+	Mover int
+	// Target is the mover's destination nd.
+	Target geom.Vec2
+	// Neighbors are the mover's single-hop neighbors before the move.
+	Neighbors []NeighborInfo
+}
+
+// LCMFollow implements the Local Connectivity Mechanism check of Table 2
+// lines 19–21 for a node at pos receiving ann: if the node can still reach
+// the mover's destination either directly or through one of the mover's
+// other neighbors (paper Fig. 4: n4 stays because n3 bridges; n5 must
+// follow), it stays put; otherwise it returns a follow target at exactly
+// Rc from the mover's destination, and true.
+func LCMFollow(pos geom.Vec2, ann MoveAnnouncement, selfID int, rc float64) (geom.Vec2, bool) {
+	if ann.Mover == selfID {
+		return pos, false
+	}
+	// Direct link survives.
+	if pos.Dist(ann.Target) <= rc {
+		return pos, false
+	}
+	// Bridged through another of the mover's neighbors: nj2 must be within
+	// rc of both this node and the mover's destination.
+	for _, nb := range ann.Neighbors {
+		if nb.ID == selfID {
+			continue
+		}
+		if pos.Dist(nb.Pos) <= rc && nb.Pos.Dist(ann.Target) <= rc {
+			return pos, false
+		}
+	}
+	// Stranded: move to keep |d(ni, nd2)| = Rc (Table 2 line 21). The
+	// follow distance backs off from Rc by a relative margin so that
+	// floating-point rounding can never leave the restored link
+	// marginally outside communication range.
+	dir := pos.Sub(ann.Target)
+	if dir.Len() == 0 {
+		return pos, false
+	}
+	const followMargin = 1e-6
+	return ann.Target.Add(dir.Normalize().Scale(rc * (1 - followMargin))), true
+}
+
+// ResolveLCM is the allocating form of LCMScratch.Resolve: it returns a
+// corrected copy of next and leaves next untouched.
+func ResolveLCM(region geom.Rect, rc float64, v view.Alive, next []geom.Vec2, neighborInfos [][]NeighborInfo) (resolved []geom.Vec2, follows int) {
+	resolved = append([]geom.Vec2(nil), next...)
+	var s LCMScratch
+	follows = s.Resolve(region, rc, v, resolved, neighborInfos)
+	return resolved, follows
 }

@@ -148,9 +148,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // Count returns the number of observations (0 on a nil histogram).
 func (h *Histogram) Count() int64 {
 	if h == nil {

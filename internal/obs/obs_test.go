@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestNilFastPath(t *testing.T) {
@@ -21,7 +20,6 @@ func TestNilFastPath(t *testing.T) {
 	g.Set(1)
 	g.Add(2)
 	h.Observe(3)
-	h.ObserveDuration(time.Second)
 	h.StartTimer().Stop()
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Errorf("nil metrics must read as zero")

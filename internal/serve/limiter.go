@@ -71,15 +71,3 @@ func (l *limiter) acquire(key string) (release func(), ok bool) {
 	l.depth.Add(-1)
 	return release, true
 }
-
-// queueDepth reports the current number of waiters across all tenants
-// (tests assert it returns to zero after a drain).
-func (l *limiter) queueDepth() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, t := range l.tenants {
-		n += t.queued
-	}
-	return n
-}

@@ -276,3 +276,15 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// queueDepth reports the current number of waiters across all tenants
+// (tests assert it returns to zero after a drain).
+func (l *limiter) queueDepth() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, t := range l.tenants {
+		n += t.queued
+	}
+	return n
+}

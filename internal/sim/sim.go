@@ -252,10 +252,6 @@ func (w *World) Step() (StepStats, error) {
 	return st, nil
 }
 
-// NodeEnergy returns the cumulative movement energy (meters traveled)
-// of node i since the world started.
-func (w *World) NodeEnergy(i int) float64 { return w.eng.NodeEnergy(i) }
-
 // TotalEnergy returns the cumulative movement energy of the whole swarm.
 func (w *World) TotalEnergy() float64 { return w.eng.TotalEnergy() }
 

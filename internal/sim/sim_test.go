@@ -250,11 +250,4 @@ func TestEnergyAccounting(t *testing.T) {
 	if diff := total - slotSum; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("per-slot sum %v != cumulative %v", slotSum, total)
 	}
-	perNode := 0.0
-	for i := 0; i < w.N(); i++ {
-		perNode += w.NodeEnergy(i)
-	}
-	if diff := perNode - total; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("per-node sum %v != total %v", perNode, total)
-	}
 }

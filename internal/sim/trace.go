@@ -116,13 +116,3 @@ func (w *World) DeltaTrace(n int) (float64, error) {
 	}
 	return d, nil
 }
-
-// TraceSampleCount returns the number of currently stored (fresh) trace
-// samples, or 0 when trace sampling is disabled.
-func (w *World) TraceSampleCount() int {
-	if w.trace == nil {
-		return 0
-	}
-	w.trace.prune(w.eng.Time())
-	return w.trace.size()
-}

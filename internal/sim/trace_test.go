@@ -118,3 +118,13 @@ func TestTraceSamplesExpireOverTime(t *testing.T) {
 		t.Errorf("trace store growing unboundedly: %v", counts)
 	}
 }
+
+// TraceSampleCount returns the number of currently stored (fresh) trace
+// samples, or 0 when trace sampling is disabled.
+func (w *World) TraceSampleCount() int {
+	if w.trace == nil {
+		return 0
+	}
+	w.trace.prune(w.eng.Time())
+	return w.trace.size()
+}

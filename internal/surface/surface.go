@@ -375,9 +375,6 @@ func (g *LocalErrorGrid) Pos(i, j int) geom.Vec2 {
 	)
 }
 
-// Ref returns the reference value at lattice node (i, j).
-func (g *LocalErrorGrid) Ref(i, j int) float64 { return g.ref[g.idx(i, j)] }
-
 // Err returns the current local error at lattice node (i, j).
 func (g *LocalErrorGrid) Err(i, j int) float64 { return g.err[g.idx(i, j)] }
 
@@ -435,23 +432,6 @@ func clampNode(v, n int) int {
 		return n
 	}
 	return v
-}
-
-// ArgMax returns the lattice node with the maximum local error (FRA line
-// 9). Ties resolve to the smallest (i, j) in row-major order, keeping the
-// algorithm deterministic. A grid with no error lattice (the zero value)
-// returns the sentinel (-1, -1, 0) instead of panicking.
-func (g *LocalErrorGrid) ArgMax() (i, j int, err float64) {
-	if len(g.err) == 0 {
-		return -1, -1, 0
-	}
-	best := -1
-	for k, e := range g.err {
-		if best == -1 || e > g.err[best] {
-			best = k
-		}
-	}
-	return best / (g.n + 1), best % (g.n + 1), g.err[best]
 }
 
 // Sum returns the lattice sum of local errors times the cell area — a

@@ -203,8 +203,8 @@ func TestLocalErrorGrid(t *testing.T) {
 	if g.N() != 10 {
 		t.Fatalf("N = %d", g.N())
 	}
-	if got := g.Ref(5, 3); got != 50 {
-		t.Errorf("Ref(5,3) = %v, want 50", got)
+	if got := g.ref[g.idx(5, 3)]; got != 50 {
+		t.Errorf("ref(5,3) = %v, want 50", got)
 	}
 	if got := g.Pos(10, 0); got != geom.V2(100, 0) {
 		t.Errorf("Pos(10,0) = %v", got)
@@ -243,4 +243,21 @@ func TestLocalErrorGridSumApproximatesDelta(t *testing.T) {
 	if math.Abs(g.Sum()-delta)/delta > 0.1 {
 		t.Errorf("lattice sum %v vs δ %v differ by more than 10%%", g.Sum(), delta)
 	}
+}
+
+// ArgMax returns the lattice node with the maximum local error (FRA line
+// 9). Ties resolve to the smallest (i, j) in row-major order, keeping the
+// algorithm deterministic. A grid with no error lattice (the zero value)
+// returns the sentinel (-1, -1, 0) instead of panicking.
+func (g *LocalErrorGrid) ArgMax() (i, j int, err float64) {
+	if len(g.err) == 0 {
+		return -1, -1, 0
+	}
+	best := -1
+	for k, e := range g.err {
+		if best == -1 || e > g.err[best] {
+			best = k
+		}
+	}
+	return best / (g.n + 1), best % (g.n + 1), g.err[best]
 }

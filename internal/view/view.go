@@ -32,9 +32,6 @@ type Alive struct {
 	Epoch int
 }
 
-// All returns the all-alive view over pos at epoch 0.
-func All(pos []geom.Vec2) Alive { return Alive{Pos: pos} }
-
 // FromDown converts a legacy down-mask (true = failed) over pos into a
 // view. A nil down mask yields the all-alive view.
 func FromDown(pos []geom.Vec2, down []bool) Alive {

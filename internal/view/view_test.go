@@ -18,9 +18,9 @@ func TestZeroViewIsAllAlive(t *testing.T) {
 
 func TestAllAndFromDown(t *testing.T) {
 	pos := []geom.Vec2{geom.V2(0, 0), geom.V2(1, 0), geom.V2(2, 0)}
-	v := All(pos)
+	v := Alive{Pos: pos}
 	if !v.AllUp() || v.N() != 3 || v.Count() != 3 {
-		t.Fatalf("All: AllUp=%v N=%d Count=%d", v.AllUp(), v.N(), v.Count())
+		t.Fatalf("nil mask: AllUp=%v N=%d Count=%d", v.AllUp(), v.N(), v.Count())
 	}
 	if fd := FromDown(pos, nil); !fd.AllUp() {
 		t.Fatal("FromDown(nil) must be the all-alive view")
