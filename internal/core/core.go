@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/delaunay"
 	"repro/internal/field"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -57,10 +58,11 @@ type FRAOptions struct {
 	// yields a lower δ but a disconnected network, violating the paper's
 	// constraint.
 	DisableForesight bool
-	// fullGridUpdates disables the incremental dirty-region refresh of the
-	// local-error lattice, recomputing the whole grid after every
-	// insertion as the original implementation did. The two paths produce
-	// identical placements; this knob exists so tests can prove it.
+	// fullGridUpdates disables the incremental refresh of the local-error
+	// lattice from each insertion's new triangles, recomputing the whole
+	// grid after every insertion as the original implementation did. The
+	// two paths produce identical placements; this knob exists so tests
+	// can prove it.
 	fullGridUpdates bool
 	// Metrics, when non-nil, receives the refinement-loop counters
 	// (fra_runs_total, fra_refined_total, fra_relays_total,
@@ -128,19 +130,19 @@ func FRA(f field.Field, opts FRAOptions) (Placement, error) {
 		oracle = graph.NewRelayOracle(opts.Rc)
 	}
 
-	// addNode inserts p into the reconstruction and reports the lattice
-	// region the insertion dirtied (exact=false demands a full refresh).
-	addNode := func(p geom.Vec2) (dirty geom.Rect, exact bool, err error) {
-		dirty, exact, err = tin.AddDirty(field.Sample{Pos: p, Z: f.Eval(p)})
+	// addNode inserts p into the reconstruction and reports the triangles
+	// the insertion created (exact=false demands a full refresh).
+	addNode := func(p geom.Vec2) (created []delaunay.Triangle, exact bool, err error) {
+		created, exact, err = tin.AddDirty(field.Sample{Pos: p, Z: f.Eval(p)})
 		if err != nil {
-			return dirty, exact, err
+			return nil, false, err
 		}
 		selected = append(selected, p)
 		selectedSet[p] = true
 		if oracle != nil {
 			oracle.Commit(p)
 		}
-		return dirty, exact, nil
+		return created, exact, nil
 	}
 
 	spendRestOnRelays := func() {
@@ -157,12 +159,13 @@ func FRA(f field.Field, opts FRAOptions) (Placement, error) {
 
 	for len(selected) < opts.K {
 		remaining := opts.K - len(selected)
+		bill := 0
 		if oracle != nil {
+			bill = oracle.Relays()
 			met.relayBudget.Set(float64(remaining - 1))
-			met.relayBill.Set(float64(oracle.Relays()))
+			met.relayBill.Set(float64(bill))
 		}
-		if !opts.DisableForesight && len(selected) > 0 &&
-			oracle.Relays() >= remaining {
+		if !opts.DisableForesight && len(selected) > 0 && bill >= remaining {
 			// Foresight trigger: the rest of the budget goes to relays.
 			spendRestOnRelays()
 			break
@@ -182,7 +185,7 @@ func FRA(f field.Field, opts FRAOptions) (Placement, error) {
 			spendRestOnRelays()
 			break
 		}
-		dirty, exact, err := addNode(p)
+		created, exact, err := addNode(p)
 		if err != nil {
 			banned[p] = true
 			met.banned.Inc()
@@ -190,7 +193,7 @@ func FRA(f field.Field, opts FRAOptions) (Placement, error) {
 		}
 		placement.Refined++
 		if exact && !opts.fullGridUpdates {
-			errGrid.UpdateRegion(tin, dirty)
+			errGrid.UpdateTriangles(tin, created)
 		} else {
 			errGrid.Update(tin)
 		}
@@ -238,8 +241,10 @@ func newFRAMetrics(reg *obs.Registry) fraMetrics {
 // is unconstrained). ok is false when no position qualifies. Local errors
 // are highly peaked, so trying candidates in argmax order converges after
 // a handful of attempts in practice; the attempt budget bounds the worst
-// case. tried is caller-owned scratch, cleared here, so steady-state
-// refinement allocates nothing per attempt.
+// case. The first attempt reads the argmax from the grid's row maxima
+// when nothing is banned; later attempts scan the grid. tried is
+// caller-owned scratch, cleared here, so steady-state refinement
+// allocates nothing per attempt.
 func nextRefinement(g *surface.LocalErrorGrid, oracle *graph.RelayOracle, selectedSet, banned, tried map[geom.Vec2]bool, budgetAfter int, attempts *obs.Counter) (geom.Vec2, bool) {
 	n := g.N()
 	clear(tried)
@@ -248,19 +253,23 @@ func nextRefinement(g *surface.LocalErrorGrid, oracle *graph.RelayOracle, select
 		attempts.Inc()
 		bestE := -1.0
 		var bestP geom.Vec2
-		for i := 0; i <= n; i++ {
-			for j := 0; j <= n; j++ {
-				e := g.Err(i, j)
-				if e <= bestE {
-					continue
+		if i, j, e, ok := g.MaxNode(); ok && attempt == 0 && len(banned) == 0 {
+			bestE, bestP = e, g.Pos(i, j)
+		} else {
+			for i := 0; i <= n; i++ {
+				for j := 0; j <= n; j++ {
+					e := g.Err(i, j)
+					if e <= bestE {
+						continue
+					}
+					// Only the running maximum pays for the position lookup
+					// and the exclusion checks.
+					p := g.Pos(i, j)
+					if banned[p] || tried[p] {
+						continue
+					}
+					bestE, bestP = e, p
 				}
-				// Only the running maximum pays for the position lookup
-				// and the exclusion checks.
-				p := g.Pos(i, j)
-				if banned[p] || tried[p] {
-					continue
-				}
-				bestE, bestP = e, p
 			}
 		}
 		if bestE < 0 {

@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/field"
+	"repro/internal/geom"
+	"repro/internal/surface"
 )
 
 // TestFRAIncrementalMatchesFullUpdates proves the dirty-region refresh is
@@ -63,6 +67,43 @@ func TestFRADeterministicAcrossProcs(t *testing.T) {
 		for j := range p.Nodes {
 			if p.Nodes[j] != base.Nodes[j] {
 				t.Fatalf("GOMAXPROCS=%d node %d: %v != %v", procs, j, p.Nodes[j], base.Nodes[j])
+			}
+		}
+	}
+}
+
+// TestFRAIncrementalMatchesFullUpdatesSmallRegion repeats the equality on
+// inline surfaces a hundredth and a thousandth of a unit wide, where the
+// triangulation's absolute predicate tolerances leave zero-area
+// triangles: FRA must notice them and refresh the whole lattice.
+func TestFRAIncrementalMatchesFullUpdatesSmallRegion(t *testing.T) {
+	for _, s := range []float64{1e-4, 1e-5} {
+		for seed := int64(1); seed <= 6; seed++ {
+			region := geom.Rect{Max: geom.V2(100*s, 70*s)}
+			rng := rand.New(rand.NewSource(seed))
+			var samples []field.Sample
+			for _, c := range region.Corners() {
+				samples = append(samples, field.Sample{Pos: c, Z: rng.Float64()})
+			}
+			for i := 0; i < 60; i++ {
+				p := geom.V2(rng.Float64()*region.Width(), rng.Float64()*region.Height())
+				samples = append(samples, field.Sample{Pos: p, Z: rng.NormFloat64()})
+			}
+			f, err := surface.FromSamples(region, samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.FRAOptions{K: 80, Rc: 10 * s, GridN: 50, AnchorCorners: true}
+			inc, err := core.FRA(f, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := core.FRA(f, core.WithFullGridUpdates(opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(inc.Nodes, full.Nodes) || inc.Refined != full.Refined || inc.Relays != full.Relays {
+				t.Errorf("scale %g seed %d: incremental and full placements differ", s, seed)
 			}
 		}
 	}

@@ -71,6 +71,16 @@ type Triangulation struct {
 	// that read-only queries (Find, NearestVertex, interpolation) are safe
 	// from multiple goroutines; InsertDirty still requires exclusive access.
 	last atomic.Int64
+
+	// Insertion scratch, reused so that a steady-state insertion allocates
+	// only when the triangulation itself grows.
+	cavity      []int
+	inCavity    map[int]bool
+	rim         []boundaryEdge
+	created     []int
+	newByFirst  map[int]int
+	newBySecond map[int]int
+	newReal     []Triangle // InsertDirty's result buffer
 }
 
 // New returns an empty triangulation able to accept any point inside
@@ -86,7 +96,10 @@ func New(bounds geom.Rect) *Triangulation {
 	}
 	m := 64 * d
 	t := &Triangulation{
-		bounds: bounds,
+		bounds:      bounds,
+		inCavity:    map[int]bool{},
+		newByFirst:  map[int]int{},
+		newBySecond: map[int]int{},
 		pts: []geom.Vec2{
 			{X: c.X - 2*m, Y: c.Y - m},
 			{X: c.X + 2*m, Y: c.Y - m},
@@ -106,30 +119,23 @@ func (t *Triangulation) Point(id int) geom.Vec2 { return t.pts[id] }
 // Bounds returns the construction rectangle.
 func (t *Triangulation) Bounds() geom.Rect { return t.bounds }
 
-// Dirty describes the region invalidated by one insertion: every point
-// whose covering triangle changed lies inside Region (the bounding box of
-// the retriangulated cavity). Hull reports whether the cavity touched a
-// ghost (super-vertex) triangle, i.e. whether the convex hull of the real
-// vertices may have changed — callers that interpolate with an
-// outside-the-hull fallback cannot trust Region alone in that case.
-type Dirty struct {
-	Region geom.Rect
-	Hull   bool
-}
-
-// InsertDirty adds p, returns its vertex ID and reports the dirty region
-// the insertion invalidated, enabling incremental re-evaluation of derived
-// state (FRA's local-error lattice) in O(|cavity|) instead of O(domain).
+// InsertDirty adds p and returns its vertex ID together with the
+// triangles of real vertices the insertion created, each in stored
+// (counter-clockwise) vertex order. Inside the convex hull of the real
+// vertices, every point whose covering triangle changed lies in one of
+// them, so derived state (FRA's local-error lattice) can be refreshed by
+// visiting only those triangles instead of the whole domain. The slice is
+// a buffer the Triangulation reuses: it is valid until the next insertion.
 // Re-inserting an existing point returns a *DuplicateError
 // (errors.Is(err, ErrDuplicate)) carrying the prior ID. A failed or
-// duplicate insertion returns a zero Dirty: nothing changed.
-func (t *Triangulation) InsertDirty(p geom.Vec2) (int, Dirty, error) {
+// duplicate insertion returns no triangles: nothing changed.
+func (t *Triangulation) InsertDirty(p geom.Vec2) (int, []Triangle, error) {
 	if !p.IsFinite() || !t.bounds.Contains(p) {
-		return -1, Dirty{}, fmt.Errorf("%w: %v not in %v", ErrOutOfBounds, p, t.bounds)
+		return -1, nil, fmt.Errorf("%w: %v not in %v", ErrOutOfBounds, p, t.bounds)
 	}
 	start, err := t.locate(p)
 	if err != nil {
-		return -1, Dirty{}, err
+		return -1, nil, err
 	}
 	// Duplicate check against the vertices of the containing triangle and
 	// its cavity is insufficient for near-coincident points that fall in a
@@ -137,40 +143,33 @@ func (t *Triangulation) InsertDirty(p geom.Vec2) (int, Dirty, error) {
 	// and, below, every cavity vertex.
 	for _, v := range t.tris[start].v {
 		if v >= nSuper && t.pts[v].Dist2(p) < duplicateEps2 {
-			return v, Dirty{}, &DuplicateError{ID: v}
+			return v, nil, &DuplicateError{ID: v}
 		}
 	}
 
 	cavity := t.findCavity(p, start)
-	dirty := Dirty{Region: geom.Rect{Min: p, Max: p}}
 	for _, ti := range cavity {
 		for _, v := range t.tris[ti].v {
-			if v < nSuper {
-				dirty.Hull = true
-				continue
+			if v >= nSuper && t.pts[v].Dist2(p) < duplicateEps2 {
+				return v, nil, &DuplicateError{ID: v}
 			}
-			if t.pts[v].Dist2(p) < duplicateEps2 {
-				return v, Dirty{}, &DuplicateError{ID: v}
-			}
-			q := t.pts[v]
-			dirty.Region.Min.X = math.Min(dirty.Region.Min.X, q.X)
-			dirty.Region.Min.Y = math.Min(dirty.Region.Min.Y, q.Y)
-			dirty.Region.Max.X = math.Max(dirty.Region.Max.X, q.X)
-			dirty.Region.Max.Y = math.Max(dirty.Region.Max.Y, q.Y)
 		}
 	}
 
 	id := len(t.pts)
 	t.pts = append(t.pts, p)
-	t.retriangulate(p, id, cavity)
-	return id, dirty, nil
+	t.retriangulate(id, cavity)
+	return id, t.newReal, nil
 }
 
 // findCavity returns the indices of all alive triangles whose circumcircle
 // contains p, found by flood fill from the containing triangle.
+// The slice and the membership set are scratch reused across insertions.
 func (t *Triangulation) findCavity(p geom.Vec2, start int) []int {
-	cavity := []int{start}
-	inCavity := map[int]bool{start: true}
+	inCavity := t.inCavity
+	clear(inCavity)
+	inCavity[start] = true
+	cavity := append(t.cavity[:0], start)
 	for head := 0; head < len(cavity); head++ {
 		ti := cavity[head]
 		for _, nb := range t.tris[ti].adj {
@@ -183,6 +182,7 @@ func (t *Triangulation) findCavity(p geom.Vec2, start int) []int {
 			}
 		}
 	}
+	t.cavity = cavity
 	return cavity
 }
 
@@ -230,19 +230,17 @@ type boundaryEdge struct {
 	outer int // adjacent triangle outside the cavity, or -1 at the hull
 }
 
-// retriangulate removes the cavity and fans new triangles from id to each
-// boundary edge, fixing all adjacency links.
-func (t *Triangulation) retriangulate(p geom.Vec2, id int, cavity []int) {
-	inCavity := make(map[int]bool, len(cavity))
-	for _, ti := range cavity {
-		inCavity[ti] = true
-	}
-	var rim []boundaryEdge
+// retriangulate removes the cavity found by findCavity (whose membership
+// set t.inCavity still holds) and fans new triangles from id to each
+// boundary edge, fixing all adjacency links. The new triangles of real
+// vertices are left in t.newReal.
+func (t *Triangulation) retriangulate(id int, cavity []int) {
+	rim := t.rim[:0]
 	for _, ti := range cavity {
 		tr := &t.tris[ti]
 		for i := 0; i < 3; i++ {
 			nb := tr.adj[i]
-			if nb >= 0 && inCavity[nb] {
+			if nb >= 0 && t.inCavity[nb] {
 				continue
 			}
 			// Edge opposite vertex i runs v[i+1] -> v[i+2] (CCW).
@@ -253,6 +251,7 @@ func (t *Triangulation) retriangulate(p geom.Vec2, id int, cavity []int) {
 			})
 		}
 	}
+	t.rim = rim
 	for _, ti := range cavity {
 		t.tris[ti].alive = false
 		t.free = append(t.free, ti)
@@ -260,8 +259,9 @@ func (t *Triangulation) retriangulate(p geom.Vec2, id int, cavity []int) {
 	// One new triangle per rim edge: (a, b, id). Adjacency across (a, b)
 	// is the old outer triangle; across the two spoke edges it is the new
 	// triangle sharing that spoke, found via the vertex at the far end.
-	newByFirst := make(map[int]int, len(rim)) // rim edge start vertex -> new triangle
-	created := make([]int, 0, len(rim))
+	newByFirst := t.newByFirst // rim edge start vertex -> new triangle
+	clear(newByFirst)
+	created := t.created[:0]
 	for _, e := range rim {
 		nt := t.alloc()
 		t.tris[nt] = tri{v: [3]int{e.a, e.b, id}, adj: [3]int{-1, -1, -1}, alive: true}
@@ -273,10 +273,13 @@ func (t *Triangulation) retriangulate(p geom.Vec2, id int, cavity []int) {
 		newByFirst[e.a] = nt
 		created = append(created, nt)
 	}
-	newBySecond := make(map[int]int, len(created)) // rim edge end vertex -> new triangle
+	t.created = created
+	newBySecond := t.newBySecond // rim edge end vertex -> new triangle
+	clear(newBySecond)
 	for _, nt := range created {
 		newBySecond[t.tris[nt].v[1]] = nt
 	}
+	newReal := t.newReal[:0]
 	for _, nt := range created {
 		a, b := t.tris[nt].v[0], t.tris[nt].v[1]
 		// Across edge (b, id) — opposite vertex a — lies the new triangle
@@ -289,7 +292,11 @@ func (t *Triangulation) retriangulate(p geom.Vec2, id int, cavity []int) {
 		if other, ok := newBySecond[a]; ok {
 			t.tris[nt].adj[1] = other
 		}
+		if a >= nSuper && b >= nSuper {
+			newReal = append(newReal, Triangle{V: t.tris[nt].v})
+		}
 	}
+	t.newReal = newReal
 	if len(created) > 0 {
 		t.last.Store(int64(created[0]))
 	}
@@ -380,7 +387,8 @@ func (t *Triangulation) anyAlive() int {
 	panic("delaunay: no alive triangles")
 }
 
-// Triangle is a triangle of real vertices, reported by Triangles.
+// Triangle is a triangle of real vertices, reported by Triangles and
+// InsertDirty.
 type Triangle struct {
 	// V holds the three vertex IDs in counter-clockwise order.
 	V [3]int

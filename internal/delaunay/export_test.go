@@ -18,7 +18,7 @@ func (t *Triangulation) AliveTriangleCount() int {
 	return n
 }
 
-// Insert is InsertDirty without the dirty region.
+// Insert is InsertDirty without the created triangles.
 func (t *Triangulation) Insert(p geom.Vec2) (int, error) {
 	id, _, err := t.InsertDirty(p)
 	return id, err

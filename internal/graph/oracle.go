@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -100,7 +101,7 @@ func (o *RelayOracle) Commit(p geom.Vec2) {
 		mergeRoots = append(mergeRoots, r)
 	}
 	inS[id] = true
-	sort.Ints(mergeRoots)
+	slices.Sort(mergeRoots)
 	for _, r := range mergeRoots {
 		o.uf.Union(id, r)
 	}
@@ -149,14 +150,15 @@ func (o *RelayOracle) relaySum(edges []compEdge, compIdx map[int]int, nComp int)
 	if nComp <= 1 {
 		return 0
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].dist != edges[j].dist {
-			return edges[i].dist < edges[j].dist
+	// (dist, a, b) is unique per edge, so the order is total.
+	slices.SortFunc(edges, func(x, y compEdge) int {
+		if c := cmp.Compare(x.dist, y.dist); c != 0 {
+			return c
 		}
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
 		}
-		return edges[i].b < edges[j].b
+		return cmp.Compare(x.b, y.b)
 	})
 	uf := NewUnionFind(nComp)
 	relays := 0
@@ -179,7 +181,7 @@ func (o *RelayOracle) roots() []int {
 			rs = append(rs, r)
 		}
 	}
-	sort.Ints(rs)
+	slices.Sort(rs)
 	return rs
 }
 

@@ -35,8 +35,15 @@ type TIN struct {
 	// corners is a bitmask of the region corners present among the
 	// samples. With all four corners anchored the convex hull equals the
 	// region rectangle, so every in-bounds query resolves by triangle
-	// interpolation — the precondition for trusting dirty-region updates.
+	// interpolation — the precondition for trusting incremental updates.
 	corners int
+	// flat records that an insertion created a triangle whose vertices
+	// Orient2D calls collinear. At small region scales the absolute
+	// predicate tolerances leave such zero-area triangles when a point
+	// lands on an edge; a query on their edges resolves differently
+	// depending on the triangle the walk stops in, so no incremental
+	// refresh can reproduce a full one.
+	flat bool
 }
 
 // NewTIN returns an empty TIN over the given region.
@@ -66,20 +73,22 @@ func (t *TIN) Add(s field.Sample) error {
 	return err
 }
 
-// AddDirty inserts one sample and reports the region whose reconstructed
-// values the insertion invalidated. When exact is true, every point whose
-// Eval result changed lies inside dirty (the retriangulated cavity's
-// bounding box), so derived state such as FRA's local-error lattice can be
-// refreshed incrementally. exact requires all four region corners to have
-// been present *before* this insertion: without them, some in-bounds
-// queries resolve by the nearest-sample fallback, whose answer can change
-// anywhere when a sample is added. Duplicates return delaunay.ErrDuplicate
-// with a zero dirty region.
-func (t *TIN) AddDirty(s field.Sample) (dirty geom.Rect, exact bool, err error) {
+// AddDirty inserts one sample and reports the triangles the insertion
+// created (delaunay.Triangulation.InsertDirty; the slice is reused by the
+// next insertion). When exact is true, every point whose Eval result
+// changed lies in one of those triangles, so derived state such as FRA's
+// local-error lattice can be refreshed incrementally with
+// LocalErrorGrid.UpdateTriangles. exact requires all four region corners
+// to have been present *before* this insertion: without them, some
+// in-bounds queries resolve by the nearest-sample fallback, whose answer
+// can change anywhere when a sample is added. It also requires that no
+// insertion so far, this one included, created a zero-area triangle.
+// Duplicates return delaunay.ErrDuplicate and no triangles.
+func (t *TIN) AddDirty(s field.Sample) (created []delaunay.Triangle, exact bool, err error) {
 	covered := t.corners == 0b1111
-	id, d, err := t.tri.InsertDirty(s.Pos)
+	id, created, err := t.tri.InsertDirty(s.Pos)
 	if err != nil {
-		return geom.Rect{}, false, err
+		return nil, false, err
 	}
 	for len(t.z) <= id {
 		t.z = append(t.z, 0)
@@ -90,7 +99,11 @@ func (t *TIN) AddDirty(s field.Sample) (dirty geom.Rect, exact bool, err error) 
 			t.corners |= 1 << ci
 		}
 	}
-	return d.Region, covered, nil
+	for _, tr := range created {
+		a, b, c := t.tri.Point(tr.V[0]), t.tri.Point(tr.V[1]), t.tri.Point(tr.V[2])
+		t.flat = t.flat || geom.Orient2D(a, b, c) != geom.CounterClockwise
+	}
+	return created, covered && !t.flat, nil
 }
 
 // NumSamples returns the number of distinct sample positions.
@@ -162,6 +175,12 @@ func (t *TIN) interpTriangle(v [3]int, p geom.Vec2) (float64, bool) {
 		s := p.Sub(pi).Dot(pj.Sub(pi)) / d2
 		return t.z[i] + s*(t.z[j]-t.z[i]), true
 	}
+	return t.barycentric(v, a, b, c, p)
+}
+
+// barycentric interpolates p over the triangle with vertex IDs v and
+// positions a, b, c, weighting the vertex values in stored vertex order.
+func (t *TIN) barycentric(v [3]int, a, b, c, p geom.Vec2) (float64, bool) {
 	wa, wb, wc, ok := geom.Barycentric(a, b, c, p)
 	if !ok {
 		return 0, false
@@ -339,6 +358,10 @@ type LocalErrorGrid struct {
 	n      int // lattice divisions per side
 	ref    []float64
 	err    []float64
+	// rowMax[i] is the largest err[i][·] and rowArg[i] the first column
+	// attaining it, so the row-major argmax reads n+1 rows, not (n+1)².
+	rowMax []float64
+	rowArg []int
 }
 
 // NewLocalErrorGrid precomputes the reference values of f on an
@@ -352,6 +375,8 @@ func NewLocalErrorGrid(f field.Field, n int) *LocalErrorGrid {
 		n:      n,
 		ref:    make([]float64, (n+1)*(n+1)),
 		err:    make([]float64, (n+1)*(n+1)),
+		rowMax: make([]float64, n+1),
+		rowArg: make([]int, n+1),
 	}
 	runBands(n+1, func(lo, hi int) {
 		fe := evalFn(f)
@@ -381,9 +406,10 @@ func (g *LocalErrorGrid) Err(i, j int) float64 { return g.err[g.idx(i, j)] }
 func (g *LocalErrorGrid) idx(i, j int) int { return i*(g.n+1) + j }
 
 // Update recomputes every local error against the given reconstruction
-// (paper FRA line 11: update(Err) after new triangles are generated).
-// Lattice rows are refreshed by a bounded worker pool, one evaluation
-// cursor per band; results are bit-identical for any GOMAXPROCS.
+// (paper FRA line 11: update(Err) after new triangles are generated), and
+// every row maximum. Lattice rows are refreshed by a bounded worker pool,
+// one evaluation cursor per band; results are bit-identical for any
+// GOMAXPROCS.
 func (g *LocalErrorGrid) Update(t *TIN) {
 	runBands(g.n+1, func(lo, hi int) {
 		le := t.NewLocator()
@@ -392,46 +418,127 @@ func (g *LocalErrorGrid) Update(t *TIN) {
 				k := g.idx(i, j)
 				g.err[k] = math.Abs(g.ref[k] - le.Eval(g.Pos(i, j)))
 			}
+			g.updateRowMax(i)
 		}
 	})
 }
 
-// UpdateRegion recomputes the local errors of only those lattice nodes
-// inside (or within one lattice step of) r — the dirty-region counterpart
-// of Update for incremental refinement: after TIN.AddDirty reports an
-// exact dirty rectangle, the per-insertion cost drops from O(n²) lattice
-// evaluations to O(|cavity|). Nodes outside r keep their stored errors,
-// which is sound exactly when no point outside r changed its Eval result.
-func (g *LocalErrorGrid) UpdateRegion(t *TIN, r geom.Rect) {
-	w, h := g.region.Width(), g.region.Height()
-	iLo, iHi, jLo, jHi := 0, g.n, 0, g.n
-	// Widen by one node on each side so boundary rounding can never
-	// exclude a node sitting exactly on the dirty rectangle's edge.
-	if w > 0 {
-		iLo = clampNode(int(math.Floor((r.Min.X-g.region.Min.X)/w*float64(g.n)))-1, g.n)
-		iHi = clampNode(int(math.Ceil((r.Max.X-g.region.Min.X)/w*float64(g.n)))+1, g.n)
+// UpdateTriangles recomputes the local errors of the lattice nodes that
+// the given triangles of t cover, and the maxima of the rows they touch.
+// It is the incremental counterpart of Update for the triangles one
+// insertion created: nodes outside them keep their stored errors, which
+// is sound exactly when TIN.AddDirty reported the insertion exact, the
+// precondition of this method.
+//
+// Each triangle is scan-converted: per lattice row, only the nodes of the
+// triangle's span are visited, and each is classified by the three
+// orientation tests of the point-location walk. A node right of an edge
+// lies in another triangle and is skipped. A node strictly inside is
+// interpolated barycentrically in stored vertex order, the arithmetic
+// interpTriangle runs for it. A node on an edge or a vertex goes through
+// interpTriangle, whose on-edge and on-vertex rules depend only on the
+// shared feature, so a node that two triangles share gets the same bits
+// from both, and the same bits as Update.
+func (g *LocalErrorGrid) UpdateTriangles(t *TIN, tris []delaunay.Triangle) {
+	rowLo, rowHi := g.n+1, -1
+	for _, tr := range tris {
+		lo, hi := g.scanTriangle(t, tr.V)
+		rowLo, rowHi = min(rowLo, lo), max(rowHi, hi)
 	}
-	if h > 0 {
-		jLo = clampNode(int(math.Floor((r.Min.Y-g.region.Min.Y)/h*float64(g.n)))-1, g.n)
-		jHi = clampNode(int(math.Ceil((r.Max.Y-g.region.Min.Y)/h*float64(g.n)))+1, g.n)
-	}
-	le := t.NewLocator()
-	for i := iLo; i <= iHi; i++ {
-		for j := jLo; j <= jHi; j++ {
-			k := g.idx(i, j)
-			g.err[k] = math.Abs(g.ref[k] - le.Eval(g.Pos(i, j)))
-		}
+	for i := rowLo; i <= rowHi; i++ {
+		g.updateRowMax(i)
 	}
 }
 
-func clampNode(v, n int) int {
-	if v < 0 {
-		return 0
+// scanTriangle refreshes the nodes covered by the triangle with vertex IDs
+// v and returns the range of rows it visited.
+func (g *LocalErrorGrid) scanTriangle(t *TIN, v [3]int) (rowLo, rowHi int) {
+	a, b, c := t.tri.Point(v[0]), t.tri.Point(v[1]), t.tri.Point(v[2])
+	xLo, xHi := min(a.X, b.X, c.X), max(a.X, b.X, c.X)
+	rowLo, rowHi = g.span(xLo, xHi, g.region.Min.X, g.region.Width())
+	edges := [3][2]geom.Vec2{{a, b}, {b, c}, {c, a}}
+	for i := rowLo; i <= rowHi; i++ {
+		// The triangle's y-extent on this row's vertical line; a row just
+		// outside the x-extent by rounding takes the extent's end.
+		x := min(max(g.Pos(i, 0).X, xLo), xHi)
+		yLo, yHi := math.Inf(1), math.Inf(-1)
+		for _, e := range edges {
+			p, q := e[0], e[1]
+			if x < min(p.X, q.X) || x > max(p.X, q.X) {
+				continue
+			}
+			y0, y1 := p.Y, q.Y // a vertical edge spans both its ends
+			if p.X != q.X {
+				y0 = p.Y + (x-p.X)*(q.Y-p.Y)/(q.X-p.X)
+				y1 = y0
+			}
+			yLo, yHi = min(yLo, y0, y1), max(yHi, y0, y1)
+		}
+		jLo, jHi := g.span(yLo, yHi, g.region.Min.Y, g.region.Height())
+		for j := jLo; j <= jHi; j++ {
+			p := g.Pos(i, j)
+			o0 := geom.Orient2D(a, b, p)
+			o1 := geom.Orient2D(b, c, p)
+			o2 := geom.Orient2D(c, a, p)
+			if o0 == geom.Clockwise || o1 == geom.Clockwise || o2 == geom.Clockwise {
+				continue
+			}
+			// An exact insertion leaves no flat triangle, so both
+			// interpolations succeed.
+			var z float64
+			if o0 == geom.CounterClockwise && o1 == geom.CounterClockwise && o2 == geom.CounterClockwise {
+				z, _ = t.barycentric(v, a, b, c, p)
+			} else {
+				z, _ = t.interpTriangle(v, p)
+			}
+			k := g.idx(i, j)
+			g.err[k] = math.Abs(g.ref[k] - z)
+		}
 	}
-	if v > n {
-		return n
+	return rowLo, rowHi
+}
+
+// span returns the range of lattice indices whose coordinates, origin +
+// extent·index/n, can lie in [lo, hi]. Floor and ceiling keep a node that
+// sits on an end within the range despite rounding. extent is positive:
+// a region holding a triangle that is not flat has area.
+func (g *LocalErrorGrid) span(lo, hi, origin, extent float64) (int, int) {
+	n := float64(g.n)
+	l := math.Floor((lo - origin) / extent * n)
+	h := math.Ceil((hi - origin) / extent * n)
+	return int(min(max(l, 0), n)), int(min(max(h, 0), n))
+}
+
+// updateRowMax recomputes row i's maximum and the first column attaining
+// it. A row holding a NaN error records the NaN instead.
+func (g *LocalErrorGrid) updateRowMax(i int) {
+	row := g.err[g.idx(i, 0) : g.idx(i, g.n)+1]
+	best := 0
+	for j, e := range row {
+		if e > row[best] {
+			best = j
+		} else if e != e {
+			best = j
+			break
+		}
 	}
-	return v
+	g.rowMax[i], g.rowArg[i] = row[best], best
+}
+
+// MaxNode returns the lattice node with the maximum local error (FRA line
+// 9) and that error, from the row maxima. Ties resolve to the first node
+// in row-major order, the rule of a full scan with a strict comparison.
+// ok is false when some error is NaN: the errors then have no maximum.
+func (g *LocalErrorGrid) MaxNode() (i, j int, err float64, ok bool) {
+	for r, e := range g.rowMax {
+		if e != e {
+			return 0, 0, 0, false
+		}
+		if e > g.rowMax[i] {
+			i = r
+		}
+	}
+	return i, g.rowArg[i], g.rowMax[i], true
 }
 
 // Sum returns the lattice sum of local errors times the cell area — a
