@@ -16,12 +16,11 @@ import (
 // into one package's _test.go file. Keys are "dir.Func" or
 // "dir.Recv.Method".
 var deadAllowed = map[string]string{
-	"internal/field.Constant":            "flat field for curvature, core, mobile, sim and surface tests",
-	"internal/field.Plane":               "linear field for curvature, sim and surface tests",
-	"internal/field.Quadratic":           "known-curvature field for field and curvature tests",
-	"internal/geom.TriArea":              "triangle-area check of geom and delaunay tests",
-	"internal/surface.TIN.Triangles":     "triangle list for surface tests; keeps delaunay's Triangles, which delaunay tests read, alive",
-	"internal/curvature.Fitter.MemoHits": "memo-hit counter read by curvature and engine tests",
+	"internal/field.Constant":        "flat field for curvature, core, mobile, sim and surface tests",
+	"internal/field.Plane":           "linear field for curvature, sim and surface tests",
+	"internal/field.Quadratic":       "known-curvature field for field and curvature tests",
+	"internal/geom.TriArea":          "triangle-area check of geom and delaunay tests",
+	"internal/surface.TIN.Triangles": "triangle list for surface tests; keeps delaunay's Triangles, which delaunay tests read, alive",
 }
 
 // stdMethods are methods that the standard library calls through its own

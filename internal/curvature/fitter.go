@@ -27,15 +27,20 @@ type Fitter struct {
 	method Method
 	mat    *linalg.Matrix
 	rhs    []float64
-	lsq    linalg.LSQ
+	lsq    *linalg.LSQ
 	// near and nearKey are the m-slot selection buffer of FitNearest:
 	// the nearest samples so far and their squared distances, ascending.
 	near    []field.Sample
 	nearKey []float64
-	// memo is the attached per-slot peak-fit memo, if any, and memoHits
-	// counts the NearestAbsGaussian calls it served.
-	memo     *PeakMemo
-	memoHits int64
+	// Peak's scratch (peak.go): the window over one call's integer
+	// samples and the off-lattice ones, a candidate's picks and offset
+	// pattern, and the QR factors of the patterns seen so far.
+	indexed        bool
+	x0, y0, nx, ny int
+	cell, off      []int32
+	sel            []pick
+	pattern        []byte
+	factors        map[string]*linalg.LSQ
 }
 
 // flatFloor is the flat-fit floor of Fit, 64 ulps of 1: a fitted
@@ -48,7 +53,7 @@ const flatFloor = 64 * 0x1p-52
 
 // NewFitter returns a fitter using the given least-squares backend.
 func NewFitter(method Method) *Fitter {
-	return &Fitter{method: method}
+	return &Fitter{method: method, lsq: new(linalg.LSQ), factors: map[string]*linalg.LSQ{}}
 }
 
 // Method returns the fitter's least-squares backend.
@@ -58,6 +63,12 @@ func (f *Fitter) Method() Method { return f.method }
 // origin, as the package-level Fit documents, reusing the fitter's
 // scratch.
 func (f *Fitter) Fit(origin geom.Vec2, samples []field.Sample) (Estimate, error) {
+	return f.fit(origin, samples, nil)
+}
+
+// fit is Fit, solving with fac when it holds the QR factor of this fit's
+// design matrix.
+func (f *Fitter) fit(origin geom.Vec2, samples []field.Sample, fac *linalg.LSQ) (Estimate, error) {
 	if len(samples) < 3 {
 		return Estimate{}, fmt.Errorf("%w: got %d", ErrTooFewSamples, len(samples))
 	}
@@ -97,10 +108,12 @@ func (f *Fitter) Fit(origin geom.Vec2, samples []field.Sample) (Estimate, error)
 	}
 	var coef []float64
 	var err error
-	switch f.method {
-	case Normal:
+	switch {
+	case fac != nil:
+		coef, err = fac.SolveFactored(f.rhs)
+	case f.method == Normal:
 		coef, err = linalg.LeastSquaresNormal(f.mat, f.rhs)
-	case Huber:
+	case f.method == Huber:
 		coef, err = f.lsq.SolveHuber(f.mat, f.rhs, 0, 0)
 	default:
 		coef, err = f.lsq.Solve(f.mat, f.rhs)

@@ -159,8 +159,10 @@ func TestFitterBitIdentical(t *testing.T) {
 }
 
 // TestFitterAllocFree asserts the steady-state contract on the QR and
-// Huber paths: once warmed up, Fit and FitNearest allocate nothing. The
-// disc's noisy heights make Huber reweight and re-solve.
+// Huber paths: once warmed up, Fit, FitNearest and Peak allocate nothing.
+// The disc's noisy heights make Huber reweight and re-solve; Peak also
+// runs on a second disc whose off-lattice center makes it merge the own
+// sample into its walks.
 func TestFitterAllocFree(t *testing.T) {
 	for _, method := range []Method{QR, Huber} {
 		rng := rand.New(rand.NewSource(5))
@@ -168,20 +170,20 @@ func TestFitterAllocFree(t *testing.T) {
 		center := geom.V2(50, 50)
 		samples := noisyDisc(rng, center, 5)
 		samples[7].Z += 40 // a gross outlier
-		if _, err := f.FitNearest(center, samples, 12); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Fit(center, samples); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
+		offCenter := geom.V2(50.4, 49.7)
+		offSamples := noisyDisc(rng, offCenter, 5)
+		fits := func() {
 			if _, err := f.FitNearest(center, samples, 12); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := f.Fit(center, samples); err != nil {
 				t.Fatal(err)
 			}
-		})
+			f.Peak(center, samples, 12, 3.5)
+			f.Peak(offCenter, offSamples, 12, 3.5)
+		}
+		fits()
+		allocs := testing.AllocsPerRun(50, fits)
 		if allocs != 0 {
 			t.Fatalf("method %d: steady-state fits allocate %.1f objects/op, want 0", method, allocs)
 		}

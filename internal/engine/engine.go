@@ -26,8 +26,7 @@
 //   - Exchange is parallel only when the fault injector is inactive —
 //     link-loss queries advance shared Gilbert-Elliott chain state.
 //   - Fit and Plan are always parallel: a node's controller is touched by
-//     that node alone. Workers may race to fill one entry of the shared
-//     peak-fit memo; they store identical bits through atomics.
+//     that node alone, and each worker owns its fit scratch.
 //   - Resolve, Move and Account are inherently serial (global constraint
 //     projection and ordered folds).
 //
@@ -51,10 +50,10 @@
 //
 // Neighbouring sensing discs cover the same lattice points. On noiseless
 // slots whose sensing box holds no more points than the discs read, Sense
-// evaluates the field once per integer point of the box, and Fit serves
-// peak fits that are provably a function of the lattice point alone from
-// a per-slot memo (see shareLattice and curvature.PeakMemo). Both share
-// arithmetic, not information, and are bit-identical to per-node work.
+// evaluates the field once per integer point of the box (see
+// shareLattice). That shares arithmetic, not information, and is
+// bit-identical to per-node sensing. Every peak fit reads only the node's
+// own samples (curvature.Fitter.Peak).
 package engine
 
 import (
@@ -167,14 +166,10 @@ type Engine struct {
 	// lcm is the Resolve stage's reusable constraint-projection scratch.
 	lcm mobile.LCMScratch
 
-	// lattice and memo are the shared sensing lattice of the slot (see
+	// lattice is the shared sensing lattice of the slot (see
 	// shareLattice): the field values at every integer point of the alive
-	// swarm's sensing box, and the peak-fit memo over the same box.
-	// peakMemo is the memo attached to the fitters this slot — nil when
-	// sharing is off — and is reset at the start of every Step.
-	lattice  field.Lattice
-	memo     curvature.PeakMemo
-	peakMemo *curvature.PeakMemo
+	// swarm's sensing box.
+	lattice field.Lattice
 
 	// idx is the shared neighbor-discovery index over pos, re-indexed in
 	// place whenever epoch has advanced past idxEpoch; epoch bumps at every
@@ -432,8 +427,8 @@ type Slot struct {
 	// AliveCount is the number of alive nodes.
 	AliveCount int
 	// Samples holds each node's sensed disc (Sense). Later stages must
-	// treat it as read-only: the peak-fit memo and the controllers' fit
-	// cache both assume the sensed values.
+	// treat it as read-only: the controllers' fit cache assumes the sensed
+	// values.
 	Samples [][]field.Sample
 	// Curv holds each node's own curvature estimate G (Fit).
 	Curv []float64
@@ -459,7 +454,6 @@ type Slot struct {
 // with an inert one) the slot is bit-identical to the fault-free dynamics.
 func (e *Engine) Step() (StepStats, error) {
 	inj := e.opts.Faults
-	e.peakMemo = nil
 	s := &Slot{
 		Epoch:  e.slot,
 		Faulty: inj != nil && inj.Active(),
@@ -616,14 +610,10 @@ func forBands(n, band int, fn func(w, lo, hi int)) {
 }
 
 // ensureFitters grows the per-worker fit-scratch pool to at least k
-// entries, all built with the configuration's fit method, and attaches the
-// slot's peak-fit memo (or none) to every entry.
+// entries, all built with the configuration's fit method.
 func (e *Engine) ensureFitters(k int) {
 	for len(e.fitters) < k {
 		e.fitters = append(e.fitters, curvature.NewFitter(e.opts.Config.FitMethod()))
-	}
-	for _, f := range e.fitters {
-		f.SetPeakMemo(e.peakMemo)
 	}
 }
 

@@ -9,12 +9,6 @@ func forceLatticeShare(on bool) (restore func()) {
 	return func() { latticeShareRule = prev }
 }
 
-// memoHits returns how many peak fits the shared memo has served across
-// the engine's fitters so far.
-func (e *Engine) memoHits() int64 {
-	var n int64
-	for _, f := range e.fitters {
-		n += f.MemoHits()
-	}
-	return n
-}
+// latticeShared reports whether any slot so far has sensed through the
+// shared sensing lattice.
+func (e *Engine) latticeShared() bool { return e.lattice.Rows() > 0 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/field"
-	"repro/internal/mobile"
 )
 
 // latticeRowBand is the number of lattice rows one parallel fill band
@@ -22,10 +21,7 @@ var latticeShareRule = func(boxPoints, discReads float64) bool { return boxPoint
 // no more integer points than the slot's discs read (alive × (πRs² + 1)),
 // it evaluates the field once at every integer point of that box, in
 // parallel row bands, and returns a view serving those values; the disc
-// readings through the view are bit-identical to direct ones. When no
-// sensing fault can touch the slot it also resets the peak-fit memo over
-// the same box and attaches it to the fitters (curvature.PeakMemo states
-// why a served fit is the node's own fit bit for bit). Otherwise it
+// readings through the view are bit-identical to direct ones. Otherwise it
 // returns the field itself and the slot runs unshared.
 func (e *Engine) shareLattice(s *Slot) field.DynField {
 	if e.opts.NoiseStd != 0 || s.AliveCount == 0 {
@@ -53,13 +49,5 @@ func (e *Engine) shareLattice(s *Slot) field.DynField {
 	}
 	e.lattice.Reset(e.dyn, e.t, int(x0), int(y0), int(nx), int(ny))
 	forBands(e.lattice.Rows(), latticeRowBand, func(_, lo, hi int) { e.lattice.FillRows(lo, hi) })
-	if !s.Faulty {
-		m := e.opts.Config.PeakFitM
-		if m == 0 {
-			m = mobile.DefaultPeakFitM
-		}
-		e.memo.Reset(b, rs, m, int(x0), int(y0), int(nx), int(ny))
-		e.peakMemo = &e.memo
-	}
 	return &e.lattice
 }

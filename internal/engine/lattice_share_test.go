@@ -30,8 +30,9 @@ func latticeScenes(t *testing.T) map[string]field.DynField {
 }
 
 // runShared steps a fresh engine with the shared lattice forced on or off
-// and records its stats, position bits and memo hits.
-func runShared(t *testing.T, dyn field.DynField, pos []geom.Vec2, opts func() Options, slots int, on bool) ([]StepStats, []uint64, int64) {
+// and records its stats, its position bits and whether any slot sensed
+// through the shared lattice.
+func runShared(t *testing.T, dyn field.DynField, pos []geom.Vec2, opts func() Options, slots int, on bool) ([]StepStats, []uint64, bool) {
 	t.Helper()
 	defer forceLatticeShare(on)()
 	e, err := New(dyn, pos, opts())
@@ -39,17 +40,17 @@ func runShared(t *testing.T, dyn field.DynField, pos []geom.Vec2, opts func() Op
 		t.Fatal(err)
 	}
 	stats, bits := runRecorded(t, e, slots)
-	return stats, bits, e.memoHits()
+	return stats, bits, e.latticeShared()
 }
 
-// TestLatticeShareBitIdentity pins the shared sensing lattice and the
-// peak-fit memo to the unshared slot, bit for bit: forced on and forced
-// off must agree on every statistic and coordinate over forest, plume
-// and replay fields, at one and four workers, with faults off and on and
-// with noiseless and noisy sensing. The swarm is dense and touches the
-// region's corner, so discs overlap and balls cross the border. The
-// memo must serve fits only on clean, noiseless runs. A last subtest runs
-// the 2000-node forest under the derived enable rule.
+// TestLatticeShareBitIdentity pins the shared sensing lattice to the
+// unshared slot, bit for bit: forced on and forced off must agree on every
+// statistic and coordinate over forest, plume and replay fields, at one
+// and four workers, with faults off and on and with noiseless and noisy
+// sensing. The swarm is dense and touches the region's corner, so discs
+// overlap and fit neighbourhoods cross the border. The lattice must be in
+// use exactly on forced-on noiseless runs. A last subtest runs the
+// 2000-node forest under the derived enable rule.
 func TestLatticeShareBitIdentity(t *testing.T) {
 	const k, slots = 100, 12
 	pos := field.GridLayout(geom.Square(45), k)
@@ -67,14 +68,14 @@ func TestLatticeShareBitIdentity(t *testing.T) {
 							}
 							return o
 						}
-						offStats, offBits, offHits := runShared(t, dyn, pos, opts, slots, false)
-						onStats, onBits, onHits := runShared(t, dyn, pos, opts, slots, true)
+						offStats, offBits, offShared := runShared(t, dyn, pos, opts, slots, false)
+						onStats, onBits, onShared := runShared(t, dyn, pos, opts, slots, true)
 						compareRuns(t, label, offStats, onStats, offBits, onBits)
-						if offHits != 0 {
-							t.Errorf("memo served %d fits with sharing off", offHits)
+						if offShared {
+							t.Error("lattice in use with sharing forced off")
 						}
-						if clean := rate == 0 && noise == 0; clean != (onHits > 0) {
-							t.Errorf("memo served %d fits (clean run: %v)", onHits, clean)
+						if noiseless := noise == 0; noiseless != onShared {
+							t.Errorf("lattice in use: %v, noiseless run: %v", onShared, noiseless)
 						}
 					})
 				}
@@ -86,8 +87,7 @@ func TestLatticeShareBitIdentity(t *testing.T) {
 
 // testLatticeShareLargeSwarm checks the derived enable rule on the
 // 2000-node forest: sharing switches on by itself, matches the unshared
-// slot bit for bit, and the memo serves fits on clean slots but none on a
-// faulty or a noisy one.
+// slot bit for bit, and stays on under faults but off on a noisy slot.
 func testLatticeShareLargeSwarm(t *testing.T) {
 	const n, slots = 2000, 2
 	forest := field.NewForest(field.DefaultForestConfig())
@@ -101,25 +101,29 @@ func testLatticeShareLargeSwarm(t *testing.T) {
 	}
 	stats, bits := runRecorded(t, e, slots)
 	compareRuns(t, "derived rule", offStats, stats, offBits, bits)
-	if e.memoHits() == 0 {
-		t.Error("memo served no fits on the clean 2000-node forest")
+	if !e.latticeShared() {
+		t.Error("lattice not in use on the clean 2000-node forest")
 	}
 
-	for name, opts := range map[string]func() Options{
-		"faulty": func() Options {
+	for _, tc := range []struct {
+		name   string
+		opts   func() Options
+		shared bool
+	}{
+		{"faulty", func() Options {
 			return Options{Config: mobile.DefaultConfig(), Faults: fault.NewInjector(n, fault.Profile(0.2, slots, 9))}
-		},
-		"noisy": func() Options { return Options{Config: mobile.DefaultConfig(), NoiseStd: 0.05, Seed: 5} },
+		}, true},
+		{"noisy", func() Options { return Options{Config: mobile.DefaultConfig(), NoiseStd: 0.05, Seed: 5} }, false},
 	} {
-		e, err := New(forest, pos, opts())
+		e, err := New(forest, pos, tc.opts())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if h := e.memoHits(); h != 0 {
-			t.Errorf("%s slot: memo served %d fits, want 0", name, h)
+		if got := e.latticeShared(); got != tc.shared {
+			t.Errorf("%s slot: lattice in use %v, want %v", tc.name, got, tc.shared)
 		}
 	}
 }

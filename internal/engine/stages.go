@@ -39,8 +39,7 @@ func DefaultStages() []Stage {
 // channel (dropouts, outlier spikes). Dead nodes do not sense. Parallel
 // only with zero sensing noise: the sampler's noise RNG is shared, and its
 // draw order is observable otherwise. On dense noiseless slots the discs
-// read through the shared sensing lattice, and the Fit stage's peak-fit
-// memo is set up over it (Engine.shareLattice).
+// read through the shared sensing lattice (Engine.shareLattice).
 type SenseStage struct{}
 
 // Name implements Stage.

@@ -94,9 +94,10 @@ func TestDiscIncludesCenterAndClipsBounds(t *testing.T) {
 // TestDiscLatticeOrder pins the order DiscTimeInto lists a disc in: the
 // center's own sample first, and only when the center is in bounds, then
 // every in-bounds lattice point within rs in ix-major, iy-minor order,
-// with a center that sits exactly on a lattice point not repeated. The
-// engine's peak-fit memo (curvature.PeakMemo) is correct only under this
-// order: it makes every node list shared lattice points alike.
+// with a center that sits exactly on a lattice point not repeated. In
+// this order a clean disc's lattice samples already sort by (dx, dy)
+// within each distance shell, which curvature.Fitter.Peak's walk relies
+// on for speed, not for correctness.
 func TestDiscLatticeOrder(t *testing.T) {
 	region := geom.Square(100)
 	f := Plane(region, 0.5, -0.25, 3)

@@ -24,6 +24,8 @@ type LSQ struct {
 	// Solve overwrites x.
 	res, abs, wb, it []float64
 	wa               Matrix
+	m, n             int   // shape of the last Factor
+	err              error // outcome of the last Factor
 }
 
 // grow returns buf resized to n, reusing its backing array when capacity
@@ -36,21 +38,29 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // Solve computes the least-squares solution x minimizing ‖A·x − b‖₂ by
-// Householder QR, reusing the workspace's buffers. The returned slice is
-// owned by the workspace and valid only until its next solve. It returns
-// ErrShape when A has more columns than rows or b does not match, and
-// ErrSingular for rank-deficient systems.
+// Householder QR, as Factor(a) then SolveFactored(b). The returned slice
+// is owned by the workspace and valid only until its next solve. It
+// returns ErrShape when A has more columns than rows or b does not match,
+// and ErrSingular for rank-deficient systems.
+func (w *LSQ) Solve(a *Matrix, b []float64) ([]float64, error) {
+	_ = w.Factor(a) // SolveFactored reports its error
+	return w.SolveFactored(b)
+}
+
+// Factor computes the Householder QR factorization of A into the
+// workspace, for any number of SolveFactored calls against it. It returns
+// ErrShape when A has more columns than rows and ErrSingular for a
+// rank-deficient A; SolveFactored then returns the same error.
 //
 // The packed factor is held column-major (column k is qr[k*m:(k+1)*m]), so
 // every norm, reflector, Qᵀ·b and dot-product loop runs over contiguous
 // slices, and each column norm is the two-pass colNorm.
-func (w *LSQ) Solve(a *Matrix, b []float64) ([]float64, error) {
+func (w *LSQ) Factor(a *Matrix) error {
 	m, n := a.rows, a.cols
+	w.m, w.n, w.err = m, n, nil
 	if m < n {
-		return nil, fmt.Errorf("%w: QR needs rows >= cols, got %dx%d", ErrShape, m, n)
-	}
-	if len(b) != m {
-		return nil, fmt.Errorf("%w: rhs has %d entries, want %d", ErrShape, len(b), m)
+		w.err = fmt.Errorf("%w: QR needs rows >= cols, got %dx%d", ErrShape, m, n)
+		return w.err
 	}
 	qr := grow(w.qr, m*n)
 	w.qr = qr
@@ -100,8 +110,22 @@ func (w *LSQ) Solve(a *Matrix, b []float64) ([]float64, error) {
 	tol := 1e-12 * (1 + scale)
 	for _, d := range rdia {
 		if math.Abs(d) <= tol {
-			return nil, ErrSingular
+			w.err = ErrSingular
 		}
+	}
+	return w.err
+}
+
+// SolveFactored is the rest of Solve for the A of the last Factor: the
+// solution x of A·x ≈ b, valid until the workspace's next solve, or the
+// errors Solve would return.
+func (w *LSQ) SolveFactored(b []float64) ([]float64, error) {
+	m, n, qr, rdia := w.m, w.n, w.qr, w.rdia
+	if m >= n && len(b) != m {
+		return nil, fmt.Errorf("%w: rhs has %d entries, want %d", ErrShape, len(b), m)
+	}
+	if w.err != nil {
+		return nil, w.err
 	}
 	y := grow(w.y, m)
 	w.y = y

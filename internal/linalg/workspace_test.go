@@ -529,6 +529,79 @@ func TestLSQAllocFree(t *testing.T) {
 	}
 }
 
+// TestLSQFactorSolveBitIdentical pins the split kernel: one Factor
+// followed by many SolveFactored calls on fresh right-hand sides returns
+// Solve's bits (or its error) for each, on the fitter's shapes and on
+// rank-deficient systems, and a warmed SolveFactored allocates nothing.
+func TestLSQFactorSolveBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var fw, sw LSQ
+	shapes := [][2]int{{3, 3}, {12, 6}, {21, 6}, {78, 6}, {5, 3}}
+	for trial := 0; trial < 100; trial++ {
+		sh := shapes[trial%len(shapes)]
+		m, n := sh[0], sh[1]
+		a := NewMatrix(m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				v := rng.NormFloat64()
+				if trial%9 == 4 && j == n-1 {
+					v = a.At(i, 0) * 3 // duplicate column: singular
+				}
+				a.Set(i, j, v)
+			}
+		}
+		factorErr := fw.Factor(a)
+		b := make([]float64, m)
+		for rhs := 0; rhs < 8; rhs++ {
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			got, gotErr := fw.SolveFactored(b)
+			want, wantErr := sw.Solve(a, b)
+			if !errors.Is(gotErr, wantErr) || !errors.Is(factorErr, wantErr) {
+				t.Fatalf("trial %d rhs %d: errors Factor=%v SolveFactored=%v Solve=%v", trial, rhs, factorErr, gotErr, wantErr)
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("trial %d rhs %d x[%d]: bits %016x, want %016x",
+						trial, rhs, k, math.Float64bits(got[k]), math.Float64bits(want[k]))
+				}
+			}
+		}
+	}
+	a := NewMatrix(12, 6)
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 6; j++ {
+			a.Set(i, j, rng.NormFloat64())
+		}
+	}
+	b := make([]float64, 12)
+	if err := fw.Factor(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.SolveFactored(b); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		b[3]++
+		if _, err := fw.SolveFactored(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state SolveFactored allocates %.1f objects/op, want 0", allocs)
+	}
+	if _, err := fw.SolveFactored(b[:11]); !errors.Is(err, ErrShape) {
+		t.Fatalf("short rhs: got %v, want ErrShape", err)
+	}
+	if err := fw.Factor(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("wide matrix: got %v, want ErrShape", err)
+	}
+	if _, err := fw.SolveFactored(b[:2]); !errors.Is(err, ErrShape) {
+		t.Fatalf("solve after a wide Factor: got %v, want ErrShape", err)
+	}
+}
+
 // TestMatrixReuse checks Reuse preserves capacity and reshapes correctly.
 func TestMatrixReuse(t *testing.T) {
 	m := NewMatrix(10, 6)

@@ -438,27 +438,8 @@ func (c *Controller) weight(g float64) float64 {
 // part of the sensing disc: fits centered near the disc edge see only
 // one-sided neighborhoods and produce wildly unstable curvature
 // estimates, which would make pc — and hence F1 — jitter between slots.
-// Each candidate's |G| comes from f.NearestAbsGaussian, which serves it
-// from the engine's per-slot lattice memo when one is attached and the
-// fit is provably shared (curvature.PeakMemo). With no samples it returns
-// pos and 0.
+// Each candidate's |G| is the m-nearest fit of Eqn 14 over the node's
+// own samples (curvature.Fitter.Peak).
 func (c *Controller) findPeak(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (geom.Vec2, float64) {
-	if len(samples) < 3 {
-		return pos, 0
-	}
-	inner := 0.7 * c.cfg.Rs
-	bestPos, bestG := pos, 0.0
-	for _, s := range samples {
-		if s.Pos.Dist2(pos) > inner*inner {
-			continue
-		}
-		g, err := f.NearestAbsGaussian(pos, s.Pos, samples, c.cfg.PeakFitM)
-		if err != nil {
-			continue
-		}
-		if g > bestG {
-			bestPos, bestG = s.Pos, g
-		}
-	}
-	return bestPos, bestG
+	return f.Peak(pos, samples, c.cfg.PeakFitM, 0.7*c.cfg.Rs)
 }

@@ -278,7 +278,7 @@ func (pr *PlaceRequest) validate() error {
 		return fmt.Errorf("unknown strategy %q (registered: %s)",
 			pr.Strategy, strings.Join(strategy.PlacementNames(), ", "))
 	}
-	return nil
+	return sweep.CheckWork(pr.K, pr.GridN, pr.DeltaN, 0)
 }
 
 // digest is the cache key: every result-affecting input, nothing else.
@@ -317,7 +317,7 @@ func (er *EvalRequest) validate() error {
 	if er.Rc <= 0 || er.DeltaN < 1 {
 		return fmt.Errorf("rc=%g delta_n=%d out of range", er.Rc, er.DeltaN)
 	}
-	return nil
+	return sweep.CheckWork(len(er.Nodes), er.DeltaN, er.DeltaN, 0)
 }
 
 func (er *EvalRequest) digest() string {

@@ -224,6 +224,22 @@ func TestRequestValidation(t *testing.T) {
 		})
 	}
 
+	// Oversized work is refused up front, before any lattice is built.
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/place", `{"field":{"kind":"forest"},"k":5,"grid_n":30000,"delta_n":30000}`},
+		{"/v1/eval", `{"field":{"kind":"peaks"},"nodes":[{"x":1,"y":1}],"delta_n":30000}`},
+		{"/v1/sweeps", `{"name":"x","fields":[{"kind":"peaks"}],"ks":[4],"rcs":[30],"grid_n":30000,"delta_n":30000}`},
+	} {
+		start := time.Now()
+		w := post(s, tc.path, tc.body, nil)
+		if d := time.Since(start); d > 10*time.Millisecond {
+			t.Errorf("%s: oversized request answered after %v, want under 10ms", tc.path, d)
+		}
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "work budget") {
+			t.Errorf("%s: oversized request got %d %s, want a 400 naming the work budget", tc.path, w.Code, w.Body.String())
+		}
+	}
+
 	if w := get(s, "/v1/place"); w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET on POST route: code %d, want 405", w.Code)
 	}

@@ -18,10 +18,12 @@ package sweep
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/fault"
@@ -229,6 +231,40 @@ func (s *Spec) Validate() error {
 	if s.GridN < 1 || s.DeltaN < 1 || s.RandomDraws < 0 || s.Slots < 0 {
 		return fmt.Errorf("sweep: grid_n=%d delta_n=%d random_draws=%d slots=%d out of range",
 			s.GridN, s.DeltaN, s.RandomDraws, s.Slots)
+	}
+	if err := CheckWork(slices.Max(s.Ks), s.GridN, s.DeltaN, s.Slots); err != nil {
+		return fmt.Errorf("sweep: %w", err)
+	}
+	return nil
+}
+
+// ErrOverBudget reports a placement, evaluation or sweep cell that would
+// cost more than the work budget.
+var ErrOverBudget = errors.New("over the work budget")
+
+// Work budget of one placement, evaluation or sweep cell. The larger of
+// its two lattices, the FRA local-error lattice (grid_n+1)² and the δ
+// integration lattice (delta_n+1)², may hold at most maxLatticePoints
+// points, 8 MiB per float64 table; lattice points × k, × slots for a
+// mobile cell, may come to at most maxWork. A cost grows about n² in the
+// lattice size, so without the bound a 60-byte request for grid_n =
+// delta_n = 30000 asks for gigabytes.
+const (
+	maxLatticePoints = 1 << 20
+	maxWork          = maxLatticePoints << 8
+)
+
+// CheckWork returns ErrOverBudget, wrapped with the figures, when k nodes
+// placed on a grid_n lattice, evaluated on a delta_n lattice and, for
+// slots > 0, moved for that many slots exceed the work budget. It does
+// no work of its own, so it refuses at once.
+func CheckWork(k, gridN, deltaN, slots int) error {
+	n := float64(max(gridN, deltaN)) + 1
+	points := n * n
+	work := points * float64(max(k, 1)) * float64(max(slots, 1))
+	if points > maxLatticePoints || work > maxWork {
+		return fmt.Errorf("%w: k=%d grid_n=%d delta_n=%d slots=%d is %.3g lattice points (at most %d) and %.3g point-node-slots (at most %d)",
+			ErrOverBudget, k, gridN, deltaN, slots, points, maxLatticePoints, work, maxWork)
 	}
 	return nil
 }

@@ -2,10 +2,13 @@ package sweep
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -409,6 +412,54 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if s.NumCells() != 2 {
 		t.Fatalf("NumCells=%d, want 2", s.NumCells())
+	}
+}
+
+// TestCheckWork pins the work budget: every request and cell the
+// benchmark, the CI smoke scripts and the CLI defaults send is admitted,
+// and oversized lattices, node counts and mobile runs are refused with
+// ErrOverBudget, by Spec validation too, at once.
+func TestCheckWork(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		k, gridN, deltaN, slots int
+	}{
+		{"serve_place largest place", 400, 100, 100, 0},
+		{"serve_place largest eval", 300, 1, 100, 0},
+		{"serve smoke place", 120, 120, 150, 0},
+		{"chaos smoke sweep", 12, 128, 128, 0},
+		{"sweep_grid mobile cell", 25, 30, 30, 8},
+		{"sweep defaults", 100, 50, 50, 100},
+		{"evalall -full Fig. 7 sweep", 196, 100, 100, 0},
+		{"lattice at the cap", 1, 1023, 1023, 0},
+	} {
+		if err := CheckWork(tc.k, tc.gridN, tc.deltaN, tc.slots); err != nil {
+			t.Errorf("%s refused: %v", tc.name, err)
+		}
+	}
+	for _, tc := range []struct {
+		name                    string
+		k, gridN, deltaN, slots int
+	}{
+		{"huge lattices", 1, 30000, 30000, 0},
+		{"huge delta lattice", 1, 10, 1 << 40, 0},
+		{"overflowing lattice", 1, math.MaxInt, 1, 0},
+		{"lattice past the cap", 1, 1024, 10, 0},
+		{"many nodes", 1 << 20, 100, 100, 0},
+		{"overflowing k", math.MaxInt, 100, 100, 0},
+		{"long mobile run", 100, 100, 100, 1000},
+	} {
+		if err := CheckWork(tc.k, tc.gridN, tc.deltaN, tc.slots); !errors.Is(err, ErrOverBudget) {
+			t.Errorf("%s: got %v, want ErrOverBudget", tc.name, err)
+		}
+	}
+	start := time.Now()
+	_, err := LoadSpec(strings.NewReader(`{"fields":[{"kind":"peaks"}],"ks":[5],"rcs":[10],"grid_n":30000,"delta_n":30000}`))
+	if !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("oversized spec: got %v, want ErrOverBudget", err)
+	}
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Errorf("oversized spec refused after %v, want under 10ms", d)
 	}
 }
 
