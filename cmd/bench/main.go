@@ -1,8 +1,9 @@
 // Command bench is the repo's performance harness: it runs the benchmark
 // scenario table (internal/benchsuite) at each row's fixed iteration
-// count, measures the reproduction's quality metrics (δ, convergence),
-// and writes a host-stamped, machine-readable BENCH_<rev>.json that the
-// CI bench-regression job compares against the merge base.
+// count, each gated row three times in interleaved rounds, measures the
+// reproduction's quality metrics (δ, convergence), and writes a
+// host-stamped, machine-readable BENCH_<rev>.json that the CI
+// bench-regression job compares against the merge base.
 //
 // Usage:
 //
@@ -21,6 +22,7 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -40,7 +42,15 @@ const (
 	allocTol = 0.10
 )
 
-// Result is one benchmark scenario's measurement.
+// gatedRuns is how often a full run measures each gated row. The runs are
+// interleaved — every row once, then the gated rows again in table order,
+// round after round — so a slow spell of the host lands on several rows'
+// single runs rather than on all of one row's runs, and the report keeps
+// each row's median.
+const gatedRuns = 3
+
+// Result is one benchmark scenario's measurement: the median over its
+// runs of each per-operation figure.
 type Result struct {
 	// NsPerOp is wall time per operation in nanoseconds.
 	NsPerOp float64 `json:"ns_per_op"`
@@ -48,8 +58,13 @@ type Result struct {
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	// BytesPerOp is heap bytes per operation.
 	BytesPerOp int64 `json:"bytes_per_op"`
-	// Iters is the iteration count the scenario ran.
+	// Iters is the iteration count of each run.
 	Iters int `json:"iters"`
+	// Runs is how many times the row ran; 0 in reports that predate it.
+	Runs int `json:"runs,omitempty"`
+	// NsMin and NsMax are the fastest and slowest run's ns/op.
+	NsMin float64 `json:"ns_min,omitempty"`
+	NsMax float64 `json:"ns_max,omitempty"`
 }
 
 // Report is the file format of BENCH_<rev>.json.
@@ -73,7 +88,7 @@ func main() {
 
 	var (
 		out     = flag.String("out", "", "output file (default BENCH_<rev>.json)")
-		rev     = flag.String("rev", "", "revision label (default git short HEAD)")
+		rev     = flag.String("rev", "", "revision label (default git describe --always --dirty)")
 		quick   = flag.Bool("quick", false, "run one iteration per scenario (fast, not comparable)")
 		only    = flag.String("scenario", "", "comma-separated scenario names to run (default all)")
 		compare = flag.Bool("compare", false, "compare two report files: bench -compare base.json pr.json")
@@ -107,7 +122,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *rev == "" {
-		*rev = gitRev()
+		*rev = gitRev("")
 	}
 	if *out == "" {
 		*out = fmt.Sprintf("BENCH_%s.json", *rev)
@@ -121,7 +136,12 @@ func main() {
 		Benchmarks: map[string]Result{},
 		Quality:    map[string]float64{},
 	}
-	for _, sc := range table {
+	rounds := gatedRuns
+	if *quick {
+		rounds = 1
+	}
+	runs := map[string][]testing.BenchmarkResult{}
+	for _, sc := range schedule(table, rounds) {
 		iters := sc.Iters
 		if *quick {
 			iters = 1
@@ -135,12 +155,10 @@ func main() {
 			log.Fatalf("%s failed: ran %d of %d iterations", sc.Name, r.N, iters)
 		}
 		fmt.Println(r, r.MemString())
-		rep.Benchmarks[sc.Name] = Result{
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iters:       r.N,
-		}
+		runs[sc.Name] = append(runs[sc.Name], r)
+	}
+	for name, rs := range runs {
+		rep.Benchmarks[name] = summarize(rs)
 	}
 	if *only == "" {
 		if err := quality(rep.Quality, *quick); err != nil {
@@ -182,6 +200,45 @@ func selectScenarios(table []benchsuite.Scenario, list string) ([]benchsuite.Sce
 	return out, nil
 }
 
+// schedule returns the order a run measures the table in: every row once,
+// then rounds−1 more rounds of the gated rows alone, in table order.
+func schedule(table []benchsuite.Scenario, rounds int) []benchsuite.Scenario {
+	order := slices.Clone(table)
+	for i := 1; i < rounds; i++ {
+		for _, sc := range table {
+			if sc.Gated {
+				order = append(order, sc)
+			}
+		}
+	}
+	return order
+}
+
+// summarize folds one row's runs into its report entry: the median of
+// each per-operation figure (the upper middle for an even count), and the
+// fastest and slowest ns/op.
+func summarize(rs []testing.BenchmarkResult) Result {
+	ns := make([]float64, len(rs))
+	allocs := make([]int64, len(rs))
+	bytes := make([]int64, len(rs))
+	for i, r := range rs {
+		ns[i], allocs[i], bytes[i] = float64(r.NsPerOp()), r.AllocsPerOp(), r.AllocedBytesPerOp()
+	}
+	slices.Sort(ns)
+	slices.Sort(allocs)
+	slices.Sort(bytes)
+	mid := len(rs) / 2
+	return Result{
+		NsPerOp:     ns[mid],
+		AllocsPerOp: allocs[mid],
+		BytesPerOp:  bytes[mid],
+		Iters:       rs[0].N,
+		Runs:        len(rs),
+		NsMin:       ns[0],
+		NsMax:       ns[len(ns)-1],
+	}
+}
+
 // quality records the reproduction-accuracy metrics: the deterministic
 // FRA δ at k=100 and the OSTD run's final δ and convergence slot
 // (-1 when the run does not converge).
@@ -218,9 +275,14 @@ func quality(out map[string]float64, quick bool) error {
 	return nil
 }
 
-// gitRev labels the report with the current commit, "dev" outside git.
-func gitRev() string {
-	b, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+// gitRev labels a report with the commit checked out in dir (the working
+// directory when empty), suffixed "-dirty" when tracked files differ from
+// it, so numbers from uncommitted code never pass for the commit's; "dev"
+// outside git.
+func gitRev(dir string) string {
+	cmd := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=7")
+	cmd.Dir = dir
+	b, err := cmd.Output()
 	if err != nil {
 		return "dev"
 	}

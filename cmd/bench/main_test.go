@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/benchsuite"
 )
@@ -93,6 +97,102 @@ func scale(rep *Report, name string, dt, da float64) {
 	r.NsPerOp *= dt
 	r.AllocsPerOp = int64(float64(r.AllocsPerOp) * da)
 	rep.Benchmarks[name] = r
+}
+
+// TestSummarizeMedian checks a row's report entry is the median run's
+// figures, with the fastest and slowest ns/op beside them, whatever order
+// the runs came in.
+func TestSummarizeMedian(t *testing.T) {
+	run := func(ms int, allocs, bytes uint64) testing.BenchmarkResult {
+		return testing.BenchmarkResult{N: 10, T: time.Duration(10*ms) * time.Millisecond, MemAllocs: 10 * allocs, MemBytes: 10 * bytes}
+	}
+	got := summarize([]testing.BenchmarkResult{run(9, 6, 700), run(4, 5, 600), run(6, 7, 650)})
+	want := Result{NsPerOp: 6e6, AllocsPerOp: 6, BytesPerOp: 650, Iters: 10, Runs: 3, NsMin: 4e6, NsMax: 9e6}
+	if got != want {
+		t.Errorf("three runs: %+v, want %+v", got, want)
+	}
+	got = summarize([]testing.BenchmarkResult{run(5, 2, 100)})
+	want = Result{NsPerOp: 5e6, AllocsPerOp: 2, BytesPerOp: 100, Iters: 10, Runs: 1, NsMin: 5e6, NsMax: 5e6}
+	if got != want {
+		t.Errorf("one run: %+v, want %+v", got, want)
+	}
+}
+
+// TestSchedule checks a full run measures every row once and each gated
+// row gatedRuns times, the extra runs in rounds of the gated rows in
+// table order, and that a quick run measures every row once.
+func TestSchedule(t *testing.T) {
+	table := benchsuite.Scenarios()
+	var gated []string
+	for _, sc := range table {
+		if sc.Gated {
+			gated = append(gated, sc.Name)
+		}
+	}
+	names := func(order []benchsuite.Scenario) []string {
+		out := make([]string, len(order))
+		for i, sc := range order {
+			out[i] = sc.Name
+		}
+		return out
+	}
+	full := names(schedule(table, gatedRuns))
+	if len(full) != len(table)+(gatedRuns-1)*len(gated) {
+		t.Fatalf("full run measures %d rows, want %d", len(full), len(table)+(gatedRuns-1)*len(gated))
+	}
+	if !slices.Equal(full[:len(table)], names(table)) {
+		t.Errorf("first round %v, want the table %v", full[:len(table)], names(table))
+	}
+	for r := 1; r < gatedRuns; r++ {
+		lo := len(table) + (r-1)*len(gated)
+		if got := full[lo : lo+len(gated)]; !slices.Equal(got, gated) {
+			t.Errorf("round %d %v, want the gated rows %v", r+1, got, gated)
+		}
+	}
+	if quick := names(schedule(table, 1)); !slices.Equal(quick, names(table)) {
+		t.Errorf("quick run %v, want the table once", quick)
+	}
+}
+
+// TestGitRevDirty checks the report label is the commit's hash on a clean
+// tree, the hash suffixed "-dirty" once a tracked file changes, and "dev"
+// outside git.
+func TestGitRevDirty(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	t.Setenv("GIT_CEILING_DIRECTORIES", filepath.Dir(dir))
+	if got := gitRev(dir); got != "dev" {
+		t.Errorf("outside git: label %q, want dev", got)
+	}
+	git := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=bench", "-c", "user.email=bench@example.com"}, args...)...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	file := filepath.Join(dir, "a.txt")
+	if err := os.WriteFile(file, []byte("a\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	git("init", "-q")
+	git("add", "a.txt")
+	git("commit", "-q", "-m", "a")
+	hash := git("rev-parse", "--short=7", "HEAD")
+	if got := gitRev(dir); got != hash {
+		t.Errorf("clean tree: label %q, want %q", got, hash)
+	}
+	if err := os.WriteFile(file, []byte("b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := gitRev(dir); got != hash+"-dirty" {
+		t.Errorf("edited tree: label %q, want %q", got, hash+"-dirty")
+	}
 }
 
 func TestSelectScenarios(t *testing.T) {

@@ -1,6 +1,49 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// runMainEnv, when set, makes the test binary run the command's main with
+// the arguments after "--" instead of the tests.
+const runMainEnv = "OSD_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		for i, a := range os.Args {
+			if a == "--" {
+				os.Args = append(os.Args[:1], os.Args[i+1:]...)
+				break
+			}
+		}
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadRcExits runs the command on radii that are not positive and
+// finite and demands a non-zero exit that names the radius, for FRA and
+// for a registry strategy.
+func TestBadRcExits(t *testing.T) {
+	for _, strat := range []string{"fra", "lloyd"} {
+		for _, rc := range []string{"NaN", "+Inf", "-Inf", "0", "-3"} {
+			cmd := exec.Command(os.Args[0], "-test.run=^$", "--", "-k", "40", "-grid", "20", "-rc", rc, "-strategy", strat, "-quiet")
+			cmd.Env = append(os.Environ(), runMainEnv+"=1")
+			out, err := cmd.CombinedOutput()
+			if _, ok := err.(*exec.ExitError); !ok {
+				t.Errorf("-strategy %s -rc %s: err = %v, want a non-zero exit; output:\n%s", strat, rc, err, out)
+				continue
+			}
+			if !strings.Contains(string(out), "rc=") {
+				t.Errorf("-strategy %s -rc %s: output does not name the radius:\n%s", strat, rc, out)
+			}
+		}
+	}
+}
 
 func TestParseSweep(t *testing.T) {
 	tests := []struct {

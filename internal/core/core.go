@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/delaunay"
 	"repro/internal/field"
@@ -87,7 +88,7 @@ func DefaultFRAOptions(k int) FRAOptions {
 // when it is exactly sufficient, spend the rest on relay nodes along the
 // Prim/Kruskal component links.
 func FRA(f field.Field, opts FRAOptions) (Placement, error) {
-	if opts.K <= 0 || opts.Rc <= 0 {
+	if opts.K <= 0 || !(opts.Rc > 0) || math.IsInf(opts.Rc, 1) {
 		return Placement{}, fmt.Errorf("%w: k=%d rc=%v", ErrBadParams, opts.K, opts.Rc)
 	}
 	gridN := opts.GridN

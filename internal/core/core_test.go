@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/field"
@@ -18,6 +19,10 @@ func TestFRABadParams(t *testing.T) {
 	for _, opts := range []FRAOptions{
 		{K: 0, Rc: 10},
 		{K: 5, Rc: 0},
+		{K: 5, Rc: -1},
+		{K: 5, Rc: math.NaN()},
+		{K: 5, Rc: math.Inf(1)},
+		{K: 5, Rc: math.Inf(-1)},
 		{K: 5, Rc: 10, GridN: -1},
 	} {
 		if _, err := FRA(f, opts); !errors.Is(err, ErrBadParams) {

@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"sort"
+
 	"repro/internal/core"
 	"repro/internal/curvature"
 	"repro/internal/field"
@@ -55,6 +57,21 @@ func init() {
 // within r of that node, and move each node to the mean of its points,
 // until the largest per-round move falls below a relative tolerance.
 //
+// The assignment visits, for each node, only the lattice points of its
+// own r-box. A point kept by the nearest-node rule lies within r of its
+// nearest node, so that node's box holds it; and every node tied at the
+// minimum distance lies within r too and visits it. Visiting nodes in
+// ascending order and taking a point only when it has no owner yet or
+// the node is strictly closer than the owner therefore yields the same
+// argmin and the same lowest-index tie as comparing the point with every
+// node, and a point no node claims within r is one the full scan drops.
+// The box is exact, not padded: the lattice coordinates ascend with their
+// index, so the indices whose squared axis offset is at most r² form one
+// run, which a binary search finds; r² = +Inf yields the whole lattice.
+// The cell sums then run over the lattice in GridPositions order, the
+// order the full scan adds in, so every placement is bit-identical to
+// it. A round costs O(k·(r/h)² + N²) for lattice spacing h, not O(N²·k).
+//
 // Unlike CWD's |G|-weighted relaxation this is the pure coverage
 // objective (density 1): the field's values never enter, only its
 // bounds. Every operation — lattice construction, squared-distance
@@ -65,13 +82,22 @@ func placeLloyd(f field.Field, o PlaceOptions) (core.Placement, error) {
 	if err := validatePlace(o); err != nil {
 		return core.Placement{}, err
 	}
-	gridN := o.GridN
-	if gridN == 0 {
-		gridN = 100
+	n := o.GridN
+	if n == 0 {
+		n = 100
 	}
 	region := f.Bounds()
 	nodes := field.GridLayout(region, o.K)
-	lattice := field.GridPositions(region, gridN)
+	// One float buffer holds the lattice's axis coordinates, xs and ys,
+	// and dist, each lattice point's squared distance to its owner. The
+	// coordinates use GridPositions' own expression, so every point is
+	// bit-identical to its lattice point.
+	buf := make([]float64, 2*(n+1)+(n+1)*(n+1))
+	xs, ys, dist := buf[:n+1], buf[n+1:2*(n+1)], buf[2*(n+1):]
+	for i := range xs {
+		xs[i] = region.Min.X + region.Width()*float64(i)/float64(n)
+		ys[i] = region.Min.Y + region.Height()*float64(i)/float64(n)
+	}
 	r := lloydRangeFrac * o.Rc
 	r2 := r * r
 	// Relative convergence tolerance: exact under power-of-two scaling
@@ -79,38 +105,56 @@ func placeLloyd(f field.Field, o PlaceOptions) (core.Placement, error) {
 	tol := 1e-9 * region.Width()
 	tol2 := tol * tol
 
-	cnt := make([]int, o.K)
-	sumX := make([]float64, o.K)
-	sumY := make([]float64, o.K)
+	// owner[i*(n+1)+j] is the node that holds lattice point (xs[i], ys[j])
+	// this round, −1 for none, and dist[i*(n+1)+j] its squared distance;
+	// the accumulation pass resets owner. int32 halves the buffer, and k
+	// stays far below 2³¹ at any size whose nodes fit in memory.
+	owner := make([]int32, (n+1)*(n+1))
+	for i := range owner {
+		owner[i] = -1
+	}
+	cells := make([]lloydCell, o.K)
 	iters := 0
 	for it := 0; it < lloydMaxIters; it++ {
 		iters++
-		for j := range cnt {
-			cnt[j], sumX[j], sumY[j] = 0, 0, 0
-		}
-		for _, p := range lattice {
-			best, bestD := 0, p.Dist2(nodes[0])
-			for j := 1; j < o.K; j++ {
-				if d := p.Dist2(nodes[j]); d < bestD {
-					best, bestD = j, d
+		for j, nd := range nodes {
+			ilo, ihi := lloydSpan(xs, nd.X, r2)
+			jlo, jhi := lloydSpan(ys, nd.Y, r2)
+			for i := ilo; i <= ihi; i++ {
+				row, rowD := owner[i*(n+1):], dist[i*(n+1):]
+				for jj := jlo; jj <= jhi; jj++ {
+					d := geom.V2(xs[i], ys[jj]).Dist2(nd)
+					if d <= r2 && (row[jj] < 0 || d < rowD[jj]) {
+						row[jj], rowD[jj] = int32(j), d
+					}
 				}
 			}
-			if bestD <= r2 {
-				cnt[best]++
-				sumX[best] += p.X
-				sumY[best] += p.Y
+		}
+		for i, x := range xs {
+			row := owner[i*(n+1) : (i+1)*(n+1)]
+			for jj, cur := range row {
+				if cur < 0 {
+					continue
+				}
+				c := &cells[cur]
+				c.n++
+				c.sumX += x
+				c.sumY += ys[jj]
+				row[jj] = -1
 			}
 		}
 		maxMove2 := 0.0
 		for j := range nodes {
-			if cnt[j] == 0 {
+			c := cells[j]
+			cells[j] = lloydCell{}
+			if c.n == 0 {
 				continue // empty cell: the node holds position
 			}
-			c := geom.V2(sumX[j]/float64(cnt[j]), sumY[j]/float64(cnt[j]))
-			if d := nodes[j].Dist2(c); d > maxMove2 {
+			cen := geom.V2(c.sumX/float64(c.n), c.sumY/float64(c.n))
+			if d := nodes[j].Dist2(cen); d > maxMove2 {
 				maxMove2 = d
 			}
-			nodes[j] = c
+			nodes[j] = cen
 		}
 		if maxMove2 <= tol2 {
 			break
@@ -121,6 +165,29 @@ func placeLloyd(f field.Field, o PlaceOptions) (core.Placement, error) {
 		Refined: iters, // bookkeeping: relaxation rounds to convergence
 		Anchors: cornerAnchors(region),
 	}, nil
+}
+
+// lloydCell accumulates one node's lattice points in a relaxation round.
+type lloydCell struct {
+	n          int
+	sumX, sumY float64
+}
+
+// lloydSpan returns the index run [lo, hi] of the ascending coordinates
+// cs whose squared offset from c is at most r2, computed as Dist2 computes
+// it; lo > hi when the run is empty. A point with Dist2 ≤ r2 has both axis
+// offsets in their runs, because rounding is monotone: fl(dx²+dy²) ≥
+// fl(dx²).
+func lloydSpan(cs []float64, c, r2 float64) (lo, hi int) {
+	lo = sort.Search(len(cs), func(i int) bool {
+		d := cs[i] - c
+		return d >= 0 || d*d <= r2
+	})
+	hi = sort.Search(len(cs), func(i int) bool {
+		d := cs[i] - c
+		return d > 0 && d*d > r2
+	}) - 1
+	return lo, hi
 }
 
 // LloydLocalCentroid integrates the r-limited local Voronoi cell of pos —

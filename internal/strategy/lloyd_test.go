@@ -1,6 +1,7 @@
 package strategy_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,6 +25,168 @@ func lloydPlace(t *testing.T, side, rc float64, k, gridN int) ([]geom.Vec2, int)
 		t.Fatal(err)
 	}
 	return p.Nodes, p.Refined
+}
+
+// lloydBrute is the O(N²·k) Lloyd placement the r-box assignment
+// replaced, kept as the oracle: every round compares every lattice point
+// with every node, keeps the nearest (lowest index on ties) when it lies
+// within r, and moves each node to the mean of its points.
+func lloydBrute(region geom.Rect, k int, rc float64, gridN int) ([]geom.Vec2, int) {
+	if gridN == 0 {
+		gridN = 100
+	}
+	nodes := field.GridLayout(region, k)
+	lattice := field.GridPositions(region, gridN)
+	r := strategy.LloydRangeFrac * rc
+	r2 := r * r
+	tol := 1e-9 * region.Width()
+	tol2 := tol * tol
+
+	cnt := make([]int, k)
+	sumX := make([]float64, k)
+	sumY := make([]float64, k)
+	iters := 0
+	for it := 0; it < strategy.LloydMaxIters; it++ {
+		iters++
+		for j := range cnt {
+			cnt[j], sumX[j], sumY[j] = 0, 0, 0
+		}
+		for _, p := range lattice {
+			best, bestD := 0, p.Dist2(nodes[0])
+			for j := 1; j < k; j++ {
+				if d := p.Dist2(nodes[j]); d < bestD {
+					best, bestD = j, d
+				}
+			}
+			if bestD <= r2 {
+				cnt[best]++
+				sumX[best] += p.X
+				sumY[best] += p.Y
+			}
+		}
+		maxMove2 := 0.0
+		for j := range nodes {
+			if cnt[j] == 0 {
+				continue
+			}
+			c := geom.V2(sumX[j]/float64(cnt[j]), sumY[j]/float64(cnt[j]))
+			if d := nodes[j].Dist2(c); d > maxMove2 {
+				maxMove2 = d
+			}
+			nodes[j] = c
+		}
+		if maxMove2 <= tol2 {
+			break
+		}
+	}
+	return nodes, iters
+}
+
+// checkLloydBrute runs the registered Lloyd placement and the oracle on
+// one case and demands the same nodes and round count, bit for bit.
+func checkLloydBrute(t *testing.T, region geom.Rect, k int, rc float64, gridN int) {
+	t.Helper()
+	placer, err := strategy.LookupPlacement("lloyd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := placer.Place(field.Peaks(region), strategy.PlaceOptions{K: k, Rc: rc, GridN: gridN})
+	if err != nil {
+		t.Fatalf("region %v k=%d rc=%g gridN=%d: %v", region, k, rc, gridN, err)
+	}
+	want, wantIters := lloydBrute(region, k, rc, gridN)
+	if p.Refined != wantIters {
+		t.Fatalf("region %v k=%d rc=%g gridN=%d: %d rounds, oracle took %d",
+			region, k, rc, gridN, p.Refined, wantIters)
+	}
+	samePoints(t, fmt.Sprintf("region %v k=%d rc=%g gridN=%d nodes", region, k, rc, gridN), p.Nodes, want)
+}
+
+// lloydRegion builds one of the property and fuzz regions: a square, a
+// non-square and an offset rectangle of about unit size, times scale.
+func lloydRegion(shape int, scale float64) geom.Rect {
+	var r geom.Rect
+	switch shape % 3 {
+	case 0:
+		r = geom.Rect{Max: geom.V2(1, 1)}
+	case 1:
+		r = geom.Rect{Max: geom.V2(1.7, 0.6)}
+	default:
+		r = geom.Rect{Min: geom.V2(-2.3, 0.4), Max: geom.V2(-1.1, 1.9)}
+	}
+	return geom.Rect{Min: r.Min.Scale(scale), Max: r.Max.Scale(scale)}
+}
+
+// TestLloydMatchesBrute is the property test of the r-box assignment:
+// over node budgets, lattice resolutions, radii from a thousandth of the
+// region up to 1e300 (r² = +Inf), and square, non-square and offset
+// regions at scales 1e-100, 1 and 1e100, the placement equals the
+// brute-force oracle in every bit.
+func TestLloydMatchesBrute(t *testing.T) {
+	for _, tc := range []struct {
+		k, gridN int
+	}{
+		{1, 0}, {1, 1}, {2, 1}, {3, 2}, {7, 2}, {5, 37}, {40, 37}, {500, 37},
+		{9, 100}, {12, 0}, {500, 100},
+	} {
+		for _, scale := range []float64{1e-100, 1, 1e100} {
+			for shape := 0; shape < 3; shape++ {
+				if tc.k == 500 && tc.gridN == 100 && (scale != 1 || shape != 0) {
+					continue // one full-size region keeps the oracle affordable
+				}
+				region := lloydRegion(shape, scale)
+				for _, frac := range []float64{1e-3, 0.02, 0.1, 0.45, 3} {
+					checkLloydBrute(t, region, tc.k, frac*region.Width(), tc.gridN)
+				}
+				checkLloydBrute(t, region, tc.k, 1e300, tc.gridN)
+			}
+		}
+	}
+	// Nodes on lattice points and r equal to a whole number of lattice
+	// steps put points exactly on the r boundary, on an axis and off it
+	// (6² + 8² = 10²), and exactly between two nodes.
+	for _, steps := range []float64{3, 5, 10} {
+		rc := steps / strategy.LloydRangeFrac
+		if r := strategy.LloydRangeFrac * rc; r*r != steps*steps {
+			t.Fatalf("rc=%g gives r=%g, not exactly %g lattice steps", rc, r, steps)
+		}
+		for _, k := range []int{1, 4, 25} {
+			checkLloydBrute(t, lloydRegion(0, 100), k, rc, 100)
+		}
+	}
+}
+
+// FuzzLloydPlace fuzzes the r-box assignment against the brute-force
+// oracle over node budget, lattice resolution, radius, region shape and
+// scale. The budget is capped so one run of the oracle stays about 2M
+// distance evaluations per round.
+func FuzzLloydPlace(f *testing.F) {
+	f.Add(uint16(40), uint8(3), 0.3, uint8(0))
+	f.Add(uint16(1), uint8(1), 0.0, uint8(1))
+	f.Add(uint16(499), uint8(2), 0.9, uint8(6))
+	f.Add(uint16(120), uint8(4), 0.5, uint8(17))
+	f.Add(uint16(7), uint8(0), 0.1, uint8(10))
+	f.Fuzz(func(t *testing.T, kRaw uint16, gridSel uint8, rcT float64, shape uint8) {
+		gridN := []int{0, 1, 2, 37, 100}[gridSel%5]
+		side := gridN + 1
+		if gridN == 0 {
+			side = 101
+		}
+		k := 1 + int(kRaw)%min(500, 2_000_000/(side*side))
+		scale := []float64{1, 1e-100, 1e100}[int(shape/3)%3]
+		region := lloydRegion(int(shape), scale)
+		// rcT in [0, 1) spans Rc from 1e-3 to 1e2 region widths; the
+		// top shape bit asks for Rc = 1e300 instead.
+		rcT = math.Abs(math.Mod(rcT, 1))
+		if math.IsNaN(rcT) {
+			rcT = 0
+		}
+		rc := region.Width() * math.Pow(10, -3+5*rcT)
+		if shape&0x80 != 0 {
+			rc = 1e300
+		}
+		checkLloydBrute(t, region, k, rc, gridN)
+	})
 }
 
 // TestLloydScaleEquivariant is the metamorphic test for the Lloyd

@@ -23,6 +23,7 @@ package strategy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -198,8 +199,11 @@ func validatePlace(o PlaceOptions) error {
 	if o.K < 1 {
 		return fmt.Errorf("%w: k=%d", ErrBadParams, o.K)
 	}
-	if o.Rc <= 0 {
+	if !(o.Rc > 0) || math.IsInf(o.Rc, 1) {
 		return fmt.Errorf("%w: rc=%g", ErrBadParams, o.Rc)
+	}
+	if o.GridN < 0 {
+		return fmt.Errorf("%w: gridN=%d", ErrBadParams, o.GridN)
 	}
 	return nil
 }

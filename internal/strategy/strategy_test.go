@@ -211,9 +211,10 @@ func TestMovementFor(t *testing.T) {
 	}
 }
 
-// TestPlaceBadParams checks every placement rejects a zero node budget
-// and a non-positive radius. FRA validates through core.FRA's own
-// options error; everything else wraps strategy.ErrBadParams.
+// TestPlaceBadParams checks every placement rejects a zero node budget,
+// a radius that is not positive and finite, and a negative lattice
+// resolution. FRA validates through core.FRA's own options error;
+// everything else wraps strategy.ErrBadParams.
 func TestPlaceBadParams(t *testing.T) {
 	f := field.Peaks(geom.Square(100))
 	for _, name := range strategy.PlacementNames() {
@@ -221,15 +222,23 @@ func TestPlaceBadParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := placer.Place(f, strategy.PlaceOptions{K: 0, Rc: 10}); err == nil {
-			t.Errorf("%s: k=0 accepted", name)
-		} else if name != "fra" && !errors.Is(err, strategy.ErrBadParams) {
-			t.Errorf("%s: k=0 error %v is not ErrBadParams", name, err)
-		}
-		if _, err := placer.Place(f, strategy.PlaceOptions{K: 5, Rc: 0}); err == nil {
-			t.Errorf("%s: rc=0 accepted", name)
-		} else if name != "fra" && !errors.Is(err, strategy.ErrBadParams) {
-			t.Errorf("%s: rc=0 error %v is not ErrBadParams", name, err)
+		for _, tc := range []struct {
+			what string
+			o    strategy.PlaceOptions
+		}{
+			{"k=0", strategy.PlaceOptions{K: 0, Rc: 10}},
+			{"rc=0", strategy.PlaceOptions{K: 5, Rc: 0}},
+			{"rc=-1", strategy.PlaceOptions{K: 5, Rc: -1}},
+			{"rc=NaN", strategy.PlaceOptions{K: 5, Rc: math.NaN()}},
+			{"rc=+Inf", strategy.PlaceOptions{K: 5, Rc: math.Inf(1)}},
+			{"rc=-Inf", strategy.PlaceOptions{K: 5, Rc: math.Inf(-1)}},
+			{"gridN=-1", strategy.PlaceOptions{K: 5, Rc: 10, GridN: -1}},
+		} {
+			if _, err := placer.Place(f, tc.o); err == nil {
+				t.Errorf("%s: %s accepted", name, tc.what)
+			} else if name != "fra" && !errors.Is(err, strategy.ErrBadParams) {
+				t.Errorf("%s: %s error %v is not ErrBadParams", name, tc.what, err)
+			}
 		}
 	}
 }

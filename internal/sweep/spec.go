@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -210,8 +211,8 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for _, rc := range s.Rcs {
-		if rc <= 0 {
-			return fmt.Errorf("sweep: rc=%g ≤ 0", rc)
+		if !(rc > 0) || math.IsInf(rc, 1) {
+			return fmt.Errorf("sweep: rc=%g is not a positive finite radius", rc)
 		}
 	}
 	for _, name := range s.Strategies {

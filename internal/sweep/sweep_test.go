@@ -415,6 +415,24 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSpecValidateRc checks Validate refuses every radius that is not
+// positive and finite. JSON cannot spell NaN or ±Inf, but a spec built in
+// Go can.
+func TestSpecValidateRc(t *testing.T) {
+	for _, rc := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := Spec{Fields: []FieldSpec{{Kind: "peaks"}}, Ks: []int{5}, Rcs: []float64{rc}}
+		s.Normalize()
+		if err := s.Validate(); err == nil {
+			t.Errorf("rc=%g accepted", rc)
+		}
+	}
+	s := Spec{Fields: []FieldSpec{{Kind: "peaks"}}, Ks: []int{5}, Rcs: []float64{1e300}}
+	s.Normalize()
+	if err := s.Validate(); err != nil {
+		t.Errorf("rc=1e300 rejected: %v", err)
+	}
+}
+
 // TestCheckWork pins the work budget: every request and cell the
 // benchmark, the CI smoke scripts and the CLI defaults send is admitted,
 // and oversized lattices, node counts and mobile runs are refused with
