@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 
@@ -57,6 +58,9 @@ func main() {
 	obsRun = obscli.New(reg)
 	obsRun.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	if !(*rc > 0) || math.IsInf(*rc, 1) {
+		log.Fatalf("bad radius rc=%v: want a positive finite number", *rc)
+	}
 	if err := obsRun.Start(); err != nil {
 		log.Fatal(err)
 	}

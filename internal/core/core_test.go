@@ -288,3 +288,23 @@ func TestFRADisableForesight(t *testing.T) {
 		t.Error("expected the constrained run to be the connected one")
 	}
 }
+
+// TestFRAAllocs bounds FRA's allocations at k = 500 on the Fig. 7 forest
+// (Rc = 10, GridN 100, anchored). FRA makes about six allocations per node
+// there; a relay oracle that rebuilt its maps on every pick made about 39
+// and fails the bound.
+func TestFRAAllocs(t *testing.T) {
+	const k, perNode = 500, 10
+	ref := testField()
+	var err error
+	allocs := testing.AllocsPerRun(1, func() {
+		_, err = FRA(ref, DefaultFRAOptions(k))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("FRA k=%d: %.0f allocations", k, allocs)
+	if allocs > k*perNode {
+		t.Errorf("FRA k=%d made %.0f allocations, want at most %d", k, allocs, k*perNode)
+	}
+}

@@ -211,11 +211,13 @@ func (u *UnionFind) Add() int {
 // NumSets returns the current number of disjoint sets.
 func (u *UnionFind) NumSets() int { return u.sets }
 
+// pairKey is a canonical (lo < hi) component-label pair.
+type pairKey struct{ lo, hi int }
+
 // componentLink is one inter-component stitching edge: the closest member
 // pair of two components, where the distance between components is the
 // minimum pairwise distance between their member positions. i and j are
-// the member indices realizing the link (i < j); the relay-oracle paths
-// construct links without them and tie-break on coordinates instead.
+// the member indices realizing the link (i < j).
 type componentLink struct {
 	a, b geom.Vec2 // closest points of the two linked components
 	dist float64
@@ -373,9 +375,10 @@ func RelaysNeeded(positions []geom.Vec2, rc float64) int {
 
 // RelayPositions returns P(G, ·): concrete positions for the relays
 // counted by RelaysNeeded, spaced evenly along each MST component link so
-// consecutive hops are ≤ rc.
+// consecutive hops are ≤ rc. A radius that is not positive, NaN included,
+// yields nil.
 func RelayPositions(positions []geom.Vec2, rc float64) []geom.Vec2 {
-	if rc <= 0 || len(positions) == 0 {
+	if !(rc > 0) || len(positions) == 0 {
 		return nil
 	}
 	g := NewUnitDisk(positions, rc)

@@ -267,6 +267,13 @@ func TestRelaysNeededConnectedGraph(t *testing.T) {
 	if got := RelaysNeeded(line(3, 1), 0); got != 0 {
 		t.Errorf("rc=0 should yield no relays, got %d", got)
 	}
+	// Radii that are not positive, NaN included, plan nothing.
+	far := []geom.Vec2{geom.V2(0, 0), geom.V2(50, 50), geom.V2(90, 10)}
+	for _, rc := range []float64{math.NaN(), -3, math.Inf(-1)} {
+		if got := RelayPositions(far, rc); got != nil {
+			t.Errorf("rc=%v: RelayPositions = %v, want nil", rc, got)
+		}
+	}
 }
 
 func TestRelayPositionsTwoClusters(t *testing.T) {

@@ -11,248 +11,181 @@ import (
 // RelayOracle answers FRA's connectivity-affordability queries
 // incrementally. The naive check rebuilds the O(k²) unit-disk graph and
 // its component links for every candidate position; the oracle instead
-// maintains, across the accepted-node stream, a union-find over the nodes
-// plus the minimum pairwise distance between every pair of connected
-// components. With that state, both L(G, rc) and the what-if query
-// L(G ∪ {p}, rc) cost O(k + C² log C) where C is the (typically tiny)
-// number of components — near-linear in k instead of quadratic.
+// keeps, across the accepted-node stream, a union-find over the nodes, the
+// sorted component roots, a minimum spanning tree T of the component graph
+// (C − 1 edges, each a root pair and the distance between the two
+// components' closest members) and the relay bill over T, so L(G, rc) is
+// O(1).
 //
-// Relay counts follow the same model as RelaysNeeded: components are
-// stitched along minimum-spanning-tree links between closest component
-// pairs, and a link of length d needs ⌈d/rc⌉ − 1 relays. Because every
-// minimum spanning tree of a graph has the same multiset of edge weights,
-// the count is well-defined even under distance ties, and the oracle's
-// answers match RelaysNeeded exactly.
+// The what-if query L(G ∪ {p}, rc) makes one pass over the committed
+// nodes, recording per root the distance of its closest member to p and
+// whether some member is unit-disk adjacent to p (Dist² ≤ rc², the
+// predicate of NewUnitDisk); the adjacent roots form the set S that p
+// would absorb. Kruskal then runs over at most 2C − 1 edges: the edges of
+// T with S collapsed into p's component, plus one star edge from p to each
+// root outside S. That is an MST of the new component graph: every
+// component link missing from T is the longest on a cycle through T, and
+// collapsing S keeps that cycle. Query cost is O(k·α + C log C), and a
+// Commit of the point just queried reuses the query's pass.
+//
+// Relay counts follow the model of RelaysNeeded: a link of length d needs
+// ⌈d/rc⌉ − 1 relays. Every minimum spanning tree has the same multiset of
+// edge weights and that count never falls as d grows, so the bill does not
+// depend on which tree ties select, and it equals RelaysNeeded exactly.
+//
+// The oracle keeps query scratch, so it is not safe for concurrent use.
 type RelayOracle struct {
-	rc  float64
-	pts []geom.Vec2
-	uf  *UnionFind
-	// best holds, for every unordered pair of component roots {lo, hi},
-	// the closest member pair and its distance.
-	best map[pairKey]componentLink
+	rc    float64
+	pts   []geom.Vec2
+	uf    *UnionFind
+	roots []int      // component roots, ascending
+	tree  []treeEdge // T, ascending by distance
+	bill  int        // Σ ⌈d/rc⌉ − 1 over tree
+
+	// Scratch of the last query: the pass over the committed nodes for
+	// point scanP at len(pts) == scanN, the Kruskal candidates and the
+	// edges Kruskal accepted.
+	scan  []rootScan // indexed by element id, len(pts)+1 long
+	scanP geom.Vec2
+	scanN int
+	cands []treeEdge
+	next  []treeEdge
 }
 
-// pairKey is a canonical (lo < hi) component-root pair.
-type pairKey struct{ lo, hi int }
+// treeEdge is one component-graph link between roots a and b.
+type treeEdge struct {
+	a, b int
+	dist float64
+}
 
-func rootPair(a, b int) pairKey {
-	if a > b {
-		a, b = b, a
-	}
-	return pairKey{a, b}
+// rootScan is the per-root state of one query. near and adj are valid at
+// the current roots after a pass; parent is the Kruskal forest link, valid
+// at the roots and at the query point's own id.
+type rootScan struct {
+	near   float64 // distance from the query point to the closest member
+	adj    bool    // some member is unit-disk adjacent to the query point
+	parent int
 }
 
 // NewRelayOracle returns an empty oracle for communication radius rc.
 func NewRelayOracle(rc float64) *RelayOracle {
-	return &RelayOracle{
-		rc:   rc,
-		uf:   NewUnionFind(0),
-		best: make(map[pairKey]componentLink),
-	}
+	return &RelayOracle{rc: rc, uf: NewUnionFind(0), scan: make([]rootScan, 1)}
 }
 
 // N returns the number of committed positions.
 func (o *RelayOracle) N() int { return len(o.pts) }
 
-// betterLink orders links by (dist, endpoints) so merges never depend on
-// map iteration order.
-func betterLink(l, cur componentLink) bool {
-	if l.dist != cur.dist {
-		return l.dist < cur.dist
-	}
-	if l.a != cur.a {
-		return l.a.X < cur.a.X || (l.a.X == cur.a.X && l.a.Y < cur.a.Y)
-	}
-	return l.b.X < cur.b.X || (l.b.X == cur.b.X && l.b.Y < cur.b.Y)
-}
+// Relays returns L(G, rc) over the committed positions — the number of
+// relays needed to stitch the current components into one network. It
+// equals RelaysNeeded over the same positions.
+func (o *RelayOracle) Relays() int { return o.bill }
 
-// closestPerRoot returns, for each current component root, the closest
-// committed member to p (link endpoints are (member, p)), and the set of
-// roots with a member unit-disk adjacent to p (Dist² ≤ rc², the predicate
-// of NewUnitDisk).
-func (o *RelayOracle) closestPerRoot(p geom.Vec2) (minD map[int]componentLink, adj map[int]bool) {
-	minD = make(map[int]componentLink)
-	adj = make(map[int]bool)
-	rc2 := o.rc * o.rc
-	for i, q := range o.pts {
-		r := o.uf.Find(i)
-		if o.rc >= 0 && q.Dist2(p) <= rc2 {
-			adj[r] = true
-		}
-		d := q.Dist(p)
-		if cur, ok := minD[r]; !ok || d < cur.dist {
-			minD[r] = componentLink{a: q, b: p, dist: d}
-		}
-	}
-	return minD, adj
-}
+// RelaysWith returns L(G ∪ {p}, rc) — the relay bill if candidate p were
+// added — without changing the committed state. This is FRA's
+// affordability check; on a warmed oracle it allocates nothing.
+func (o *RelayOracle) RelaysWith(p geom.Vec2) int { return o.query(p) }
 
 // Commit adds p to the committed set, merging it into every component
-// within rc and updating the inter-component closest-pair table. O(k + C²).
+// within rc and replacing T by the tree of the query for p. When p is the
+// point last passed to RelaysWith, as in FRA, its pass over the committed
+// nodes is reused.
 func (o *RelayOracle) Commit(p geom.Vec2) {
-	minD, inS := o.closestPerRoot(p)
+	o.bill = o.query(p)
 	id := o.uf.Add()
 	o.pts = append(o.pts, p)
+	o.scan = append(o.scan, rootScan{})
 
-	// Merge p's component with every component it can reach directly, in
-	// sorted root order so the union-by-rank outcome is deterministic.
-	var mergeRoots []int
-	for r := range inS {
-		mergeRoots = append(mergeRoots, r)
-	}
-	inS[id] = true
-	slices.Sort(mergeRoots)
-	for _, r := range mergeRoots {
-		o.uf.Union(id, r)
+	// Roots outside S stay roots; S and p become one component.
+	keep := o.roots[:0]
+	for _, r := range o.roots {
+		if o.scan[r].adj {
+			o.uf.Union(id, r)
+		} else {
+			keep = append(keep, r)
+		}
 	}
 	merged := o.uf.Find(id)
+	i, _ := slices.BinarySearch(keep, merged)
+	o.roots = slices.Insert(keep, i, merged)
 
-	// Fold the closest-pair table: entries between two swallowed
-	// components disappear, entries with one swallowed endpoint re-key to
-	// the merged root, and p itself offers new candidate pairs.
-	rebuilt := make(map[pairKey]componentLink, len(o.best))
-	fold := func(key pairKey, l componentLink) {
-		if cur, ok := rebuilt[key]; !ok || betterLink(l, cur) {
-			rebuilt[key] = l
+	// The query named p's component by id, which need not be its root.
+	for j := range o.next {
+		e := &o.next[j]
+		if e.a == id {
+			e.a = merged
+		}
+		if e.b == id {
+			e.b = merged
 		}
 	}
-	for key, l := range o.best {
-		aIn, bIn := inS[key.lo], inS[key.hi]
-		switch {
-		case aIn && bIn:
-		case aIn:
-			fold(rootPair(merged, key.hi), l)
-		case bIn:
-			fold(rootPair(merged, key.lo), l)
-		default:
-			fold(key, l)
-		}
-	}
-	for r, l := range minD {
-		if !inS[r] {
-			fold(rootPair(merged, r), l)
-		}
-	}
-	o.best = rebuilt
+	o.tree, o.next = o.next, o.tree
 }
 
-// compEdge is one inter-component candidate link for the stitching MST.
-// Roots are union-find element indices; -1 denotes the hypothetical
-// component of an uncommitted query point.
-type compEdge struct {
-	a, b int
-	dist float64
-}
-
-// relaySum runs Kruskal over the candidate links of nComp components and
-// totals ⌈d/rc⌉ − 1 relays along the accepted tree links.
-func (o *RelayOracle) relaySum(edges []compEdge, compIdx map[int]int, nComp int) int {
-	if nComp <= 1 {
-		return 0
+// query returns L(G ∪ {p}, rc) and leaves the MST it found in o.next, with
+// p's component named by the id p would take, len(o.pts).
+func (o *RelayOracle) query(p geom.Vec2) int {
+	pid := len(o.pts)
+	if o.scanN != pid || o.scanP != p {
+		o.scanP, o.scanN = p, pid
+		for _, r := range o.roots {
+			o.scan[r] = rootScan{near: math.Inf(1)}
+		}
+		rc2 := o.rc * o.rc
+		for i, q := range o.pts {
+			s := &o.scan[o.uf.Find(i)]
+			if o.rc >= 0 && q.Dist2(p) <= rc2 {
+				s.adj = true
+			}
+			if d := q.Dist(p); d < s.near {
+				s.near = d
+			}
+		}
 	}
-	// (dist, a, b) is unique per edge, so the order is total.
-	slices.SortFunc(edges, func(x, y compEdge) int {
-		if c := cmp.Compare(x.dist, y.dist); c != 0 {
-			return c
+
+	// Candidates: T with S collapsed into p's component, and p's star.
+	o.cands = o.cands[:0]
+	o.scan[pid].parent = pid
+	for _, r := range o.roots {
+		o.scan[r].parent = r
+		if !o.scan[r].adj {
+			o.cands = append(o.cands, treeEdge{a: pid, b: r, dist: o.scan[r].near})
 		}
-		if c := cmp.Compare(x.a, y.a); c != 0 {
-			return c
+	}
+	for _, e := range o.tree {
+		if a, b := o.collapse(e.a, pid), o.collapse(e.b, pid); a != b {
+			o.cands = append(o.cands, treeEdge{a: a, b: b, dist: e.dist})
 		}
-		return cmp.Compare(x.b, y.b)
-	})
-	uf := NewUnionFind(nComp)
+	}
+	slices.SortFunc(o.cands, func(x, y treeEdge) int { return cmp.Compare(x.dist, y.dist) })
+
+	o.next = o.next[:0]
 	relays := 0
-	for _, e := range edges {
-		if uf.Union(compIdx[e.a], compIdx[e.b]) {
-			relays += int(math.Ceil(e.dist/o.rc)) - 1
+	for _, e := range o.cands {
+		ra, rb := o.find(e.a), o.find(e.b)
+		if ra == rb {
+			continue
 		}
+		o.scan[ra].parent = rb
+		o.next = append(o.next, e)
+		relays += int(math.Ceil(e.dist/o.rc)) - 1
 	}
 	return relays
 }
 
-// roots returns the sorted distinct component roots of the committed set.
-func (o *RelayOracle) roots() []int {
-	seen := make(map[int]bool)
-	var rs []int
-	for i := range o.pts {
-		r := o.uf.Find(i)
-		if !seen[r] {
-			seen[r] = true
-			rs = append(rs, r)
-		}
+// collapse names root r by pid when the query point absorbs it.
+func (o *RelayOracle) collapse(r, pid int) int {
+	if o.scan[r].adj {
+		return pid
 	}
-	slices.Sort(rs)
-	return rs
+	return r
 }
 
-// Relays returns L(G, rc) over the committed positions — the number of
-// relays needed to stitch the current components into one network. It
-// equals RelaysNeeded over the same positions.
-func (o *RelayOracle) Relays() int {
-	rs := o.roots()
-	if len(rs) <= 1 {
-		return 0
+// find returns the representative of x in the query's Kruskal forest,
+// halving paths as it goes.
+func (o *RelayOracle) find(x int) int {
+	for o.scan[x].parent != x {
+		o.scan[x].parent = o.scan[o.scan[x].parent].parent
+		x = o.scan[x].parent
 	}
-	compIdx := make(map[int]int, len(rs))
-	for i, r := range rs {
-		compIdx[r] = i
-	}
-	edges := make([]compEdge, 0, len(o.best))
-	for key, l := range o.best {
-		edges = append(edges, compEdge{a: key.lo, b: key.hi, dist: l.dist})
-	}
-	return o.relaySum(edges, compIdx, len(rs))
-}
-
-// RelaysWith returns L(G ∪ {p}, rc) — the relay bill if candidate p were
-// added — without mutating the oracle. This is FRA's affordability check,
-// answered in O(k + C² log C) instead of rebuilding the graph.
-func (o *RelayOracle) RelaysWith(p geom.Vec2) int {
-	// Components the candidate would absorb directly: inS.
-	minD, inS := o.closestPerRoot(p)
-
-	rs := o.roots()
-	surviving := rs[:0:0]
-	for _, r := range rs {
-		if !inS[r] {
-			surviving = append(surviving, r)
-		}
-	}
-
-	// Index map: surviving roots plus the candidate's merged component
-	// (key -1).
-	compIdx := make(map[int]int, len(surviving)+1)
-	for i, r := range surviving {
-		compIdx[r] = i
-	}
-	compIdx[-1] = len(surviving)
-	nComp := len(surviving) + 1
-
-	// Distance from the merged component to each survivor: the candidate's
-	// own distance, improvable by any swallowed component's stored links.
-	toMerged := make(map[int]float64, len(surviving))
-	for _, r := range surviving {
-		toMerged[r] = minD[r].dist
-	}
-	edges := make([]compEdge, 0, len(o.best)+len(surviving))
-	for key, l := range o.best {
-		aIn, bIn := inS[key.lo], inS[key.hi]
-		switch {
-		case aIn && bIn:
-		case aIn:
-			if l.dist < toMerged[key.hi] {
-				toMerged[key.hi] = l.dist
-			}
-		case bIn:
-			if l.dist < toMerged[key.lo] {
-				toMerged[key.lo] = l.dist
-			}
-		default:
-			edges = append(edges, compEdge{a: key.lo, b: key.hi, dist: l.dist})
-		}
-	}
-	for _, r := range surviving {
-		edges = append(edges, compEdge{a: -1, b: r, dist: toMerged[r]})
-	}
-	return o.relaySum(edges, compIdx, nComp)
+	return x
 }
