@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/field"
@@ -29,6 +30,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/surface"
+	"repro/internal/sweep"
 )
 
 // obsRun is the command's observability edge (see internal/obs/obscli);
@@ -71,6 +73,9 @@ func main() {
 	obsRun.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if err := obsRun.Start(); err != nil {
+		fatal(err)
+	}
+	if err := checkFlags(*k, *slots, *deltaN, *noise, *faultRate); err != nil {
 		fatal(err)
 	}
 
@@ -176,6 +181,28 @@ func maybeSnap(region geom.Rect, nodes []geom.Vec2, t float64, rc float64, at ma
 	fmt.Println()
 }
 
+// checkFlags refuses the numeric flags the run cannot honor, with the
+// library's own checks where one exists, before anything is allocated.
+// Each error names its flag.
+func checkFlags(k, slots, deltaN int, noise, faultRate float64) error {
+	switch {
+	case slots < 0:
+		return fmt.Errorf("bad -slots %d: must be at least 0", slots)
+	case deltaN < 1:
+		return fmt.Errorf("bad -delta-grid %d: must be at least 1", deltaN)
+	}
+	if err := sweep.CheckWork(k, 0, deltaN, slots); err != nil {
+		return fmt.Errorf("bad -k, -delta-grid or -slots: %w", err)
+	}
+	if err := engine.CheckNoise(noise); err != nil {
+		return fmt.Errorf("bad -noise: %w", err)
+	}
+	if err := (fault.ProfileSpec{Rate: faultRate}).Validate(); err != nil {
+		return fmt.Errorf("bad -fault-rate: %w", err)
+	}
+	return nil
+}
+
 func parseRates(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
@@ -183,8 +210,8 @@ func parseRates(s string) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v < 0 || v > 1 {
-			return nil, fmt.Errorf("rate %v outside [0,1]", v)
+		if err := (fault.ProfileSpec{Rate: v}).Validate(); err != nil {
+			return nil, err
 		}
 		out = append(out, v)
 	}

@@ -26,7 +26,7 @@
 //   - Exchange is parallel only when the fault injector is inactive —
 //     link-loss queries advance shared Gilbert-Elliott chain state.
 //   - Fit and Plan are always parallel: a node's controller is touched by
-//     that node alone, and each worker owns its fit scratch.
+//     that node alone, and each Fit worker owns its fit scratch.
 //   - Resolve, Move and Account are inherently serial (global constraint
 //     projection and ordered folds).
 //
@@ -59,10 +59,9 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math"
 
+	"repro/internal/bands"
 	"repro/internal/curvature"
 	"repro/internal/fault"
 	"repro/internal/field"
@@ -159,9 +158,9 @@ type Engine struct {
 	// previous position array as the next slot's tentative buffer.
 	arena slotArena
 	spare []geom.Vec2
-	// fitters is the per-worker curvature fit scratch shared by the Fit
-	// and Plan stages; entry w is touched only by forNodes worker w, and
-	// scratch location cannot affect any fit bit.
+	// fitters is the Fit stage's per-worker curvature fit scratch; entry w
+	// is touched only by forNodes worker w, and scratch location cannot
+	// affect any fit bit.
 	fitters []*curvature.Fitter
 	// lcm is the Resolve stage's reusable constraint-projection scratch.
 	lcm mobile.LCMScratch
@@ -258,19 +257,22 @@ type heardEntry struct {
 	slot int
 }
 
+// staleSlots is how many slots a node keeps using a silent neighbor's last
+// report before presuming it dead and dropping it from the F2/LCM terms.
+const staleSlots = 3
+
 // mergeHeard folds this slot's fresh deliveries to node i (s.Infos[i],
 // ascending by ID, Age 0) into the node's heard cache and interleaves the
 // replayed stale reports — cached entries whose neighbor went silent this
 // slot and is not yet presumed dead — back into s.Infos[i], preserving
 // ascending ID order throughout. One linear merge replaces the former
 // per-slot map build + sort: fresh reports win on equal IDs, silent
-// entries older than the injector's staleness window are dropped, and the
-// resulting Infos content is identical to the map-based path (IDs are
-// unique, so the sorted order is fully determined). Runs only on the
+// entries older than staleSlots are dropped, and the resulting Infos
+// content is identical to the map-based path (IDs are unique, so the
+// sorted order is fully determined). Runs only on the
 // faulty exchange path, which is serial, so the engine-level merge
 // scratch is safe to share across nodes.
 func (e *Engine) mergeHeard(s *Slot, i int) {
-	staleSlots := e.opts.Faults.StaleSlots()
 	fresh := s.Infos[i]
 	old := e.heard[i]
 	merged := e.heardMerge[:0]
@@ -323,6 +325,15 @@ func (e *Engine) mergeHeard(s *Slot, i int) {
 	e.staleBuf = stale[:0]
 }
 
+// CheckNoise refuses a sensing-noise standard deviation that is negative,
+// infinite or NaN; New applies it to Options.NoiseStd.
+func CheckNoise(std float64) error {
+	if !(std >= 0) || math.IsInf(std, 1) {
+		return fmt.Errorf("engine: sensing noise std %v is not finite and non-negative", std)
+	}
+	return nil
+}
+
 // New creates an engine with nodes at the given initial positions
 // (clamped to the field bounds).
 func New(dyn field.DynField, positions []geom.Vec2, opts Options) (*Engine, error) {
@@ -334,6 +345,9 @@ func New(dyn field.DynField, positions []geom.Vec2, opts Options) (*Engine, erro
 	}
 	if err := opts.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
+	}
+	if err := CheckNoise(opts.NoiseStd); err != nil {
+		return nil, err
 	}
 	if opts.Faults != nil && opts.Faults.N() != len(positions) {
 		return nil, fmt.Errorf("engine: fault injector built for %d nodes, world has %d",
@@ -427,8 +441,8 @@ type Slot struct {
 	// AliveCount is the number of alive nodes.
 	AliveCount int
 	// Samples holds each node's sensed disc (Sense). Later stages must
-	// treat it as read-only: the controllers' fit cache assumes the sensed
-	// values.
+	// treat it as read-only: a planner may keep it from Estimate for the
+	// Plan of the same slot.
 	Samples [][]field.Sample
 	// Curv holds each node's own curvature estimate G (Fit).
 	Curv []float64
@@ -533,7 +547,7 @@ const nodeBand = 64
 // forNodes runs fn(w, i) for every node index i, where w identifies the
 // executing worker (always 0 on the serial path). With parallel false — or
 // a swarm of at most one band — it is a plain ascending loop. Otherwise
-// the nodes run in fixed nodeBand-wide bands through forBands; fn must
+// the nodes run in fixed nodeBand-wide bands through bands.Run; fn must
 // then only write state owned by node i or by worker w (the per-worker fit
 // scratch — scratch placement cannot affect any result bit). The returned
 // error is the first error in ascending node order (a band stops at its
@@ -549,9 +563,9 @@ func (e *Engine) forNodes(parallel bool, fn func(w, i int) error) error {
 		}
 		return nil
 	}
-	e.ensureFitters(bandWorkers(n, nodeBand))
+	e.ensureFitters(bands.Workers(n, nodeBand))
 	errs := make([]error, (n+nodeBand-1)/nodeBand)
-	forBands(n, nodeBand, func(w, lo, hi int) {
+	bands.Run(n, nodeBand, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if err := fn(w, i); err != nil {
 				errs[lo/nodeBand] = err
@@ -565,48 +579,6 @@ func (e *Engine) forNodes(parallel bool, fn func(w, i int) error) error {
 		}
 	}
 	return nil
-}
-
-// bandWorkers returns how many workers forBands runs for n items in
-// bands of the given width.
-func bandWorkers(n, band int) int {
-	return min(runtime.GOMAXPROCS(0), (n+band-1)/band)
-}
-
-// forBands runs fn(w, lo, hi) over [0, n) in fixed bands of the given
-// width. bandWorkers(n, band) workers, w numbering them from 0, pull band
-// indices from an atomic counter; a single worker loops over the bands in
-// order on the calling goroutine. fn must only write state owned by its
-// band or by worker w.
-func forBands(n, band int, fn func(w, lo, hi int)) {
-	bands := (n + band - 1) / band
-	workers := bandWorkers(n, band)
-	if workers <= 1 {
-		for b := 0; b < bands; b++ {
-			fn(0, b*band, min((b+1)*band, n))
-		}
-		return
-	}
-	// The band counter and the wait group escape to the heap together, as
-	// one allocation per call.
-	var pool struct {
-		next atomic.Int64
-		wg   sync.WaitGroup
-	}
-	for w := 0; w < workers; w++ {
-		pool.wg.Add(1)
-		go func(w int) {
-			defer pool.wg.Done()
-			for {
-				b := int(pool.next.Add(1)) - 1
-				if b >= bands {
-					return
-				}
-				fn(w, b*band, min((b+1)*band, n))
-			}
-		}(w)
-	}
-	pool.wg.Wait()
 }
 
 // ensureFitters grows the per-worker fit-scratch pool to at least k

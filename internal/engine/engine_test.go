@@ -354,3 +354,18 @@ func BenchmarkNeighborDiscoveryGraph(b *testing.B) {
 		}
 	}
 }
+
+// TestNewRejectsBadNoise checks New refuses a sensing-noise standard
+// deviation that is negative, infinite or NaN, and accepts zero.
+func TestNewRejectsBadNoise(t *testing.T) {
+	forest := field.NewForest(field.DefaultForestConfig())
+	pos := field.GridLayout(forest.Bounds(), 4)
+	for _, std := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(forest, pos, Options{Config: mobile.DefaultConfig(), NoiseStd: std}); err == nil {
+			t.Errorf("NoiseStd %v: want an error", std)
+		}
+	}
+	if _, err := New(forest, pos, Options{Config: mobile.DefaultConfig()}); err != nil {
+		t.Errorf("NoiseStd 0: %v", err)
+	}
+}

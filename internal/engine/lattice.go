@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 
+	"repro/internal/bands"
 	"repro/internal/field"
 )
 
@@ -48,6 +49,6 @@ func (e *Engine) shareLattice(s *Slot) field.DynField {
 		return e.dyn
 	}
 	e.lattice.Reset(e.dyn, e.t, int(x0), int(y0), int(nx), int(ny))
-	forBands(e.lattice.Rows(), latticeRowBand, func(_, lo, hi int) { e.lattice.FillRows(lo, hi) })
+	bands.Run(e.lattice.Rows(), latticeRowBand, func(_, lo, hi int) { e.lattice.FillRows(lo, hi) })
 	return &e.lattice
 }

@@ -63,14 +63,11 @@ func (SenseStage) Run(e *Engine, s *Slot) error {
 	})
 }
 
-// FitStage computes each alive node's own curvature estimate G via a
-// planning dry run on an empty neighbor set, so the Exchange stage can
-// broadcast causally consistent values. The dry run's pure sub-results
-// (own fit, peak scan) are cached in the controller for the Plan stage,
-// which re-plans the identical (position, samples) inputs — reuse is
-// bit-identical by determinism. Always parallel: a node's controller is
-// touched by that node alone, and the per-worker fit scratch by its
-// worker alone.
+// FitStage runs each alive node's Estimate: its own curvature estimate G
+// (Table 2 lines 2-3), which the Exchange stage broadcasts, and the peak
+// candidate the controller keeps for this slot's Plan. Always parallel: a
+// node's controller is touched by that node alone, and the per-worker fit
+// scratch by its worker alone.
 type FitStage struct{}
 
 // Name implements Stage.
@@ -82,11 +79,11 @@ func (FitStage) Run(e *Engine, s *Slot) error {
 		if !s.Alive.Up(i) {
 			return nil
 		}
-		d, err := e.ctrl[i].PlanEstimate(e.fitters[w], e.pos[i], s.Samples[i])
+		g, err := e.ctrl[i].Estimate(e.fitters[w], e.pos[i], s.Samples[i])
 		if err != nil {
 			return fmt.Errorf("node %d estimate: %w", i, err)
 		}
-		s.Curv[i] = d.G
+		s.Curv[i] = g
 		return nil
 	})
 }
@@ -95,7 +92,7 @@ func (FitStage) Run(e *Engine, s *Slot) error {
 // current unit-disk neighbors (Table 2 lines 4-5). Under an active
 // injector, deliveries pass the link-loss channel, received reports feed
 // the stale cache, and silent neighbors are replayed from it with their
-// age (entries older than StaleSlots are presumed dead and dropped).
+// age (entries older than staleSlots are presumed dead and dropped).
 // Parallel only when the injector is inactive: link-loss queries advance
 // shared channel state.
 type ExchangeStage struct{}
@@ -136,7 +133,7 @@ func (ExchangeStage) Run(e *Engine, s *Slot) error {
 	})
 }
 
-// PlanStage runs the real CMA planning pass with the received neighbor
+// PlanStage runs each alive node's Plan against the received neighbor
 // reports (Table 2 lines 6-18) and applies the velocity limit to produce
 // each mover's tentative next position. The per-node work is always
 // parallel; the mean-force fold runs serially in ascending node order so
@@ -148,11 +145,11 @@ func (PlanStage) Name() string { return "plan" }
 
 // Run implements Stage.
 func (PlanStage) Run(e *Engine, s *Slot) error {
-	err := e.forNodes(true, func(w, i int) error {
+	err := e.forNodes(true, func(_, i int) error {
 		if !s.Alive.Up(i) {
 			return nil
 		}
-		d, err := e.ctrl[i].PlanCached(e.fitters[w], e.pos[i], s.Samples[i], s.Infos[i])
+		d, err := e.ctrl[i].Plan(e.pos[i], s.Infos[i])
 		if err != nil {
 			return fmt.Errorf("node %d plan: %w", i, err)
 		}

@@ -96,13 +96,6 @@ type Config struct {
 	SenseOutlierProb float64
 	// SenseOutlierStd is the standard deviation of the outlier spikes.
 	SenseOutlierStd float64
-	// StaleSlots is how many slots a node keeps using a silent neighbor's
-	// last report before presuming it dead and dropping it from the
-	// F2/LCM terms; 0 defaults to 3.
-	StaleSlots int
-	// StaleDecay is the per-slot-of-age exponential factor applied to a
-	// stale neighbor's force contributions; 0 defaults to 0.5.
-	StaleDecay float64
 }
 
 // Active reports whether the configuration can perturb a run at all.
@@ -212,12 +205,6 @@ func (in *Injector) SetMetrics(reg *obs.Registry) {
 
 // NewInjector returns an injector for n nodes.
 func NewInjector(n int, cfg Config) *Injector {
-	if cfg.StaleSlots == 0 {
-		cfg.StaleSlots = 3
-	}
-	if cfg.StaleDecay <= 0 || cfg.StaleDecay > 1 {
-		cfg.StaleDecay = 0.5
-	}
 	in := &Injector{
 		cfg:      cfg,
 		n:        n,
@@ -259,18 +246,12 @@ const (
 // N returns the node count the injector was built for.
 func (in *Injector) N() int { return in.n }
 
-// Config returns the (default-filled) configuration.
+// Config returns the configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
 // Active reports whether the injector can perturb the run; see
 // Config.Active.
 func (in *Injector) Active() bool { return in.cfg.Active() }
-
-// StaleSlots returns the neighbor staleness timeout in slots.
-func (in *Injector) StaleSlots() int { return in.cfg.StaleSlots }
-
-// StaleDecay returns the per-slot exponential decay of stale neighbors.
-func (in *Injector) StaleDecay() float64 { return in.cfg.StaleDecay }
 
 // Alive reports whether node i is up.
 func (in *Injector) Alive(i int) bool { return in.down[i] == upNode }

@@ -250,12 +250,17 @@ func TestProfileScaling(t *testing.T) {
 	}
 }
 
-func TestDefaultsFilled(t *testing.T) {
-	in := NewInjector(1, Config{})
-	if in.StaleSlots() != 3 {
-		t.Errorf("StaleSlots = %d, want default 3", in.StaleSlots())
+// TestProfileSpecValidate pins the accepted rate range [0, 1): every other
+// value, NaN and the infinities included, is refused.
+func TestProfileSpecValidate(t *testing.T) {
+	for _, rate := range []float64{0, 0.1, 0.5, 0.99} {
+		if err := (ProfileSpec{Rate: rate}).Validate(); err != nil {
+			t.Errorf("rate %v: %v", rate, err)
+		}
 	}
-	if in.StaleDecay() != 0.5 {
-		t.Errorf("StaleDecay = %v, want default 0.5", in.StaleDecay())
+	for _, rate := range []float64{-0.1, 1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (ProfileSpec{Rate: rate}).Validate(); err == nil {
+			t.Errorf("rate %v: want an error", rate)
+		}
 	}
 }

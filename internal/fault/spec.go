@@ -18,9 +18,9 @@ type ProfileSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// Validate rejects rates outside [0, 1).
+// Validate rejects rates outside [0, 1), NaN included.
 func (s ProfileSpec) Validate() error {
-	if s.Rate < 0 || s.Rate >= 1 {
+	if !(s.Rate >= 0 && s.Rate < 1) {
 		return fmt.Errorf("fault: profile rate %g outside [0, 1)", s.Rate)
 	}
 	return nil

@@ -65,13 +65,6 @@ type Config struct {
 	// the force balance. Off by default: the clean-sensing paths must stay
 	// bit-identical to the paper's QR fit.
 	RobustFit bool
-	// StaleDecay is the per-slot-of-age exponential factor applied to the
-	// F2 attraction and Fr repulsion of a neighbor whose report is stale
-	// (NeighborInfo.Age > 0): a silent — possibly dead — neighbor's
-	// influence decays as StaleDecay^Age until the caller drops it
-	// entirely at its staleness timeout. 0 defaults to 0.5; fresh reports
-	// (Age 0) are never scaled, keeping lossless runs bit-identical.
-	StaleDecay float64
 	// RepulseFrac sets the repulsion range as a fraction of Rc: neighbors
 	// repel while closer than RepulseFrac·Rc. The paper's Eqn 17 uses
 	// exactly Rc (fraction 1), which is the default. Values below 1 give
@@ -132,7 +125,7 @@ type NeighborInfo struct {
 	// Age is how many slots old this report is: 0 for a hello received
 	// this slot, >0 when the caller replays a cached report because the
 	// neighbor has gone silent (message loss or death). Stale reports
-	// contribute exponentially decayed forces (Config.StaleDecay).
+	// contribute exponentially decayed forces (staleDecay per slot of age).
 	Age int
 }
 
@@ -177,23 +170,12 @@ type Controller struct {
 	// (boundary flicker, LCM nudges) from waking the whole swarm and
 	// lets it genuinely converge, as in the paper's Fig. 10.
 	parked bool
-	// fitter is the lazily-created fallback fit scratch used when the
-	// caller does not supply shared scratch of its own.
-	fitter *curvature.Fitter
-	// fit is the single-slot cache filled by PlanEstimate and consumed by
-	// PlanCached: the engine runs the same (pos, samples) through a dry
-	// run and the real planning pass every slot, and the expensive pure
-	// sub-results — the node's own curvature fit and the peak scan — are
-	// identical between the two by determinism.
-	fit fitCache
-}
-
-// fitCache holds the pure, input-determined results of one planning pass.
-type fitCache struct {
-	valid bool
-	pos   geom.Vec2
-	nsamp int
-	est   curvature.Estimate
+	// blind, g, peak and peakG are this slot's Estimate, read by Plan:
+	// whether the node sensed too few samples to steer on, its own
+	// curvature G, and the highest-curvature sensed position pc with its
+	// curvature.
+	blind bool
+	g     float64
 	peak  geom.Vec2
 	peakG float64
 }
@@ -205,6 +187,14 @@ const DefaultPeakFitM = 12
 // restartFactor is the hysteresis ratio between the wake-up and stop
 // thresholds of the movement deadband.
 const restartFactor = 2
+
+// staleDecay is the per-slot-of-age factor applied to the F2 attraction
+// and Fr repulsion of a neighbor whose report is stale (NeighborInfo.Age
+// > 0): a silent — possibly dead — neighbor's influence decays as
+// staleDecay^Age until the caller drops it at its staleness timeout.
+// Fresh reports (Age 0) are never scaled, keeping lossless runs
+// bit-identical.
+const staleDecay = 0.5
 
 // minFitSamples is the fewest sensed readings a node will steer on: the full
 // quadric fit has six unknowns, and below that the force computation is
@@ -228,9 +218,6 @@ func NewController(id int, cfg Config) (*Controller, error) {
 	if cfg.RepulseFrac <= 0 || cfg.RepulseFrac > 1 {
 		cfg.RepulseFrac = 1
 	}
-	if cfg.StaleDecay <= 0 || cfg.StaleDecay > 1 {
-		cfg.StaleDecay = 0.5
-	}
 	return &Controller{cfg: cfg, id: id}, nil
 }
 
@@ -240,93 +227,58 @@ func (c *Controller) ID() int { return c.id }
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// PlanEstimate is the planning dry run on an empty neighbor set that the
-// engine's Fit stage performs to obtain the node's broadcastable curvature
-// estimate G. It runs the full planning pass with no neighbors — including
-// the parked-state and normalizer side effects — and additionally caches
-// the pure sub-results (own curvature fit, peak scan) for the PlanCached
-// call of the same slot. f supplies shared fit scratch; it must have been
-// built with Config.FitMethod, and nil falls back to the controller's own.
-func (c *Controller) PlanEstimate(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (Decision, error) {
-	return c.plan(f, pos, samples, nil, true, false)
-}
-
-// PlanCached executes one CMA slot (Table 2 lines 2–18): estimate
-// curvature from the sensed samples, evaluate the virtual forces against
-// the neighbor reports, and decide whether and where to move. It reuses
-// the fit cache deposited by a PlanEstimate call with identical (pos,
-// samples) inputs — the expensive own-fit and peak-scan work is skipped,
-// which is bit-identical by determinism. When the cache does not match
-// (different position, changed sample count, or no preceding
-// PlanEstimate) it transparently recomputes. The cache is consumed either
-// way.
-func (c *Controller) PlanCached(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample, neighbors []NeighborInfo) (Decision, error) {
-	return c.plan(f, pos, samples, neighbors, false, true)
-}
-
-// ownFitter lazily creates the controller-owned fit scratch.
-func (c *Controller) ownFitter() *curvature.Fitter {
-	if c.fitter == nil {
-		c.fitter = curvature.NewFitter(c.cfg.FitMethod())
+// Estimate is the first half of one CMA slot (Table 2 lines 2–3): it fits
+// the node's own Gaussian curvature G from its sensed samples and scans
+// them for the peak candidate pc, keeps both for this slot's Plan, and
+// returns G for the node's broadcast. f is the fit scratch; it must have
+// been built with Config.FitMethod.
+func (c *Controller) Estimate(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (float64, error) {
+	// Degraded sensing (dropouts left fewer readings than the full
+	// quadric's six unknowns): the 3-term fallback fit is wildly
+	// ill-conditioned on such geometry, so instead of steering on garbage
+	// forces the node holds position and broadcasts zero curvature until
+	// its sensor view recovers.
+	c.blind = len(samples) < minFitSamples
+	if c.blind {
+		return 0, nil
 	}
-	return c.fitter
-}
-
-// plan is the shared planning pass. fill caches the pure fit results for
-// the next call; reuse consumes a matching cache instead of recomputing.
-func (c *Controller) plan(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample, neighbors []NeighborInfo, fill, reuse bool) (Decision, error) {
-	if f == nil {
-		f = c.ownFitter()
-	}
-	var d Decision
-	if len(samples) < minFitSamples {
-		// Degraded sensing (dropouts left fewer readings than the full
-		// quadric's six unknowns): the 3-term fallback fit is wildly
-		// ill-conditioned on such geometry, so instead of steering on
-		// garbage forces the node holds position and broadcasts zero
-		// curvature until its sensor view recovers. Neighbor curvature
-		// reports still feed the normalizer so the node rejoins the force
-		// balance seamlessly.
-		c.fit.valid = false
-		for _, nb := range neighbors {
-			c.observeG(nb.G)
+	est, err := f.Fit(pos, samples)
+	if err != nil {
+		if !errors.Is(err, curvature.ErrTooFewSamples) {
+			return 0, fmt.Errorf("mobile: node %d curvature: %w", c.id, err)
 		}
+		est = curvature.Estimate{} // blind node: zero curvature
+	}
+	c.g = est.Gaussian
+	c.observeG(c.g)
+	// F1 candidates: the sensed sample positions; the curvature at each is
+	// fitted from its nearest sampled neighbors (Eqn 14).
+	c.peak, c.peakG = c.findPeak(f, pos, samples)
+	// Deadband pre-update from |F1| alone, before any report: the goldens pin it.
+	c.parked = c.f1(pos).Len() <= c.threshold()
+	return c.g, nil
+}
+
+// Plan is the second half of one CMA slot (Table 2 lines 6–18): it
+// evaluates the virtual forces from this slot's Estimate and the neighbor
+// reports, and decides whether and where to move.
+func (c *Controller) Plan(pos geom.Vec2, neighbors []NeighborInfo) (Decision, error) {
+	var d Decision
+	for _, nb := range neighbors {
+		c.observeG(nb.G)
+	}
+	if c.blind {
+		// Neighbor curvature reports still feed the normalizer, so the
+		// node rejoins the force balance seamlessly once it sees again.
 		d.Peak = pos
 		d.Target = pos
 		return d, nil
 	}
-	reuse = reuse && c.fit.valid && c.fit.pos == pos && c.fit.nsamp == len(samples)
-	var est curvature.Estimate
-	var peak geom.Vec2
-	var peakG float64
-	if reuse {
-		est, peak, peakG = c.fit.est, c.fit.peak, c.fit.peakG
-		c.fit.valid = false
-	} else {
-		var err error
-		est, err = f.Fit(pos, samples)
-		if err != nil {
-			if !errors.Is(err, curvature.ErrTooFewSamples) {
-				return d, fmt.Errorf("mobile: node %d curvature: %w", c.id, err)
-			}
-			est = curvature.Estimate{} // blind node: zero curvature
-		}
-		// F1 candidates: the sensed sample positions; the curvature at
-		// each is fitted from its nearest sampled neighbors (Eqn 14).
-		peak, peakG = c.findPeak(f, pos, samples)
-	}
-	if fill {
-		c.fit = fitCache{valid: true, pos: pos, nsamp: len(samples), est: est, peak: peak, peakG: peakG}
-	}
-	d.G = est.Gaussian
-	c.observeG(est.Gaussian)
-	for _, nb := range neighbors {
-		c.observeG(nb.G)
-	}
+	d.G = c.g
 
 	// F1: attraction to the highest-curvature position in sensing range.
-	d.Peak = peak
-	d.F1 = peak.Sub(pos).Scale(c.cfg.CurvGain * c.weight(peakG))
+	d.Peak = c.peak
+	d.F1 = c.f1(pos)
 
 	// F2: curvature-weighted attraction toward neighbors (Eqn 15). Stale
 	// reports (Age > 0) decay exponentially so a dead neighbor's pull
@@ -335,7 +287,7 @@ func (c *Controller) plan(f *curvature.Fitter, pos geom.Vec2, samples []field.Sa
 	for _, nb := range neighbors {
 		scale := c.cfg.CurvGain * c.weight(nb.G)
 		if nb.Age > 0 {
-			scale *= c.staleWeight(nb.Age)
+			scale *= staleWeight(nb.Age)
 		}
 		d.F2 = d.F2.Add(nb.Pos.Sub(pos).Scale(scale))
 	}
@@ -359,17 +311,13 @@ func (c *Controller) plan(f *curvature.Fitter, pos geom.Vec2, samples []field.Sa
 		}
 		mag := repulseRange - dist
 		if nb.Age > 0 {
-			mag *= c.staleWeight(nb.Age)
+			mag *= staleWeight(nb.Age)
 		}
 		d.Fr = d.Fr.Add(away.Scale(mag))
 	}
 
 	d.Fs = d.F1.Add(d.F2).Add(d.Fr.Scale(c.cfg.Beta))
-	threshold := c.cfg.StopEps
-	if c.parked {
-		threshold = restartFactor * c.cfg.StopEps
-	}
-	if d.Fs.Len() <= threshold {
+	if d.Fs.Len() <= c.threshold() {
 		c.parked = true
 		d.Move = false
 		d.Target = pos
@@ -382,6 +330,21 @@ func (c *Controller) plan(f *curvature.Fitter, pos geom.Vec2, samples []field.Sa
 	// caller via Step.
 	d.Target = c.cfg.Region.ClampPoint(pos.Add(d.Fs.Normalize().Scale(c.cfg.Rs)))
 	return d, nil
+}
+
+// f1 is the attraction to the peak candidate pc (Eqn 14), weighted by the
+// normalizer as it stands.
+func (c *Controller) f1(pos geom.Vec2) geom.Vec2 {
+	return c.peak.Sub(pos).Scale(c.cfg.CurvGain * c.weight(c.peakG))
+}
+
+// threshold is the force magnitude the node must exceed to move: StopEps,
+// or restartFactor·StopEps once parked.
+func (c *Controller) threshold() float64 {
+	if c.parked {
+		return restartFactor * c.cfg.StopEps
+	}
+	return c.cfg.StopEps
 }
 
 // Step returns the node's next position when executing decision d from
@@ -418,8 +381,8 @@ func (c *Controller) observeG(g float64) {
 
 // staleWeight is the exponential confidence decay of a report that is age
 // slots old.
-func (c *Controller) staleWeight(age int) float64 {
-	return math.Pow(c.cfg.StaleDecay, float64(age))
+func staleWeight(age int) float64 {
+	return math.Pow(staleDecay, float64(age))
 }
 
 // weight converts a raw curvature into a normalized force weight in

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/curvature"
 	"repro/internal/field"
 	"repro/internal/geom"
 )
@@ -87,7 +88,6 @@ func TestControllerAccessors(t *testing.T) {
 		{"StopEps", zc.StopEps, dc.StopEps, 0.8},
 		{"CurvGain", zc.CurvGain, dc.CurvGain, 0.15},
 		{"RepulseFrac", zc.RepulseFrac, dc.RepulseFrac, 1},
-		{"StaleDecay", zc.StaleDecay, dc.StaleDecay, 0.5},
 	} {
 		if row.zero != row.want || row.def != row.want {
 			t.Errorf("%s: zero value fills %v, DefaultConfig gives %v, want %v", row.name, row.zero, row.def, row.want)
@@ -103,7 +103,7 @@ func TestPlanFlatFieldNoNeighborsStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	pos := geom.V2(50, 50)
-	d, err := c.Plan(pos, sense(f, pos, 5), nil)
+	d, err := round(c, pos, sense(f, pos, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPlanRepulsionPushesApart(t *testing.T) {
 	}
 	pos := geom.V2(50, 50)
 	nb := []NeighborInfo{{ID: 1, Pos: geom.V2(53, 50), G: 0}}
-	d, err := c.Plan(pos, sense(f, pos, 5), nb)
+	d, err := round(c, pos, sense(f, pos, 5), nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPlanNeighborOutOfRangeNoRepulsion(t *testing.T) {
 	}
 	pos := geom.V2(50, 50)
 	nb := []NeighborInfo{{ID: 1, Pos: geom.V2(65, 50), G: 0}} // d = 15 > Rc
-	d, err := c.Plan(pos, sense(f, pos, 5), nb)
+	d, err := round(c, pos, sense(f, pos, 5), nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestPlanAttractionTowardCurvedNeighbor(t *testing.T) {
 	}
 	pos := geom.V2(50, 50)
 	nb := []NeighborInfo{{ID: 1, Pos: geom.V2(58, 50), G: 3}}
-	d, err := c.Plan(pos, sense(f, pos, 5), nb)
+	d, err := round(c, pos, sense(f, pos, 5), nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestPlanF1PullsTowardBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	pos := geom.V2(50, 50)
-	d, err := c.Plan(pos, sense(bump, pos, 5), nil)
+	d, err := round(c, pos, sense(bump, pos, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestPlanCoincidentNodesSeparate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := c.Plan(pos, sense(f, pos, 5), []NeighborInfo{{ID: 1 - id, Pos: pos, G: 0}})
+		d, err := round(c, pos, sense(f, pos, 5), []NeighborInfo{{ID: 1 - id, Pos: pos, G: 0}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestPlanTooFewSamplesIsBlind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Plan(geom.V2(50, 50), nil, nil)
+	d, err := round(c, geom.V2(50, 50), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestPlanTargetAtRsDistance(t *testing.T) {
 	}
 	pos := geom.V2(50, 50)
 	nb := []NeighborInfo{{ID: 1, Pos: geom.V2(52, 50), G: 0}}
-	d, err := c.Plan(pos, sense(f, pos, 5), nb)
+	d, err := round(c, pos, sense(f, pos, 5), nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestPlanFewSamplesHoldsPosition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := c.Plan(pos, full[:m], nb)
+		d, err := round(c, pos, full[:m], nb)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -376,7 +376,7 @@ func TestPlanFewSamplesHoldsPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Plan(pos, full[:6], nb)
+	d, err := round(c, pos, full[:6], nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestPlanStaleNeighborForcesDecay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := c.Plan(pos, sense(f, pos, 5), []NeighborInfo{{ID: 1, Pos: geom.V2(53, 50), Age: age}})
+		d, err := round(c, pos, sense(f, pos, 5), []NeighborInfo{{ID: 1, Pos: geom.V2(53, 50), Age: age}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func TestPlanStaleNeighborForcesDecay(t *testing.T) {
 	if math.Abs(fresh.Len()-7) > 1e-9 {
 		t.Errorf("fresh |Fr| = %v, want 7 (unchanged classic repulsion)", fresh.Len())
 	}
-	if math.Abs(one.Len()-3.5) > 1e-9 { // default StaleDecay = 0.5
+	if math.Abs(one.Len()-3.5) > 1e-9 { // staleDecay = 0.5
 		t.Errorf("age-1 |Fr| = %v, want 3.5", one.Len())
 	}
 	if math.Abs(two.Len()-1.75) > 1e-9 {
@@ -432,11 +432,11 @@ func TestPlanRobustFitSurvivesOutliers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dr, err := robust.Plan(pos, corrupt, nil)
+	dr, err := round(robust, pos, corrupt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := plain.Plan(pos, corrupt, nil)
+	dp, err := round(plain, pos, corrupt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,9 +448,12 @@ func TestPlanRobustFitSurvivesOutliers(t *testing.T) {
 	}
 }
 
-// Plan executes one CMA slot (Table 2 lines 2–18): estimate curvature from
-// the sensed samples, evaluate the virtual forces against the neighbor
-// reports, and decide whether and where to move.
-func (c *Controller) Plan(pos geom.Vec2, samples []field.Sample, neighbors []NeighborInfo) (Decision, error) {
-	return c.plan(c.ownFitter(), pos, samples, neighbors, false, false)
+// round runs one CMA slot on c the way the engine does: Estimate from the
+// sensed samples with fresh fit scratch, then Plan against the neighbor
+// reports.
+func round(c *Controller, pos geom.Vec2, samples []field.Sample, neighbors []NeighborInfo) (Decision, error) {
+	if _, err := c.Estimate(curvature.NewFitter(c.Config().FitMethod()), pos, samples); err != nil {
+		return Decision{}, err
+	}
+	return c.Plan(pos, neighbors)
 }

@@ -1,6 +1,8 @@
 package mobile
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -158,4 +160,53 @@ func ResolveLCM(region geom.Rect, rc float64, v view.Alive, next []geom.Vec2, ne
 	var s LCMScratch
 	follows = s.Resolve(region, rc, v, resolved, neighborInfos)
 	return resolved, follows
+}
+
+// TestResolveLCMInPlaceBitIdentical pins LCMScratch.Resolve to ResolveLCM
+// across random over-stretched swarms, with the scratch reused between
+// calls and dead nodes in the mix.
+func TestResolveLCMInPlaceBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	region := geom.Square(100)
+	const rc = 10.0
+	var scratch LCMScratch
+	for trial := 0; trial < 50; trial++ {
+		n := 8 + rng.Intn(10)
+		oldPos := make([]geom.Vec2, n)
+		next := make([]geom.Vec2, n)
+		for i := range oldPos {
+			oldPos[i] = geom.V2(rng.Float64()*40+30, rng.Float64()*40+30)
+			// Aggressive tentative moves so plenty of pre-move links break.
+			next[i] = region.ClampPoint(oldPos[i].Add(geom.V2(rng.Float64()*12-6, rng.Float64()*12-6)))
+		}
+		var mask []bool
+		if trial%3 == 0 {
+			mask = make([]bool, n)
+			for i := range mask {
+				mask[i] = rng.Float64() > 0.2
+			}
+		}
+		infos := make([][]NeighborInfo, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j && oldPos[i].Dist(oldPos[j]) <= rc {
+					infos[i] = append(infos[i], NeighborInfo{ID: j, Pos: oldPos[j]})
+				}
+			}
+		}
+		v := view.Alive{Pos: oldPos, Mask: mask}
+
+		wantPos, wantFollows := ResolveLCM(region, rc, v, next, infos)
+		gotPos := append([]geom.Vec2(nil), next...)
+		gotFollows := scratch.Resolve(region, rc, v, gotPos, infos)
+		if gotFollows != wantFollows {
+			t.Fatalf("trial %d: follows %d, want %d", trial, gotFollows, wantFollows)
+		}
+		for i := range wantPos {
+			if math.Float64bits(gotPos[i].X) != math.Float64bits(wantPos[i].X) ||
+				math.Float64bits(gotPos[i].Y) != math.Float64bits(wantPos[i].Y) {
+				t.Fatalf("trial %d node %d: %v, want %v", trial, i, gotPos[i], wantPos[i])
+			}
+		}
+	}
 }

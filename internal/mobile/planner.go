@@ -15,27 +15,27 @@ import (
 // The engine's calling convention per slot, which implementations must
 // honor:
 //
-//  1. PlanEstimate(f, pos, samples) — the Fit stage's dry run on an empty
-//     neighbor set. Only the returned Decision.G is consumed (it becomes
-//     the node's broadcast payload); implementations may cache pure
-//     sub-results for the PlanCached call of the same slot.
-//  2. PlanCached(f, pos, samples, neighbors) — the Plan stage's real
-//     planning pass against the slot's neighbor reports. The full
-//     Decision is consumed: Fs feeds the step statistics, Target the LCM
-//     resolution, Move the movement gate.
+//  1. Estimate(f, pos, samples) — the Fit stage. It returns the node's
+//     own curvature estimate G, which becomes its broadcast payload.
+//     Implementations keep whatever they need from samples for the Plan
+//     call of the same slot; the slice is unchanged until that Plan
+//     returns and is reused afterwards.
+//  2. Plan(pos, neighbors) — the Plan stage, after the slot's exchange.
+//     It runs once per slot and only after that slot's Estimate by the
+//     same node. The full Decision is consumed: Fs feeds the step
+//     statistics, Target the LCM resolution, Move the movement gate.
 //  3. Step(pos, d) — the velocity-limited position update executing the
 //     decision; the result is still subject to LCM resolution before
 //     commit.
 //
-// f is shared per-worker curvature-fit scratch built with
-// Config.FitMethod; implementations that do not fit curvature may ignore
-// it (it is never nil on the engine path). A Planner is owned by one node
-// and is never called concurrently.
+// f is per-worker curvature-fit scratch built with Config.FitMethod;
+// implementations that do not fit curvature may ignore it. A Planner is
+// owned by one node and is never called concurrently.
 type Planner interface {
 	// ID returns the node ID the planner was built for.
 	ID() int
-	PlanEstimate(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (Decision, error)
-	PlanCached(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample, neighbors []NeighborInfo) (Decision, error)
+	Estimate(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (float64, error)
+	Plan(pos geom.Vec2, neighbors []NeighborInfo) (Decision, error)
 	Step(pos geom.Vec2, d Decision) geom.Vec2
 }
 

@@ -20,6 +20,7 @@ type localityAudit struct {
 	samples    int
 	fresh      int
 	stale      int
+	planners   []*localPlanner
 }
 
 func (a *localityAudit) violate(format string, args ...any) {
@@ -45,19 +46,29 @@ func (a *localityAudit) factory(id int, cfg mobile.Config) (mobile.Planner, erro
 	if err != nil {
 		return nil, err
 	}
-	return &localPlanner{Planner: p, rs: cfg.Rs, rc: cfg.Rc, audit: a, heard: map[int]mobile.NeighborInfo{}}, nil
+	lp := &localPlanner{Planner: p, rs: cfg.Rs, rc: cfg.Rc, audit: a, heard: map[int]mobile.NeighborInfo{}}
+	a.mu.Lock()
+	a.planners = append(a.planners, lp)
+	a.mu.Unlock()
+	return lp, nil
 }
 
 // localPlanner is a CMA planner that asserts it is fed only single-hop
 // information: samples from its own sensing disc, fresh reports from
 // neighbors within Rc, and stale reports that replay exactly what it last
-// heard fresh from that neighbor.
+// heard fresh from that neighbor. It also asserts the calling convention
+// Plan relies on: every Plan follows exactly one Estimate at the same
+// position, so the calls alternate Estimate, Plan, Estimate, Plan, ...
 type localPlanner struct {
 	mobile.Planner
 	rs, rc float64
 	audit  *localityAudit
 	// heard is the last fresh report received from each neighbor ID.
 	heard map[int]mobile.NeighborInfo
+	// estimates counts the Estimate calls since the last Plan, and estPos
+	// is the position the latest one saw.
+	estimates int
+	estPos    geom.Vec2
 }
 
 // checkSamples uses the sampler's own predicate (field.Sampler.DiscTimeInto).
@@ -69,14 +80,20 @@ func (p *localPlanner) checkSamples(pos geom.Vec2, samples []field.Sample) {
 	}
 }
 
-func (p *localPlanner) PlanEstimate(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (mobile.Decision, error) {
+func (p *localPlanner) Estimate(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (float64, error) {
 	p.checkSamples(pos, samples)
 	p.audit.count(len(samples), 0, 0)
-	return p.Planner.PlanEstimate(f, pos, samples)
+	p.estimates++
+	p.estPos = pos
+	return p.Planner.Estimate(f, pos, samples)
 }
 
-func (p *localPlanner) PlanCached(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample, neighbors []mobile.NeighborInfo) (mobile.Decision, error) {
-	p.checkSamples(pos, samples)
+func (p *localPlanner) Plan(pos geom.Vec2, neighbors []mobile.NeighborInfo) (mobile.Decision, error) {
+	if p.estimates != 1 || p.estPos != pos {
+		p.audit.violate("node %d: Plan at %v after %d Estimate calls (latest at %v); want exactly one, at the same position",
+			p.ID(), pos, p.estimates, p.estPos)
+	}
+	p.estimates = 0
 	fresh, stale := 0, 0
 	for _, nb := range neighbors {
 		if nb.Age == 0 {
@@ -96,21 +113,26 @@ func (p *localPlanner) PlanCached(f *curvature.Fitter, pos geom.Vec2, samples []
 			p.audit.violate("node %d: stale report %+v does not replay last fresh report %+v (heard %v)", p.ID(), nb, last, ok)
 		}
 	}
-	p.audit.count(len(samples), fresh, stale)
-	return p.Planner.PlanCached(f, pos, samples, neighbors)
+	p.audit.count(0, fresh, stale)
+	return p.Planner.Plan(pos, neighbors)
 }
 
 // TestSingleHopLocality is the paper's "fully distributed, merely
 // single-hop information" claim stated on the one CMA engine: every
 // planner input of every node in every golden scenario (clean, fault
-// profile, explicit schedule) is audited for locality, and the audit is
-// pure observation — the trajectories must stay bit-identical to the
-// goldens.
+// profile, explicit schedule) is audited for locality and for the
+// Estimate-then-Plan order of each slot, and the audit is pure
+// observation — the trajectories must stay bit-identical to the goldens.
 func TestSingleHopLocality(t *testing.T) {
 	audit := &localityAudit{}
 	goldenFactory = audit.factory
 	defer func() { goldenFactory = nil }()
 	verifyGolden(t)
+	for _, p := range audit.planners {
+		if p.estimates != 0 {
+			audit.violate("node %d: run ended with %d Estimate calls not followed by a Plan", p.ID(), p.estimates)
+		}
+	}
 	for _, v := range audit.violations {
 		t.Error(v)
 	}

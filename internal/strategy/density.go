@@ -179,17 +179,17 @@ func (c *densityController) life() float64 {
 	return l
 }
 
-// PlanEstimate broadcasts the node's remaining lifetime as G — the one
+// Estimate broadcasts the node's remaining lifetime as G — the one
 // scalar the exchange stage already carries — so neighbors can weigh its
 // pressure without any new message fields.
-func (c *densityController) PlanEstimate(_ *curvature.Fitter, pos geom.Vec2, _ []field.Sample) (mobile.Decision, error) {
-	return mobile.Decision{G: c.life(), Peak: pos, Target: pos}, nil
+func (c *densityController) Estimate(*curvature.Fitter, geom.Vec2, []field.Sample) (float64, error) {
+	return c.life(), nil
 }
 
-// PlanCached computes the budget-scaled repulsion step. Stale neighbor
+// Plan computes the budget-scaled repulsion step. Stale neighbor
 // reports decay by half per slot of age, matching CMA's stale-neighbor
 // convention.
-func (c *densityController) PlanCached(_ *curvature.Fitter, pos geom.Vec2, _ []field.Sample, neighbors []mobile.NeighborInfo) (mobile.Decision, error) {
+func (c *densityController) Plan(pos geom.Vec2, neighbors []mobile.NeighborInfo) (mobile.Decision, error) {
 	life := c.life()
 	d := mobile.Decision{G: life, Peak: pos, Target: pos}
 	if life <= 0 {

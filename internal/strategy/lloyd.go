@@ -258,17 +258,16 @@ func newLloydController(id int, cfg mobile.Config) (mobile.Planner, error) {
 
 func (c *lloydController) ID() int { return c.id }
 
-// PlanEstimate is the Fit-stage dry run: Lloyd broadcasts no curvature,
-// so the decision is empty (G = 0) and nothing is cached.
-func (c *lloydController) PlanEstimate(_ *curvature.Fitter, pos geom.Vec2, _ []field.Sample) (mobile.Decision, error) {
-	return mobile.Decision{Peak: pos, Target: pos}, nil
+// Estimate broadcasts no curvature: Lloyd's G is zero.
+func (c *lloydController) Estimate(*curvature.Fitter, geom.Vec2, []field.Sample) (float64, error) {
+	return 0, nil
 }
 
-// PlanCached performs the descent step: move toward the centroid of the
+// Plan performs the descent step: move toward the centroid of the
 // r-limited local Voronoi cell. Stale neighbor reports (Age > 0) still
 // bound the cell — a silent neighbor's last known position is the best
 // available estimate of the territory it covers.
-func (c *lloydController) PlanCached(_ *curvature.Fitter, pos geom.Vec2, _ []field.Sample, neighbors []mobile.NeighborInfo) (mobile.Decision, error) {
+func (c *lloydController) Plan(pos geom.Vec2, neighbors []mobile.NeighborInfo) (mobile.Decision, error) {
 	d := mobile.Decision{Peak: pos, Target: pos}
 	nbr := make([]geom.Vec2, 0, len(neighbors))
 	for _, nb := range neighbors {

@@ -98,6 +98,7 @@ type tourController struct {
 	homeSet bool
 	wp      []geom.Vec2 // planned waypoints: tour stops then home
 	next    int
+	samples []field.Sample // this slot's samples, kept by Estimate for Plan
 }
 
 // newTourController is the registered "tour" movement factory.
@@ -113,27 +114,25 @@ func newTourController(id int, cfg mobile.Config) (mobile.Planner, error) {
 
 func (c *tourController) ID() int { return c.id }
 
-// PlanEstimate is the Fit-stage dry run: tours broadcast no curvature,
-// so the decision is empty and the home anchor is pinned to the node's
-// first observed position.
-func (c *tourController) PlanEstimate(_ *curvature.Fitter, pos geom.Vec2, _ []field.Sample) (mobile.Decision, error) {
+// Estimate broadcasts no curvature (G = 0). It pins the home anchor to
+// the node's first observed position and keeps the slot's samples for
+// Plan.
+func (c *tourController) Estimate(_ *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (float64, error) {
 	if !c.homeSet {
 		c.home, c.homeSet = pos, true
 	}
-	return mobile.Decision{Peak: pos, Target: pos}, nil
+	c.samples = samples
+	return 0, nil
 }
 
-// PlanCached advances the patrol: plan a tour when none is pending,
-// otherwise head for the current waypoint, advancing it once within
-// StopEps. Samples are this node's own sensed values; neighbors are
+// Plan advances the patrol: plan a tour when none is pending, otherwise
+// head for the current waypoint, advancing it once within StopEps. The
+// samples are this node's own sensed values from Estimate; neighbors are
 // deliberately unused.
-func (c *tourController) PlanCached(_ *curvature.Fitter, pos geom.Vec2, samples []field.Sample, _ []mobile.NeighborInfo) (mobile.Decision, error) {
+func (c *tourController) Plan(pos geom.Vec2, _ []mobile.NeighborInfo) (mobile.Decision, error) {
 	d := mobile.Decision{Peak: pos, Target: pos}
-	if !c.homeSet {
-		c.home, c.homeSet = pos, true
-	}
 	if len(c.wp) == 0 {
-		tour := central.PlanTour(c.home, tourStops(samples), c.budget)
+		tour := central.PlanTour(c.home, tourStops(c.samples), c.budget)
 		if len(tour) == 0 {
 			return d, nil // nothing worth visiting: hold at home
 		}

@@ -60,8 +60,15 @@ func TestTourControllerPatrols(t *testing.T) {
 	if c.ID() != 3 {
 		t.Fatalf("ID = %d", c.ID())
 	}
+	// slot runs one Estimate + Plan round, the engine's calling convention.
+	slot := func(pos geom.Vec2, samples []field.Sample) (mobile.Decision, error) {
+		if _, err := c.Estimate(nil, pos, samples); err != nil {
+			return mobile.Decision{}, err
+		}
+		return c.Plan(pos, nil)
+	}
 	home := geom.V2(50, 50)
-	if _, err := c.PlanEstimate(nil, home, nil); err != nil {
+	if _, err := c.Estimate(nil, home, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !c.homeSet || c.home != home {
@@ -75,7 +82,7 @@ func TestTourControllerPatrols(t *testing.T) {
 		{Pos: geom.V2(55, 53), Z: 7},
 		{Pos: geom.V2(47, 48), Z: 0},
 	}
-	d, err := c.PlanCached(nil, home, samples, nil)
+	d, err := slot(home, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,7 @@ func TestTourControllerPatrols(t *testing.T) {
 	pos, traveled := home, 0.0
 	lapped := false
 	for step := 0; step < 200; step++ {
-		d, err := c.PlanCached(nil, pos, samples, nil)
+		d, err := slot(pos, samples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +130,7 @@ func TestTourControllerPatrols(t *testing.T) {
 
 	// Flat samples plan nothing: the node holds position.
 	flat := []field.Sample{{Pos: geom.V2(50, 50), Z: 1}}
-	d, err = c.PlanCached(nil, pos, flat, nil)
+	d, err = slot(pos, flat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/bands"
 	"repro/internal/delaunay"
 	"repro/internal/field"
 	"repro/internal/geom"
@@ -262,41 +260,6 @@ func (t *TIN) Triangles() [][3]geom.Vec2 {
 // bit, is identical at GOMAXPROCS=1 and GOMAXPROCS=N.
 const bandRows = 8
 
-// runBands partitions rows [0, rows) into fixed-size bands and runs
-// process(lo, hi) for each, fanning the bands out over a worker pool of up
-// to runtime.GOMAXPROCS(0) goroutines. process must touch only state owned
-// by its rows (plus whatever per-band cursors it creates itself); bands may
-// execute in any order and concurrently.
-func runBands(rows int, process func(lo, hi int)) {
-	bands := (rows + bandRows - 1) / bandRows
-	workers := runtime.GOMAXPROCS(0)
-	if workers > bands {
-		workers = bands
-	}
-	if workers <= 1 {
-		for b := 0; b < bands; b++ {
-			process(b*bandRows, min(rows, (b+1)*bandRows))
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= bands {
-					return
-				}
-				process(b*bandRows, min(rows, (b+1)*bandRows))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // evalFn returns a fresh evaluation closure for f, suitable for exclusive
 // use by one band: a TIN hands out a private Locator cursor; every other
 // field.Field is safe for concurrent use by contract and evaluates
@@ -322,7 +285,7 @@ func Delta(f field.Field, g field.Field, n int) float64 {
 	dx := r.Width() / float64(n)
 	dy := r.Height() / float64(n)
 	rowSum := make([]float64, n)
-	runBands(n, func(lo, hi int) {
+	bands.Run(n, bandRows, func(_, lo, hi int) {
 		fe, ge := evalFn(f), evalFn(g)
 		for i := lo; i < hi; i++ {
 			s := 0.0
@@ -378,7 +341,7 @@ func NewLocalErrorGrid(f field.Field, n int) *LocalErrorGrid {
 		rowMax: make([]float64, n+1),
 		rowArg: make([]int, n+1),
 	}
-	runBands(n+1, func(lo, hi int) {
+	bands.Run(n+1, bandRows, func(_, lo, hi int) {
 		fe := evalFn(f)
 		for i := lo; i < hi; i++ {
 			for j := 0; j <= n; j++ {
@@ -411,7 +374,7 @@ func (g *LocalErrorGrid) idx(i, j int) int { return i*(g.n+1) + j }
 // one evaluation cursor per band; results are bit-identical for any
 // GOMAXPROCS.
 func (g *LocalErrorGrid) Update(t *TIN) {
-	runBands(g.n+1, func(lo, hi int) {
+	bands.Run(g.n+1, bandRows, func(_, lo, hi int) {
 		le := t.NewLocator()
 		for i := lo; i < hi; i++ {
 			for j := 0; j <= g.n; j++ {
