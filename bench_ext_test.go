@@ -7,9 +7,9 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/graph"
-	"repro/internal/sim"
 	"repro/internal/spatial"
 )
 
@@ -20,9 +20,9 @@ func BenchmarkExtTraceSampling(b *testing.B) {
 	forest := benchForest()
 	var point, traced float64
 	for i := 0; i < b.N; i++ {
-		opts := sim.DefaultOptions()
-		opts.Trace = sim.TraceOptions{Enabled: true, Spacing: 0.5, MaxAge: 10}
-		w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 100), opts)
+		opts := engine.DefaultOptions()
+		opts.Trace = engine.TraceOptions{Enabled: true, Spacing: 0.5, MaxAge: 10}
+		w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 100), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,9 +144,9 @@ func BenchmarkExtRepulseGuardBand(b *testing.B) {
 	var exact, banded float64
 	for i := 0; i < b.N; i++ {
 		for _, frac := range []float64{1.0, 0.95} {
-			opts := sim.DefaultOptions()
+			opts := engine.DefaultOptions()
 			opts.Config.RepulseFrac = frac
-			w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 100), opts)
+			w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 100), opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -18,9 +18,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/curvature"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/field"
-	"repro/internal/sim"
 	"repro/internal/surface"
 )
 
@@ -139,7 +139,7 @@ func BenchmarkFig8CMAInitial(b *testing.B) {
 	forest := benchForest()
 	var d float64
 	for i := 0; i < b.N; i++ {
-		w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 100), sim.DefaultOptions())
+		w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 100), engine.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,11 +161,11 @@ func BenchmarkFig9CMAConverging(b *testing.B) {
 	forest := benchForest()
 	var d, disp float64
 	for i := 0; i < b.N; i++ {
-		w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 100), sim.DefaultOptions())
+		w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 100), engine.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		var last sim.StepStats
+		var last engine.StepStats
 		for s := 0; s < 25; s++ {
 			last, err = w.Step()
 			if err != nil {
@@ -193,7 +193,7 @@ func BenchmarkFig10DeltaVsTime(b *testing.B) {
 	var rows []eval.DeltaVsTimeRow
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 100), sim.DefaultOptions())
+		w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 100), engine.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,9 +261,9 @@ func BenchmarkAblationForces(b *testing.B) {
 	deltas := make([]float64, len(betas))
 	for i := 0; i < b.N; i++ {
 		for j, beta := range betas {
-			opts := sim.DefaultOptions()
+			opts := engine.DefaultOptions()
 			opts.Config.Beta = beta
-			w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 100), opts)
+			w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 100), opts)
 			if err != nil {
 				b.Fatal(err)
 			}

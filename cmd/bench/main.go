@@ -29,9 +29,9 @@ import (
 
 	"repro/internal/benchsuite"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/field"
-	"repro/internal/sim"
 )
 
 // The -compare tolerances: a gated row fails when its ns/op grows by more
@@ -259,7 +259,7 @@ func quality(out map[string]float64, quick bool) error {
 	if quick {
 		slots, deltaN = 10, 50
 	}
-	w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 100), sim.DefaultOptions())
+	w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 100), engine.DefaultOptions())
 	if err != nil {
 		return err
 	}

@@ -25,11 +25,11 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/obs/obscli"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/sweep"
 )
@@ -118,10 +118,10 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 	mv := strategy.MovementFor(strat)
 	mvLabel := strings.ToUpper(mv.Name())
 	fmt.Printf("\n=== Fig. 10: δ vs time, 100 mobile nodes with %s ===\n", mvLabel)
-	simOpts := sim.DefaultOptions()
-	simOpts.Metrics = reg
-	simOpts.NewController = mv.NewController
-	w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 100), simOpts)
+	opts := engine.DefaultOptions()
+	opts.Metrics = reg
+	opts.NewController = mv.NewController
+	w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 100), opts)
 	if err != nil {
 		return err
 	}

@@ -26,6 +26,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/strategy"
 	"repro/internal/surface"
+	"repro/internal/sweep"
 )
 
 // obsRun is the command's observability edge (see internal/obs/obscli);
@@ -73,15 +74,22 @@ func main() {
 	if err != nil {
 		fatalf("bad -strategy: %v", err)
 	}
+	var ks []int
+	kMax := *k
+	if *sweep != "" {
+		if ks, err = parseSweep(*sweep); err != nil {
+			fatalf("bad -sweep: %v", err)
+		}
+		kMax = ks[len(ks)-1]
+	}
+	if err := checkFlags(kMax, *gridN, *deltaN, *draws); err != nil {
+		fatal(err)
+	}
 
 	forest := field.NewForest(field.DefaultForestConfig())
 	ref := forest.Reference()
 
 	if *sweep != "" {
-		ks, err := parseSweep(*sweep)
-		if err != nil {
-			fatalf("bad -sweep: %v", err)
-		}
 		opts := eval.DeltaVsKOptions{
 			Rc: *rc, GridN: *gridN, DeltaN: *deltaN,
 			RandomDraws: *draws, Seed: *seed, Metrics: reg,
@@ -146,6 +154,24 @@ func main() {
 		fatal(err)
 	}
 	closeRun()
+}
+
+// checkFlags refuses the numeric flags the run cannot honor before
+// anything is allocated; k is the largest node budget of the run. Each
+// error names its flag.
+func checkFlags(k, gridN, deltaN, draws int) error {
+	switch {
+	case gridN < 1:
+		return fmt.Errorf("bad -grid %d: must be at least 1", gridN)
+	case deltaN < 1:
+		return fmt.Errorf("bad -delta-grid %d: must be at least 1", deltaN)
+	case draws < 1:
+		return fmt.Errorf("bad -draws %d: must be at least 1", draws)
+	}
+	if err := sweep.CheckWork(k, gridN, deltaN, 0); err != nil {
+		return fmt.Errorf("bad -k, -grid or -delta-grid: %w", err)
+	}
+	return nil
 }
 
 func parseSweep(s string) ([]int, error) {

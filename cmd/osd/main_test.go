@@ -25,22 +25,43 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadRcExits runs the command on radii that are not positive and
-// finite and demands a non-zero exit that names the radius, for FRA and
-// for a registry strategy.
-func TestBadRcExits(t *testing.T) {
+// TestBadNumericFlagsExit runs the command on numeric flag values it
+// cannot honor and demands a non-zero exit whose output names the flag:
+// radii that are not positive and finite, for FRA and for a registry
+// strategy, and lattice sizes and draw counts out of range, in single
+// and sweep mode.
+func TestBadNumericFlagsExit(t *testing.T) {
+	type badCase struct {
+		args []string
+		flag string
+	}
+	var cases []badCase
 	for _, strat := range []string{"fra", "lloyd"} {
 		for _, rc := range []string{"NaN", "+Inf", "-Inf", "0", "-3"} {
-			cmd := exec.Command(os.Args[0], "-test.run=^$", "--", "-k", "40", "-grid", "20", "-rc", rc, "-strategy", strat, "-quiet")
-			cmd.Env = append(os.Environ(), runMainEnv+"=1")
-			out, err := cmd.CombinedOutput()
-			if _, ok := err.(*exec.ExitError); !ok {
-				t.Errorf("-strategy %s -rc %s: err = %v, want a non-zero exit; output:\n%s", strat, rc, err, out)
-				continue
-			}
-			if !strings.Contains(string(out), "rc=") {
-				t.Errorf("-strategy %s -rc %s: output does not name the radius:\n%s", strat, rc, out)
-			}
+			cases = append(cases, badCase{[]string{"-k", "40", "-grid", "20", "-rc", rc, "-strategy", strat}, "rc="})
+		}
+	}
+	cases = append(cases,
+		badCase{[]string{"-grid", "0"}, "-grid"},
+		badCase{[]string{"-grid", "-1"}, "-grid"},
+		badCase{[]string{"-delta-grid", "0"}, "-delta-grid"},
+		badCase{[]string{"-delta-grid", "-1"}, "-delta-grid"},
+		badCase{[]string{"-delta-grid", "5000"}, "-delta-grid"},
+		badCase{[]string{"-draws", "-1", "-sweep", "1:5:2"}, "-draws"},
+		badCase{[]string{"-draws", "0", "-sweep", "1:5:2"}, "-draws"},
+		badCase{[]string{"-delta-grid", "0", "-sweep", "1:5:2"}, "-delta-grid"},
+	)
+	for _, tc := range cases {
+		args := append([]string{"-test.run=^$", "--", "-quiet"}, tc.args...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Errorf("%v: err = %v, want a non-zero exit; output:\n%s", tc.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.flag) {
+			t.Errorf("%v: output does not name %s:\n%s", tc.args, tc.flag, out)
 		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/obs/obscli"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 	"repro/internal/surface"
 	"repro/internal/sweep"
@@ -89,14 +88,21 @@ func main() {
 	}
 
 	forest := field.NewForest(field.DefaultForestConfig())
-	init := field.GridLayout(forest.Bounds(), *k)
+	// One set of options drives both the single run and every rate of the
+	// degradation sweep.
+	opts := engine.DefaultOptions()
+	opts.Config.Beta = *beta
+	opts.NoiseStd = *noise
+	opts.Seed = *seed
+	opts.Metrics = reg
+	opts.NewController = mv.NewController
 
 	if *faultSweep != "" {
 		rates, err := parseRates(*faultSweep)
 		if err != nil {
 			fatalf("bad -fault-sweep: %v", err)
 		}
-		rows, err := eval.DegradationSweepStrategy(forest, *k, *slots, *deltaN, rates, *faultSeed, *strat)
+		rows, err := eval.DegradationSweep(forest, opts, *k, *slots, *deltaN, rates, *faultSeed)
 		if err != nil {
 			fatal(err)
 		}
@@ -112,17 +118,10 @@ func main() {
 		return
 	}
 
-	opts := sim.DefaultOptions()
-	opts.Config.Beta = *beta
-	opts.NoiseStd = *noise
-	opts.Seed = *seed
-	opts.Metrics = reg
-	opts.NewController = mv.NewController
 	if *faultRate > 0 {
-		opts.Config.RobustFit = true
-		opts.Faults = fault.NewInjector(*k, fault.Profile(*faultRate, *slots, *faultSeed))
+		opts = eval.WithFaults(opts, fault.ProfileSpec{Rate: *faultRate}, *k, *slots, *faultSeed)
 	}
-	w, err := sim.NewWorld(forest, init, opts)
+	w, err := engine.New(forest, field.GridLayout(forest.Bounds(), *k), opts)
 	if err != nil {
 		fatal(err)
 	}

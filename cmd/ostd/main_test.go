@@ -59,6 +59,39 @@ func TestBadNumericFlagsExit(t *testing.T) {
 	}
 }
 
+// runMain re-executes the command with args and returns its output,
+// failing the test on a non-zero exit.
+func runMain(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, args...)...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v: %v; output:\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+// TestFaultSweepHonorsRunFlags: every rate of -fault-sweep runs with the
+// same options as the single run, so -beta, -noise and -seed change the
+// degradation table.
+func TestFaultSweepHonorsRunFlags(t *testing.T) {
+	sweep := []string{"-k", "100", "-slots", "3", "-delta-grid", "20", "-fault-sweep", "0,0.1"}
+	def := runMain(t, sweep...)
+	if again := runMain(t, sweep...); again != def {
+		t.Fatalf("same flags, different tables:\n%s\nvs\n%s", def, again)
+	}
+	noisy := runMain(t, append(sweep, "-noise", "2")...)
+	for _, extra := range [][]string{{"-beta", "7"}, {"-noise", "2"}} {
+		if out := runMain(t, append(sweep, extra...)...); out == def {
+			t.Errorf("%v does not change the degradation table:\n%s", extra, out)
+		}
+	}
+	if out := runMain(t, append(sweep, "-noise", "2", "-seed", "9")...); out == noisy {
+		t.Errorf("-seed does not change the noisy degradation table:\n%s", out)
+	}
+}
+
 func TestParseSnaps(t *testing.T) {
 	got, err := parseSnaps("")
 	if err != nil || len(got) != 0 {

@@ -10,10 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 )
 
@@ -46,7 +46,7 @@ func Scenarios() []Scenario {
 	forest := field.NewForest(field.DefaultForestConfig())
 	ref := forest.Reference()
 	large := field.RandomPositions(forest.Bounds(), largeN, largeNSeed)
-	metered := sim.DefaultOptions()
+	metered := engine.DefaultOptions()
 	metered.Metrics = obs.NewRegistry()
 	plume := field.PlumeScenario(geom.Square(100), 2, 2, 0.6, 0.8, 0.01, 15)
 
@@ -57,7 +57,7 @@ func Scenarios() []Scenario {
 	bigCfg := field.DefaultForestConfig()
 	bigCfg.Region = geom.Square(1000)
 	big := field.NewForest(bigCfg)
-	bigOpts := sim.DefaultOptions()
+	bigOpts := engine.DefaultOptions()
 	bigOpts.Config.Region = big.Bounds()
 	bigOpts.Config.Rs = 3
 	bigOpts.Config.Rc = 8
@@ -67,10 +67,10 @@ func Scenarios() []Scenario {
 		{"fra_k500", 15, true, place(ref, "fra", 500)},
 		{"fra_k2000", 3, false, place(ref, "fra", 2000)},
 		{"lloyd_k500", 7, true, place(ref, "lloyd", 500)},
-		{"step_large_n", 20, true, step(forest, large, sim.DefaultOptions())},
+		{"step_large_n", 20, true, step(forest, large, engine.DefaultOptions())},
 		{"step_large_n_metrics", 20, false, step(forest, large, metered)},
-		{"ostd_round", 50, false, step(forest, field.GridLayout(forest.Bounds(), 100), sim.DefaultOptions())},
-		{"plume_round", 100, true, step(plume, field.GridLayout(plume.Bounds(), 100), sim.DefaultOptions())},
+		{"ostd_round", 50, false, step(forest, field.GridLayout(forest.Bounds(), 100), engine.DefaultOptions())},
+		{"plume_round", 100, true, step(plume, field.GridLayout(plume.Bounds(), 100), engine.DefaultOptions())},
 		{"step_100k", 2, false, step(big, field.GridLayout(big.Bounds(), 100000), bigOpts)},
 	}
 }
@@ -98,9 +98,9 @@ func place(ref field.Field, name string, k int) func(*testing.B) {
 // step measures one simulation slot from the given initial layout; a
 // non-nil opts.Metrics runs it instrumented. The field is time-varying,
 // so successive iterations step successive slots.
-func step(dyn field.DynField, init []geom.Vec2, opts sim.Options) func(*testing.B) {
+func step(dyn field.DynField, init []geom.Vec2, opts engine.Options) func(*testing.B) {
 	return func(b *testing.B) {
-		w, err := sim.NewWorld(dyn, init, opts)
+		w, err := engine.New(dyn, init, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,8 +1,11 @@
-// Package engine is the staged per-slot simulation pipeline behind
-// sim.World: the paper's CMA round (§OSTD, Table 2) decomposed into seven
-// pluggable stages — Sense, Fit, Exchange, Plan, Resolve, Move, Account —
-// each an interface with a default implementation extracted from the
-// former monolithic World.Step.
+// Package engine is the deterministic time-stepped simulator of the OSTD
+// experiments: a swarm of mobile CPS nodes running the CMA controller over
+// a time-varying field, with the paper's sensing (Rs), communication (Rc)
+// and velocity (v) models. Each slot is the paper's CMA round (§OSTD,
+// Table 2) as seven pluggable stages — Sense, Fit, Exchange, Plan,
+// Resolve, Move, Account — run against a consistent snapshot. Beside the
+// step the Engine answers the paper's δ (Delta, and DeltaTrace with
+// movement-path samples), connectivity and aliveness queries.
 //
 // # Determinism
 //
@@ -69,6 +72,7 @@ import (
 	"repro/internal/mobile"
 	"repro/internal/obs"
 	"repro/internal/spatial"
+	"repro/internal/surface"
 	"repro/internal/view"
 )
 
@@ -106,15 +110,15 @@ type Options struct {
 	Seed int64
 	// SlotMinutes is the duration of one time slot; 0 defaults to 1.
 	SlotMinutes float64
+	// Trace configures movement-path sampling (the paper's future-work
+	// extension; see TraceOptions).
+	Trace TraceOptions
 	// Faults optionally injects node crashes, battery depletion, link
-	// loss and sensing faults. The injector must be built for exactly the
-	// engine's node count and must not be shared between engines.
+	// loss and sensing faults (see internal/fault). nil — or an injector
+	// whose Config is inert — leaves the run bit-identical to a
+	// fault-free one. The injector must be built for exactly the engine's
+	// node count and must not be shared between engines.
 	Faults *fault.Injector
-	// BeforeMove, when non-nil, is called by the Move stage with the
-	// pre-move and resolved post-move positions just before the commit —
-	// the hook sim uses for movement-trace sampling. Both slices are
-	// read-only borrows.
-	BeforeMove func(old, next []geom.Vec2)
 	// NewController builds each node's movement planner; nil means
 	// mobile.DefaultFactory — the paper's CMA controller — which keeps the
 	// default pipeline bit-identical to the pre-interface engine. Movement
@@ -124,10 +128,19 @@ type Options struct {
 	// Stages overrides the step pipeline; nil means DefaultStages().
 	Stages []Stage
 	// Metrics, when non-nil, receives per-stage and per-slot wall-time
-	// histograms plus step-statistic counters and gauges (see
-	// engineMetrics). Instrumentation only observes — it never perturbs
-	// the dynamics — and nil keeps the hot path clock-free.
+	// histograms, step-statistic counters and gauges, and the per-round
+	// gauges sim_delta and sim_delta_evals_total (every Delta),
+	// sim_connected and sim_connectivity_checks_total (every Connected),
+	// and sim_coverage / sim_alive_fraction refreshed each step (see
+	// engineMetrics). An attached fault injector reports its event
+	// counters to the same registry. Instrumentation only observes — it
+	// never perturbs the dynamics — and nil keeps the hot path clock-free.
 	Metrics *obs.Registry
+}
+
+// DefaultOptions returns the paper's Section 6 OSTD settings.
+func DefaultOptions() Options {
+	return Options{Config: mobile.DefaultConfig(), SlotMinutes: 1}
 }
 
 // Engine advances a swarm of CMA nodes one slot at a time by running its
@@ -179,6 +192,10 @@ type Engine struct {
 	epoch    int
 	nbrLists [][]int
 
+	// trace holds the movement-path samples; nil unless Options.Trace is
+	// enabled.
+	trace *traceStore
+
 	// met is the engine's observability surface; nil means off, and every
 	// instrumentation site is guarded so the disabled path never reads the
 	// clock.
@@ -212,6 +229,13 @@ type engineMetrics struct {
 	energy   *obs.Gauge       // engine_energy_total (cumulative meters)
 
 	idxRebuilds *obs.Counter // engine_index_rebuilds_total: index builds
+
+	delta      *obs.Gauge   // sim_delta: last evaluated δ
+	deltaEvals *obs.Counter // sim_delta_evals_total
+	connected  *obs.Gauge   // sim_connected: 1 or 0 at the last check
+	connChecks *obs.Counter // sim_connectivity_checks_total
+	coverage   *obs.Gauge   // sim_coverage: nominal sensing-disc coverage
+	aliveFrac  *obs.Gauge   // sim_alive_fraction
 }
 
 func newEngineMetrics(reg *obs.Registry, stages []Stage) *engineMetrics {
@@ -227,6 +251,13 @@ func newEngineMetrics(reg *obs.Registry, stages []Stage) *engineMetrics {
 		energy:   reg.Gauge("engine_energy_total"),
 
 		idxRebuilds: reg.Counter("engine_index_rebuilds_total"),
+
+		delta:      reg.Gauge("sim_delta"),
+		deltaEvals: reg.Counter("sim_delta_evals_total"),
+		connected:  reg.Gauge("sim_connected"),
+		connChecks: reg.Counter("sim_connectivity_checks_total"),
+		coverage:   reg.Gauge("sim_coverage"),
+		aliveFrac:  reg.Gauge("sim_alive_fraction"),
 	}
 	m.stages = make([]*obs.Histogram, len(stages))
 	for i, st := range stages {
@@ -236,7 +267,8 @@ func newEngineMetrics(reg *obs.Registry, stages []Stage) *engineMetrics {
 }
 
 // record folds one finished slot's statistics into the metric set.
-func (m *engineMetrics) record(s *Slot) {
+func (e *Engine) record(s *Slot) {
+	m := e.met
 	m.slots.Inc()
 	m.moved.Add(int64(s.Stats.Moved))
 	m.followed.Add(int64(s.Stats.Followed))
@@ -244,6 +276,14 @@ func (m *engineMetrics) record(s *Slot) {
 	m.force.Set(s.Stats.MeanForce)
 	m.disp.Set(s.Stats.MeanDisplacement)
 	m.energy.Add(s.Stats.EnergySpent)
+	m.aliveFrac.Set(float64(s.Stats.Alive) / float64(e.N()))
+	// Nominal sensing coverage: the alive swarm's total disc area over the
+	// region area, capped at 1 — a cheap upper bound that tracks deaths
+	// without integrating disc overlaps.
+	if area := e.dyn.Bounds().Area(); area > 0 {
+		rs := e.opts.Config.Rs
+		m.coverage.Set(math.Min(1, float64(s.Stats.Alive)*math.Pi*rs*rs/area))
+	}
 }
 
 // heardEntry caches one received (position, G) announcement. A node's
@@ -371,8 +411,14 @@ func New(dyn field.DynField, positions []geom.Vec2, opts Options) (*Engine, erro
 	if e.stages == nil {
 		e.stages = DefaultStages()
 	}
+	if opts.Trace.Enabled {
+		e.trace = newTraceStore(opts.Trace)
+	}
 	if opts.Metrics != nil {
 		e.met = newEngineMetrics(opts.Metrics, e.stages)
+		if opts.Faults != nil {
+			opts.Faults.SetMetrics(opts.Metrics)
+		}
 	}
 	e.energy = make([]float64, len(e.pos))
 	newCtrl := opts.NewController
@@ -423,6 +469,114 @@ func (e *Engine) TotalEnergy() float64 {
 
 // Injector returns the attached fault injector, or nil.
 func (e *Engine) Injector() *fault.Injector { return e.opts.Faults }
+
+// Rc returns the engine's communication radius — the Config.Rc every
+// connectivity and collection-tree decision in this swarm uses. Harnesses
+// that maintain network structures alongside an engine (tree repair,
+// sweep cells at non-default radii) must test links at this radius rather
+// than re-deriving it from the default configuration.
+func (e *Engine) Rc() float64 { return e.opts.Config.Rc }
+
+// AliveMask returns the aliveness of every node (all true without an
+// injector).
+func (e *Engine) AliveMask() []bool {
+	mask := make([]bool, e.N())
+	if e.opts.Faults != nil {
+		return e.opts.Faults.AliveMask(mask)
+	}
+	for i := range mask {
+		mask[i] = true
+	}
+	return mask
+}
+
+// Connected reports whether the node network is connected at Rc. With a
+// fault injector attached, dead nodes neither route nor count: the induced
+// subgraph over the alive nodes is tested instead.
+func (e *Engine) Connected() bool {
+	v := view.Alive{Pos: e.pos, Epoch: e.slot}
+	if e.opts.Faults != nil {
+		v.Mask = e.opts.Faults.AliveMask(nil)
+	}
+	ok := e.ConnectedIn(v)
+	if e.met != nil {
+		e.met.connChecks.Inc()
+		if ok {
+			e.met.connected.Set(1)
+		} else {
+			e.met.connected.Set(0)
+		}
+	}
+	return ok
+}
+
+// pointSamples returns the exact readings of slice at every alive node's
+// position, with room for extra more samples. Dead nodes report nothing.
+func (e *Engine) pointSamples(slice field.Field, extra int) []field.Sample {
+	samples := make([]field.Sample, 0, e.N()+extra)
+	for i, p := range e.pos {
+		if e.opts.Faults != nil && !e.opts.Faults.Alive(i) {
+			continue
+		}
+		samples = append(samples, field.Sample{Pos: p, Z: slice.Eval(p)})
+	}
+	return samples
+}
+
+// Delta computes the paper's δ for the current node positions against the
+// current field slice, reconstructing by Delaunay interpolation on an
+// n-division lattice. With a fault injector attached, dead nodes
+// contribute no samples — the reconstruction degrades to what the
+// surviving swarm can actually report.
+func (e *Engine) Delta(n int) (float64, error) {
+	slice := field.Slice(e.dyn, e.t)
+	d, err := surface.DeltaSamples(slice, e.pointSamples(slice, 0), n)
+	if err != nil {
+		return 0, fmt.Errorf("engine: delta: %w", err)
+	}
+	if e.met != nil {
+		e.met.delta.Set(d)
+		e.met.deltaEvals.Inc()
+	}
+	return d, nil
+}
+
+// Snapshot is the swarm state after one step, as recorded by Run.
+type Snapshot struct {
+	// Stats are the step statistics.
+	Stats StepStats
+	// Positions are the node positions after the step.
+	Positions []geom.Vec2
+	// Delta is δ after the step (computed when Run's deltaN > 0).
+	Delta float64
+	// Connected reports network connectivity after the step.
+	Connected bool
+}
+
+// Run advances the engine by steps slots, recording a snapshot after each.
+// When deltaN > 0, δ is evaluated on a deltaN-division lattice each slot
+// (the expensive part); pass 0 to skip it.
+func (e *Engine) Run(steps, deltaN int) ([]Snapshot, error) {
+	out := make([]Snapshot, 0, steps)
+	for s := 0; s < steps; s++ {
+		st, err := e.Step()
+		if err != nil {
+			return out, err
+		}
+		snap := Snapshot{
+			Stats:     st,
+			Positions: e.Positions(),
+			Connected: e.Connected(),
+		}
+		if deltaN > 0 {
+			if snap.Delta, err = e.Delta(deltaN); err != nil {
+				return out, err
+			}
+		}
+		out = append(out, snap)
+	}
+	return out, nil
+}
 
 // Slot is the shared scratch state of one step, produced and consumed by
 // the stages in pipeline order. All slices are indexed by node. Every
@@ -535,7 +689,7 @@ func (e *Engine) Step() (StepStats, error) {
 		}
 	}
 	stepTimer.Stop()
-	e.met.record(s)
+	e.record(s)
 	return s.Stats, nil
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/obs"
@@ -27,9 +28,6 @@ func TestMetricsBitIdentity(t *testing.T) {
 			reg := obs.NewRegistry()
 			opts := sc.opts()
 			opts.Metrics = reg
-			if opts.Faults != nil {
-				opts.Faults.SetMetrics(reg)
-			}
 			observed := newTestEngine(t, k, opts)
 			obsStats, obsBits := runRecorded(t, observed, slots)
 
@@ -69,14 +67,14 @@ func TestMetricsStageAlignment(t *testing.T) {
 	}
 }
 
-// TestMetricsFaultCounters checks the injector's event counters add up
-// against its own bookkeeping after a faulty run.
+// TestMetricsFaultCounters checks that New attaches the injector to the
+// registry and that its event counters add up against its own bookkeeping
+// after a faulty run.
 func TestMetricsFaultCounters(t *testing.T) {
 	const k, slots = 120, 8
 	reg := obs.NewRegistry()
 	opts := profiledOpts(k, slots)
 	opts.Metrics = reg
-	opts.Faults.SetMetrics(reg)
 	e := newTestEngine(t, k, opts)
 	for s := 0; s < slots; s++ {
 		if _, err := e.Step(); err != nil {
@@ -95,5 +93,52 @@ func TestMetricsFaultCounters(t *testing.T) {
 	}
 	if got, want := snap.Gauges["fault_alive"], float64(e.Injector().AliveCount()); got != want {
 		t.Errorf("fault_alive = %v, injector says %v", got, want)
+	}
+}
+
+// TestSimGauges checks the per-round gauges keep their sim_ names and
+// counts: every Delta adds exactly one to sim_delta_evals_total and
+// publishes its value, every Connected adds one check and publishes the
+// verdict, and each Step refreshes the coverage and alive-fraction gauges.
+func TestSimGauges(t *testing.T) {
+	const k = 100
+	reg := obs.NewRegistry()
+	e := newTestEngine(t, k, Options{Metrics: reg})
+	for call := int64(1); call <= 3; call++ {
+		d, err := e.Delta(20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters["sim_delta_evals_total"]; got != call {
+			t.Fatalf("after %d Delta calls sim_delta_evals_total = %d", call, got)
+		}
+		if got := snap.Gauges["sim_delta"]; got != d {
+			t.Errorf("sim_delta = %v, Delta returned %v", got, d)
+		}
+	}
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Connected() {
+		t.Fatal("grid swarm disconnected after one slot")
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["sim_delta_evals_total"]; got != 3 {
+		t.Errorf("Step and Connected moved sim_delta_evals_total to %d, want 3", got)
+	}
+	if got := snap.Counters["sim_connectivity_checks_total"]; got != 1 {
+		t.Errorf("sim_connectivity_checks_total = %d, want 1", got)
+	}
+	if got := snap.Gauges["sim_connected"]; got != 1 {
+		t.Errorf("sim_connected = %v, want 1", got)
+	}
+	if got := snap.Gauges["sim_alive_fraction"]; got != 1 {
+		t.Errorf("sim_alive_fraction = %v, want 1", got)
+	}
+	rs := e.opts.Config.Rs
+	want := math.Min(1, k*math.Pi*rs*rs/e.dyn.Bounds().Area())
+	if got := snap.Gauges["sim_coverage"]; got != want || got <= 0 {
+		t.Errorf("sim_coverage = %v, want %v", got, want)
 	}
 }

@@ -203,10 +203,11 @@ func (ResolveStage) Run(e *Engine, s *Slot) error {
 }
 
 // MoveStage accounts the realized displacements (movement energy, battery
-// drain on the alive faulty path), invokes the BeforeMove hook, and
-// commits the resolved positions by publishing s.Next and recycling the
-// previous position array as the next slot's tentative buffer (the
-// view.Alive contract permits reuse once the epoch advances). Serial: the
+// drain on the alive faulty path), records movement-path trace samples
+// against the pre-advance time when Options.Trace is enabled, and commits
+// the resolved positions by publishing s.Next and recycling the previous
+// position array as the next slot's tentative buffer (the view.Alive
+// contract permits reuse once the epoch advances). Serial: the
 // displacement fold is an ordered FP sum and the commit is global.
 type MoveStage struct{}
 
@@ -228,8 +229,8 @@ func (MoveStage) Run(e *Engine, s *Slot) error {
 	if s.AliveCount > 0 {
 		s.Stats.MeanDisplacement /= float64(s.AliveCount)
 	}
-	if e.opts.BeforeMove != nil {
-		e.opts.BeforeMove(e.pos, s.Next)
+	if e.trace != nil {
+		e.trace.record(e.dyn, e.pos, s.Next, e.t, e.opts.SlotMinutes)
 	}
 	e.spare, e.pos = e.pos, s.Next
 	e.epoch++

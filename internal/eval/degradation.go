@@ -8,11 +8,10 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/collect"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/field"
 	"repro/internal/graph"
-	"repro/internal/sim"
-	"repro/internal/strategy"
 	"repro/internal/view"
 )
 
@@ -61,41 +60,23 @@ type DegradationRow struct {
 const ConvergenceEps = 0.1
 
 // DegradationSweep measures graceful degradation: for each failure rate it
-// runs the CMA swarm under fault.Profile(rate, slots, seed) — node crashes,
+// runs the swarm under fault.Profile(rate, slots, seed) — node crashes,
 // bursty link loss and sensing faults all scaled by the one knob — while a
 // collection tree is maintained over the survivors by local repair where
-// possible and rebuild where not. Rate 0 runs the exact fault-free
-// dynamics, so the first row of a sweep starting at 0 doubles as the
-// baseline. Rates above 0 enable the robust (Huber) curvature fit, the
-// degraded-mode backend that keeps outlier samples from hijacking forces.
-func DegradationSweep(dyn field.DynField, k, slots, deltaN int, rates []float64, seed int64) ([]DegradationRow, error) {
-	return DegradationSweepStrategy(dyn, k, slots, deltaN, rates, seed, "cma")
-}
-
-// DegradationSweepStrategy is DegradationSweep with the movement strategy
-// made explicit: movement names a registered strategy whose controllers
-// drive the engine's Plan stage in place of CMA. "cma" reproduces
-// DegradationSweep exactly (bit-identical — the registry adds dispatch,
-// not dynamics).
-func DegradationSweepStrategy(dyn field.DynField, k, slots, deltaN int, rates []float64, seed int64, movement string) ([]DegradationRow, error) {
+// possible and rebuild where not. Each rate's engine is built from base by
+// WithFaults, so base carries everything else: the CMA configuration, the
+// sensing noise and seed, the movement strategy's controller factory
+// (nil for CMA) and the metrics registry. Rate 0 runs the exact
+// fault-free dynamics, so the first row of a sweep starting at 0 doubles
+// as the baseline.
+func DegradationSweep(dyn field.DynField, base engine.Options, k, slots, deltaN int, rates []float64, seed int64) ([]DegradationRow, error) {
 	if k < 1 || slots < 1 || deltaN < 1 || len(rates) == 0 {
 		return nil, fmt.Errorf("%w: k=%d slots=%d deltaN=%d rates=%v", ErrBadParams, k, slots, deltaN, rates)
-	}
-	if movement == "" {
-		movement = "cma"
-	}
-	mv, err := strategy.LookupMovement(movement)
-	if err != nil {
-		return nil, fmt.Errorf("eval: %w", err)
 	}
 	init := field.GridLayout(dyn.Bounds(), k)
 	rows := make([]DegradationRow, 0, len(rates))
 	for _, rate := range rates {
-		opts := sim.DefaultOptions()
-		opts.Config.RobustFit = rate > 0
-		opts.Faults = fault.NewInjector(k, fault.Profile(rate, slots, seed))
-		opts.NewController = mv.NewController
-		w, err := sim.NewWorld(dyn, init, opts)
+		w, err := engine.New(dyn, init, WithFaults(base, fault.ProfileSpec{Rate: rate}, k, slots, seed))
 		if err != nil {
 			return nil, fmt.Errorf("eval: degradation world rate=%g: %w", rate, err)
 		}
@@ -109,14 +90,25 @@ func DegradationSweepStrategy(dyn field.DynField, k, slots, deltaN int, rates []
 	return rows, nil
 }
 
-// RunDegradation drives one already-built world for slots steps,
+// WithFaults returns base set up for one degradation run of k nodes over
+// slots slots under the fault profile spec: a fresh injector seeded from
+// seed (unless spec pins its own), and the robust (Huber) curvature fit
+// whenever the rate is above 0 — the degraded-mode backend that keeps
+// outlier samples from hijacking forces.
+func WithFaults(base engine.Options, spec fault.ProfileSpec, k, slots int, seed int64) engine.Options {
+	base.Config.RobustFit = spec.Rate > 0
+	base.Faults = spec.NewInjector(k, slots, seed)
+	return base
+}
+
+// RunDegradation drives one already-built engine for slots steps,
 // maintaining a collection tree over the survivors (local repair where
 // possible, rebuild where not) and accumulating the row's metrics —
 // including the convergence time of the swarm's mean displacement. It is
 // the single-cell unit under DegradationSweep, exported so scenario
 // harnesses (internal/sweep) can run one fault profile per cell without
-// re-running the whole rate grid. Link checks use the world's own Rc.
-func RunDegradation(w *sim.World, slots, deltaN int) (DegradationRow, error) {
+// re-running the whole rate grid. Link checks use the engine's own Rc.
+func RunDegradation(w *engine.Engine, slots, deltaN int) (DegradationRow, error) {
 	var row DegradationRow
 	rc := w.Rc()
 	inj := w.Injector()

@@ -17,9 +17,9 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 )
 
@@ -234,7 +234,7 @@ type DeltaVsTimeRow struct {
 // DeltaVsTime runs CMA from the given initial layout for the given number
 // of slots, measuring δ each slot — the data series of Fig. 10. The row at
 // T = 0 records the initial state.
-func DeltaVsTime(w *sim.World, slots, deltaN int) ([]DeltaVsTimeRow, error) {
+func DeltaVsTime(w *engine.Engine, slots, deltaN int) ([]DeltaVsTimeRow, error) {
 	if slots < 1 || deltaN < 1 {
 		return nil, fmt.Errorf("%w: slots=%d deltaN=%d", ErrBadParams, slots, deltaN)
 	}

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/geom"
-	"repro/internal/sim"
 )
 
 func refField() field.Field {
@@ -54,7 +54,7 @@ func TestDeltaVsKSweep(t *testing.T) {
 
 func TestDeltaVsTime(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
-	w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 64), sim.DefaultOptions())
+	w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 64), engine.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDeltaVsTime(t *testing.T) {
 
 func TestDeltaVsTimeBadParams(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
-	w, err := sim.NewWorld(forest, field.GridLayout(forest.Bounds(), 4), sim.DefaultOptions())
+	w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 4), engine.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

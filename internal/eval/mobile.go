@@ -7,8 +7,8 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/central"
+	"repro/internal/engine"
 	"repro/internal/field"
-	"repro/internal/sim"
 )
 
 // MobileRow compares one mobile-control strategy over a run.
@@ -40,7 +40,7 @@ func CompareMobile(dyn field.DynField, k, slots, deltaN int) ([]MobileRow, error
 	init := field.GridLayout(dyn.Bounds(), k)
 
 	// CMA.
-	w, err := sim.NewWorld(dyn, init, sim.DefaultOptions())
+	w, err := engine.New(dyn, init, engine.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("eval: cma world: %w", err)
 	}

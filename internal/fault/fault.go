@@ -15,9 +15,9 @@
 // Every decision is bit-reproducible from Config.Seed: each node and each
 // link owns an independent splitmix-derived RNG stream, so the schedule a
 // given entity experiences never depends on how many other entities exist
-// or in which order they are queried within a slot. The engine plugs into
-// sim.World via Options.Faults; a zero Config is inert and provably leaves
-// the simulation bit-identical to a fault-free run.
+// or in which order they are queried within a slot. An injector plugs into
+// engine.Engine via Options.Faults; a zero Config is inert and provably
+// leaves the simulation bit-identical to a fault-free run.
 package fault
 
 import (
@@ -99,7 +99,7 @@ type Config struct {
 }
 
 // Active reports whether the configuration can perturb a run at all.
-// sim.World uses it to keep the fault-free fast path bit-identical.
+// engine.Engine uses it to keep the fault-free fast path bit-identical.
 func (c Config) Active() bool {
 	return c.CrashProb > 0 || c.RecoverProb > 0 || len(c.Schedule) > 0 ||
 		c.BatteryCapacity > 0 || c.Link.Enabled() ||

@@ -3,9 +3,9 @@ package strategy_test
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/geom"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 )
 
@@ -59,10 +59,10 @@ func TestDensityPlacementDeterministic(t *testing.T) {
 func TestDensityMovementDeterministic(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
 	init := field.GridLayout(forest.Bounds(), 25)
-	run := func() *sim.World {
-		opts := sim.DefaultOptions()
+	run := func() *engine.Engine {
+		opts := engine.DefaultOptions()
 		opts.NewController = strategy.MovementFor("density").NewController
-		w, err := sim.NewWorld(forest, init, opts)
+		w, err := engine.New(forest, init, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

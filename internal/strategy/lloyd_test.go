@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/geom"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 )
 
@@ -226,10 +226,10 @@ func TestLloydScaleEquivariant(t *testing.T) {
 func TestLloydMovementDeterministic(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
 	init := field.GridLayout(forest.Bounds(), 25)
-	run := func() *sim.World {
-		opts := sim.DefaultOptions()
+	run := func() *engine.Engine {
+		opts := engine.DefaultOptions()
 		opts.NewController = strategy.MovementFor("lloyd").NewController
-		w, err := sim.NewWorld(forest, init, opts)
+		w, err := engine.New(forest, init, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ type Placement interface {
 // Movement is a mobile-strategy factory: it builds the per-node Planner
 // that the engine's Fit/Plan stages drive each slot. The factory
 // signature matches engine.Options.NewController, so a resolved Movement
-// plugs into a world as sim.Options{NewController: m.NewController}.
+// plugs into an engine as engine.Options{NewController: m.NewController}.
 type Movement interface {
 	// Name is the registry key the strategy is resolved by.
 	Name() string

@@ -8,10 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/geom"
 	"repro/internal/mobile"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 )
 
@@ -87,13 +87,13 @@ func TestCMAMovementIdentity(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
 	init := field.GridLayout(forest.Bounds(), 25)
 
-	def, err := sim.NewWorld(forest, init, sim.DefaultOptions())
+	def, err := engine.New(forest, init, engine.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := sim.DefaultOptions()
+	opts := engine.DefaultOptions()
 	opts.NewController = strategy.MovementFor("cma").NewController
-	reg, err := sim.NewWorld(forest, init, opts)
+	reg, err := engine.New(forest, init, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

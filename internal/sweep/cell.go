@@ -3,10 +3,10 @@ package sweep
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/field"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/strategy"
 )
 
@@ -155,21 +155,20 @@ func RunCell(s *Spec, c Cell, reg *obs.Registry) (res Result) {
 }
 
 // runMobileCell runs the cell's movement swarm for Spec.Slots slots under
-// the cell's fault profile, mirroring eval.DegradationSweep's per-rate
-// setup: grid initial layout, robust curvature fits whenever faults are
-// active, and a collection tree maintained over the survivors. The
-// controllers come from the cell strategy's movement phase — CMA for
+// the cell's fault profile with eval.DegradationSweep's per-rate setup
+// (eval.WithFaults): grid initial layout, robust curvature fits whenever
+// faults are active, and a collection tree maintained over the survivors.
+// The controllers come from the cell strategy's movement phase — CMA for
 // strategies without one of their own.
 func runMobileCell(s *Spec, c Cell, dyn field.DynField, reg *obs.Registry) (*MobileResult, error) {
-	opts := sim.DefaultOptions()
+	opts := engine.DefaultOptions()
 	opts.Config.Region = dyn.Bounds()
 	opts.Config.Rc = c.Rc
-	opts.Config.RobustFit = c.Fault.Rate > 0
 	opts.Seed = c.Seed
-	opts.Faults = c.Fault.NewInjector(c.K, s.Slots, c.Seed)
 	opts.Metrics = reg
 	opts.NewController = strategy.MovementFor(c.Strategy).NewController
-	w, err := sim.NewWorld(dyn, field.GridLayout(dyn.Bounds(), c.K), opts)
+	opts = eval.WithFaults(opts, c.Fault, c.K, s.Slots, c.Seed)
+	w, err := engine.New(dyn, field.GridLayout(dyn.Bounds(), c.K), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,7 @@
 // a time, and this package turns that grid into a batch workload. A
 // declarative, JSON-loadable Spec describes the cartesian product; the
 // engine shards the cells across a bounded worker pool, runs each cell
-// through the sim/engine/eval stack in isolation, streams the results into
+// through the engine/eval stack in isolation, streams the results into
 // an order-independent aggregator, and checkpoints completed cells so an
 // interrupted sweep resumes without recomputing.
 //

@@ -33,13 +33,13 @@ import (
 
 	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/field"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/mobile"
-	"repro/internal/sim"
 	"repro/internal/surface"
 	"repro/internal/view"
 )
@@ -83,13 +83,13 @@ type (
 	// MobileConfig holds the per-node CMA parameters.
 	MobileConfig = mobile.Config
 	// World is the deterministic mobile-node simulator.
-	World = sim.World
+	World = engine.Engine
 	// WorldOptions configures a World.
-	WorldOptions = sim.Options
+	WorldOptions = engine.Options
 	// Snapshot is a recorded simulation step.
-	Snapshot = sim.Snapshot
+	Snapshot = engine.Snapshot
 	// StepStats summarizes one simulation slot.
-	StepStats = sim.StepStats
+	StepStats = engine.StepStats
 )
 
 // Experiment harness API.
@@ -112,7 +112,7 @@ type (
 type (
 	// TraceOptions configures movement-path sampling (the paper's
 	// future-work extension).
-	TraceOptions = sim.TraceOptions
+	TraceOptions = engine.TraceOptions
 	// CollectionTree is a shortest-path data-collection tree to a sink.
 	CollectionTree = collect.Tree
 	// CollectionStats is the per-epoch convergecast cost.
@@ -224,11 +224,11 @@ func DefaultMobileConfig() MobileConfig { return mobile.DefaultConfig() }
 
 // NewWorld creates the deterministic mobile-node simulator.
 func NewWorld(dyn DynField, positions []Vec2, opts WorldOptions) (*World, error) {
-	return sim.NewWorld(dyn, positions, opts)
+	return engine.New(dyn, positions, opts)
 }
 
 // DefaultWorldOptions returns the paper's Section 6 OSTD settings.
-func DefaultWorldOptions() WorldOptions { return sim.DefaultOptions() }
+func DefaultWorldOptions() WorldOptions { return engine.DefaultOptions() }
 
 // DeltaVsK regenerates the Fig. 7 data series.
 func DeltaVsK(f Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, error) {
@@ -329,7 +329,7 @@ func FaultProfile(rate float64, slots int, seed int64) FaultConfig {
 // DegradationSweep measures δ and connectivity uptime versus failure rate
 // under injected faults with collection-tree repair (DESIGN.md §7).
 func DegradationSweep(dyn DynField, k, slots, deltaN int, rates []float64, seed int64) ([]DegradationRow, error) {
-	return eval.DegradationSweep(dyn, k, slots, deltaN, rates, seed)
+	return eval.DegradationSweep(dyn, engine.DefaultOptions(), k, slots, deltaN, rates, seed)
 }
 
 // NewTerrain generates a deterministic fractal terrain over region.
