@@ -80,7 +80,7 @@ func BenchmarkFig3CWDvsUniform(b *testing.B) {
 func benchFRA(b *testing.B, k int) {
 	b.Helper()
 	ref := benchForest().Reference()
-	opts := core.FRAOptions{K: k, Rc: 10, GridN: benchGridN, AnchorCorners: true}
+	opts := core.FRAOptions{K: k, Rc: 10, GridN: benchGridN}
 	var p core.Placement
 	var ev core.Evaluation
 	for i := 0; i < b.N; i++ {
@@ -202,7 +202,7 @@ func BenchmarkFig10DeltaVsTime(b *testing.B) {
 			b.Fatal(err)
 		}
 		endSlice := field.Slice(forest, w.Time())
-		p, err := core.FRA(endSlice, core.FRAOptions{K: 100, Rc: 10, GridN: benchGridN, AnchorCorners: true})
+		p, err := core.FRA(endSlice, core.FRAOptions{K: 100, Rc: 10, GridN: benchGridN})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func BenchmarkAblationForesight(b *testing.B) {
 	ref := benchForest().Reference()
 	var withF, withoutF core.Evaluation
 	for i := 0; i < b.N; i++ {
-		opts := core.FRAOptions{K: 60, Rc: 10, GridN: benchGridN, AnchorCorners: true}
+		opts := core.FRAOptions{K: 60, Rc: 10, GridN: benchGridN}
 		p1, err := core.FRA(ref, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -313,7 +313,7 @@ func BenchmarkAblationLeastSquares(b *testing.B) {
 // choice of DT(x, y) as the interpolator (paper Section 3.1).
 func BenchmarkAblationInterp(b *testing.B) {
 	ref := benchForest().Reference()
-	p, err := core.FRA(ref, core.FRAOptions{K: 100, Rc: 10, GridN: benchGridN, AnchorCorners: true})
+	p, err := core.FRA(ref, core.FRAOptions{K: 100, Rc: 10, GridN: benchGridN})
 	if err != nil {
 		b.Fatal(err)
 	}

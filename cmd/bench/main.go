@@ -245,7 +245,7 @@ func summarize(rs []testing.BenchmarkResult) Result {
 func quality(out map[string]float64, quick bool) error {
 	forest := field.NewForest(field.DefaultForestConfig())
 	ref := forest.Reference()
-	p, err := core.FRA(ref, core.FRAOptions{K: 100, Rc: 10, GridN: 100, AnchorCorners: true})
+	p, err := core.FRA(ref, core.FRAOptions{K: 100, Rc: 10, GridN: 100})
 	if err != nil {
 		return err
 	}

@@ -139,7 +139,7 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 	}
 
 	// The paper's final comparison: converged CMA δ vs FRA δ at k=100.
-	fraOpts := core.FRAOptions{K: 100, Rc: 10, GridN: gridN, AnchorCorners: true, Metrics: reg}
+	fraOpts := core.FRAOptions{K: 100, Rc: 10, GridN: gridN, Metrics: reg}
 	// Compare on the field slice at the end of the mobile run.
 	endSlice := field.Slice(forest, w.Time())
 	p, err := core.FRA(endSlice, fraOpts)

@@ -11,14 +11,18 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/obs/obscli"
+	"repro/internal/sweep"
 )
 
 // obsRun is the command's observability edge (see internal/obs/obscli);
@@ -60,6 +64,9 @@ func main() {
 	if err != nil {
 		fatalf("bad -times: %v", err)
 	}
+	if err := checkFlags(*n, *gaps, len(ts), *noise); err != nil {
+		fatal(err)
+	}
 
 	cfg := field.DefaultForestConfig()
 	cfg.Seed = *seed
@@ -87,12 +94,35 @@ func main() {
 	closeRun()
 }
 
+// checkFlags refuses the numeric flags the command cannot honor, naming
+// the flag. The trace's size passes the sweep's work budget (each point of
+// each epoch sums every gap), the noise the engine's own check.
+func checkFlags(n, gaps, epochs int, noise float64) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("bad -grid %d: must be at least 1", n)
+	case gaps < 1:
+		return fmt.Errorf("bad -gaps %d: must be at least 1", gaps)
+	}
+	if err := sweep.CheckWork(gaps, n, 0, epochs); err != nil {
+		return fmt.Errorf("bad -grid, -gaps or -times: %w", err)
+	}
+	if err := engine.CheckNoise(noise); err != nil {
+		return fmt.Errorf("bad -noise: %w", err)
+	}
+	return nil
+}
+
+// parseTimes parses the comma-separated epoch times, which must be finite.
 func parseTimes(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
 			return nil, err
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("time %v is not finite", v)
 		}
 		out = append(out, v)
 	}

@@ -80,7 +80,7 @@ func main() {
 	case *fraK > 0:
 		ref := field.NewForest(field.DefaultForestConfig()).Reference()
 		p, err := core.FRA(ref, core.FRAOptions{
-			K: *fraK, Rc: *rc, GridN: *gridN, AnchorCorners: true, Metrics: reg,
+			K: *fraK, Rc: *rc, GridN: *gridN, Metrics: reg,
 		})
 		if err != nil {
 			fatal(err)

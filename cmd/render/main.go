@@ -13,7 +13,9 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"repro/internal/field"
@@ -21,6 +23,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/obscli"
 	"repro/internal/surface"
+	"repro/internal/sweep"
 )
 
 // obsRun is the command's observability edge (see internal/obs/obscli);
@@ -58,6 +61,9 @@ func main() {
 	flag.Parse()
 	if err := obsRun.Start(); err != nil {
 		log.Fatal(err)
+	}
+	if err := checkFlags(*t, *gridN); err != nil {
+		fatal(err)
 	}
 
 	var f field.Field
@@ -101,4 +107,20 @@ func main() {
 		fatal(err)
 	}
 	closeRun()
+}
+
+// checkFlags refuses the numeric flags the command cannot honor, before
+// anything is allocated; the lattice size goes through the sweep's work
+// budget. Each error names its flag.
+func checkFlags(t float64, gridN int) error {
+	switch {
+	case math.IsNaN(t) || math.IsInf(t, 0):
+		return fmt.Errorf("bad -t %v: must be finite", t)
+	case gridN < 1:
+		return fmt.Errorf("bad -grid %d: must be at least 1", gridN)
+	}
+	if err := sweep.CheckWork(1, gridN, 0, 0); err != nil {
+		return fmt.Errorf("bad -grid: %w", err)
+	}
+	return nil
 }

@@ -34,11 +34,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	historical, err := field.NewTraceField(forest.Bounds(), replayed, 0)
+	replay, err := field.NewReplay(forest.Bounds(), replayed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replayed epoch t=0 with %d samples\n", historical.NumSamples())
+	historical := field.Slice(replay, 0)
+	n := 0
+	for _, r := range replayed {
+		if r.T == 0 {
+			n++
+		}
+	}
+	fmt.Printf("replayed epoch t=0 with %d samples\n", n)
 
 	// 3. Plan the deployment against the historical surface.
 	opts := repro.DefaultFRAOptions(80)

@@ -147,7 +147,7 @@ func (p *Planner) replan() error {
 	defer timer.Stop()
 	slice := field.Slice(p.dyn, p.t)
 	placement, err := core.FRA(slice, core.FRAOptions{
-		K: p.N(), Rc: p.opts.Rc, GridN: p.opts.GridN, AnchorCorners: true,
+		K: p.N(), Rc: p.opts.Rc, GridN: p.opts.GridN,
 		Metrics: p.opts.Metrics,
 	})
 	if err != nil {

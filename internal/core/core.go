@@ -47,12 +47,6 @@ type FRAOptions struct {
 	// GridN is the number of lattice divisions per side for the local
 	// error array (the paper's √A × √A array); 0 defaults to 100.
 	GridN int
-	// AnchorCorners seeds the initial triangulation with the four region
-	// corners valued from the historical surface (the paper's "Initialize
-	// A into 2 triangles by link (0,0) and (√A,√A)"). The corners are
-	// virtual — known from historical data — and are not deployed nodes.
-	// Disabled, the reconstruction covers only the nodes' convex hull.
-	AnchorCorners bool
 	// DisableForesight turns off the connectivity foresight step: all k
 	// nodes go to maximum-local-error positions and no relays are placed.
 	// This is the "refine only" ablation of DESIGN.md §5 — it typically
@@ -77,7 +71,7 @@ type FRAOptions struct {
 // DefaultFRAOptions returns the evaluation settings of the paper's
 // Section 6: Rc = 10 on the 100×100 region with a one-meter lattice.
 func DefaultFRAOptions(k int) FRAOptions {
-	return FRAOptions{K: k, Rc: 10, GridN: 100, AnchorCorners: true}
+	return FRAOptions{K: k, Rc: 10, GridN: 100}
 }
 
 // FRA runs the Foresighted Refinement Algorithm against the historical
@@ -106,13 +100,13 @@ func FRA(f field.Field, opts FRAOptions) (Placement, error) {
 
 	tin := surface.NewTIN(region)
 	var placement Placement
-	if opts.AnchorCorners {
-		for _, c := range region.Corners() {
-			if err := tin.Add(field.Sample{Pos: c, Z: f.Eval(c)}); err != nil {
-				return Placement{}, fmt.Errorf("core: seed corner %v: %w", c, err)
-			}
-			placement.Anchors = append(placement.Anchors, c)
+	// Initialize A into 2 triangles by link (0,0) and (√A,√A) (Table 1):
+	// the corners are virtual, valued from the historical surface.
+	for _, c := range region.Corners() {
+		if err := tin.Add(field.Sample{Pos: c, Z: f.Eval(c)}); err != nil {
+			return Placement{}, fmt.Errorf("core: seed corner %v: %w", c, err)
 		}
+		placement.Anchors = append(placement.Anchors, c)
 	}
 
 	errGrid := surface.NewLocalErrorGrid(f, gridN)

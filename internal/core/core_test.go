@@ -85,14 +85,6 @@ func TestFRAAnchors(t *testing.T) {
 	if len(p.Anchors) != 4 {
 		t.Errorf("anchors = %d, want 4", len(p.Anchors))
 	}
-	opts.AnchorCorners = false
-	p, err = FRA(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Anchors) != 0 {
-		t.Errorf("anchors = %d, want 0", len(p.Anchors))
-	}
 }
 
 func TestFRABeatsRandom(t *testing.T) {
@@ -215,7 +207,7 @@ func TestFRARefinementStep(t *testing.T) {
 		Region: geom.Square(100),
 		Blobs:  []field.Blob{{Center: geom.V2(60, 40), Amp: 10, SigmaX: 8, SigmaY: 8}},
 	}
-	opts := FRAOptions{K: 1, Rc: 10, GridN: 50, AnchorCorners: true}
+	opts := FRAOptions{K: 1, Rc: 10, GridN: 50}
 	p, err := FRA(f, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ func TestFRAPlacementDigest(t *testing.T) {
 	for fi, f := range digestFields(t) {
 		for _, k := range []int{5, 30, 100, 400} {
 			for _, gridN := range []int{37, 100} {
-				p, err := core.FRA(f, core.FRAOptions{K: k, Rc: 10, GridN: gridN, AnchorCorners: true})
+				p, err := core.FRA(f, core.FRAOptions{K: k, Rc: 10, GridN: gridN})
 				if err != nil {
 					t.Fatalf("field %d k=%d gridN=%d: %v", fi, k, gridN, err)
 				}

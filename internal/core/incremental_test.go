@@ -18,7 +18,7 @@ import (
 func TestFRAIncrementalMatchesFullUpdates(t *testing.T) {
 	f := field.NewForest(field.DefaultForestConfig()).Reference()
 	for _, k := range []int{10, 40, 120} {
-		opts := core.FRAOptions{K: k, Rc: 10, GridN: 60, AnchorCorners: true}
+		opts := core.FRAOptions{K: k, Rc: 10, GridN: 60}
 		inc, err := core.FRA(f, opts)
 		if err != nil {
 			t.Fatalf("k=%d incremental: %v", k, err)
@@ -47,7 +47,7 @@ func TestFRAIncrementalMatchesFullUpdates(t *testing.T) {
 // must not perturb the chosen placement at any GOMAXPROCS.
 func TestFRADeterministicAcrossProcs(t *testing.T) {
 	f := field.NewForest(field.DefaultForestConfig()).Reference()
-	opts := core.FRAOptions{K: 60, Rc: 10, GridN: 60, AnchorCorners: true}
+	opts := core.FRAOptions{K: 60, Rc: 10, GridN: 60}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	var base core.Placement
@@ -93,7 +93,7 @@ func TestFRAIncrementalMatchesFullUpdatesSmallRegion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := core.FRAOptions{K: 80, Rc: 10 * s, GridN: 50, AnchorCorners: true}
+			opts := core.FRAOptions{K: 80, Rc: 10 * s, GridN: 50}
 			inc, err := core.FRA(f, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -28,7 +28,7 @@ import (
 // metamorphicOpts is the shared FRA configuration: large enough to place
 // both refined nodes and relays, small enough to run in milliseconds.
 func metamorphicOpts(k int, rc float64) FRAOptions {
-	return FRAOptions{K: k, Rc: rc, GridN: 50, AnchorCorners: true}
+	return FRAOptions{K: k, Rc: rc, GridN: 50}
 }
 
 // translate shifts a field's domain by t, evaluating the base field at the

@@ -330,18 +330,7 @@ func (t *Triangulation) alloc() int {
 // neighbor walk from the last-touched triangle with a linear-scan fallback
 // for robustness.
 func (t *Triangulation) locate(p geom.Vec2) (int, error) {
-	ti, err := t.walkFrom(int(t.last.Load()), p)
-	if err == nil {
-		t.last.Store(int64(ti))
-	}
-	return ti, err
-}
-
-// walkFrom is the walk behind locate, starting from the given cursor hint
-// (revalidated; any value is acceptable). It reads but never writes the
-// triangulation, so any number of goroutines may walk concurrently as long
-// as no InsertDirty runs at the same time.
-func (t *Triangulation) walkFrom(cur int, p geom.Vec2) (int, error) {
+	cur := int(t.last.Load())
 	if cur < 0 || cur >= len(t.tris) || !t.tris[cur].alive {
 		cur = t.anyAlive()
 	}
@@ -358,6 +347,7 @@ func (t *Triangulation) walkFrom(cur int, p geom.Vec2) (int, error) {
 		}
 		if next == -1 {
 			// No separating edge: p is inside (or on the border of) cur.
+			t.last.Store(int64(cur))
 			return cur, nil
 		}
 		if next < 0 {
@@ -372,6 +362,7 @@ func (t *Triangulation) walkFrom(cur int, p geom.Vec2) (int, error) {
 			continue
 		}
 		if geom.InTriangle(t.pts[tr.v[0]], t.pts[tr.v[1]], t.pts[tr.v[2]], p) {
+			t.last.Store(int64(i))
 			return i, nil
 		}
 	}
@@ -398,14 +389,19 @@ type Triangle struct {
 // vertex, i.e. the visible triangulation of the inserted point set.
 func (t *Triangulation) Triangles() []Triangle {
 	var out []Triangle
+	t.EachTriangle(func(tr Triangle) { out = append(out, tr) })
+	return out
+}
+
+// EachTriangle calls fn with each triangle Triangles returns, in order,
+// without allocating. Like Find, it may run concurrently with itself.
+func (t *Triangulation) EachTriangle(fn func(Triangle)) {
 	for i := range t.tris {
 		tr := &t.tris[i]
-		if !tr.alive || tr.v[0] < nSuper || tr.v[1] < nSuper || tr.v[2] < nSuper {
-			continue
+		if tr.alive && tr.v[0] >= nSuper && tr.v[1] >= nSuper && tr.v[2] >= nSuper {
+			fn(Triangle{V: tr.v})
 		}
-		out = append(out, Triangle{V: tr.v})
 	}
-	return out
 }
 
 // Find returns the vertex IDs of the triangle of real vertices containing
@@ -450,31 +446,6 @@ func (t *Triangulation) realTriangleAt(ti int, p geom.Vec2) (v [3]int, ok bool) 
 		}
 	}
 	return v, false
-}
-
-// Locator is a point-location cursor with its own remembering-walk state.
-// Each Locator owns an independent warm-start hint, so any number of
-// goroutines may query the same (quiescent) Triangulation concurrently,
-// one Locator per goroutine, without contending on the shared cursor.
-// A Locator stays valid across insertions (the hint is revalidated on
-// every query), but queries must not run concurrently with an insertion.
-type Locator struct {
-	t    *Triangulation
-	last int
-}
-
-// NewLocator returns a fresh location cursor over t.
-func (t *Triangulation) NewLocator() *Locator { return &Locator{t: t} }
-
-// Find is Triangulation.Find through this cursor: the vertex IDs of the
-// triangle of real vertices containing p.
-func (l *Locator) Find(p geom.Vec2) (v [3]int, ok bool) {
-	ti, err := l.t.walkFrom(l.last, p)
-	if err != nil {
-		return v, false
-	}
-	l.last = ti
-	return l.t.realTriangleAt(ti, p)
 }
 
 // NearestVertex returns the ID of the real vertex nearest to p, or -1 when

@@ -10,12 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"text/tabwriter"
 
+	"repro/internal/bands"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
@@ -57,10 +55,6 @@ type DeltaVsKOptions struct {
 	RandomDraws int
 	// Seed drives the random baseline.
 	Seed int64
-	// Workers bounds the sweep's worker pool; 0 uses runtime.NumCPU().
-	// Every (k, draw) cell is seeded independently and collected by
-	// index, so the output is bit-identical for any worker count.
-	Workers int
 	// Metrics, when non-nil, is handed to every FRA run in the sweep (the
 	// obs metric mutators are atomic, so the parallel pool shares one
 	// registry safely). Sweep outputs are bit-identical either way.
@@ -78,10 +72,11 @@ func DefaultDeltaVsKOptions() DeltaVsKOptions {
 
 // DeltaVsK runs the named placement strategy (default FRA) and the random
 // baseline for each k and reports δ — the data series of Fig. 7. The
-// sweep fans out over a bounded worker pool: every placement run and
-// every random draw is an independent task with a fixed seed, and results
-// are written into index-addressed slots, so the rows are bit-identical
-// to a serial sweep regardless of worker count or GOMAXPROCS.
+// sweep fans out over the bands.Run pool: every placement run and every
+// random draw is an independent task with a fixed seed, and results are
+// written into index-addressed slots, so the rows are bit-identical to a
+// serial sweep at any GOMAXPROCS. The error returned is that of the
+// lowest-indexed failed task, whatever order the tasks ran in.
 func DeltaVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("%w: no k values", ErrBadParams)
@@ -124,8 +119,12 @@ func DeltaVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, err
 			})
 		}
 	}
-	if err := runTasks(tasks, opts.Workers); err != nil {
-		return nil, err
+	errs := make([]error, len(tasks))
+	bands.Run(len(tasks), 1, func(_, i, _ int) { errs[i] = tasks[i]() })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	for i := range rows {
 		sum := 0.0
@@ -174,47 +173,6 @@ func RandomDraw(f field.Field, k int, rc float64, deltaN int, seed int64, d int)
 		return 0, fmt.Errorf("evaluate random draw %d: %w", d, err)
 	}
 	return ev.Delta, nil
-}
-
-// runTasks drains the task list with up to workers goroutines (0 =
-// runtime.NumCPU()) and returns the error of the lowest-indexed failed
-// task, keeping error reporting deterministic under concurrency.
-func runTasks(tasks []func() error, workers int) error {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	errs := make([]error, len(tasks))
-	if workers <= 1 {
-		for i, t := range tasks {
-			errs[i] = t()
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					errs[i] = tasks[i]()
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DeltaVsTimeRow is one point of the Fig. 10 series.

@@ -45,7 +45,7 @@ func NetworkVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]NetworkRow, er
 	var rows []NetworkRow
 	for _, k := range ks {
 		p, err := core.FRA(f, core.FRAOptions{
-			K: k, Rc: opts.Rc, GridN: opts.GridN, AnchorCorners: true, Metrics: opts.Metrics,
+			K: k, Rc: opts.Rc, GridN: opts.GridN, Metrics: opts.Metrics,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("eval: FRA k=%d: %w", k, err)

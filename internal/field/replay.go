@@ -13,8 +13,8 @@ import (
 // under FRA/CMA and the fault injector exactly like an analytic field
 // (ROADMAP item 4b). Records are grouped into epochs by their exact
 // timestamp; a query at time t brackets t between the two surrounding
-// epochs, evaluates each by nearest-sample lookup (the TraceField
-// convention), and blends linearly in time.
+// epochs, evaluates each by nearest-sample lookup (lowest index on
+// ties), and blends linearly in time.
 //
 // Determinism contract: evaluating at a record's own timestamp takes the
 // exact-epoch path with no temporal blend, so EvalAt(r.Pos, r.T) is
@@ -94,8 +94,7 @@ func (r *Replay) EvalAt(p geom.Vec2, t float64) float64 {
 	return v0 + (v1-v0)*(t-t0)/(t1-t0)
 }
 
-// evalEpoch is the nearest-sample spatial fit, lowest index on ties —
-// the same convention as TraceField.Eval.
+// evalEpoch is the nearest-sample spatial fit, lowest index on ties.
 func evalEpoch(samples []Sample, p geom.Vec2) float64 {
 	best, bestD := 0, p.Dist2(samples[0].Pos)
 	for i := 1; i < len(samples); i++ {

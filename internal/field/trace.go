@@ -92,43 +92,3 @@ func GenerateTrace(d DynField, n int, times []float64, s *Sampler) []TraceRecord
 	}
 	return out
 }
-
-// TraceField reconstructs a static Field from the records of a single
-// epoch by nearest-sample lookup. It lets experiments replay a recorded
-// (or downloaded) trace in place of an analytic field.
-type TraceField struct {
-	region  geom.Rect
-	samples []Sample
-}
-
-// NewTraceField builds a TraceField over the given region from the records
-// with T == t (tolerance 1e-9). It returns an error when no records match.
-func NewTraceField(region geom.Rect, records []TraceRecord, t float64) (*TraceField, error) {
-	tf := &TraceField{region: region}
-	for _, r := range records {
-		if diff := r.T - t; diff > -1e-9 && diff < 1e-9 {
-			tf.samples = append(tf.samples, r.Sample)
-		}
-	}
-	if len(tf.samples) == 0 {
-		return nil, fmt.Errorf("field: no trace records at t=%v", t)
-	}
-	return tf, nil
-}
-
-// Eval implements Field via nearest-sample lookup.
-func (tf *TraceField) Eval(p geom.Vec2) float64 {
-	best, bestD := 0, p.Dist2(tf.samples[0].Pos)
-	for i := 1; i < len(tf.samples); i++ {
-		if d := p.Dist2(tf.samples[i].Pos); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return tf.samples[best].Z
-}
-
-// Bounds implements Field.
-func (tf *TraceField) Bounds() geom.Rect { return tf.region }
-
-// NumSamples returns how many samples back the field.
-func (tf *TraceField) NumSamples() int { return len(tf.samples) }

@@ -69,32 +69,3 @@ func TestGenerateTrace(t *testing.T) {
 		}
 	}
 }
-
-func TestTraceField(t *testing.T) {
-	d := Static(Plane(geom.Square(10), 1, 0, 0))
-	recs := GenerateTrace(d, 10, []float64{0, 7}, NewSampler(0, 1))
-	tf, err := NewTraceField(geom.Square(10), recs, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tf.NumSamples() != 121 {
-		t.Errorf("NumSamples = %d", tf.NumSamples())
-	}
-	// Nearest-sample lookup at a lattice point is exact.
-	if got := tf.Eval(geom.V2(3, 4)); got != 3 {
-		t.Errorf("Eval = %v, want 3", got)
-	}
-	// Off-lattice query returns the nearest lattice value.
-	if got := tf.Eval(geom.V2(3.4, 4)); got != 3 {
-		t.Errorf("Eval = %v, want 3", got)
-	}
-	if tf.Bounds() != geom.Square(10) {
-		t.Errorf("Bounds = %v", tf.Bounds())
-	}
-}
-
-func TestTraceFieldNoEpoch(t *testing.T) {
-	if _, err := NewTraceField(geom.Square(10), nil, 3); err == nil {
-		t.Error("want error for missing epoch")
-	}
-}

@@ -50,7 +50,7 @@ func placeFRA(f field.Field, o PlaceOptions) (core.Placement, error) {
 		gridN = 100
 	}
 	return core.FRA(f, core.FRAOptions{
-		K: o.K, Rc: o.Rc, GridN: gridN, AnchorCorners: true, Metrics: o.Metrics,
+		K: o.K, Rc: o.Rc, GridN: gridN, Metrics: o.Metrics,
 	})
 }
 

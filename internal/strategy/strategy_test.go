@@ -41,7 +41,7 @@ func TestRegisteredNames(t *testing.T) {
 // core.FRA directly — the registry adds dispatch, not dynamics.
 func TestFRAPlacementIdentity(t *testing.T) {
 	f := field.Peaks(geom.Square(100))
-	direct, err := core.FRA(f, core.FRAOptions{K: 20, Rc: 30, GridN: 40, AnchorCorners: true})
+	direct, err := core.FRA(f, core.FRAOptions{K: 20, Rc: 30, GridN: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/field"
@@ -12,9 +11,10 @@ import (
 )
 
 // TestUpdateRegionMatchesFullUpdate grows a TIN point by point, refreshing
-// one grid from the triangles each insertion created and a twin grid with
-// a full recompute. The two must stay bit-identical: the new triangles
-// cover every lattice point whose covering triangle changed.
+// one grid from the triangles each insertion created and a twin grid
+// through the per-point oracle (evalUpdate). The two must stay
+// bit-identical: the new triangles cover every lattice point whose
+// covering triangle changed.
 func TestUpdateRegionMatchesFullUpdate(t *testing.T) {
 	region := geom.Square(100)
 	f := field.Peaks(region)
@@ -29,7 +29,7 @@ func TestUpdateRegionMatchesFullUpdate(t *testing.T) {
 	inc := NewLocalErrorGrid(f, gridN)
 	full := NewLocalErrorGrid(f, gridN)
 	inc.Update(tin)
-	full.Update(tin)
+	full.evalUpdate(tin)
 
 	rng := rand.New(rand.NewSource(17))
 	for step := 0; step < 120; step++ {
@@ -49,7 +49,7 @@ func TestUpdateRegionMatchesFullUpdate(t *testing.T) {
 			t.Fatalf("step %d: corners pre-seeded, every insert must be exact", step)
 		}
 		inc.UpdateTriangles(tin, created)
-		full.Update(tin)
+		full.evalUpdate(tin)
 		requireSameErrors(t, fmt.Sprintf("step %d p=%v", step, p), inc, full)
 	}
 }
@@ -67,7 +67,7 @@ func requireSameErrors(t *testing.T, what string, inc, full *LocalErrorGrid) {
 	}
 }
 
-// TestScanConvertMatchesFullUpdate runs the incremental-vs-full equality
+// TestScanConvertMatchesFullUpdate runs the incremental-vs-oracle equality
 // on degenerate clouds, where scan conversion meets nodes exactly on
 // edges and vertices: points on lattice lines, collinear rows, cocircular
 // rings and duplicates, at GridN 37 and 100, on the square region and on
@@ -75,69 +75,12 @@ func requireSameErrors(t *testing.T, what string, inc, full *LocalErrorGrid) {
 // grid's own node positions, as FRA inserts them. Points a few ulps off a
 // node are left out: the tolerant predicates then let the walk stop in
 // triangles whose on-edge rules differ, so a node's value depends on the
-// walk's path and no refresh that does not repeat Update's walks can
-// match it. After every insert the row-maxima argmax must equal the
+// walk's path and no refresh that does not repeat Eval's walks can match
+// it. After every insert the row-maxima argmax must equal the
 // full-scan ArgMax.
 func TestScanConvertMatchesFullUpdate(t *testing.T) {
-	regions := map[string]geom.Rect{
-		"square": geom.Square(100),
-		"offset": {Min: geom.V2(-37.5, 12), Max: geom.V2(52.5, 72)},
-	}
-	// ring holds the 12 integer points of the circle of radius 5.
-	ring := [][2]int{{5, 0}, {4, 3}, {3, 4}, {0, 5}, {-3, 4}, {-4, 3}, {-5, 0}, {-4, -3}, {-3, -4}, {0, -5}, {3, -4}, {4, -3}}
-	clouds := map[string]func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2{
-		// A lattice x at an arbitrary y, and the other way round.
-		"gridlines": func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2 {
-			var ps []geom.Vec2
-			for k := 0; k < 60; k++ {
-				node, free := g.Pos(rng.Intn(g.N()+1), rng.Intn(g.N()+1)), at(g.region, rng.Float64(), rng.Float64())
-				if k%2 == 0 {
-					ps = append(ps, geom.V2(node.X, free.Y))
-				} else {
-					ps = append(ps, geom.V2(free.X, node.Y))
-				}
-			}
-			return ps
-		},
-		// A whole lattice row, a column and the diagonal, then one
-		// arbitrary point that splits many of their thin triangles.
-		"collinear": func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2 {
-			var ps []geom.Vec2
-			for k := 1; k < g.N(); k += 3 {
-				ps = append(ps, g.Pos(k, g.N()/2), g.Pos(g.N()/4, k), g.Pos(k, k))
-			}
-			return append(ps, at(g.region, rng.Float64(), rng.Float64()))
-		},
-		// Lattice rings of radius 5 and 10 nodes around two centers, and
-		// one off-lattice ring: cocircular on the square region.
-		"cocircular": func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2 {
-			var ps []geom.Vec2
-			for _, c := range [][3]int{{g.N() / 2, g.N() / 2, 1}, {g.N() / 2, g.N() / 2, 2}, {g.N() / 3, 2 * g.N() / 3, 1}} {
-				for _, d := range ring {
-					ps = append(ps, g.Pos(c[0]+c[2]*d[0], c[1]+c[2]*d[1]))
-				}
-			}
-			center := at(g.region, 0.6037, 0.3973)
-			for _, d := range ring {
-				ps = append(ps, center.Add(geom.V2(float64(d[0]), float64(d[1])).Scale(2.3)))
-			}
-			return ps
-		},
-		// Lattice and arbitrary points, every one inserted twice.
-		"duplicates": func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2 {
-			var ps []geom.Vec2
-			for k := 0; k < 40; k++ {
-				p := g.Pos(rng.Intn(g.N()+1), rng.Intn(g.N()+1))
-				if k%4 == 3 {
-					p = at(g.region, rng.Float64(), rng.Float64())
-				}
-				ps = append(ps, p, p)
-			}
-			return ps
-		},
-	}
-	for rname, region := range regions {
-		for cname, cloud := range clouds {
+	for rname, region := range degenerateRegions {
+		for cname, cloud := range degenerateClouds {
 			for _, gridN := range []int{37, 100} {
 				name := fmt.Sprintf("%s/%s/n=%d", rname, cname, gridN)
 				t.Run(name, func(t *testing.T) {
@@ -151,7 +94,7 @@ func TestScanConvertMatchesFullUpdate(t *testing.T) {
 					inc := NewLocalErrorGrid(f, gridN)
 					full := NewLocalErrorGrid(f, gridN)
 					inc.Update(tin)
-					full.Update(tin)
+					full.evalUpdate(tin)
 					for step, p := range cloud(inc, rand.New(rand.NewSource(int64(gridN)))) {
 						created, exact, err := tin.AddDirty(field.Sample{Pos: p, Z: f.Eval(p)})
 						if err != nil {
@@ -161,7 +104,7 @@ func TestScanConvertMatchesFullUpdate(t *testing.T) {
 							t.Fatalf("step %d: corners pre-seeded, every insert must be exact", step)
 						}
 						inc.UpdateTriangles(tin, created)
-						full.Update(tin)
+						full.evalUpdate(tin)
 						what := fmt.Sprintf("step %d p=%v", step, p)
 						requireSameErrors(t, what, inc, full)
 						wi, wj, we := full.ArgMax()
@@ -174,6 +117,70 @@ func TestScanConvertMatchesFullUpdate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// degenerateRegions and degenerateClouds are the inputs of the scan
+// conversion tests: the square region and a non-square one offset from the
+// origin, and clouds that put lattice nodes exactly on edges and vertices.
+// A cloud builds its points for the lattice of g.
+var degenerateRegions = map[string]geom.Rect{
+	"square": geom.Square(100),
+	"offset": {Min: geom.V2(-37.5, 12), Max: geom.V2(52.5, 72)},
+}
+
+// ring holds the 12 integer points of the circle of radius 5.
+var ring = [][2]int{{5, 0}, {4, 3}, {3, 4}, {0, 5}, {-3, 4}, {-4, 3}, {-5, 0}, {-4, -3}, {-3, -4}, {0, -5}, {3, -4}, {4, -3}}
+
+var degenerateClouds = map[string]func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2{
+	// A lattice x at an arbitrary y, and the other way round.
+	"gridlines": func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2 {
+		var ps []geom.Vec2
+		for k := 0; k < 60; k++ {
+			node, free := g.Pos(rng.Intn(g.N()+1), rng.Intn(g.N()+1)), at(g.region, rng.Float64(), rng.Float64())
+			if k%2 == 0 {
+				ps = append(ps, geom.V2(node.X, free.Y))
+			} else {
+				ps = append(ps, geom.V2(free.X, node.Y))
+			}
+		}
+		return ps
+	},
+	// A whole lattice row, a column and the diagonal, then one
+	// arbitrary point that splits many of their thin triangles.
+	"collinear": func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2 {
+		var ps []geom.Vec2
+		for k := 1; k < g.N(); k += 3 {
+			ps = append(ps, g.Pos(k, g.N()/2), g.Pos(g.N()/4, k), g.Pos(k, k))
+		}
+		return append(ps, at(g.region, rng.Float64(), rng.Float64()))
+	},
+	// Lattice rings of radius 5 and 10 nodes around two centers, and
+	// one off-lattice ring: cocircular on the square region.
+	"cocircular": func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2 {
+		var ps []geom.Vec2
+		for _, c := range [][3]int{{g.N() / 2, g.N() / 2, 1}, {g.N() / 2, g.N() / 2, 2}, {g.N() / 3, 2 * g.N() / 3, 1}} {
+			for _, d := range ring {
+				ps = append(ps, g.Pos(c[0]+c[2]*d[0], c[1]+c[2]*d[1]))
+			}
+		}
+		center := at(g.region, 0.6037, 0.3973)
+		for _, d := range ring {
+			ps = append(ps, center.Add(geom.V2(float64(d[0]), float64(d[1])).Scale(2.3)))
+		}
+		return ps
+	},
+	// Lattice and arbitrary points, every one inserted twice.
+	"duplicates": func(g *LocalErrorGrid, rng *rand.Rand) []geom.Vec2 {
+		var ps []geom.Vec2
+		for k := 0; k < 40; k++ {
+			p := g.Pos(rng.Intn(g.N()+1), rng.Intn(g.N()+1))
+			if k%4 == 3 {
+				p = at(g.region, rng.Float64(), rng.Float64())
+			}
+			ps = append(ps, p, p)
+		}
+		return ps
+	},
 }
 
 // TestMaxNodeTieRule pins the row-major tie rule of the row maxima: a
@@ -323,53 +330,4 @@ func TestArgMaxEmptyGrid(t *testing.T) {
 	if i != -1 || j != -1 || e != 0 {
 		t.Errorf("ArgMax on zero grid = (%d,%d,%v), want (-1,-1,0)", i, j, e)
 	}
-}
-
-// TestLocatorConcurrentReads drives many goroutines through independent
-// Locators over one shared TIN. Run under -race this proves read-only
-// queries never write shared triangulation state; it also checks every
-// locator agrees with the TIN's own evaluation.
-func TestLocatorConcurrentReads(t *testing.T) {
-	region := geom.Square(100)
-	f := field.Peaks(region)
-	tin := NewTIN(region)
-	rng := rand.New(rand.NewSource(5))
-	for _, c := range region.Corners() {
-		if err := tin.Add(field.Sample{Pos: c, Z: f.Eval(c)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		p := geom.V2(rng.Float64()*100, rng.Float64()*100)
-		if err := tin.Add(field.Sample{Pos: p, Z: f.Eval(p)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries := make([]geom.Vec2, 500)
-	want := make([]float64, len(queries))
-	for i := range queries {
-		queries[i] = geom.V2(rng.Float64()*100, rng.Float64()*100)
-		want[i] = tin.Eval(queries[i])
-	}
-
-	const workers = 8
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		go func() {
-			defer wg.Done()
-			loc := tin.NewLocator()
-			// Each worker walks the queries from a different offset so the
-			// private cursors take different paths through the mesh.
-			for i := range queries {
-				q := (i + w*61) % len(queries)
-				if got := loc.Eval(queries[q]); got != want[q] {
-					t.Errorf("worker %d: Eval(%v) = %v, want %v", w, queries[q], got, want[q])
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

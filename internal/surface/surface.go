@@ -104,9 +104,6 @@ func (t *TIN) AddDirty(s field.Sample) (created []delaunay.Triangle, exact bool,
 	return created, covered && !t.flat, nil
 }
 
-// NumSamples returns the number of distinct sample positions.
-func (t *TIN) NumSamples() int { return t.tri.NumVertices() }
-
 // Bounds implements field.Field.
 func (t *TIN) Bounds() geom.Rect { return t.tri.Bounds() }
 
@@ -115,25 +112,21 @@ func (t *TIN) Bounds() geom.Rect { return t.tri.Bounds() }
 // empty TIN) fall back to the nearest sample value; a fully empty TIN
 // returns 0.
 func (t *TIN) Eval(p geom.Vec2) float64 {
-	z, _ := t.eval(p)
-	return z
-}
-
-// EvalChecked is Eval plus a flag reporting whether the query was resolved
-// by true triangle interpolation (inside the hull) rather than the
-// nearest-sample fallback.
-func (t *TIN) EvalChecked(p geom.Vec2) (float64, bool) { return t.eval(p) }
-
-func (t *TIN) eval(p geom.Vec2) (float64, bool) {
 	if v, ok := t.tri.Find(p); ok {
 		if z, ok := t.interpTriangle(v, p); ok {
-			return z, true
+			return z
 		}
 	}
+	return t.nearest(p)
+}
+
+// nearest is Eval's fallback outside the convex hull: the value of the
+// nearest sample, or 0 on an empty TIN.
+func (t *TIN) nearest(p geom.Vec2) float64 {
 	if id := t.tri.NearestVertex(p); id >= 0 {
-		return t.z[id], false
+		return t.z[id]
 	}
-	return 0, false
+	return 0
 }
 
 // interpTriangle interpolates p over the triangle with vertex IDs v. A
@@ -186,41 +179,6 @@ func (t *TIN) barycentric(v [3]int, a, b, c, p geom.Vec2) (float64, bool) {
 	return wa*t.z[v[0]] + wb*t.z[v[1]] + wc*t.z[v[2]], true
 }
 
-// Locator is a per-goroutine evaluation cursor over a TIN. TIN.Eval warm-
-// starts its point-location walk from a cursor shared by all callers; a
-// Locator owns a private cursor instead, so concurrent goroutines can
-// evaluate the same (quiescent) TIN without contention, and spatially
-// coherent scans keep their near-O(1) walks. Queries must not run
-// concurrently with Add.
-type Locator struct {
-	t   *TIN
-	loc *delaunay.Locator
-}
-
-// NewLocator returns a fresh evaluation cursor over the TIN.
-func (t *TIN) NewLocator() *Locator {
-	return &Locator{t: t, loc: t.tri.NewLocator()}
-}
-
-// Eval is TIN.Eval through this cursor.
-func (l *Locator) Eval(p geom.Vec2) float64 {
-	z, _ := l.EvalChecked(p)
-	return z
-}
-
-// EvalChecked is TIN.EvalChecked through this cursor.
-func (l *Locator) EvalChecked(p geom.Vec2) (float64, bool) {
-	if v, ok := l.loc.Find(p); ok {
-		if z, ok := l.t.interpTriangle(v, p); ok {
-			return z, true
-		}
-	}
-	if id := l.t.tri.NearestVertex(p); id >= 0 {
-		return l.t.z[id], false
-	}
-	return 0, false
-}
-
 // Samples returns the TIN's samples in insertion order.
 func (t *TIN) Samples() []field.Sample {
 	ids := t.tri.VertexIDs()
@@ -255,28 +213,186 @@ func (t *TIN) Triangles() [][3]geom.Vec2 {
 }
 
 // bandRows is the number of lattice rows per work band. Bands are a fixed
-// function of the row count — never of the worker count — so the
-// assignment of rows to evaluation cursors, and therefore every computed
-// bit, is identical at GOMAXPROCS=1 and GOMAXPROCS=N.
+// function of the row count — never of the worker count — so every
+// computed bit is identical at GOMAXPROCS=1 and GOMAXPROCS=N.
 const bandRows = 8
 
-// evalFn returns a fresh evaluation closure for f, suitable for exclusive
-// use by one band: a TIN hands out a private Locator cursor; every other
-// field.Field is safe for concurrent use by contract and evaluates
-// directly.
-func evalFn(f field.Field) func(geom.Vec2) float64 {
-	if t, ok := f.(*TIN); ok {
-		return t.NewLocator().Eval
+// latticeScan fills a field's values f(xs[i], ys[j]) on a lattice, a band
+// of rows at a time. A TIN's triangles are scan-converted over the band
+// (scanTriangle), and a node none covers, outside the hull, takes Eval's
+// fallback: TIN.Eval's bits without a walk per node. Any other field, and
+// a flat TIN (see TIN.flat), is evaluated per node.
+type latticeScan struct {
+	f      field.Field
+	t      *TIN      // f as a TIN, or nil
+	xs, ys []float64 // increasing node coordinates
+	// Per worker: the nodes of the current band some triangle covered,
+	// and the band buffer of band.
+	covered [][]bool
+	vals    [][]float64
+}
+
+func newLatticeScan(f field.Field, xs, ys []float64) *latticeScan {
+	t, _ := f.(*TIN)
+	w := bands.Workers(len(xs), bandRows)
+	return &latticeScan{f: f, t: t, xs: xs, ys: ys, covered: make([][]bool, w), vals: make([][]float64, w)}
+}
+
+// width is the band width for bands.Run. A flat TIN is filled as one
+// band, serially in row order: where its walks start changes its answers.
+func (s *latticeScan) width() int {
+	if s.t != nil && s.t.flat {
+		return len(s.xs)
 	}
-	return f.Eval
+	return bandRows
+}
+
+// rows writes the values of rows [lo, hi) to dst, row-major with stride
+// len(ys), as worker w.
+func (s *latticeScan) rows(w, lo, hi int, dst []float64) {
+	t, m := s.t, len(s.ys)
+	dst = dst[:(hi-lo)*m]
+	if t == nil || t.flat {
+		for k := range dst {
+			dst[k] = s.f.Eval(geom.V2(s.xs[lo+k/m], s.ys[k%m]))
+		}
+		return
+	}
+	if len(s.covered[w]) < len(dst) {
+		s.covered[w] = make([]bool, len(dst))
+	}
+	covered := s.covered[w][:len(dst)]
+	clear(covered)
+	t.tri.EachTriangle(func(tr delaunay.Triangle) {
+		t.scanTriangle(tr.V, s.xs, s.ys, lo, hi, func(i, j int, z float64) {
+			k := (i-lo)*m + j
+			dst[k], covered[k] = z, true
+		})
+	})
+	for k, c := range covered {
+		if !c {
+			dst[k] = t.nearest(geom.V2(s.xs[lo+k/m], s.ys[k%m]))
+		}
+	}
+}
+
+// band is rows into worker w's own buffer, valid until its next band.
+func (s *latticeScan) band(w, lo, hi int) []float64 {
+	if len(s.vals[w]) < (hi-lo)*len(s.ys) {
+		s.vals[w] = make([]float64, (hi-lo)*len(s.ys))
+	}
+	s.rows(w, lo, hi, s.vals[w])
+	return s.vals[w]
+}
+
+// scanTriangle calls set(i, j, DT(xs[i], ys[j])) for each node of rows
+// [lo, hi) that the triangle with vertex IDs v covers, and returns the
+// range of rows it visited (empty when it misses them). Per row it visits
+// the triangle's span widened by one node at each end, and classifies
+// each node by the walk's three orientation tests: right of an edge, it
+// lies in another triangle; strictly inside, it is interpolated
+// barycentrically in stored vertex order, as interpTriangle would; on an
+// edge or a vertex, it goes through interpTriangle, whose rules depend
+// only on the shared feature. So every node gets Eval's bits, whichever
+// triangle covers it. The triangle must not be flat.
+func (t *TIN) scanTriangle(v [3]int, xs, ys []float64, lo, hi int, set func(i, j int, z float64)) (rowLo, rowHi int) {
+	a, b, c := t.tri.Point(v[0]), t.tri.Point(v[1]), t.tri.Point(v[2])
+	xLo, xHi := lower(lower(a.X, b.X), c.X), upper(upper(a.X, b.X), c.X)
+	// The widened row span misses [lo, hi) exactly when this holds; it
+	// spares the searches for the triangles of other bands.
+	if lo > 0 && xHi < xs[lo-1] || hi < len(xs) && xLo > xs[hi] {
+		return 0, -1
+	}
+	rowLo, rowHi = nodeSpan(xs, xLo, xHi)
+	rowLo, rowHi = max(rowLo, lo), min(rowHi, hi-1)
+	edges := [3][2]geom.Vec2{{a, b}, {b, c}, {c, a}}
+	for i := rowLo; i <= rowHi; i++ {
+		// The triangle's y-extent on this row's vertical line; a row just
+		// outside the x-extent takes the extent's end.
+		x := lower(upper(xs[i], xLo), xHi)
+		yLo, yHi := math.Inf(1), math.Inf(-1)
+		for _, e := range edges {
+			p, q := e[0], e[1]
+			if x < lower(p.X, q.X) || x > upper(p.X, q.X) {
+				continue
+			}
+			y0, y1 := p.Y, q.Y // a vertical edge spans both its ends
+			if p.X != q.X {
+				y0 = p.Y + (x-p.X)*(q.Y-p.Y)/(q.X-p.X)
+				y1 = y0
+			}
+			yLo, yHi = lower(lower(yLo, y0), y1), upper(upper(yHi, y0), y1)
+		}
+		jLo, jHi := nodeSpan(ys, yLo, yHi)
+		for j := jLo; j <= jHi; j++ {
+			p := geom.V2(xs[i], ys[j])
+			o0 := geom.Orient2D(a, b, p)
+			o1 := geom.Orient2D(b, c, p)
+			o2 := geom.Orient2D(c, a, p)
+			if o0 == geom.Clockwise || o1 == geom.Clockwise || o2 == geom.Clockwise {
+				continue
+			}
+			// A triangle that is not flat interpolates either way.
+			var z float64
+			if o0 == geom.CounterClockwise && o1 == geom.CounterClockwise && o2 == geom.CounterClockwise {
+				z, _ = t.barycentric(v, a, b, c, p)
+			} else {
+				z, _ = t.interpTriangle(v, p)
+			}
+			set(i, j, z)
+		}
+	}
+	return rowLo, rowHi
+}
+
+// lower and upper are min and max for finite coordinates, without the
+// builtins' NaN and signed-zero rules, which cost a third of a scan.
+func lower(a, b float64) float64 {
+	if b < a {
+		return b
+	}
+	return a
+}
+
+func upper(a, b float64) float64 {
+	if b > a {
+		return b
+	}
+	return a
+}
+
+// nodeSpan returns the indices of the increasing coordinates cs that lie
+// in [lo, hi], widened by one index at each end and clamped to cs: the
+// orientation tests, not this arithmetic, decide the nodes at the ends.
+func nodeSpan(cs []float64, lo, hi float64) (int, int) {
+	return max(firstAtLeast(cs, lo)-1, 0), min(firstAtLeast(cs, math.Nextafter(hi, math.Inf(1))), len(cs)-1)
+}
+
+// firstAtLeast returns the first index i with cs[i] >= v, or len(cs). The
+// guess assumes even spacing; the comparisons make it exact for any
+// increasing cs.
+func firstAtLeast(cs []float64, v float64) int {
+	n, i := len(cs), 0
+	if g := (v - cs[0]) / (cs[n-1] - cs[0]) * float64(n-1); !(g < float64(n)) {
+		i = n
+	} else if g > 0 {
+		i = int(g)
+	}
+	for i > 0 && cs[i-1] >= v {
+		i--
+	}
+	for i < n && cs[i] < v {
+		i++
+	}
+	return i
 }
 
 // Delta computes the paper's δ between a reference field f and an
 // approximation g over f's bounds, integrating |f − g| on an n-division
 // lattice with the midpoint rule. Typical n for the 100×100 region is 100
-// (one-meter cells, mirroring the paper's √A × √A lattice). Lattice rows
-// are evaluated by a bounded worker pool; per-row sums are accumulated in
-// a fixed order, so the result is bit-identical for any GOMAXPROCS.
+// (one-meter cells, mirroring the paper's √A × √A lattice). Both fields
+// are filled band by band (latticeScan), and per-row sums are accumulated
+// in a fixed order, so the result is bit-identical for any GOMAXPROCS.
 func Delta(f field.Field, g field.Field, n int) float64 {
 	if n < 1 {
 		n = 1
@@ -284,14 +400,19 @@ func Delta(f field.Field, g field.Field, n int) float64 {
 	r := f.Bounds()
 	dx := r.Width() / float64(n)
 	dy := r.Height() / float64(n)
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i] = r.Min.X + dx*(float64(i)+0.5)
+		ys[i] = r.Min.Y + dy*(float64(i)+0.5)
+	}
+	fs, gs := newLatticeScan(f, xs, ys), newLatticeScan(g, xs, ys)
 	rowSum := make([]float64, n)
-	bands.Run(n, bandRows, func(_, lo, hi int) {
-		fe, ge := evalFn(f), evalFn(g)
+	bands.Run(n, max(fs.width(), gs.width()), func(w, lo, hi int) {
+		fv, gv := fs.band(w, lo, hi), gs.band(w, lo, hi)
 		for i := lo; i < hi; i++ {
 			s := 0.0
-			for j := 0; j < n; j++ {
-				p := geom.V2(r.Min.X+dx*(float64(i)+0.5), r.Min.Y+dy*(float64(j)+0.5))
-				s += math.Abs(fe(p) - ge(p))
+			for k := (i - lo) * n; k < (i-lo+1)*n; k++ {
+				s += math.Abs(fv[k] - gv[k])
 			}
 			rowSum[i] = s
 		}
@@ -318,7 +439,8 @@ func DeltaSamples(f field.Field, samples []field.Sample, n int) (float64, error)
 // Section 4.2, "Local error").
 type LocalErrorGrid struct {
 	region geom.Rect
-	n      int // lattice divisions per side
+	n      int       // lattice divisions per side
+	xs, ys []float64 // node (i, j) sits at (xs[i], ys[j])
 	ref    []float64
 	err    []float64
 	// rowMax[i] is the largest err[i][·] and rowArg[i] the first column
@@ -328,26 +450,29 @@ type LocalErrorGrid struct {
 }
 
 // NewLocalErrorGrid precomputes the reference values of f on an
-// (n+1)×(n+1) lattice.
+// (n+1)×(n+1) lattice (latticeScan).
 func NewLocalErrorGrid(f field.Field, n int) *LocalErrorGrid {
 	if n < 1 {
 		n = 1
 	}
+	r := f.Bounds()
 	g := &LocalErrorGrid{
-		region: f.Bounds(),
+		region: r,
 		n:      n,
+		xs:     make([]float64, n+1),
+		ys:     make([]float64, n+1),
 		ref:    make([]float64, (n+1)*(n+1)),
 		err:    make([]float64, (n+1)*(n+1)),
 		rowMax: make([]float64, n+1),
 		rowArg: make([]int, n+1),
 	}
-	bands.Run(n+1, bandRows, func(_, lo, hi int) {
-		fe := evalFn(f)
-		for i := lo; i < hi; i++ {
-			for j := 0; j <= n; j++ {
-				g.ref[g.idx(i, j)] = fe(g.Pos(i, j))
-			}
-		}
+	for i := range g.xs {
+		g.xs[i] = r.Min.X + r.Width()*float64(i)/float64(n)
+		g.ys[i] = r.Min.Y + r.Height()*float64(i)/float64(n)
+	}
+	s := newLatticeScan(f, g.xs, g.ys)
+	bands.Run(n+1, s.width(), func(w, lo, hi int) {
+		s.rows(w, lo, hi, g.ref[g.idx(lo, 0):])
 	})
 	return g
 }
@@ -356,12 +481,7 @@ func NewLocalErrorGrid(f field.Field, n int) *LocalErrorGrid {
 func (g *LocalErrorGrid) N() int { return g.n }
 
 // Pos returns the plane position of lattice node (i, j).
-func (g *LocalErrorGrid) Pos(i, j int) geom.Vec2 {
-	return geom.V2(
-		g.region.Min.X+g.region.Width()*float64(i)/float64(g.n),
-		g.region.Min.Y+g.region.Height()*float64(j)/float64(g.n),
-	)
-}
+func (g *LocalErrorGrid) Pos(i, j int) geom.Vec2 { return geom.V2(g.xs[i], g.ys[j]) }
 
 // Err returns the current local error at lattice node (i, j).
 func (g *LocalErrorGrid) Err(i, j int) float64 { return g.err[g.idx(i, j)] }
@@ -370,106 +490,39 @@ func (g *LocalErrorGrid) idx(i, j int) int { return i*(g.n+1) + j }
 
 // Update recomputes every local error against the given reconstruction
 // (paper FRA line 11: update(Err) after new triangles are generated), and
-// every row maximum. Lattice rows are refreshed by a bounded worker pool,
-// one evaluation cursor per band; results are bit-identical for any
-// GOMAXPROCS.
+// every row maximum. The lattice is scan-filled (latticeScan) in bands;
+// results are bit-identical for any GOMAXPROCS.
 func (g *LocalErrorGrid) Update(t *TIN) {
-	bands.Run(g.n+1, bandRows, func(_, lo, hi int) {
-		le := t.NewLocator()
+	s := newLatticeScan(t, g.xs, g.ys)
+	bands.Run(g.n+1, s.width(), func(w, lo, hi int) {
+		s.rows(w, lo, hi, g.err[g.idx(lo, 0):])
+		for k := g.idx(lo, 0); k < g.idx(hi, 0); k++ {
+			g.err[k] = math.Abs(g.ref[k] - g.err[k])
+		}
 		for i := lo; i < hi; i++ {
-			for j := 0; j <= g.n; j++ {
-				k := g.idx(i, j)
-				g.err[k] = math.Abs(g.ref[k] - le.Eval(g.Pos(i, j)))
-			}
 			g.updateRowMax(i)
 		}
 	})
 }
 
 // UpdateTriangles recomputes the local errors of the lattice nodes that
-// the given triangles of t cover, and the maxima of the rows they touch.
-// It is the incremental counterpart of Update for the triangles one
-// insertion created: nodes outside them keep their stored errors, which
-// is sound exactly when TIN.AddDirty reported the insertion exact, the
-// precondition of this method.
-//
-// Each triangle is scan-converted: per lattice row, only the nodes of the
-// triangle's span are visited, and each is classified by the three
-// orientation tests of the point-location walk. A node right of an edge
-// lies in another triangle and is skipped. A node strictly inside is
-// interpolated barycentrically in stored vertex order, the arithmetic
-// interpTriangle runs for it. A node on an edge or a vertex goes through
-// interpTriangle, whose on-edge and on-vertex rules depend only on the
-// shared feature, so a node that two triangles share gets the same bits
-// from both, and the same bits as Update.
+// the given triangles of t cover (scanTriangle), and the maxima of the
+// rows they touch. It is the incremental counterpart of Update for the
+// triangles one insertion created: nodes outside them keep their stored
+// errors, which is sound exactly when TIN.AddDirty reported the insertion
+// exact, the precondition of this method.
 func (g *LocalErrorGrid) UpdateTriangles(t *TIN, tris []delaunay.Triangle) {
 	rowLo, rowHi := g.n+1, -1
 	for _, tr := range tris {
-		lo, hi := g.scanTriangle(t, tr.V)
+		lo, hi := t.scanTriangle(tr.V, g.xs, g.ys, 0, g.n+1, func(i, j int, z float64) {
+			k := g.idx(i, j)
+			g.err[k] = math.Abs(g.ref[k] - z)
+		})
 		rowLo, rowHi = min(rowLo, lo), max(rowHi, hi)
 	}
 	for i := rowLo; i <= rowHi; i++ {
 		g.updateRowMax(i)
 	}
-}
-
-// scanTriangle refreshes the nodes covered by the triangle with vertex IDs
-// v and returns the range of rows it visited.
-func (g *LocalErrorGrid) scanTriangle(t *TIN, v [3]int) (rowLo, rowHi int) {
-	a, b, c := t.tri.Point(v[0]), t.tri.Point(v[1]), t.tri.Point(v[2])
-	xLo, xHi := min(a.X, b.X, c.X), max(a.X, b.X, c.X)
-	rowLo, rowHi = g.span(xLo, xHi, g.region.Min.X, g.region.Width())
-	edges := [3][2]geom.Vec2{{a, b}, {b, c}, {c, a}}
-	for i := rowLo; i <= rowHi; i++ {
-		// The triangle's y-extent on this row's vertical line; a row just
-		// outside the x-extent by rounding takes the extent's end.
-		x := min(max(g.Pos(i, 0).X, xLo), xHi)
-		yLo, yHi := math.Inf(1), math.Inf(-1)
-		for _, e := range edges {
-			p, q := e[0], e[1]
-			if x < min(p.X, q.X) || x > max(p.X, q.X) {
-				continue
-			}
-			y0, y1 := p.Y, q.Y // a vertical edge spans both its ends
-			if p.X != q.X {
-				y0 = p.Y + (x-p.X)*(q.Y-p.Y)/(q.X-p.X)
-				y1 = y0
-			}
-			yLo, yHi = min(yLo, y0, y1), max(yHi, y0, y1)
-		}
-		jLo, jHi := g.span(yLo, yHi, g.region.Min.Y, g.region.Height())
-		for j := jLo; j <= jHi; j++ {
-			p := g.Pos(i, j)
-			o0 := geom.Orient2D(a, b, p)
-			o1 := geom.Orient2D(b, c, p)
-			o2 := geom.Orient2D(c, a, p)
-			if o0 == geom.Clockwise || o1 == geom.Clockwise || o2 == geom.Clockwise {
-				continue
-			}
-			// An exact insertion leaves no flat triangle, so both
-			// interpolations succeed.
-			var z float64
-			if o0 == geom.CounterClockwise && o1 == geom.CounterClockwise && o2 == geom.CounterClockwise {
-				z, _ = t.barycentric(v, a, b, c, p)
-			} else {
-				z, _ = t.interpTriangle(v, p)
-			}
-			k := g.idx(i, j)
-			g.err[k] = math.Abs(g.ref[k] - z)
-		}
-	}
-	return rowLo, rowHi
-}
-
-// span returns the range of lattice indices whose coordinates, origin +
-// extent·index/n, can lie in [lo, hi]. Floor and ceiling keep a node that
-// sits on an end within the range despite rounding. extent is positive:
-// a region holding a triangle that is not flat has area.
-func (g *LocalErrorGrid) span(lo, hi, origin, extent float64) (int, int) {
-	n := float64(g.n)
-	l := math.Floor((lo - origin) / extent * n)
-	h := math.Ceil((hi - origin) / extent * n)
-	return int(min(max(l, 0), n)), int(min(max(h, 0), n))
 }
 
 // updateRowMax recomputes row i's maximum and the first column attaining

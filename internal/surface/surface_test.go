@@ -43,8 +43,8 @@ func TestTINExactAtSamples(t *testing.T) {
 			t.Errorf("Eval(%v) = %v, want %v", s.Pos, got, s.Z)
 		}
 	}
-	if tin.NumSamples() != 50 {
-		t.Errorf("NumSamples = %d", tin.NumSamples())
+	if n := len(tin.Samples()); n != 50 {
+		t.Errorf("%d samples, want 50", n)
 	}
 }
 
@@ -95,15 +95,12 @@ func TestTINFallbackOutsideHull(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, interpolated := tin.EvalChecked(geom.V2(0, 0))
-	if interpolated {
-		t.Error("outside-hull query claimed interpolation")
-	}
-	if got != 1 { // nearest sample is (40,40)
+	if got := tin.Eval(geom.V2(0, 0)); got != 1 { // nearest sample is (40,40)
 		t.Errorf("fallback = %v, want 1", got)
 	}
-	if _, interpolated := tin.EvalChecked(geom.V2(50, 45)); !interpolated {
-		t.Error("inside-hull query used fallback")
+	// Inside the hull the plane through the samples, not a sample value.
+	if got := tin.Eval(geom.V2(50, 45)); math.Abs(got-1.875) > 1e-12 {
+		t.Errorf("inside-hull Eval = %v, want 1.875", got)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestFig7Parity(t *testing.T) {
 			}
 			got := DeltaVsKRows(rep)
 			want, err := eval.DeltaVsK(field.NewForest(field.DefaultForestConfig()).Reference(), ks,
-				eval.DeltaVsKOptions{Rc: 10, GridN: 40, DeltaN: 40, RandomDraws: 3, Seed: 1, Workers: 2, Strategy: name})
+				eval.DeltaVsKOptions{Rc: 10, GridN: 40, DeltaN: 40, RandomDraws: 3, Seed: 1, Strategy: name})
 			if err != nil {
 				t.Fatal(err)
 			}
