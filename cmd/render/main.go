@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"repro/internal/field"
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/obs/obscli"
 	"repro/internal/surface"
@@ -47,12 +46,12 @@ func main() {
 	log.SetPrefix("render: ")
 
 	var (
-		name   = flag.String("field", "forest", "field to render: forest | peaks")
+		name   = flag.String("field", "forest", "field to render: forest | peaks | terrain | ridge")
 		t      = flag.Float64("t", 0, "time in minutes (forest field)")
-		seed   = flag.Int64("seed", 2009, "forest canopy seed")
+		seed   = flag.Int64("seed", 2009, "forest canopy or terrain seed (0: the kind's default)")
 		format = flag.String("format", "ascii", "output format: ascii | pgm | csv")
-		cols   = flag.Int("cols", 100, "render columns (ascii/pgm)")
-		rows   = flag.Int("rows", 50, "render rows (ascii/pgm)")
+		cols   = flag.Int("cols", 100, "render columns (ascii/pgm), 2 to 1024")
+		rows   = flag.Int("rows", 50, "render rows (ascii/pgm), 2 to 1024")
 		gridN  = flag.Int("grid", 100, "lattice divisions (csv)")
 		out    = flag.String("o", "", "output file (default stdout)")
 	)
@@ -62,21 +61,15 @@ func main() {
 	if err := obsRun.Start(); err != nil {
 		log.Fatal(err)
 	}
-	if err := checkFlags(*t, *gridN); err != nil {
+	if err := checkFlags(*t, *gridN, *cols, *rows); err != nil {
 		fatal(err)
 	}
 
-	var f field.Field
-	switch *name {
-	case "forest":
-		cfg := field.DefaultForestConfig()
-		cfg.Seed = *seed
-		f = field.Slice(field.NewForest(cfg), *t)
-	case "peaks":
-		f = field.Peaks(geom.Square(100))
-	default:
-		fatalf("unknown -field %q (want forest or peaks)", *name)
+	dyn, err := sweep.FieldSpec{Kind: *name, Seed: *seed}.Build()
+	if err != nil {
+		fatalf("bad -field: %v", err)
 	}
+	f := field.Slice(dyn, *t)
 
 	w := os.Stdout
 	if *out != "" {
@@ -92,7 +85,6 @@ func main() {
 		w = file
 	}
 
-	var err error
 	switch *format {
 	case "ascii":
 		err = surface.RenderASCII(w, f, *cols, *rows)
@@ -110,9 +102,10 @@ func main() {
 }
 
 // checkFlags refuses the numeric flags the command cannot honor, before
-// anything is allocated; the lattice size goes through the sweep's work
-// budget. Each error names its flag.
-func checkFlags(t float64, gridN int) error {
+// anything is allocated. The lattice size goes through the sweep's work
+// budget, and so does each side of the render grid, as the side of a
+// square lattice. Each error names its flag.
+func checkFlags(t float64, gridN, cols, rows int) error {
 	switch {
 	case math.IsNaN(t) || math.IsInf(t, 0):
 		return fmt.Errorf("bad -t %v: must be finite", t)
@@ -121,6 +114,17 @@ func checkFlags(t float64, gridN int) error {
 	}
 	if err := sweep.CheckWork(1, gridN, 0, 0); err != nil {
 		return fmt.Errorf("bad -grid: %w", err)
+	}
+	for _, side := range []struct {
+		flag string
+		n    int
+	}{{"-cols", cols}, {"-rows", rows}} {
+		if side.n < 2 {
+			return fmt.Errorf("bad %s %d: must be at least 2", side.flag, side.n)
+		}
+		if err := sweep.CheckWork(1, side.n-1, 0, 0); err != nil {
+			return fmt.Errorf("bad %s %d: %w", side.flag, side.n, err)
+		}
 	}
 	return nil
 }

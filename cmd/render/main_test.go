@@ -27,7 +27,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadNumericFlagsExit runs the command on numeric flag values it
-// cannot honor and demands exit status 1 with output naming the flag.
+// cannot honor, and on an unknown field, and demands exit status 1 with
+// output naming the flag.
 func TestBadNumericFlagsExit(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -38,6 +39,15 @@ func TestBadNumericFlagsExit(t *testing.T) {
 		{[]string{"-grid", "-3"}, "-grid"},
 		{[]string{"-grid", "0", "-format", "csv"}, "-grid"},
 		{[]string{"-grid", "5000", "-format", "csv"}, "-grid"},
+		{[]string{"-cols", "1"}, "-cols"},
+		{[]string{"-cols", "-4"}, "-cols"},
+		{[]string{"-rows", "0", "-format", "pgm"}, "-rows"},
+		{[]string{"-cols", "5000"}, "-cols"},
+		{[]string{"-rows", "1025", "-format", "pgm"}, "-rows"},
+		// A grid this size cannot even be allocated: it must be refused
+		// by the budget, not by a failing make.
+		{[]string{"-cols", "2147483648", "-rows", "2147483648"}, "-cols"},
+		{[]string{"-field", "nope"}, "-field"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, tc.args...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

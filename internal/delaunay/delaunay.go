@@ -330,7 +330,17 @@ func (t *Triangulation) alloc() int {
 // neighbor walk from the last-touched triangle with a linear-scan fallback
 // for robustness.
 func (t *Triangulation) locate(p geom.Vec2) (int, error) {
-	cur := int(t.last.Load())
+	ti, err := t.walkFrom(int(t.last.Load()), p)
+	if err == nil {
+		t.last.Store(int64(ti))
+	}
+	return ti, err
+}
+
+// walkFrom is the walk behind locate and FindFrom, starting from triangle
+// cur, or from the first alive triangle when cur is not an alive one. It
+// reads but never writes the triangulation.
+func (t *Triangulation) walkFrom(cur int, p geom.Vec2) (int, error) {
 	if cur < 0 || cur >= len(t.tris) || !t.tris[cur].alive {
 		cur = t.anyAlive()
 	}
@@ -347,7 +357,6 @@ func (t *Triangulation) locate(p geom.Vec2) (int, error) {
 		}
 		if next == -1 {
 			// No separating edge: p is inside (or on the border of) cur.
-			t.last.Store(int64(cur))
 			return cur, nil
 		}
 		if next < 0 {
@@ -362,7 +371,6 @@ func (t *Triangulation) locate(p geom.Vec2) (int, error) {
 			continue
 		}
 		if geom.InTriangle(t.pts[tr.v[0]], t.pts[tr.v[1]], t.pts[tr.v[2]], p) {
-			t.last.Store(int64(i))
 			return i, nil
 		}
 	}
@@ -412,6 +420,20 @@ func (t *Triangulation) Find(p geom.Vec2) (v [3]int, ok bool) {
 	if err != nil {
 		return v, false
 	}
+	return t.realTriangleAt(ti, p)
+}
+
+// FindFrom is Find through a caller-owned cursor instead of the shared
+// one: the walk starts at triangle *cur (revalidated, so any value will
+// do) and leaves *cur where it ended. A sequence of FindFrom calls from
+// the same start therefore depends on the triangulation alone, never on
+// earlier queries.
+func (t *Triangulation) FindFrom(cur *int, p geom.Vec2) (v [3]int, ok bool) {
+	ti, err := t.walkFrom(*cur, p)
+	if err != nil {
+		return v, false
+	}
+	*cur = ti
 	return t.realTriangleAt(ti, p)
 }
 

@@ -63,6 +63,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bands"
 	"repro/internal/curvature"
@@ -113,11 +114,11 @@ type Options struct {
 	// Trace configures movement-path sampling (the paper's future-work
 	// extension; see TraceOptions).
 	Trace TraceOptions
-	// Faults optionally injects node crashes, battery depletion, link
-	// loss and sensing faults (see internal/fault). nil — or an injector
-	// whose Config is inert — leaves the run bit-identical to a
-	// fault-free one. The injector must be built for exactly the engine's
-	// node count and must not be shared between engines.
+	// Faults optionally injects node crashes, link loss and sensing
+	// faults (see internal/fault). nil — or an injector whose Config is
+	// inert — leaves the run bit-identical to a fault-free one. The
+	// injector must be built for exactly the engine's node count and must
+	// not be shared between engines.
 	Faults *fault.Injector
 	// NewController builds each node's movement planner; nil means
 	// mobile.DefaultFactory — the paper's CMA controller — which keeps the
@@ -211,6 +212,10 @@ type slotArena struct {
 	infos     [][]mobile.NeighborInfo
 	decisions []mobile.Decision
 	forceLen  []float64
+	// aliveMask is the alive mask of the last faulty Step; nil means every
+	// node is up, as on the fault-free path and before the first Step.
+	// Aliveness changes only at the injector's BeginSlot, so the engine's
+	// readers between Steps use it instead of asking the injector again.
 	aliveMask []bool
 }
 
@@ -477,28 +482,24 @@ func (e *Engine) Injector() *fault.Injector { return e.opts.Faults }
 // than re-deriving it from the default configuration.
 func (e *Engine) Rc() float64 { return e.opts.Config.Rc }
 
-// AliveMask returns the aliveness of every node (all true without an
-// injector).
+// AliveMask returns a copy of the aliveness of every node (all true
+// without an active injector).
 func (e *Engine) AliveMask() []bool {
-	mask := make([]bool, e.N())
-	if e.opts.Faults != nil {
-		return e.opts.Faults.AliveMask(mask)
+	if e.arena.aliveMask != nil {
+		return slices.Clone(e.arena.aliveMask)
 	}
+	mask := make([]bool, e.N())
 	for i := range mask {
 		mask[i] = true
 	}
 	return mask
 }
 
-// Connected reports whether the node network is connected at Rc. With a
-// fault injector attached, dead nodes neither route nor count: the induced
-// subgraph over the alive nodes is tested instead.
+// Connected reports whether the node network is connected at Rc. Under
+// faults, dead nodes neither route nor count: the induced subgraph over
+// the nodes alive in the last Step is tested instead.
 func (e *Engine) Connected() bool {
-	v := view.Alive{Pos: e.pos, Epoch: e.slot}
-	if e.opts.Faults != nil {
-		v.Mask = e.opts.Faults.AliveMask(nil)
-	}
-	ok := e.ConnectedIn(v)
+	ok := e.ConnectedIn(view.Alive{Pos: e.pos, Mask: e.arena.aliveMask, Epoch: e.slot})
 	if e.met != nil {
 		e.met.connChecks.Inc()
 		if ok {
@@ -515,7 +516,7 @@ func (e *Engine) Connected() bool {
 func (e *Engine) pointSamples(slice field.Field, extra int) []field.Sample {
 	samples := make([]field.Sample, 0, e.N()+extra)
 	for i, p := range e.pos {
-		if e.opts.Faults != nil && !e.opts.Faults.Alive(i) {
+		if e.arena.aliveMask != nil && !e.arena.aliveMask[i] {
 			continue
 		}
 		samples = append(samples, field.Sample{Pos: p, Z: slice.Eval(p)})
@@ -617,9 +618,9 @@ type Slot struct {
 // Step advances the engine by one slot by running every stage in order.
 // With an active fault injector the slot degrades gracefully: dead nodes
 // neither sense, transmit nor move; lost or silent neighbor reports are
-// replayed from the stale cache with their age so forces decay; batteries
-// drain with movement and the hello broadcast. Without an injector (or
-// with an inert one) the slot is bit-identical to the fault-free dynamics.
+// replayed from the stale cache with their age so forces decay. Without an
+// injector (or with an inert one) the slot is bit-identical to the
+// fault-free dynamics.
 func (e *Engine) Step() (StepStats, error) {
 	inj := e.opts.Faults
 	s := &Slot{
@@ -633,8 +634,7 @@ func (e *Engine) Step() (StepStats, error) {
 		}
 	}
 	// Snapshot the alive view once: injector aliveness only changes at
-	// BeginSlot (above) and through SpendSlot(i) at the very end of the
-	// slot, which cannot affect any other node's mask entry.
+	// BeginSlot (above), so the mask holds until the next Step.
 	s.Alive = view.Alive{Pos: e.pos, Epoch: e.slot}
 	s.AliveCount = e.N()
 	if s.Faulty {

@@ -156,33 +156,6 @@ func TestFaultSeededRunsIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultBatteryDeathsAccrue gives each node a battery barely covering a
-// few slots of hello broadcasts and checks the swarm drains to dead.
-func TestFaultBatteryDeathsAccrue(t *testing.T) {
-	const k = 16
-	cfg := fault.Config{Seed: 5, BatteryCapacity: 3, HelloCost: 1}
-	w := faultWorld(t, k, fault.NewInjector(k, cfg))
-	aliveAt := make([]int, 0, 8)
-	for s := 0; s < 8; s++ {
-		st, err := w.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		aliveAt = append(aliveAt, st.Alive)
-	}
-	if aliveAt[0] != k {
-		t.Errorf("slot 0 alive = %d, want %d", aliveAt[0], k)
-	}
-	if last := aliveAt[len(aliveAt)-1]; last != 0 {
-		t.Errorf("battery-drained swarm still has %d alive", last)
-	}
-	for i := 1; i < len(aliveAt); i++ {
-		if aliveAt[i] > aliveAt[i-1] {
-			t.Errorf("alive count rose %d→%d without recovery", aliveAt[i-1], aliveAt[i])
-		}
-	}
-}
-
 // TestFaultLinkLossStillRuns drives a lossy-link heavy profile and checks
 // the degraded exchange (stale cache replay) keeps the run finite and
 // error-free, with stats that stay well-formed.

@@ -74,8 +74,8 @@ func goldenWorld(t *testing.T, name string) (*Engine, int) {
 		opts.Config.RobustFit = true
 		opts.Faults = fault.NewInjector(k, fault.Profile(0.3, slots, 42))
 	case "schedule":
-		// Deterministic kills and a revive, battery drain, link loss and
-		// sensing faults, all explicitly configured.
+		// Deterministic kills and a revive, link loss and sensing
+		// faults, all explicitly configured.
 		k, slots = 49, 10
 		opts.Faults = fault.NewInjector(k, fault.Config{
 			Seed: 5,
@@ -84,8 +84,6 @@ func goldenWorld(t *testing.T, name string) (*Engine, int) {
 				{Slot: 3, Node: 12},
 				{Slot: 6, Node: 7, Up: true},
 			},
-			BatteryCapacity:  60,
-			HelloCost:        0.8,
 			Link:             fault.GilbertElliott{PGoodToBad: 0.3, PBadToGood: 0.4, LossGood: 0.05, LossBad: 0.7},
 			SenseDropProb:    0.1,
 			SenseOutlierProb: 0.05,

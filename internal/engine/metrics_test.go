@@ -86,8 +86,7 @@ func TestMetricsFaultCounters(t *testing.T) {
 		t.Errorf("fault_deaths_total = %d, injector says %d", got, want)
 	}
 	byCause := snap.Counters["fault_deaths_crash_total"] +
-		snap.Counters["fault_deaths_scheduled_total"] +
-		snap.Counters["fault_deaths_battery_total"]
+		snap.Counters["fault_deaths_scheduled_total"]
 	if byCause != snap.Counters["fault_deaths_total"] {
 		t.Errorf("per-cause deaths %d != total %d", byCause, snap.Counters["fault_deaths_total"])
 	}

@@ -202,13 +202,13 @@ func (ResolveStage) Run(e *Engine, s *Slot) error {
 	return nil
 }
 
-// MoveStage accounts the realized displacements (movement energy, battery
-// drain on the alive faulty path), records movement-path trace samples
-// against the pre-advance time when Options.Trace is enabled, and commits
-// the resolved positions by publishing s.Next and recycling the previous
-// position array as the next slot's tentative buffer (the view.Alive
-// contract permits reuse once the epoch advances). Serial: the
-// displacement fold is an ordered FP sum and the commit is global.
+// MoveStage accounts the realized displacements (movement energy),
+// records movement-path trace samples against the pre-advance time when
+// Options.Trace is enabled, and commits the resolved positions by
+// publishing s.Next and recycling the previous position array as the
+// next slot's tentative buffer (the view.Alive contract permits reuse
+// once the epoch advances). Serial: the displacement fold is an ordered
+// FP sum and the commit is global.
 type MoveStage struct{}
 
 // Name implements Stage.
@@ -216,15 +216,11 @@ func (MoveStage) Name() string { return "move" }
 
 // Run implements Stage.
 func (MoveStage) Run(e *Engine, s *Slot) error {
-	inj := e.opts.Faults
 	for i := range e.pos {
 		moved := e.pos[i].Dist(s.Next[i])
 		s.Stats.MeanDisplacement += moved
 		s.Stats.EnergySpent += moved
 		e.energy[i] += moved
-		if s.Faulty && s.Alive.Up(i) {
-			inj.SpendSlot(i, moved)
-		}
 	}
 	if s.AliveCount > 0 {
 		s.Stats.MeanDisplacement /= float64(s.AliveCount)

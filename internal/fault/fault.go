@@ -1,13 +1,12 @@
 // Package fault is the deterministic fault-injection engine for the OSTD
-// experiments. Real CPS nodes crash, drain batteries and drop radio
-// messages; the paper's deployment premise — k nodes keeping a connected
-// G(V,E) while tracking the field — only matters if it survives those
-// failure modes. The Injector models them all from a single seed:
+// experiments. Real CPS nodes crash and drop radio messages; the paper's
+// deployment premise — k nodes keeping a connected G(V,E) while tracking
+// the field — only matters if it survives those failure modes. The
+// paper assumes energy suffices for the movement, so batteries are not
+// modelled. The Injector models the rest from a single seed:
 //
-//   - crash-stop and crash-recover node failures (per-slot Bernoulli
-//     draws, plus an explicit deterministic Schedule for tests),
-//   - battery depletion driven by the movement and radio energy models
-//     (a node whose charge reaches zero dies permanently),
+//   - crash-stop node failures (per-slot Bernoulli draws), plus an
+//     explicit deterministic Schedule of kills and revivals,
 //   - per-link Gilbert–Elliott message loss on the (position, G)
 //     neighbor exchange — bursty, as real radios are,
 //   - sensing faults: per-sample dropouts and Gaussian outlier spikes.
@@ -67,23 +66,11 @@ type Config struct {
 	// Seed drives every random fault decision.
 	Seed int64
 	// CrashProb is the per-slot probability that an alive node crashes.
+	// A random crash is permanent unless a Schedule event revives it.
 	CrashProb float64
-	// RecoverProb is the per-slot probability that a randomly crashed
-	// node comes back; zero means crash-stop. Battery deaths never
-	// recover.
-	RecoverProb float64
 	// Schedule lists deterministic kill/revive events, applied in slot
 	// order (and, within a slot, in list order) before the random draws.
 	Schedule []Event
-	// BatteryCapacity is each node's energy budget in the simulator's
-	// units (meters of movement; radio joules under the d² model are
-	// converted by the caller). Zero disables battery accounting.
-	BatteryCapacity float64
-	// HelloCost is the per-slot radio energy an alive node spends on its
-	// hello broadcast — Rc² under the collect package's d² path-loss
-	// model when transmitting at full communication range. Only charged
-	// when BatteryCapacity > 0.
-	HelloCost float64
 	// Link is the Gilbert–Elliott loss model applied independently to
 	// every undirected link's channel state (deliveries in the two
 	// directions draw separately from the shared state).
@@ -101,8 +88,7 @@ type Config struct {
 // Active reports whether the configuration can perturb a run at all.
 // engine.Engine uses it to keep the fault-free fast path bit-identical.
 func (c Config) Active() bool {
-	return c.CrashProb > 0 || c.RecoverProb > 0 || len(c.Schedule) > 0 ||
-		c.BatteryCapacity > 0 || c.Link.Enabled() ||
+	return c.CrashProb > 0 || len(c.Schedule) > 0 || c.Link.Enabled() ||
 		c.SenseDropProb > 0 || c.SenseOutlierProb > 0
 }
 
@@ -141,7 +127,6 @@ const (
 	upNode cause = iota
 	crashRandom
 	crashScheduled
-	crashBattery
 )
 
 // geChain is one undirected link's channel state.
@@ -157,10 +142,9 @@ type Injector struct {
 	cfg    Config
 	n      int
 	down   []cause
-	charge []float64
 	deaths int
 
-	crashRNG []*rand.Rand // lazily built per-node crash/recover streams
+	crashRNG []*rand.Rand // lazily built per-node crash streams
 	senseRNG []*rand.Rand // lazily built per-node sensing-fault streams
 	links    map[int64]*geChain
 	lastSlot int
@@ -174,7 +158,6 @@ type injMetrics struct {
 	deaths     *obs.Counter // fault_deaths_total (all causes)
 	crashes    *obs.Counter // fault_deaths_crash_total
 	scheduled  *obs.Counter // fault_deaths_scheduled_total
-	battery    *obs.Counter // fault_deaths_battery_total
 	recoveries *obs.Counter // fault_recoveries_total
 	linkDrops  *obs.Counter // fault_link_drops_total
 	senseDrops *obs.Counter // fault_sample_drops_total
@@ -194,7 +177,6 @@ func (in *Injector) SetMetrics(reg *obs.Registry) {
 		deaths:     reg.Counter("fault_deaths_total"),
 		crashes:    reg.Counter("fault_deaths_crash_total"),
 		scheduled:  reg.Counter("fault_deaths_scheduled_total"),
-		battery:    reg.Counter("fault_deaths_battery_total"),
 		recoveries: reg.Counter("fault_recoveries_total"),
 		linkDrops:  reg.Counter("fault_link_drops_total"),
 		senseDrops: reg.Counter("fault_sample_drops_total"),
@@ -205,7 +187,7 @@ func (in *Injector) SetMetrics(reg *obs.Registry) {
 
 // NewInjector returns an injector for n nodes.
 func NewInjector(n int, cfg Config) *Injector {
-	in := &Injector{
+	return &Injector{
 		cfg:      cfg,
 		n:        n,
 		down:     make([]cause, n),
@@ -214,13 +196,6 @@ func NewInjector(n int, cfg Config) *Injector {
 		links:    make(map[int64]*geChain),
 		lastSlot: -1,
 	}
-	if cfg.BatteryCapacity > 0 {
-		in.charge = make([]float64, n)
-		for i := range in.charge {
-			in.charge[i] = cfg.BatteryCapacity
-		}
-	}
-	return in
 }
 
 // splitmix64 is the SplitMix64 finalizer, used to derive independent
@@ -245,9 +220,6 @@ const (
 
 // N returns the node count the injector was built for.
 func (in *Injector) N() int { return in.n }
-
-// Config returns the configuration.
-func (in *Injector) Config() Config { return in.cfg }
 
 // Active reports whether the injector can perturb the run; see
 // Config.Active.
@@ -294,14 +266,11 @@ func (in *Injector) kill(i int, why cause) {
 			in.met.crashes.Inc()
 		case crashScheduled:
 			in.met.scheduled.Inc()
-		case crashBattery:
-			in.met.battery.Inc()
 		}
 	}
 }
 
-// revive marks a down node up again (scheduled Up events and random
-// recoveries both land here so the recovery counter cannot drift).
+// revive marks a down node up again on a scheduled Up event.
 func (in *Injector) revive(i int) {
 	in.down[i] = upNode
 	if in.met != nil {
@@ -309,12 +278,11 @@ func (in *Injector) revive(i int) {
 	}
 }
 
-// BeginSlot advances the fault state to the given slot: battery-dead
-// nodes die, scheduled events fire, alive nodes draw their crash chance
-// and randomly crashed nodes draw their recovery chance. Slots must be
-// presented in increasing order; repeats are no-ops. All draws happen in
-// node-ID order from per-node streams, so the outcome for node i is
-// independent of every other node's history.
+// BeginSlot advances the fault state to the given slot: scheduled events
+// fire, then alive nodes draw their crash chance. It is the only place
+// aliveness changes. Slots must be presented in increasing order; repeats
+// are no-ops. All draws happen in node-ID order from per-node streams, so
+// the outcome for node i is independent of every other node's history.
 func (in *Injector) BeginSlot(slot int) {
 	if slot <= in.lastSlot {
 		return
@@ -323,36 +291,24 @@ func (in *Injector) BeginSlot(slot int) {
 	if in.met != nil {
 		defer func() { in.met.alive.Set(float64(in.AliveCount())) }()
 	}
-	for i := range in.down {
-		if in.down[i] == upNode && in.charge != nil && in.charge[i] <= 0 {
-			in.kill(i, crashBattery)
-		}
-	}
 	for _, ev := range in.cfg.Schedule {
 		if ev.Slot != slot || ev.Node < 0 || ev.Node >= in.n {
 			continue
 		}
 		if ev.Up {
-			if in.down[ev.Node] == crashScheduled || in.down[ev.Node] == crashRandom {
+			if in.down[ev.Node] != upNode {
 				in.revive(ev.Node)
 			}
 		} else {
 			in.kill(ev.Node, crashScheduled)
 		}
 	}
-	if in.cfg.CrashProb <= 0 && in.cfg.RecoverProb <= 0 {
+	if in.cfg.CrashProb <= 0 {
 		return
 	}
 	for i := range in.down {
-		switch in.down[i] {
-		case upNode:
-			if in.cfg.CrashProb > 0 && in.nodeRNG(&in.crashRNG, tagCrash, i).Float64() < in.cfg.CrashProb {
-				in.kill(i, crashRandom)
-			}
-		case crashRandom:
-			if in.cfg.RecoverProb > 0 && in.nodeRNG(&in.crashRNG, tagCrash, i).Float64() < in.cfg.RecoverProb {
-				in.revive(i)
-			}
+		if in.down[i] == upNode && in.nodeRNG(&in.crashRNG, tagCrash, i).Float64() < in.cfg.CrashProb {
+			in.kill(i, crashRandom)
 		}
 	}
 }
@@ -430,26 +386,6 @@ func (in *Injector) CorruptSamples(i int, samples []Sample) []Sample {
 		out = append(out, s)
 	}
 	return out
-}
-
-// Drain subtracts energy e from node i's battery. A node whose charge
-// reaches zero dies at the start of the next slot (BeginSlot). No-op when
-// battery accounting is disabled.
-func (in *Injector) Drain(i int, e float64) {
-	if in.charge == nil || e <= 0 {
-		return
-	}
-	in.charge[i] -= e
-}
-
-// SpendSlot charges node i for one alive slot: its movement distance (the
-// simulator's unit-per-meter locomotion model) plus the hello broadcast's
-// radio energy.
-func (in *Injector) SpendSlot(i int, movement float64) {
-	if in.charge == nil {
-		return
-	}
-	in.charge[i] -= movement + in.cfg.HelloCost
 }
 
 // String summarizes the injector state, for logs and error paths.

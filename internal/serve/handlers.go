@@ -228,17 +228,16 @@ func resolveField(spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, sam
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // hashField folds a request's environment identity into h: the field or
-// dynfield spec tuple (the digest idiom sweep.Spec.Digest uses) or the
-// exact bits of every inline sample.
+// dynfield spec tuple that sweep.Spec.Digest writes too (the dynfield's
+// followed by the slice time) or the exact bits of every inline sample.
 func hashField(h io.Writer, spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, samples []SamplePoint) {
 	if spec != nil {
-		fmt.Fprintf(h, "field=%s|%d|%g|%d|%d|%g;", spec.Kind, spec.Seed, spec.Size,
-			spec.Gaps, spec.Levels, spec.Roughness)
+		spec.WriteDigest(h)
 		return
 	}
 	if dyn != nil {
-		fmt.Fprintf(h, "dynfield=%s|%d|%g|%d|%g|%g|%g|%g;t=%g;", dyn.Kind, dyn.Seed,
-			dyn.Size, dyn.Sources, dyn.Wind, dyn.Diffusion, dyn.Decay, dyn.SplitAt, t)
+		dyn.WriteDigest(h)
+		fmt.Fprintf(h, "t=%g;", t)
 		return
 	}
 	fmt.Fprintf(h, "samples=%d;", len(samples))

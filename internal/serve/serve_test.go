@@ -510,3 +510,21 @@ func TestSweepTraceDevZero(t *testing.T) {
 		t.Fatalf("cell error %+v, want the trace refusal", rep.Cells)
 	}
 }
+
+// TestPlaceDigestPinned pins the /v1/place cache key of one field request
+// and one dynfield request to fixed hex, so the environment tuple the
+// service shares with the sweep's cell digest cannot drift unnoticed.
+func TestPlaceDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  PlaceRequest
+		want string
+	}{
+		{"field", PlaceRequest{Field: &sweep.FieldSpec{Kind: "forest", Seed: 7, Size: 120, Gaps: 3}, K: 20, Rc: 12, GridN: 60, DeltaN: 50, Seed: 4, Strategy: "lloyd"}, "57264af4948688b8"},
+		{"dynfield", PlaceRequest{Dynfield: &sweep.DynFieldSpec{Kind: "plume", Seed: 2, Size: 90, Sources: 3, Wind: 0.5, Diffusion: 1.1, Decay: 0.05, SplitAt: 4}, T: 2.5, K: 20, Rc: 12, GridN: 60, DeltaN: 50, Seed: 4, Strategy: "fra"}, "6f34a5315e0da81e"},
+	} {
+		if got := tc.req.digest(); got != tc.want {
+			t.Errorf("%s request: digest = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -122,3 +122,53 @@ func TestLatticeScanMatchesEval(t *testing.T) {
 		})
 	}
 }
+
+// TestFlatFillIgnoresEarlierQueries: a flat TIN's lattice fill walks from
+// a fixed triangle, so a per-point pass over the same lattice beforehand,
+// which leaves the shared walk cursor elsewhere, cannot change a bit of
+// it. The TINs are 1e-4 wide: corners with Z = X, the two points of
+// TestAddDirtyFlatTriangle, and ten points at random on the diagonal with
+// random values. A fill that walked from the shared cursor gave the (0,0)
+// node a diagonal value on the fresh TIN of every seed here and the
+// corner's 0 after the pass.
+func TestFlatFillIgnoresEarlierQueries(t *testing.T) {
+	const size, n = 1e-4, 10
+	region := geom.Square(size)
+	for seed := int64(0); seed < 20; seed++ {
+		build := func() *TIN {
+			tin := NewTIN(region)
+			for _, c := range region.Corners() {
+				if err := tin.Add(field.Sample{Pos: c, Z: c.X}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range []geom.Vec2{geom.V2(size/2, size/2), geom.V2(size/4, size/8)} {
+				if err := tin.Add(field.Sample{Pos: p, Z: p.Y}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for range 10 {
+				d := rng.Float64() * size
+				_ = tin.Add(field.Sample{Pos: geom.V2(d, d), Z: rng.NormFloat64()}) // duplicates keep the first value
+			}
+			if !tin.flat {
+				t.Fatalf("seed %d: the 1e-4-wide TIN is not flat", seed)
+			}
+			return tin
+		}
+		fresh := NewLocalErrorGrid(build(), n)
+		queried := build()
+		for i := 0; i <= n; i++ {
+			for j := 0; j <= n; j++ {
+				queried.Eval(fresh.Pos(i, j))
+			}
+		}
+		after := NewLocalErrorGrid(queried, n)
+		for k := range fresh.ref {
+			if math.Float64bits(after.ref[k]) != math.Float64bits(fresh.ref[k]) {
+				t.Errorf("seed %d: node %d = %v after a per-point pass, %v fresh", seed, k, after.ref[k], fresh.ref[k])
+			}
+		}
+	}
+}

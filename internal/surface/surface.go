@@ -112,7 +112,13 @@ func (t *TIN) Bounds() geom.Rect { return t.tri.Bounds() }
 // empty TIN) fall back to the nearest sample value; a fully empty TIN
 // returns 0.
 func (t *TIN) Eval(p geom.Vec2) float64 {
-	if v, ok := t.tri.Find(p); ok {
+	v, ok := t.tri.Find(p)
+	return t.evalIn(v, ok, p)
+}
+
+// evalIn is Eval given the located triangle v (ok false: none found).
+func (t *TIN) evalIn(v [3]int, ok bool, p geom.Vec2) float64 {
+	if ok {
 		if z, ok := t.interpTriangle(v, p); ok {
 			return z
 		}
@@ -220,8 +226,10 @@ const bandRows = 8
 // latticeScan fills a field's values f(xs[i], ys[j]) on a lattice, a band
 // of rows at a time. A TIN's triangles are scan-converted over the band
 // (scanTriangle), and a node none covers, outside the hull, takes Eval's
-// fallback: TIN.Eval's bits without a walk per node. Any other field, and
-// a flat TIN (see TIN.flat), is evaluated per node.
+// fallback: TIN.Eval's bits without a walk per node. Any other field is
+// evaluated per node. So is a flat TIN (see TIN.flat), in row order, by
+// walks that chain from a fixed triangle on every fill: the fill then
+// depends on the TIN alone, not on the queries made before it.
 type latticeScan struct {
 	f      field.Field
 	t      *TIN      // f as a TIN, or nil
@@ -252,9 +260,18 @@ func (s *latticeScan) width() int {
 func (s *latticeScan) rows(w, lo, hi int, dst []float64) {
 	t, m := s.t, len(s.ys)
 	dst = dst[:(hi-lo)*m]
-	if t == nil || t.flat {
+	if t == nil {
 		for k := range dst {
 			dst[k] = s.f.Eval(geom.V2(s.xs[lo+k/m], s.ys[k%m]))
+		}
+		return
+	}
+	if t.flat {
+		cur := 0
+		for k := range dst {
+			p := geom.V2(s.xs[lo+k/m], s.ys[k%m])
+			v, ok := t.tri.FindFrom(&cur, p)
+			dst[k] = t.evalIn(v, ok, p)
 		}
 		return
 	}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,6 +60,14 @@ func (ds DynFieldSpec) Validate() error {
 		return fmt.Errorf("sweep: negative dynfield parameter in %+v", ds)
 	}
 	return nil
+}
+
+// WriteDigest writes the dynamic field's identity tuple, as
+// FieldSpec.WriteDigest does for a plain field; the distinct prefix keeps
+// it from ever matching a plain field's.
+func (ds DynFieldSpec) WriteDigest(w io.Writer) {
+	fmt.Fprintf(w, "dynfield=%s|%d|%g|%d|%g|%g|%g|%g;", ds.Kind, ds.Seed,
+		ds.Size, ds.Sources, ds.Wind, ds.Diffusion, ds.Decay, ds.SplitAt)
 }
 
 // Build constructs the dynamic field; every call returns a fresh

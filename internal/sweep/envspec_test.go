@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // scenarioSpec sweeps all three environment kinds — a plain field, a
@@ -267,5 +269,31 @@ func TestTracePathCellRuns(t *testing.T) {
 	}
 	if r.Delta <= 0 {
 		t.Fatalf("δ = %g", r.Delta)
+	}
+}
+
+// TestEnvDigestPinned pins one plain-field and one dynfield cell digest to
+// fixed hex. Checkpoints key their results by these digests, so any change
+// to the environment tuples' format orphans every stored cell and fails
+// here first.
+func TestEnvDigestPinned(t *testing.T) {
+	spec := Spec{
+		Fields:      []FieldSpec{{Kind: "terrain", Seed: 7, Size: 120, Gaps: 3, Levels: 4, Roughness: 0.6}},
+		DynFields:   []DynFieldSpec{{Kind: "plume", Seed: 2, Size: 90, Sources: 3, Wind: 0.5, Diffusion: 1.1, Decay: 0.05, SplitAt: 4}},
+		Ks:          []int{6},
+		Rcs:         []float64{15},
+		Strategies:  []string{"fra"},
+		Faults:      []fault.ProfileSpec{{Rate: 0.1, Seed: 9}},
+		Seeds:       []int64{3},
+		GridN:       50,
+		DeltaN:      40,
+		RandomDraws: 2,
+		Slots:       5,
+	}
+	cells := spec.Cells()
+	for i, want := range []string{"1f1a6730b1047d76", "5feea9c0810f80f2"} {
+		if got := spec.Digest(cells[i]); got != want {
+			t.Errorf("cell %d (%s) digest = %s, want %s", i, cells[i].EnvLabel(), got, want)
+		}
 	}
 }

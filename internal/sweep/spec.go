@@ -109,6 +109,14 @@ func (fs FieldSpec) Build() (field.DynField, error) {
 	return nil, fmt.Errorf("sweep: unknown field kind %q", fs.Kind)
 }
 
+// WriteDigest writes the field's identity tuple, the environment part of
+// every digest that names a computation on it: the sweep's cell digest
+// and the service's cache key. Checkpoints are keyed by those digests, so
+// the format must never change.
+func (fs FieldSpec) WriteDigest(w io.Writer) {
+	fmt.Fprintf(w, "field=%s|%d|%g|%d|%d|%g;", fs.Kind, fs.Seed, fs.Size, fs.Gaps, fs.Levels, fs.Roughness)
+}
+
 // Label is the human- and CSV-facing name of the field configuration:
 // the kind, with non-default seed and size attached.
 func (fs FieldSpec) Label() string {
@@ -380,13 +388,11 @@ func (s *Spec) Digest(c Cell) string {
 		// before the dynfield/trace axes existed can never satisfy a
 		// dynamic cell, and a plain-field cell's digest is unchanged from
 		// the pre-axis format so old checkpoints keep replaying.
-		fmt.Fprintf(h, "dynfield=%s|%d|%g|%d|%g|%g|%g|%g;", c.Dyn.Kind, c.Dyn.Seed,
-			c.Dyn.Size, c.Dyn.Sources, c.Dyn.Wind, c.Dyn.Diffusion, c.Dyn.Decay, c.Dyn.SplitAt)
+		c.Dyn.WriteDigest(h)
 	case c.Trace != nil:
 		fmt.Fprintf(h, "trace=%s|%g;", c.Trace.contentHash(), c.Trace.Size)
 	default:
-		fmt.Fprintf(h, "field=%s|%d|%g|%d|%d|%g;", c.Field.Kind, c.Field.Seed, c.Field.Size,
-			c.Field.Gaps, c.Field.Levels, c.Field.Roughness)
+		c.Field.WriteDigest(h)
 	}
 	fmt.Fprintf(h, "k=%d;rc=%g;strategy=%s;fault=%g|%d;seed=%d;", c.K, c.Rc, c.Strategy, c.Fault.Rate, c.Fault.Seed, c.Seed)
 	fmt.Fprintf(h, "grid=%d;delta=%d;draws=%d;slots=%d", s.GridN, s.DeltaN, s.RandomDraws, s.Slots)

@@ -133,8 +133,9 @@ type (
 	// FaultConfig parameterizes the deterministic fault injector; the zero
 	// value injects nothing.
 	FaultConfig = fault.Config
-	// FaultInjector drives seeded node crashes, battery depletion, link
-	// loss and sensing faults inside a World (WorldOptions.Faults).
+	// FaultInjector drives seeded node crashes, scheduled kills and
+	// revivals, link loss and sensing faults inside a World
+	// (WorldOptions.Faults).
 	FaultInjector = fault.Injector
 	// FaultEvent is one deterministic kill/revive schedule entry.
 	FaultEvent = fault.Event
