@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Placement-service e2e smoke: boot cmd/served on a random port, prove a
-# served placement is byte-identical to the cmd/osd CLI line for the
-# same inputs, check the serve_* metrics are exported, then SIGTERM the
-# daemon with a request in flight and require that request to complete
-# and the process to exit 0.
+# Placement-service e2e smoke: boot cmd/served on a random port, prove
+# served placements, on a cold and on a warm field reference, are
+# byte-identical to the cmd/osd CLI line for the same inputs, check the
+# serve_* metrics are exported, then SIGTERM the daemon with a request in
+# flight and require that request to complete and the process to exit 0.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -41,11 +41,23 @@ curl -fsS -X POST "$url/v1/place?format=text" \
 cmp "$workdir/cli.txt" "$workdir/srv.txt"
 echo "serve smoke: served placement byte-identical to CLI ($(cat "$workdir/srv.txt"))"
 
+# A second k on the same field misses the response cache but reuses the
+# field's filled lattices (a reference hit); it must still match the CLI.
+"$workdir/osd" -k 55 -rc 10 -grid 60 -delta-grid 60 -seed 1 -quiet > "$workdir/cli2.txt"
+curl -fsS -X POST "$url/v1/place?format=text" \
+  -d '{"field":{"kind":"forest"},"k":55,"rc":10,"grid_n":60,"delta_n":60,"seed":1,"strategy":"fra"}' \
+  > "$workdir/srv2.txt"
+cmp "$workdir/cli2.txt" "$workdir/srv2.txt"
+echo "serve smoke: placement on a warm reference byte-identical to CLI ($(cat "$workdir/srv2.txt"))"
+
 # The serve_* series ride the /metrics exposition.
 curl -fsS "$url/metrics" > "$workdir/metrics.txt"
-for series in serve_requests_total serve_request_seconds serve_queue_depth serve_cache_misses_total; do
+for series in serve_requests_total serve_request_seconds serve_queue_depth serve_cache_misses_total \
+  serve_reference_bytes; do
   grep -q "$series" "$workdir/metrics.txt" || { echo "missing $series in /metrics"; exit 1; }
 done
+grep -q '^serve_reference_hits_total 1$' "$workdir/metrics.txt" ||
+  { echo "the second placement was not a reference hit:"; grep serve_reference "$workdir/metrics.txt"; exit 1; }
 
 # An async sweep job runs to completion and streams checkpoint JSONL.
 cat > "$workdir/spec.json" <<'EOF'

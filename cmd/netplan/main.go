@@ -27,6 +27,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/obs/obscli"
+	"repro/internal/sweep"
 )
 
 // obsRun is the command's observability edge (see internal/obs/obscli);
@@ -60,6 +61,9 @@ func main() {
 	flag.Parse()
 	if !(*rc > 0) || math.IsInf(*rc, 1) {
 		log.Fatalf("bad radius rc=%v: want a positive finite number", *rc)
+	}
+	if err := checkFlags(*fraK, *gridN); err != nil {
+		log.Fatal(err)
 	}
 	if err := obsRun.Start(); err != nil {
 		log.Fatal(err)
@@ -123,6 +127,22 @@ func main() {
 		fmt.Printf("  single point of failure: node %d at %v\n", v, g.Pos(v))
 	}
 	closeRun()
+}
+
+// checkFlags refuses the FRA flags the run cannot honor before anything
+// is allocated. Each error names its flag.
+func checkFlags(fraK, gridN int) error {
+	switch {
+	case fraK < 0:
+		return fmt.Errorf("bad -fra %d: must be at least 0", fraK)
+	case gridN < 1:
+		return fmt.Errorf("bad -grid %d: must be at least 1", gridN)
+	case fraK > 0:
+		if err := sweep.CheckWork(fraK, gridN, 0, 0); err != nil {
+			return fmt.Errorf("bad -fra or -grid: %w", err)
+		}
+	}
+	return nil
 }
 
 // readPositions parses x,y rows; a non-numeric first row is treated as a

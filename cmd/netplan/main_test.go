@@ -67,6 +67,31 @@ func TestBadRcExits(t *testing.T) {
 	}
 }
 
+// TestBadNumericFlagsExit runs the command on FRA flags it cannot honor
+// and demands exit status 1 with a message that names the flag: a
+// negative node count, lattice sizes below 1, and sizes past the work
+// budget, which must be refused before the lattice is allocated.
+func TestBadNumericFlagsExit(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-fra", "-1"}, "-fra"},
+		{[]string{"-fra", "5", "-grid", "0"}, "-grid"},
+		{[]string{"-fra", "5", "-grid", "-3"}, "-grid"},
+		{[]string{"-fra", "5", "-grid", "100000"}, "-grid"},
+		{[]string{"-fra", "1000000000", "-grid", "50"}, "-fra"},
+	} {
+		out, code := runMain(t, tc.args...)
+		if code != 1 {
+			t.Errorf("%v: exit %d, want 1; output:\n%s", tc.args, code, out)
+		}
+		if !strings.Contains(out, tc.flag) {
+			t.Errorf("%v: output does not name %s:\n%s", tc.args, tc.flag, out)
+		}
+	}
+}
+
 func TestReadPositions(t *testing.T) {
 	got, err := readPositions(strings.NewReader("x,y\n1,2\n3.5,4\n"))
 	if err != nil {

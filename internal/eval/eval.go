@@ -19,6 +19,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/strategy"
+	"repro/internal/surface"
 )
 
 // ErrBadParams is returned for invalid sweep parameters.
@@ -76,7 +77,9 @@ func DefaultDeltaVsKOptions() DeltaVsKOptions {
 // random draw is an independent task with a fixed seed, and results are
 // written into index-addressed slots, so the rows are bit-identical to a
 // serial sweep at any GOMAXPROCS. The error returned is that of the
-// lowest-indexed failed task, whatever order the tasks ran in.
+// lowest-indexed failed task, whatever order the tasks ran in. Every task
+// reads f's reference lattices from one surface.Reference, so each is
+// filled once per sweep.
 func DeltaVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("%w: no k values", ErrBadParams)
@@ -91,6 +94,7 @@ func DeltaVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, err
 	if err != nil {
 		return nil, fmt.Errorf("eval: %w", err)
 	}
+	f = surface.NewReference(f)
 	rows := make([]DeltaVsKRow, len(ks))
 	randDelta := make([][]float64, len(ks))
 	for i := range randDelta {

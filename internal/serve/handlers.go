@@ -168,61 +168,89 @@ func tenantKey(r *http.Request) string {
 	return "anonymous"
 }
 
-// resolveField builds the reference surface from a request's field
-// spec, dynamic-field spec, or inline samples — exactly one must be
-// present. A dynfield is sliced at time t; inline samples are
-// triangulated over their bounding box, the same reconstruction the
-// evaluation stack uses everywhere else.
-func resolveField(spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, samples []SamplePoint) (field.Field, error) {
+// checkEnv validates a request's environment without building it: exactly
+// one of field, dynfield and samples, a dynfield's slice time, and finite
+// samples, at least 3. These checks come before the response-cache lookup:
+// hashField hashes a field spec alone, so a body that also carries
+// samples must be refused before it can match a field-only entry.
+func checkEnv(spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, samples []SamplePoint) error {
 	set := 0
 	for _, present := range []bool{spec != nil, dyn != nil, len(samples) > 0} {
 		if present {
 			set++
 		}
 	}
-	if set > 1 {
-		return nil, fmt.Errorf("field, dynfield and samples are mutually exclusive")
-	}
 	switch {
-	case spec != nil:
-		d, err := spec.Build()
-		if err != nil {
-			return nil, err
+	case set > 1:
+		return fmt.Errorf("field, dynfield and samples are mutually exclusive")
+	case set == 0:
+		return fmt.Errorf("one of field, dynfield or samples is required")
+	case dyn != nil && (!finite(t) || t < 0):
+		return fmt.Errorf("t=%g out of range for dynfield", t)
+	case spec != nil || dyn != nil:
+		return nil
+	case len(samples) < 3:
+		return fmt.Errorf("need at least 3 samples to triangulate, got %d", len(samples))
+	}
+	for i, sp := range samples {
+		if !finite(sp.X) || !finite(sp.Y) || !finite(sp.Z) {
+			return fmt.Errorf("sample %d is not finite", i)
 		}
-		return field.Slice(d, 0), nil
-	case dyn != nil:
-		if !finite(t) || t < 0 {
-			return nil, fmt.Errorf("t=%g out of range for dynfield", t)
+	}
+	return nil
+}
+
+// resolveField builds the reference surface of a request checkEnv passed.
+// A field spec, or a dynfield sliced at time t, comes from the server's
+// reference cache; done, called once the request has computed, retains
+// its filled lattices there. Inline samples are triangulated over their
+// bounding box, the same reconstruction the evaluation stack uses
+// everywhere else, and are not cached.
+func (s *Server) resolveField(spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, samples []SamplePoint) (f field.Field, done func(), err error) {
+	if len(samples) > 0 {
+		tin, err := triangulate(samples)
+		return tin, func() {}, err
+	}
+	h := fnv.New64a()
+	hashField(h, spec, dyn, t, nil)
+	key := string(h.Sum(nil))
+	ref, err := s.refs.get(key, func() (field.Field, error) {
+		if spec != nil {
+			d, err := spec.Build()
+			if err != nil {
+				return nil, err
+			}
+			return field.Slice(d, 0), nil
 		}
 		d, err := dyn.Build()
 		if err != nil {
 			return nil, err
 		}
 		return field.Slice(d, t), nil
-	case len(samples) >= 3:
-		pts := make([]geom.Vec2, len(samples))
-		fs := make([]field.Sample, len(samples))
-		for i, sp := range samples {
-			if !finite(sp.X) || !finite(sp.Y) || !finite(sp.Z) {
-				return nil, fmt.Errorf("sample %d is not finite", i)
-			}
-			pts[i] = geom.Vec2{X: sp.X, Y: sp.Y}
-			fs[i] = field.Sample{Pos: pts[i], Z: sp.Z}
-		}
-		region, ok := geom.BoundingBox(pts)
-		if !ok || region.Area() <= 0 {
-			return nil, fmt.Errorf("samples span no area")
-		}
-		tin, err := surface.FromSamples(region, fs)
-		if err != nil {
-			return nil, fmt.Errorf("triangulate samples: %w", err)
-		}
-		return tin, nil
-	case len(samples) > 0:
-		return nil, fmt.Errorf("need at least 3 samples to triangulate, got %d", len(samples))
-	default:
-		return nil, fmt.Errorf("one of field, dynfield or samples is required")
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	return ref, func() { s.refs.settle(key, ref) }, nil
+}
+
+// triangulate reconstructs inline samples over their bounding box.
+func triangulate(samples []SamplePoint) (*surface.TIN, error) {
+	pts := make([]geom.Vec2, len(samples))
+	fs := make([]field.Sample, len(samples))
+	for i, sp := range samples {
+		pts[i] = geom.Vec2{X: sp.X, Y: sp.Y}
+		fs[i] = field.Sample{Pos: pts[i], Z: sp.Z}
+	}
+	region, ok := geom.BoundingBox(pts)
+	if !ok || region.Area() <= 0 {
+		return nil, fmt.Errorf("samples span no area")
+	}
+	tin, err := surface.FromSamples(region, fs)
+	if err != nil {
+		return nil, fmt.Errorf("triangulate samples: %w", err)
+	}
+	return tin, nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -368,8 +396,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad place request: %v", err)
 		return
 	}
-	ref, err := resolveField(req.Field, req.Dynfield, req.T, req.Samples)
-	if err != nil {
+	if err := checkEnv(req.Field, req.Dynfield, req.T, req.Samples); err != nil {
 		httpError(w, http.StatusBadRequest, "bad place request: %v", err)
 		return
 	}
@@ -378,6 +405,12 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		serveCached(w, r, e)
 		return
 	}
+	ref, done, err := s.resolveField(req.Field, req.Dynfield, req.T, req.Samples)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad place request: %v", err)
+		return
+	}
+	defer done()
 	release, ok := s.lim.acquire(tenantKey(r))
 	if !ok {
 		w.Header().Set("Retry-After", retryAfterSeconds)
@@ -430,8 +463,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad eval request: %v", err)
 		return
 	}
-	ref, err := resolveField(req.Field, req.Dynfield, req.T, req.Samples)
-	if err != nil {
+	if err := checkEnv(req.Field, req.Dynfield, req.T, req.Samples); err != nil {
 		httpError(w, http.StatusBadRequest, "bad eval request: %v", err)
 		return
 	}
@@ -440,6 +472,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		serveCached(w, r, e)
 		return
 	}
+	ref, done, err := s.resolveField(req.Field, req.Dynfield, req.T, req.Samples)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad eval request: %v", err)
+		return
+	}
+	defer done()
 	release, ok := s.lim.acquire(tenantKey(r))
 	if !ok {
 		w.Header().Set("Retry-After", retryAfterSeconds)

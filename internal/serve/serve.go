@@ -17,13 +17,17 @@
 //     result-affecting request inputs, the same idiom as sweep cell
 //     digests (and computation is deterministic, so a cache hit is
 //     byte-identical to a recompute);
+//   - a reference cache that fills each named field's lattices once
+//     (surface.Reference), capped in bytes, so requests that differ only
+//     in k, seed or strategy share the field's half of FRA and δ;
 //   - graceful drain: Drain stops admitting requests (503), lets
 //     in-flight requests and queued waiters finish, stops the job pool
 //     so running sweeps checkpoint and park, and flushes checkpoints;
 //   - /healthz, /metrics (Prometheus text) and /debug/pprof on the same
 //     mux, with serve_requests_total{route,code}, serve_request_seconds,
-//     serve_queue_depth and serve_cache_{hits,misses}_total riding the
-//     obs registry.
+//     serve_queue_depth, serve_cache_{hits,misses}_total,
+//     serve_reference_{hits,misses}_total and serve_reference_bytes
+//     riding the obs registry.
 //
 // Determinism contract: a served placement or evaluation is computed by
 // exactly the code path the batch CLIs use, so the response for a given
@@ -100,6 +104,9 @@ type serveMetrics struct {
 	depth   *obs.Gauge     // serve_queue_depth: waiters across all tenants
 	hits    *obs.Counter   // serve_cache_hits_total
 	misses  *obs.Counter   // serve_cache_misses_total
+	refHits *obs.Counter   // serve_reference_hits_total
+	refMiss *obs.Counter   // serve_reference_misses_total
+	refSize *obs.Gauge     // serve_reference_bytes
 	jobsSub *obs.Counter   // serve_jobs_submitted_total
 	jobsFin *obs.Counter   // serve_jobs_completed_total
 	jobsRun *obs.Gauge     // serve_jobs_running
@@ -115,6 +122,9 @@ func newServeMetrics(reg *obs.Registry) serveMetrics {
 		depth:   reg.Gauge("serve_queue_depth"),
 		hits:    reg.Counter("serve_cache_hits_total"),
 		misses:  reg.Counter("serve_cache_misses_total"),
+		refHits: reg.Counter("serve_reference_hits_total"),
+		refMiss: reg.Counter("serve_reference_misses_total"),
+		refSize: reg.Gauge("serve_reference_bytes"),
 		jobsSub: reg.Counter("serve_jobs_submitted_total"),
 		jobsFin: reg.Counter("serve_jobs_completed_total"),
 		jobsRun: reg.Gauge("serve_jobs_running"),
@@ -141,6 +151,7 @@ type Server struct {
 	met   serveMetrics
 	lim   *limiter
 	cache *cache
+	refs  *refCache
 	jobs  *jobPool
 
 	// drainMu is the drain barrier: every request holds it for reading
@@ -160,6 +171,7 @@ func New(cfg Config) *Server {
 		met:   met,
 		lim:   newLimiter(cfg.MaxInflight, cfg.QueueDepth, met.depth),
 		cache: newCache(cfg.CacheSize, met.hits, met.misses),
+		refs:  newRefCache(met.refHits, met.refMiss, met.refSize),
 		jobs:  newJobPool(cfg, met),
 	}
 	s.handle("POST", "/v1/place", s.handlePlace)

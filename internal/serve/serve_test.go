@@ -386,6 +386,8 @@ func TestMetricsExport(t *testing.T) {
 		"serve_request_seconds_count",
 		"serve_queue_depth",
 		"serve_cache_misses_total",
+		"serve_reference_misses_total 1",
+		"serve_reference_bytes 26248",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)

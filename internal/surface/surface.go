@@ -408,24 +408,28 @@ func firstAtLeast(cs []float64, v float64) int {
 // approximation g over f's bounds, integrating |f − g| on an n-division
 // lattice with the midpoint rule. Typical n for the 100×100 region is 100
 // (one-meter cells, mirroring the paper's √A × √A lattice). Both fields
-// are filled band by band (latticeScan), and per-row sums are accumulated
-// in a fixed order, so the result is bit-identical for any GOMAXPROCS.
+// are filled band by band (latticeScan), f once per size when it is a
+// Reference, and per-row sums are accumulated in a fixed order, so the
+// result is bit-identical for any GOMAXPROCS.
 func Delta(f field.Field, g field.Field, n int) float64 {
 	if n < 1 {
 		n = 1
 	}
 	r := f.Bounds()
-	dx := r.Width() / float64(n)
-	dy := r.Height() / float64(n)
-	xs, ys := make([]float64, n), make([]float64, n)
-	for i := range xs {
-		xs[i] = r.Min.X + dx*(float64(i)+0.5)
-		ys[i] = r.Min.Y + dy*(float64(i)+0.5)
+	xs, ys := latticeNodes(r, n, false)
+	gs := newLatticeScan(g, xs, ys)
+	var fBand func(w, lo, hi int) []float64
+	width := gs.width()
+	if ref, ok := f.(*Reference); ok {
+		vals := ref.lattice(n, false)
+		fBand = func(_, lo, hi int) []float64 { return vals[lo*n : hi*n] }
+	} else {
+		fs := newLatticeScan(f, xs, ys)
+		fBand, width = fs.band, max(width, fs.width())
 	}
-	fs, gs := newLatticeScan(f, xs, ys), newLatticeScan(g, xs, ys)
 	rowSum := make([]float64, n)
-	bands.Run(n, max(fs.width(), gs.width()), func(w, lo, hi int) {
-		fv, gv := fs.band(w, lo, hi), gs.band(w, lo, hi)
+	bands.Run(n, width, func(w, lo, hi int) {
+		fv, gv := fBand(w, lo, hi), gs.band(w, lo, hi)
 		for i := lo; i < hi; i++ {
 			s := 0.0
 			for k := (i - lo) * n; k < (i-lo+1)*n; k++ {
@@ -438,7 +442,7 @@ func Delta(f field.Field, g field.Field, n int) float64 {
 	for _, s := range rowSum {
 		sum += s
 	}
-	return sum * dx * dy
+	return sum * (r.Width() / float64(n)) * (r.Height() / float64(n))
 }
 
 // DeltaSamples computes δ between f and the Delaunay reconstruction of the
@@ -458,7 +462,7 @@ type LocalErrorGrid struct {
 	region geom.Rect
 	n      int       // lattice divisions per side
 	xs, ys []float64 // node (i, j) sits at (xs[i], ys[j])
-	ref    []float64
+	ref    []float64 // f at the nodes; shared with a Reference, read only
 	err    []float64
 	// rowMax[i] is the largest err[i][·] and rowArg[i] the first column
 	// attaining it, so the row-major argmax reads n+1 rows, not (n+1)².
@@ -466,31 +470,25 @@ type LocalErrorGrid struct {
 	rowArg []int
 }
 
-// NewLocalErrorGrid precomputes the reference values of f on an
-// (n+1)×(n+1) lattice (latticeScan).
+// NewLocalErrorGrid fills the reference values of f on an (n+1)×(n+1)
+// lattice (latticeScan), or shares them when f is a Reference.
 func NewLocalErrorGrid(f field.Field, n int) *LocalErrorGrid {
 	if n < 1 {
 		n = 1
 	}
-	r := f.Bounds()
 	g := &LocalErrorGrid{
-		region: r,
+		region: f.Bounds(),
 		n:      n,
-		xs:     make([]float64, n+1),
-		ys:     make([]float64, n+1),
-		ref:    make([]float64, (n+1)*(n+1)),
 		err:    make([]float64, (n+1)*(n+1)),
 		rowMax: make([]float64, n+1),
 		rowArg: make([]int, n+1),
 	}
-	for i := range g.xs {
-		g.xs[i] = r.Min.X + r.Width()*float64(i)/float64(n)
-		g.ys[i] = r.Min.Y + r.Height()*float64(i)/float64(n)
+	g.xs, g.ys = latticeNodes(g.region, n, true)
+	if ref, ok := f.(*Reference); ok {
+		g.ref = ref.lattice(n, true)
+	} else {
+		g.ref = fillLattice(f, g.xs, g.ys)
 	}
-	s := newLatticeScan(f, g.xs, g.ys)
-	bands.Run(n+1, s.width(), func(w, lo, hi int) {
-		s.rows(w, lo, hi, g.ref[g.idx(lo, 0):])
-	})
 	return g
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/strategy"
+	"repro/internal/surface"
 )
 
 // Result is one cell's outcome. Every field is deterministic given the
@@ -108,11 +109,11 @@ func RunCell(s *Spec, c Cell, reg *obs.Registry) (res Result) {
 		res.Err = err.Error()
 		return res
 	}
-	ref := field.Slice(dyn, 0)
-
 	// Static phase: the cell's placement strategy and its random baseline
 	// against the reference surface — the same Fig. 7 cell eval.DeltaVsK
-	// runs, so a sweep cell reproduces that series bit for bit.
+	// runs, so a sweep cell reproduces that series bit for bit. The
+	// reference fills its lattices once for the placement and every draw.
+	ref := surface.NewReference(field.Slice(dyn, 0))
 	placer, err := strategy.LookupPlacement(name)
 	if err != nil {
 		res.Err = err.Error()
