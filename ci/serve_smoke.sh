@@ -2,8 +2,9 @@
 # Placement-service e2e smoke: boot cmd/served on a random port, prove
 # served placements, on a cold and on a warm field reference, are
 # byte-identical to the cmd/osd CLI line for the same inputs, check the
-# serve_* metrics are exported, then SIGTERM the daemon with a request in
-# flight and require that request to complete and the process to exit 0.
+# serve_* metrics are exported and an over-cap forest spec is a 400, then
+# SIGTERM the daemon with a request in flight and require that request to
+# complete and the process to exit 0.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -58,6 +59,11 @@ for series in serve_requests_total serve_request_seconds serve_queue_depth serve
 done
 grep -q '^serve_reference_hits_total 1$' "$workdir/metrics.txt" ||
   { echo "the second placement was not a reference hit:"; grep serve_reference "$workdir/metrics.txt"; exit 1; }
+
+# A forest spec past the sweep's feature cap is refused up front.
+code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$url/v1/place" \
+  -d '{"field":{"kind":"forest","gaps":2000},"k":5}')
+[ "$code" = 400 ] || { echo "forest with gaps past the cap answered $code, want 400"; exit 1; }
 
 # An async sweep job runs to completion and streams checkpoint JSONL.
 cat > "$workdir/spec.json" <<'EOF'

@@ -82,6 +82,9 @@ func main() {
 	run := obscli.New(reg)
 	run.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	if err := checkFlags(cfg); err != nil {
+		log.Fatal(err)
+	}
 
 	if err := run.Start(); err != nil {
 		log.Fatal(err)
@@ -93,6 +96,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// checkFlags refuses the negative sizes serve.Config would read as "use
+// the default", naming the flag; 0 is the default and a negative -cache
+// disables the cache.
+func checkFlags(cfg config) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-max-inflight", cfg.MaxInflight},
+		{"-queue-depth", cfg.QueueDepth},
+		{"-max-jobs", cfg.MaxJobs},
+		{"-sweep-workers", cfg.Workers},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("bad %s %d: must be at least 0 (0 takes the default)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func realMain(cfg config, reg *obs.Registry) error {

@@ -102,6 +102,9 @@ func main() {
 	run := obscli.New(reg)
 	run.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	if err := checkFlags(cfg); err != nil {
+		log.Fatal(err)
+	}
 
 	if err := run.Start(); err != nil {
 		log.Fatal(err)
@@ -113,6 +116,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// checkFlags refuses the negative values the sweep and dsweep options
+// would read as "use the default", naming the flag; 0 is the default.
+func checkFlags(cfg config) error {
+	switch {
+	case cfg.Workers < 0:
+		return fmt.Errorf("bad -workers %d: must be at least 0 (0 = NumCPU)", cfg.Workers)
+	case cfg.Limit < 0:
+		return fmt.Errorf("bad -limit %d: must be at least 0 (0 runs every cell)", cfg.Limit)
+	case cfg.LeaseTTL < 0:
+		return fmt.Errorf("bad -lease-ttl %v: must be at least 0 (0 = 15s)", cfg.LeaseTTL)
+	}
+	return nil
 }
 
 func realMain(cfg config, reg *obs.Registry) error {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/strategy"
 	"repro/internal/surface"
 	"repro/internal/sweep"
@@ -150,13 +152,25 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// encodeJSON renders v as every JSON response body is rendered.
+func encodeJSON(v any) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(v)
+	return b.Bytes(), err
+}
+
 // writeJSON writes one JSON response body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := encodeJSON(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "marshal response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	w.Write(b)
 }
 
 // tenantKey identifies the caller for admission control: the X-API-Key
@@ -168,14 +182,23 @@ func tenantKey(r *http.Request) string {
 	return "anonymous"
 }
 
-// checkEnv validates a request's environment without building it: exactly
-// one of field, dynfield and samples, a dynfield's slice time, and finite
-// samples, at least 3. These checks come before the response-cache lookup:
-// hashField hashes a field spec alone, so a body that also carries
-// samples must be refused before it can match a field-only entry.
-func checkEnv(spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, samples []SamplePoint) error {
+// env is a request's environment: exactly one of a field spec, a
+// dynfield sliced at time t, and inline samples.
+type env struct {
+	spec    *sweep.FieldSpec
+	dyn     *sweep.DynFieldSpec
+	t       float64
+	samples []SamplePoint
+}
+
+// check validates the environment without building it: exactly one of
+// field, dynfield and samples, a valid spec, a dynfield's slice time, and
+// finite samples, at least 3. It runs before the response-cache lookup:
+// hash writes a field spec alone, so a body that also carries samples
+// must be refused before it can match a field-only entry.
+func (e env) check() error {
 	set := 0
-	for _, present := range []bool{spec != nil, dyn != nil, len(samples) > 0} {
+	for _, present := range []bool{e.spec != nil, e.dyn != nil, len(e.samples) > 0} {
 		if present {
 			set++
 		}
@@ -185,14 +208,16 @@ func checkEnv(spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, samples
 		return fmt.Errorf("field, dynfield and samples are mutually exclusive")
 	case set == 0:
 		return fmt.Errorf("one of field, dynfield or samples is required")
-	case dyn != nil && (!finite(t) || t < 0):
-		return fmt.Errorf("t=%g out of range for dynfield", t)
-	case spec != nil || dyn != nil:
-		return nil
-	case len(samples) < 3:
-		return fmt.Errorf("need at least 3 samples to triangulate, got %d", len(samples))
+	case e.spec != nil:
+		return e.spec.Validate()
+	case e.dyn != nil && (!finite(e.t) || e.t < 0):
+		return fmt.Errorf("t=%g out of range for dynfield", e.t)
+	case e.dyn != nil:
+		return e.dyn.Validate()
+	case len(e.samples) < 3:
+		return fmt.Errorf("need at least 3 samples to triangulate, got %d", len(e.samples))
 	}
-	for i, sp := range samples {
+	for i, sp := range e.samples {
 		if !finite(sp.X) || !finite(sp.Y) || !finite(sp.Z) {
 			return fmt.Errorf("sample %d is not finite", i)
 		}
@@ -200,38 +225,58 @@ func checkEnv(spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, samples
 	return nil
 }
 
-// resolveField builds the reference surface of a request checkEnv passed.
-// A field spec, or a dynfield sliced at time t, comes from the server's
-// reference cache; done, called once the request has computed, retains
-// its filled lattices there. Inline samples are triangulated over their
-// bounding box, the same reconstruction the evaluation stack uses
-// everywhere else, and are not cached.
-func (s *Server) resolveField(spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, samples []SamplePoint) (f field.Field, done func(), err error) {
-	if len(samples) > 0 {
-		tin, err := triangulate(samples)
+// hash folds the environment's identity into h: the field or dynfield
+// spec tuple that sweep.Spec.Digest writes too (the dynfield's followed
+// by the slice time) or the exact bits of every inline sample.
+func (e env) hash(h io.Writer) {
+	if e.spec != nil {
+		e.spec.WriteDigest(h)
+		return
+	}
+	if e.dyn != nil {
+		e.dyn.WriteDigest(h)
+		fmt.Fprintf(h, "t=%g;", e.t)
+		return
+	}
+	fmt.Fprintf(h, "samples=%d;", len(e.samples))
+	for _, sp := range e.samples {
+		fmt.Fprintf(h, "%016x%016x%016x;",
+			math.Float64bits(sp.X), math.Float64bits(sp.Y), math.Float64bits(sp.Z))
+	}
+}
+
+// build constructs the reference surface of an environment check passed.
+// A field spec, or a dynfield sliced at time t, comes from refs; done,
+// called once the request has computed, re-costs its filled lattices
+// there. Inline samples are triangulated over their bounding box, the
+// same reconstruction the evaluation stack uses everywhere else, and are
+// not cached.
+func (e env) build(refs *fifo[*surface.Reference]) (f field.Field, done func(), err error) {
+	if len(e.samples) > 0 {
+		tin, err := triangulate(e.samples)
 		return tin, func() {}, err
 	}
 	h := fnv.New64a()
-	hashField(h, spec, dyn, t, nil)
+	e.hash(h)
 	key := string(h.Sum(nil))
-	ref, err := s.refs.get(key, func() (field.Field, error) {
-		if spec != nil {
-			d, err := spec.Build()
-			if err != nil {
-				return nil, err
-			}
-			return field.Slice(d, 0), nil
+	ref, ok := refs.get(key)
+	if !ok {
+		var d field.DynField
+		t := 0.0 // a plain field ignores t
+		if e.spec != nil {
+			d, err = e.spec.Build()
+		} else {
+			d, err = e.dyn.Build()
+			t = e.t
 		}
-		d, err := dyn.Build()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return field.Slice(d, t), nil
-	})
-	if err != nil {
-		return nil, nil, err
+		// A concurrent miss may have added its copy first; add returns
+		// that one, so both requests share its fills.
+		ref = refs.add(key, surface.NewReference(field.Slice(d, t)), 0)
 	}
-	return ref, func() { s.refs.settle(key, ref) }, nil
+	return ref, func() { refs.resize(key, ref, ref.Bytes()) }, nil
 }
 
 // triangulate reconstructs inline samples over their bounding box.
@@ -255,27 +300,22 @@ func triangulate(samples []SamplePoint) (*surface.TIN, error) {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// hashField folds a request's environment identity into h: the field or
-// dynfield spec tuple that sweep.Spec.Digest writes too (the dynfield's
-// followed by the slice time) or the exact bits of every inline sample.
-func hashField(h io.Writer, spec *sweep.FieldSpec, dyn *sweep.DynFieldSpec, t float64, samples []SamplePoint) {
-	if spec != nil {
-		spec.WriteDigest(h)
-		return
-	}
-	if dyn != nil {
-		dyn.WriteDigest(h)
-		fmt.Fprintf(h, "t=%g;", t)
-		return
-	}
-	fmt.Fprintf(h, "samples=%d;", len(samples))
-	for _, sp := range samples {
-		fmt.Fprintf(h, "%016x%016x%016x;",
-			math.Float64bits(sp.X), math.Float64bits(sp.Y), math.Float64bits(sp.Z))
-	}
+// computeRequest is the per-route part of serveCompute: a /v1/place or
+// /v1/eval body.
+type computeRequest interface {
+	// normalize fills the CLI-parity defaults in place.
+	normalize()
+	// validate checks every knob but the environment.
+	validate() error
+	env() env
+	// digest is the response-cache key: every result-affecting input,
+	// nothing else.
+	digest() string
+	// compute answers the request on the environment's field f. Its
+	// errors are the computation's, not the request's.
+	compute(f field.Field, reg *obs.Registry) (resp any, text string, err error)
 }
 
-// normalize fills the CLI-parity defaults in place.
 func (pr *PlaceRequest) normalize() {
 	if pr.Rc == 0 {
 		pr.Rc = 10
@@ -308,14 +348,38 @@ func (pr *PlaceRequest) validate() error {
 	return sweep.CheckWork(pr.K, pr.GridN, pr.DeltaN, 0)
 }
 
-// digest is the cache key: every result-affecting input, nothing else.
+func (pr *PlaceRequest) env() env { return env{pr.Field, pr.Dynfield, pr.T, pr.Samples} }
+
 func (pr *PlaceRequest) digest() string {
 	h := fnv.New64a()
 	io.WriteString(h, "place;")
-	hashField(h, pr.Field, pr.Dynfield, pr.T, pr.Samples)
+	pr.env().hash(h)
 	fmt.Fprintf(h, "k=%d;rc=%g;grid=%d;delta=%d;seed=%d;strategy=%s",
 		pr.K, pr.Rc, pr.GridN, pr.DeltaN, pr.Seed, pr.Strategy)
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func (pr *PlaceRequest) compute(f field.Field, reg *obs.Registry) (any, string, error) {
+	placer, _ := strategy.LookupPlacement(pr.Strategy) // validate checked the name
+	p, err := placer.Place(f, strategy.PlaceOptions{
+		K: pr.K, Rc: pr.Rc, GridN: pr.GridN, Seed: pr.Seed, Metrics: reg,
+	})
+	if err != nil {
+		return nil, "", fmt.Errorf("%s: %v", pr.Strategy, err)
+	}
+	ev, err := core.Evaluate(f, p, pr.Rc, pr.DeltaN)
+	if err != nil {
+		return nil, "", fmt.Errorf("evaluate: %v", err)
+	}
+	resp := PlaceResponse{
+		Strategy: pr.Strategy, K: pr.K, Rc: pr.Rc,
+		Delta: ev.Delta, Refined: p.Refined, Relays: p.Relays,
+		Connected: ev.Connected, Components: ev.Components, MeanDegree: ev.MeanDegree,
+		Nodes:   toPoints(p.Nodes),
+		Anchors: toPoints(p.Anchors),
+		Summary: PlacementSummary(pr.Strategy, pr.K, p, ev),
+	}
+	return resp, resp.Summary + "\n", nil
 }
 
 func (er *EvalRequest) normalize() {
@@ -347,10 +411,12 @@ func (er *EvalRequest) validate() error {
 	return sweep.CheckWork(len(er.Nodes), er.DeltaN, er.DeltaN, 0)
 }
 
+func (er *EvalRequest) env() env { return env{er.Field, er.Dynfield, er.T, er.Samples} }
+
 func (er *EvalRequest) digest() string {
 	h := fnv.New64a()
 	io.WriteString(h, "eval;")
-	hashField(h, er.Field, er.Dynfield, er.T, er.Samples)
+	er.env().hash(h)
 	fmt.Fprintf(h, "rc=%g;delta=%d;nodes=%d;", er.Rc, er.DeltaN, len(er.Nodes))
 	for _, n := range er.Nodes {
 		fmt.Fprintf(h, "%016x%016x;", math.Float64bits(n.X), math.Float64bits(n.Y))
@@ -362,9 +428,34 @@ func (er *EvalRequest) digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// serveCached writes a cached or just-computed response in the
+func (er *EvalRequest) compute(f field.Field, _ *obs.Registry) (any, string, error) {
+	p := core.Placement{Nodes: toVecs(er.Nodes), Anchors: toVecs(er.Anchors)}
+	if len(p.Anchors) == 0 {
+		corners := f.Bounds().Corners()
+		p.Anchors = append([]geom.Vec2(nil), corners[:]...)
+	}
+	ev, err := core.Evaluate(f, p, er.Rc, er.DeltaN)
+	if err != nil {
+		return nil, "", fmt.Errorf("evaluate: %v", err)
+	}
+	resp := EvalResponse{
+		K: len(er.Nodes), Rc: er.Rc,
+		Delta: ev.Delta, Connected: ev.Connected,
+		Components: ev.Components, MeanDegree: ev.MeanDegree,
+	}
+	return resp, fmt.Sprintf("k=%d: δ=%.1f connected=%v\n", resp.K, resp.Delta, resp.Connected), nil
+}
+
+// rendered holds both renderings of one response, so that a text-format
+// cache hit never re-marshals.
+type rendered struct {
+	json []byte
+	text string
+}
+
+// serveRendered writes a cached or just-computed response in the
 // requested rendering.
-func serveCached(w http.ResponseWriter, r *http.Request, e cacheEntry) {
+func serveRendered(w http.ResponseWriter, r *http.Request, e *rendered) {
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, e.text)
@@ -374,43 +465,31 @@ func serveCached(w http.ResponseWriter, r *http.Request, e cacheEntry) {
 	w.Write(e.json)
 }
 
-// marshalEntry renders a response value once for both the JSON and text
-// formats.
-func marshalEntry(v any, text string) (cacheEntry, error) {
-	var b strings.Builder
-	enc := json.NewEncoder(&b)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return cacheEntry{}, err
-	}
-	return cacheEntry{json: []byte(b.String()), text: text}, nil
-}
-
-func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	var req PlaceRequest
-	if !decodeStrict(w, r, &req) {
+// serveCompute runs the /v1/place and /v1/eval pipeline on req: decode;
+// normalize and validate; check the environment; look up the response
+// cache; take the tenant's admission slot; build the environment;
+// compute; store; respond. A cache hit bypasses admission, while every
+// costly step, inline triangulation included, runs inside it. name
+// prefixes the 400 diagnostics.
+func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, name string, req computeRequest) {
+	if !decodeStrict(w, r, req) {
 		return
 	}
 	req.normalize()
-	if err := req.validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "bad place request: %v", err)
-		return
+	e := req.env()
+	err := req.validate()
+	if err == nil {
+		err = e.check()
 	}
-	if err := checkEnv(req.Field, req.Dynfield, req.T, req.Samples); err != nil {
-		httpError(w, http.StatusBadRequest, "bad place request: %v", err)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad %s request: %v", name, err)
 		return
 	}
 	key := req.digest()
-	if e, ok := s.cache.get(key); ok {
-		serveCached(w, r, e)
+	if hit, ok := s.cache.get(key); ok {
+		serveRendered(w, r, hit)
 		return
 	}
-	ref, done, err := s.resolveField(req.Field, req.Dynfield, req.T, req.Samples)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad place request: %v", err)
-		return
-	}
-	defer done()
 	release, ok := s.lim.acquire(tenantKey(r))
 	if !ok {
 		w.Header().Set("Retry-After", retryAfterSeconds)
@@ -418,96 +497,25 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-
-	placer, err := strategy.LookupPlacement(req.Strategy)
+	f, done, err := e.build(s.refs)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	p, err := placer.Place(ref, strategy.PlaceOptions{
-		K: req.K, Rc: req.Rc, GridN: req.GridN, Seed: req.Seed, Metrics: s.cfg.Metrics,
-	})
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "%s: %v", req.Strategy, err)
-		return
-	}
-	ev, err := core.Evaluate(ref, p, req.Rc, req.DeltaN)
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "evaluate: %v", err)
-		return
-	}
-	resp := PlaceResponse{
-		Strategy: req.Strategy, K: req.K, Rc: req.Rc,
-		Delta: ev.Delta, Refined: p.Refined, Relays: p.Relays,
-		Connected: ev.Connected, Components: ev.Components, MeanDegree: ev.MeanDegree,
-		Nodes:   toPoints(p.Nodes),
-		Anchors: toPoints(p.Anchors),
-		Summary: PlacementSummary(req.Strategy, req.K, p, ev),
-	}
-	e, err := marshalEntry(resp, resp.Summary+"\n")
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "marshal response: %v", err)
-		return
-	}
-	s.cache.put(key, e)
-	serveCached(w, r, e)
-}
-
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	var req EvalRequest
-	if !decodeStrict(w, r, &req) {
-		return
-	}
-	req.normalize()
-	if err := req.validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "bad eval request: %v", err)
-		return
-	}
-	if err := checkEnv(req.Field, req.Dynfield, req.T, req.Samples); err != nil {
-		httpError(w, http.StatusBadRequest, "bad eval request: %v", err)
-		return
-	}
-	key := req.digest()
-	if e, ok := s.cache.get(key); ok {
-		serveCached(w, r, e)
-		return
-	}
-	ref, done, err := s.resolveField(req.Field, req.Dynfield, req.T, req.Samples)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad eval request: %v", err)
+		httpError(w, http.StatusBadRequest, "bad %s request: %v", name, err)
 		return
 	}
 	defer done()
-	release, ok := s.lim.acquire(tenantKey(r))
-	if !ok {
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		httpError(w, http.StatusTooManyRequests, "tenant queue full; retry later")
-		return
-	}
-	defer release()
-
-	p := core.Placement{Nodes: toVecs(req.Nodes), Anchors: toVecs(req.Anchors)}
-	if len(p.Anchors) == 0 {
-		corners := ref.Bounds().Corners()
-		p.Anchors = append([]geom.Vec2(nil), corners[:]...)
-	}
-	ev, err := core.Evaluate(ref, p, req.Rc, req.DeltaN)
+	resp, text, err := req.compute(f, s.cfg.Metrics)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "evaluate: %v", err)
+		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	resp := EvalResponse{
-		K: len(req.Nodes), Rc: req.Rc,
-		Delta: ev.Delta, Connected: ev.Connected,
-		Components: ev.Components, MeanDegree: ev.MeanDegree,
-	}
-	e, err := marshalEntry(resp, fmt.Sprintf("k=%d: δ=%.1f connected=%v\n", resp.K, resp.Delta, resp.Connected))
+	b, err := encodeJSON(resp)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "marshal response: %v", err)
 		return
 	}
-	s.cache.put(key, e)
-	serveCached(w, r, e)
+	out := &rendered{json: b, text: text}
+	s.cache.add(key, out, 1)
+	serveRendered(w, r, out)
 }
 
 func toPoints(vs []geom.Vec2) []Point {

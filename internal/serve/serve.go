@@ -44,6 +44,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/surface"
 )
 
 // Config sizes one Server. Zero values take the documented defaults.
@@ -150,8 +151,8 @@ type Server struct {
 	mux   *http.ServeMux
 	met   serveMetrics
 	lim   *limiter
-	cache *cache
-	refs  *refCache
+	cache *fifo[*rendered]
+	refs  *fifo[*surface.Reference]
 	jobs  *jobPool
 
 	// drainMu is the drain barrier: every request holds it for reading
@@ -170,12 +171,16 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		met:   met,
 		lim:   newLimiter(cfg.MaxInflight, cfg.QueueDepth, met.depth),
-		cache: newCache(cfg.CacheSize, met.hits, met.misses),
-		refs:  newRefCache(met.refHits, met.refMiss, met.refSize),
+		cache: newFIFO[*rendered](int64(cfg.CacheSize), met.hits, met.misses, nil),
+		refs:  newFIFO[*surface.Reference](refCacheBytes, met.refHits, met.refMiss, met.refSize),
 		jobs:  newJobPool(cfg, met),
 	}
-	s.handle("POST", "/v1/place", s.handlePlace)
-	s.handle("POST", "/v1/eval", s.handleEval)
+	s.handle("POST", "/v1/place", func(w http.ResponseWriter, r *http.Request) {
+		s.serveCompute(w, r, "place", new(PlaceRequest))
+	})
+	s.handle("POST", "/v1/eval", func(w http.ResponseWriter, r *http.Request) {
+		s.serveCompute(w, r, "eval", new(EvalRequest))
+	})
 	s.handle("POST", "/v1/sweeps", s.handleSweepSubmit)
 	s.handle("GET", "/v1/sweeps/{id}", s.handleSweepStatus)
 	s.handle("GET", "/v1/sweeps/{id}/results", s.handleSweepResults)

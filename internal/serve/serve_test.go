@@ -229,6 +229,9 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/place", `{"field":{"kind":"forest"},"k":5,"grid_n":30000,"delta_n":30000}`},
 		{"/v1/eval", `{"field":{"kind":"peaks"},"nodes":[{"x":1,"y":1}],"delta_n":30000}`},
 		{"/v1/sweeps", `{"name":"x","fields":[{"kind":"peaks"}],"ks":[4],"rcs":[30],"grid_n":30000,"delta_n":30000}`},
+		{"/v1/place", `{"field":{"kind":"forest","gaps":20000},"k":5}`},
+		{"/v1/eval", `{"dynfield":{"kind":"plume","sources":20000},"t":1,"nodes":[{"x":1,"y":1}]}`},
+		{"/v1/sweeps", `{"name":"x","fields":[{"kind":"forest","gaps":20000}],"ks":[4],"rcs":[30]}`},
 	} {
 		start := time.Now()
 		w := post(s, tc.path, tc.body, nil)

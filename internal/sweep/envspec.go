@@ -59,6 +59,9 @@ func (ds DynFieldSpec) Validate() error {
 		ds.Decay < 0 || ds.SplitAt < 0 {
 		return fmt.Errorf("sweep: negative dynfield parameter in %+v", ds)
 	}
+	if ds.Sources > maxFeatures {
+		return fmt.Errorf("sweep: %w: sources=%d (at most %d)", ErrOverBudget, ds.Sources, maxFeatures)
+	}
 	return nil
 }
 

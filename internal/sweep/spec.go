@@ -56,6 +56,13 @@ type FieldSpec struct {
 // fieldKinds lists the accepted FieldSpec kinds.
 var fieldKinds = map[string]bool{"forest": true, "peaks": true, "terrain": true, "ridge": true}
 
+// maxFeatures caps a forest's gap count and a plume's source count. A
+// generator evaluates every feature at every point it is asked for, so a
+// field's cost grows linearly with the count, and a few bytes of spec
+// could otherwise ask for seconds per lattice or gigabytes of features.
+// The defaults are 12 gaps and 2 sources.
+const maxFeatures = 1024
+
 // Validate rejects unknown kinds and malformed knobs.
 func (fs FieldSpec) Validate() error {
 	if !fieldKinds[fs.Kind] {
@@ -63,6 +70,9 @@ func (fs FieldSpec) Validate() error {
 	}
 	if fs.Size < 0 || fs.Gaps < 0 || fs.Levels < 0 || fs.Roughness < 0 {
 		return fmt.Errorf("sweep: negative field parameter in %+v", fs)
+	}
+	if fs.Gaps > maxFeatures {
+		return fmt.Errorf("sweep: %w: gaps=%d (at most %d)", ErrOverBudget, fs.Gaps, maxFeatures)
 	}
 	return nil
 }

@@ -396,6 +396,8 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown knob", `{"fields":[{"kind":"peaks"}],"ks":[5],"rcs":[10],"wrkers":4}`},
 		{"fault without slots", `{"fields":[{"kind":"peaks"}],"ks":[5],"rcs":[10],"faults":[{"rate":0.5}]}`},
 		{"fault rate too high", `{"fields":[{"kind":"peaks"}],"ks":[5],"rcs":[10],"slots":5,"faults":[{"rate":1.5}]}`},
+		{"gaps past the cap", `{"fields":[{"kind":"forest","gaps":1025}],"ks":[5],"rcs":[10]}`},
+		{"sources past the cap", `{"dynfields":[{"kind":"plume","sources":1025}],"ks":[5],"rcs":[10]}`},
 	}
 	for _, tc := range cases {
 		if _, err := LoadSpec(strings.NewReader(tc.json)); err == nil {
@@ -412,6 +414,30 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if s.NumCells() != 2 {
 		t.Fatalf("NumCells=%d, want 2", s.NumCells())
+	}
+}
+
+// TestFeatureCountCap pins the forest gap and plume source cap: the cap
+// itself is accepted, anything past it is ErrOverBudget, refused before a
+// generator loops over it.
+func TestFeatureCountCap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		over bool
+	}{
+		{"gaps at the cap", FieldSpec{Kind: "forest", Gaps: maxFeatures}.Validate(), false},
+		{"gaps past the cap", FieldSpec{Kind: "forest", Gaps: maxFeatures + 1}.Validate(), true},
+		{"gaps at MaxInt32", FieldSpec{Kind: "forest", Gaps: math.MaxInt32}.Validate(), true},
+		{"sources at the cap", DynFieldSpec{Kind: "plume", Sources: maxFeatures}.Validate(), false},
+		{"sources past the cap", DynFieldSpec{Kind: "plume", Sources: maxFeatures + 1}.Validate(), true},
+	} {
+		if tc.over && !errors.Is(tc.err, ErrOverBudget) {
+			t.Errorf("%s: got %v, want ErrOverBudget", tc.name, tc.err)
+		}
+		if !tc.over && tc.err != nil {
+			t.Errorf("%s: refused: %v", tc.name, tc.err)
+		}
 	}
 }
 
