@@ -215,7 +215,7 @@ func BenchmarkFig10DeltaVsTime(b *testing.B) {
 	b.ReportMetric(rows[0].Delta, "δ_t0")
 	b.ReportMetric(rows[15].Delta, "δ_t15")
 	b.ReportMetric(rows[len(rows)-1].Delta, "δ_t45")
-	if conv, ok := eval.ConvergenceTime(rows, 0.1); ok {
+	if conv, ok := eval.ConvergenceTime(rows); ok {
 		b.ReportMetric(conv, "converge_min")
 	}
 	b.ReportMetric(ratio, "cma_over_fra")

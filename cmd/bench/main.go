@@ -269,7 +269,7 @@ func quality(out map[string]float64, quick bool) error {
 	}
 	out["ostd_final_delta"] = rows[len(rows)-1].Delta
 	out["ostd_convergence_slot"] = -1
-	if conv, ok := eval.ConvergenceTime(rows, 0.1); ok {
+	if conv, ok := eval.ConvergenceTime(rows); ok {
 		out["ostd_convergence_slot"] = conv
 	}
 	return nil

@@ -132,7 +132,7 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 	if err := eval.WriteDeltaVsTimeTable(os.Stdout, tRows); err != nil {
 		return err
 	}
-	if conv, ok := eval.ConvergenceTime(tRows, 0.1); ok {
+	if conv, ok := eval.ConvergenceTime(tRows); ok {
 		fmt.Printf("%s converged at t=%.0f min\n", mvLabel, conv)
 	} else {
 		fmt.Printf("%s not converged within the run\n", mvLabel)

@@ -125,28 +125,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	maybeSnap(forest.Bounds(), w.Positions(), w.Time(), opts.Config.Rc, snapAt)
-
-	rows := []eval.DeltaVsTimeRow{}
-	d0, err := w.Delta(*deltaN)
+	rows, err := eval.DeltaVsTime(w, *slots, *deltaN)
 	if err != nil {
 		fatal(err)
 	}
-	rows = append(rows, eval.DeltaVsTimeRow{T: 0, Delta: d0, Connected: w.Connected()})
-	for s := 0; s < *slots; s++ {
-		st, err := w.Step()
-		if err != nil {
-			fatal(err)
+	for _, r := range rows {
+		if snapAt[r.T] {
+			snap(forest.Bounds(), r.Positions, r.T, opts.Config.Rc)
 		}
-		d, err := w.Delta(*deltaN)
-		if err != nil {
-			fatal(err)
-		}
-		rows = append(rows, eval.DeltaVsTimeRow{
-			T: st.T, Delta: d, Moved: st.Moved,
-			MeanDisplacement: st.MeanDisplacement, Connected: w.Connected(),
-		})
-		maybeSnap(forest.Bounds(), w.Positions(), st.T, opts.Config.Rc, snapAt)
 	}
 	emit(rows, *csv)
 	closeRun()
@@ -162,17 +148,15 @@ func emit(rows []eval.DeltaVsTimeRow, csv bool) {
 	if err != nil {
 		fatal(err)
 	}
-	if conv, ok := eval.ConvergenceTime(rows, 0.1); ok {
-		fmt.Printf("converged at t=%.0f min (mean displacement < 0.1)\n", conv)
+	if conv, ok := eval.ConvergenceTime(rows); ok {
+		fmt.Printf("converged at t=%.0f min (mean displacement < %g)\n", conv, eval.ConvergenceEps)
 	} else {
 		fmt.Println("not converged within the run")
 	}
 }
 
-func maybeSnap(region geom.Rect, nodes []geom.Vec2, t float64, rc float64, at map[float64]bool) {
-	if !at[t] {
-		return
-	}
+// snap renders the topology of nodes at minute t.
+func snap(region geom.Rect, nodes []geom.Vec2, t float64, rc float64) {
 	fmt.Printf("\ntopology at t=%.0f min:\n", t)
 	if err := surface.RenderTopologyASCII(os.Stdout, region, nodes, rc, 72, 36); err != nil {
 		fatal(err)

@@ -5,6 +5,11 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/eval"
+	"repro/internal/field"
+	"repro/internal/strategy"
 )
 
 // runMainEnv, when set, makes the test binary run the command's main with
@@ -89,6 +94,58 @@ func TestFaultSweepHonorsRunFlags(t *testing.T) {
 	}
 	if out := runMain(t, append(sweep, "-noise", "2", "-seed", "9")...); out == noisy {
 		t.Errorf("-seed does not change the noisy degradation table:\n%s", out)
+	}
+}
+
+// singleRunRows is eval.DeltaVsTime for the command's single run at its
+// default flags but k, slots and deltaN.
+func singleRunRows(t *testing.T, k, slots, deltaN int) []eval.DeltaVsTimeRow {
+	t.Helper()
+	forest := field.NewForest(field.DefaultForestConfig())
+	opts := engine.DefaultOptions()
+	opts.Config.Beta = 2
+	opts.Seed = 1
+	opts.NewController = strategy.MovementFor("cma").NewController
+	w, err := engine.New(forest, field.GridLayout(forest.Bounds(), k), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := eval.DeltaVsTime(w, slots, deltaN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func deltaVsTimeTable(t *testing.T, rows []eval.DeltaVsTimeRow) string {
+	t.Helper()
+	var b strings.Builder
+	if err := eval.WriteDeltaVsTimeTable(&b, rows); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestSingleRunPrintsSnapsThenTable: the single run renders each -snap
+// minute in time order and then prints exactly the Fig. 10 table of
+// eval.DeltaVsTime on the same inputs; -slots 0 prints the t = 0 row
+// alone.
+func TestSingleRunPrintsSnapsThenTable(t *testing.T) {
+	rows := singleRunRows(t, 25, 3, 20)
+	out := runMain(t, "-k", "25", "-slots", "3", "-delta-grid", "20", "-snap", "0,2")
+	snap0 := strings.Index(out, "topology at t=0 min")
+	snap2 := strings.Index(out, "topology at t=2 min")
+	table := deltaVsTimeTable(t, rows)
+	if at := strings.Index(out, table); snap0 < 0 || snap2 < snap0 || at < snap2 {
+		t.Fatalf("want the t=0 and t=2 snapshots, then the table\n%s\noutput:\n%s", table, out)
+	}
+	if n := strings.Count(out, "topology at"); n != 2 {
+		t.Errorf("%d snapshots, want 2:\n%s", n, out)
+	}
+
+	out = runMain(t, "-k", "25", "-slots", "0", "-delta-grid", "20")
+	if table := deltaVsTimeTable(t, rows[:1]); !strings.HasPrefix(out, table) {
+		t.Fatalf("-slots 0 output\n%s\nwant it to start with the t = 0 row alone\n%s", out, table)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -66,11 +65,15 @@ type Triangulation struct {
 	pts    []geom.Vec2 // all vertices, including the 3 super vertices
 	tris   []tri
 	free   []int // indices of dead triangles available for reuse
-	// last is the triangle index where the previous walk ended — a shared
-	// warm-start hint for the remembering walk. It is accessed atomically so
-	// that read-only queries (Find, NearestVertex, interpolation) are safe
-	// from multiple goroutines; InsertDirty still requires exclusive access.
-	last atomic.Int64
+	// last is the triangle the latest insertion located or created, where
+	// the next insertion's walk starts.
+	last int
+	// vtri[id] is an alive triangle incident to vertex id, where a query's
+	// walk may start (see start). Only InsertDirty writes last and vtri, so
+	// a query's answer depends on the triangulation alone, and read-only
+	// queries (Find, NearestVertex, interpolation) are safe from multiple
+	// goroutines; InsertDirty requires exclusive access.
+	vtri []int
 
 	// Insertion scratch, reused so that a steady-state insertion allocates
 	// only when the triangulation itself grows.
@@ -107,6 +110,7 @@ func New(bounds geom.Rect) *Triangulation {
 		},
 	}
 	t.tris = []tri{{v: [3]int{0, 1, 2}, adj: [3]int{-1, -1, -1}, alive: true}}
+	t.vtri = []int{0, 0, 0}
 	return t
 }
 
@@ -133,10 +137,11 @@ func (t *Triangulation) InsertDirty(p geom.Vec2) (int, []Triangle, error) {
 	if !p.IsFinite() || !t.bounds.Contains(p) {
 		return -1, nil, fmt.Errorf("%w: %v not in %v", ErrOutOfBounds, p, t.bounds)
 	}
-	start, err := t.locate(p)
+	start, err := t.walkFrom(t.last, p)
 	if err != nil {
 		return -1, nil, err
 	}
+	t.last = start
 	// Duplicate check against the vertices of the containing triangle and
 	// its cavity is insufficient for near-coincident points that fall in a
 	// neighboring triangle, so check the containing triangle's vertices
@@ -158,6 +163,7 @@ func (t *Triangulation) InsertDirty(p geom.Vec2) (int, []Triangle, error) {
 
 	id := len(t.pts)
 	t.pts = append(t.pts, p)
+	t.vtri = append(t.vtri, 0)
 	t.retriangulate(id, cavity)
 	return id, t.newReal, nil
 }
@@ -271,6 +277,7 @@ func (t *Triangulation) retriangulate(id int, cavity []int) {
 			t.setAdjAcross(e.outer, e.b, e.a, nt)
 		}
 		newByFirst[e.a] = nt
+		t.vtri[e.a] = nt // every cavity vertex starts one rim edge
 		created = append(created, nt)
 	}
 	t.created = created
@@ -298,7 +305,8 @@ func (t *Triangulation) retriangulate(id int, cavity []int) {
 	}
 	t.newReal = newReal
 	if len(created) > 0 {
-		t.last.Store(int64(created[0]))
+		t.last = created[0]
+		t.vtri[id] = created[0]
 	}
 }
 
@@ -326,19 +334,9 @@ func (t *Triangulation) alloc() int {
 	return len(t.tris) - 1
 }
 
-// locate returns the index of an alive triangle containing p, using a
-// neighbor walk from the last-touched triangle with a linear-scan fallback
-// for robustness.
-func (t *Triangulation) locate(p geom.Vec2) (int, error) {
-	ti, err := t.walkFrom(int(t.last.Load()), p)
-	if err == nil {
-		t.last.Store(int64(ti))
-	}
-	return ti, err
-}
-
-// walkFrom is the walk behind locate and FindFrom, starting from triangle
-// cur, or from the first alive triangle when cur is not an alive one. It
+// walkFrom returns the index of an alive triangle containing p, by a
+// neighbor walk from triangle cur (from the first alive triangle when cur
+// is not an alive one) with a linear-scan fallback for robustness. It
 // reads but never writes the triangulation.
 func (t *Triangulation) walkFrom(cur int, p geom.Vec2) (int, error) {
 	if cur < 0 || cur >= len(t.tris) || !t.tris[cur].alive {
@@ -416,25 +414,25 @@ func (t *Triangulation) EachTriangle(fn func(Triangle)) {
 // p. ok is false when p is outside the convex hull of the inserted points
 // (the containing triangle touches a super vertex) or location fails.
 func (t *Triangulation) Find(p geom.Vec2) (v [3]int, ok bool) {
-	ti, err := t.locate(p)
+	ti, err := t.walkFrom(t.start(p), p)
 	if err != nil {
 		return v, false
 	}
 	return t.realTriangleAt(ti, p)
 }
 
-// FindFrom is Find through a caller-owned cursor instead of the shared
-// one: the walk starts at triangle *cur (revalidated, so any value will
-// do) and leaves *cur where it ended. A sequence of FindFrom calls from
-// the same start therefore depends on the triangulation alone, never on
-// earlier queries.
-func (t *Triangulation) FindFrom(cur *int, p geom.Vec2) (v [3]int, ok bool) {
-	ti, err := t.walkFrom(*cur, p)
-	if err != nil {
-		return v, false
+// start returns where a query's walk to p begins: a triangle incident to
+// the nearest of about √n real vertices taken at a fixed stride (jump and
+// walk), which keeps the walk short without remembering earlier queries.
+func (t *Triangulation) start(p geom.Vec2) int {
+	stride := max(1, int(math.Sqrt(float64(t.NumVertices()))))
+	best, bestD := 0, math.Inf(1) // a super vertex until a real one is nearer
+	for id := nSuper; id < len(t.pts); id += stride {
+		if d := t.pts[id].Dist2(p); d < bestD {
+			best, bestD = id, d
+		}
 	}
-	*cur = ti
-	return t.realTriangleAt(ti, p)
+	return t.vtri[best]
 }
 
 // realTriangleAt resolves the walk's final triangle ti into a triangle of

@@ -25,9 +25,16 @@ func (t *Triangulation) Insert(p geom.Vec2) (int, error) {
 }
 
 // CheckInvariants validates structural invariants (adjacency symmetry,
-// counter-clockwise orientation and the empty-circumcircle property) and
-// returns the first violation found.
+// counter-clockwise orientation, the empty-circumcircle property and each
+// vertex's recorded incident triangle) and returns the first violation
+// found.
 func (t *Triangulation) CheckInvariants() error {
+	for id, ti := range t.vtri {
+		tr := &t.tris[ti]
+		if !tr.alive || (tr.v[0] != id && tr.v[1] != id && tr.v[2] != id) {
+			return fmt.Errorf("vertex %d records triangle %d, which is dead or not incident", id, ti)
+		}
+	}
 	for i := range t.tris {
 		tr := &t.tris[i]
 		if !tr.alive {

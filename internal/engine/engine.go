@@ -499,7 +499,7 @@ func (e *Engine) AliveMask() []bool {
 // faults, dead nodes neither route nor count: the induced subgraph over
 // the nodes alive in the last Step is tested instead.
 func (e *Engine) Connected() bool {
-	ok := e.ConnectedIn(view.Alive{Pos: e.pos, Mask: e.arena.aliveMask, Epoch: e.slot})
+	ok := e.ConnectedIn(view.Alive{Pos: e.pos, Mask: e.arena.aliveMask})
 	if e.met != nil {
 		e.met.connChecks.Inc()
 		if ok {
@@ -540,43 +540,6 @@ func (e *Engine) Delta(n int) (float64, error) {
 		e.met.deltaEvals.Inc()
 	}
 	return d, nil
-}
-
-// Snapshot is the swarm state after one step, as recorded by Run.
-type Snapshot struct {
-	// Stats are the step statistics.
-	Stats StepStats
-	// Positions are the node positions after the step.
-	Positions []geom.Vec2
-	// Delta is δ after the step (computed when Run's deltaN > 0).
-	Delta float64
-	// Connected reports network connectivity after the step.
-	Connected bool
-}
-
-// Run advances the engine by steps slots, recording a snapshot after each.
-// When deltaN > 0, δ is evaluated on a deltaN-division lattice each slot
-// (the expensive part); pass 0 to skip it.
-func (e *Engine) Run(steps, deltaN int) ([]Snapshot, error) {
-	out := make([]Snapshot, 0, steps)
-	for s := 0; s < steps; s++ {
-		st, err := e.Step()
-		if err != nil {
-			return out, err
-		}
-		snap := Snapshot{
-			Stats:     st,
-			Positions: e.Positions(),
-			Connected: e.Connected(),
-		}
-		if deltaN > 0 {
-			if snap.Delta, err = e.Delta(deltaN); err != nil {
-				return out, err
-			}
-		}
-		out = append(out, snap)
-	}
-	return out, nil
 }
 
 // Slot is the shared scratch state of one step, produced and consumed by
@@ -635,7 +598,7 @@ func (e *Engine) Step() (StepStats, error) {
 	}
 	// Snapshot the alive view once: injector aliveness only changes at
 	// BeginSlot (above), so the mask holds until the next Step.
-	s.Alive = view.Alive{Pos: e.pos, Epoch: e.slot}
+	s.Alive = view.Alive{Pos: e.pos}
 	s.AliveCount = e.N()
 	if s.Faulty {
 		e.arena.aliveMask = inj.AliveMask(e.arena.aliveMask)

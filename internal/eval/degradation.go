@@ -17,41 +17,44 @@ import (
 
 // DegradationRow is one point of the δ-versus-failure-rate sweep: how the
 // reconstruction error and the collection network hold up as the fault
-// injector's failure-rate knob rises.
+// injector's failure-rate knob rises. It is also the record of one mobile
+// run that a sweep cell stores (sweep.MobileResult), so its json tags are
+// that checkpoint's keys, in that order.
 type DegradationRow struct {
-	// Rate is the run-level failure rate fed to fault.Profile.
-	Rate float64
+	// Rate is the run-level failure rate fed to fault.Profile. A sweep
+	// cell records it as its fault_rate instead.
+	Rate float64 `json:"-"`
 	// DeltaEnd is δ at the end of the run, reconstructed from the
 	// surviving nodes only.
-	DeltaEnd float64
+	DeltaEnd float64 `json:"delta_end"`
 	// DeltaMean is the mean per-slot δ over the run.
-	DeltaMean float64
-	// ConnectedUptime is the fraction of slots in which the alive nodes
-	// formed a connected network at Rc.
-	ConnectedUptime float64
-	// SinkReach is the mean fraction of alive nodes with a working route
-	// to the collection sink, after tree repair.
-	SinkReach float64
-	// AliveEnd is the number of nodes still up after the last slot.
-	AliveEnd int
-	// Deaths is the cumulative node-death count.
-	Deaths int
-	// Repairs is the total number of vertices re-parented by tree repair
-	// across the run (deaths healed without a rebuild).
-	Repairs int
-	// Rebuilds counts the slots on which movement or a sink death forced
-	// a full tree rebuild instead of a local repair.
-	Rebuilds int
+	DeltaMean float64 `json:"delta_mean"`
 	// ConvergenceT is the first time at which the swarm's mean
 	// displacement drops below ConvergenceEps and stays there for the
 	// rest of the run; meaningful only when Converged is true.
-	ConvergenceT float64
+	ConvergenceT float64 `json:"convergence_t"`
 	// Converged reports whether the swarm settled within the run.
-	Converged bool
+	Converged bool `json:"converged"`
+	// ConnectedUptime is the fraction of slots in which the alive nodes
+	// formed a connected network at Rc.
+	ConnectedUptime float64 `json:"connected_uptime"`
+	// SinkReach is the mean fraction of alive nodes with a working route
+	// to the collection sink, after tree repair.
+	SinkReach float64 `json:"sink_reach"`
+	// AliveEnd is the number of nodes still up after the last slot.
+	AliveEnd int `json:"alive_end"`
+	// Deaths is the cumulative node-death count.
+	Deaths int `json:"deaths"`
+	// Repairs is the total number of vertices re-parented by tree repair
+	// across the run (deaths healed without a rebuild).
+	Repairs int `json:"repairs"`
+	// Rebuilds counts the slots on which movement or a sink death forced
+	// a full tree rebuild instead of a local repair.
+	Rebuilds int `json:"rebuilds"`
 	// Energy is the swarm's total movement energy over the run — the sum
 	// of distance traveled by every node (meters) — the bench-off's cost
 	// axis against which δ gains are traded.
-	Energy float64
+	Energy float64 `json:"energy"`
 }
 
 // ConvergenceEps is the mean-displacement threshold below which the swarm
@@ -121,17 +124,11 @@ func RunDegradation(w *engine.Engine, slots, deltaN int) (DegradationRow, error)
 		if err != nil {
 			return row, fmt.Errorf("slot %d: %w", s, err)
 		}
-		if stats.MeanDisplacement < ConvergenceEps {
-			if conv < 0 {
-				conv = stats.T
-			}
-		} else {
-			conv = -1
-		}
+		conv = settle(conv, stats.T, stats.MeanDisplacement)
 		if w.Connected() {
 			connected++
 		}
-		alive := view.Alive{Pos: w.Positions(), Mask: w.AliveMask(), Epoch: s}
+		alive := view.Alive{Pos: w.Positions(), Mask: w.AliveMask()}
 		aliveCount := alive.Count()
 		if aliveCount >= 3 {
 			d, err := w.Delta(deltaN)

@@ -38,7 +38,7 @@ func TestDeltaVsKDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestConvergenceTimeEmpty(t *testing.T) {
-	if tm, ok := ConvergenceTime(nil, 0.5); ok || tm != 0 {
+	if tm, ok := ConvergenceTime(nil); ok || tm != 0 {
 		t.Errorf("ConvergenceTime(nil) = (%v,%v), want (0,false)", tm, ok)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/field"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/strategy"
 	"repro/internal/surface"
@@ -191,61 +192,72 @@ type DeltaVsTimeRow struct {
 	MeanDisplacement float64
 	// Connected reports network connectivity at T.
 	Connected bool
+	// Positions are the node positions at T. The tables and the CSV do
+	// not print them.
+	Positions []geom.Vec2
 }
 
-// DeltaVsTime runs CMA from the given initial layout for the given number
-// of slots, measuring δ each slot — the data series of Fig. 10. The row at
-// T = 0 records the initial state.
+// DeltaVsTime steps the engine for the given number of slots, measuring δ
+// each slot — the data series of Fig. 10. The first row records the state
+// before the first step, so slots = 0 returns it alone.
 func DeltaVsTime(w *engine.Engine, slots, deltaN int) ([]DeltaVsTimeRow, error) {
-	if slots < 1 || deltaN < 1 {
+	if slots < 0 || deltaN < 1 {
 		return nil, fmt.Errorf("%w: slots=%d deltaN=%d", ErrBadParams, slots, deltaN)
 	}
-	d0, err := w.Delta(deltaN)
-	if err != nil {
-		return nil, fmt.Errorf("eval: initial δ: %w", err)
-	}
-	rows := []DeltaVsTimeRow{{T: w.Time(), Delta: d0, Connected: w.Connected()}}
-	snaps, err := w.Run(slots, deltaN)
-	if err != nil {
-		return nil, fmt.Errorf("eval: run: %w", err)
-	}
-	for _, s := range snaps {
+	rows := make([]DeltaVsTimeRow, 0, slots+1)
+	st := engine.StepStats{T: w.Time()}
+	for s := 0; s <= slots; s++ {
+		if s > 0 {
+			var err error
+			if st, err = w.Step(); err != nil {
+				return nil, fmt.Errorf("eval: slot %d: %w", s, err)
+			}
+		}
+		d, err := w.Delta(deltaN)
+		if err != nil {
+			return nil, fmt.Errorf("eval: δ at t=%g: %w", st.T, err)
+		}
 		rows = append(rows, DeltaVsTimeRow{
-			T:                s.Stats.T,
-			Delta:            s.Delta,
-			Moved:            s.Stats.Moved,
-			MeanDisplacement: s.Stats.MeanDisplacement,
-			Connected:        s.Connected,
+			T:                st.T,
+			Delta:            d,
+			Moved:            st.Moved,
+			MeanDisplacement: st.MeanDisplacement,
+			Connected:        w.Connected(),
+			Positions:        w.Positions(),
 		})
 	}
 	return rows, nil
 }
 
 // ConvergenceTime returns the first time at which the mean displacement
-// stays below eps for the rest of the series (the paper reports CMA
-// converging around 10:30, i.e. slot 30). It reports ok=false when the
-// series never settles or when rows is empty.
-func ConvergenceTime(rows []DeltaVsTimeRow, eps float64) (float64, bool) {
-	if len(rows) == 0 {
-		return 0, false
-	}
+// stays below ConvergenceEps for the rest of the series (the paper reports
+// CMA converging around 10:30, i.e. slot 30). The row at T = 0, before any
+// movement, does not count. It reports ok=false when the series never
+// settles or when rows is empty.
+func ConvergenceTime(rows []DeltaVsTimeRow) (float64, bool) {
 	conv := -1.0
 	for _, r := range rows {
-		if r.T == 0 {
-			continue
-		}
-		if r.MeanDisplacement < eps {
-			if conv < 0 {
-				conv = r.T
-			}
-		} else {
-			conv = -1
+		if r.T != 0 {
+			conv = settle(conv, r.T, r.MeanDisplacement)
 		}
 	}
 	if conv < 0 {
 		return 0, false
 	}
 	return conv, true
+}
+
+// settle folds one slot ending at t into the convergence time conv, which
+// is -1 while the swarm is unsettled: a slot whose mean displacement is
+// not below ConvergenceEps unsettles it.
+func settle(conv, t, meanDisp float64) float64 {
+	if !(meanDisp < ConvergenceEps) {
+		return -1
+	}
+	if conv < 0 {
+		return t
+	}
+	return conv
 }
 
 // CWDRow is one side of the Fig. 3 comparison.

@@ -3,6 +3,7 @@ package eval
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +77,22 @@ func TestDeltaVsTime(t *testing.T) {
 			t.Errorf("row %d δ = %v", i, rows[i].Delta)
 		}
 	}
+	for i, r := range rows {
+		if len(r.Positions) != 64 {
+			t.Errorf("row %d positions = %d", i, len(r.Positions))
+		}
+	}
+	if !slices.Equal(rows[0].Positions, field.GridLayout(forest.Bounds(), 64)) {
+		t.Error("row 0 does not hold the initial layout: the rows share the engine's positions")
+	}
+	// slots = 0 is the state before the first step alone.
+	only, err := DeltaVsTime(w, 0, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(only) != 1 || only[0].T != rows[len(rows)-1].T || only[0].Delta != rows[len(rows)-1].Delta {
+		t.Errorf("slots=0 rows = %+v, want the last row again", only)
+	}
 }
 
 func TestDeltaVsTimeBadParams(t *testing.T) {
@@ -84,7 +101,7 @@ func TestDeltaVsTimeBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DeltaVsTime(w, 0, 10); !errors.Is(err, ErrBadParams) {
+	if _, err := DeltaVsTime(w, -1, 10); !errors.Is(err, ErrBadParams) {
 		t.Errorf("want ErrBadParams, got %v", err)
 	}
 	if _, err := DeltaVsTime(w, 5, 0); !errors.Is(err, ErrBadParams) {
@@ -100,16 +117,16 @@ func TestConvergenceTime(t *testing.T) {
 		{T: 3, MeanDisplacement: 0.05},
 		{T: 4, MeanDisplacement: 0.04},
 	}
-	conv, ok := ConvergenceTime(rows, 0.1)
+	conv, ok := ConvergenceTime(rows)
 	if !ok || conv != 3 {
 		t.Errorf("convergence = %v/%v, want 3/true", conv, ok)
 	}
 	// A late burst of movement resets convergence.
 	rows = append(rows, DeltaVsTimeRow{T: 5, MeanDisplacement: 0.8})
-	if _, ok := ConvergenceTime(rows, 0.1); ok {
+	if _, ok := ConvergenceTime(rows); ok {
 		t.Error("series with late movement reported converged")
 	}
-	if _, ok := ConvergenceTime(nil, 0.1); ok {
+	if _, ok := ConvergenceTime(nil); ok {
 		t.Error("empty series reported converged")
 	}
 }

@@ -44,22 +44,19 @@ func CompareMobile(dyn field.DynField, k, slots, deltaN int) ([]MobileRow, error
 	if err != nil {
 		return nil, fmt.Errorf("eval: cma world: %w", err)
 	}
-	cma := MobileRow{Name: "cma", DeltaMin: math.Inf(1)}
+	rows, err := DeltaVsTime(w, slots, deltaN)
+	if err != nil {
+		return nil, fmt.Errorf("eval: cma: %w", err)
+	}
+	// One hello broadcast per node per slot.
+	cma := MobileRow{Name: "cma", DeltaMin: math.Inf(1), Messages: k * slots}
 	connected := 0
-	for s := 0; s < slots; s++ {
-		if _, err := w.Step(); err != nil {
-			return nil, fmt.Errorf("eval: cma step: %w", err)
-		}
-		d, err := w.Delta(deltaN)
-		if err != nil {
-			return nil, fmt.Errorf("eval: cma delta: %w", err)
-		}
-		cma.DeltaEnd = d
-		cma.DeltaMin = math.Min(cma.DeltaMin, d)
-		if w.Connected() {
+	for _, r := range rows[1:] { // row 0 is the state before the first slot
+		cma.DeltaEnd = r.Delta
+		cma.DeltaMin = math.Min(cma.DeltaMin, r.Delta)
+		if r.Connected {
 			connected++
 		}
-		cma.Messages += k // one hello broadcast per node per slot
 	}
 	cma.ConnectedFrac = float64(connected) / float64(slots)
 

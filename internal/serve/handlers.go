@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -239,10 +240,30 @@ func (e env) hash(h io.Writer) {
 		return
 	}
 	fmt.Fprintf(h, "samples=%d;", len(e.samples))
+	b := make([]byte, 0, 24*len(e.samples))
 	for _, sp := range e.samples {
-		fmt.Fprintf(h, "%016x%016x%016x;",
-			math.Float64bits(sp.X), math.Float64bits(sp.Y), math.Float64bits(sp.Z))
+		b = appendBits(b, sp.X, sp.Y, sp.Z)
 	}
+	h.Write(b)
+}
+
+// appendBits appends the bits of each value to b as a fixed-width
+// little-endian record. After a count prefix, a run of them encodes a list
+// unambiguously, and far faster than formatting.
+func appendBits(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// pointBits is appendBits of every point's X and Y.
+func pointBits(ps []Point) []byte {
+	b := make([]byte, 0, 16*len(ps))
+	for _, p := range ps {
+		b = appendBits(b, p.X, p.Y)
+	}
+	return b
 }
 
 // build constructs the reference surface of an environment check passed.
@@ -418,13 +439,9 @@ func (er *EvalRequest) digest() string {
 	io.WriteString(h, "eval;")
 	er.env().hash(h)
 	fmt.Fprintf(h, "rc=%g;delta=%d;nodes=%d;", er.Rc, er.DeltaN, len(er.Nodes))
-	for _, n := range er.Nodes {
-		fmt.Fprintf(h, "%016x%016x;", math.Float64bits(n.X), math.Float64bits(n.Y))
-	}
+	h.Write(pointBits(er.Nodes))
 	fmt.Fprintf(h, "anchors=%d;", len(er.Anchors))
-	for _, a := range er.Anchors {
-		fmt.Fprintf(h, "%016x%016x;", math.Float64bits(a.X), math.Float64bits(a.Y))
-	}
+	h.Write(pointBits(er.Anchors))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -530,6 +531,31 @@ func TestPlaceDigestPinned(t *testing.T) {
 	} {
 		if got := tc.req.digest(); got != tc.want {
 			t.Errorf("%s request: digest = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestInlineDigestSeesEveryBit: requests whose inline samples, evaluated
+// nodes or anchors differ in the lowest bit of one coordinate get
+// different cache keys.
+func TestInlineDigestSeesEveryBit(t *testing.T) {
+	flip := func(v float64) float64 { return math.Float64frombits(math.Float64bits(v) ^ 1) }
+	place := func(z float64) computeRequest {
+		return &PlaceRequest{Samples: []SamplePoint{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: z}}, K: 20, Rc: 12, GridN: 60, DeltaN: 50, Strategy: "fra"}
+	}
+	eval := func(x, y float64) computeRequest {
+		return &EvalRequest{Samples: []SamplePoint{{X: 1, Y: 2, Z: 3}}, Nodes: []Point{{X: x, Y: 1}}, Anchors: []Point{{X: 2, Y: y}}, Rc: 10, DeltaN: 20}
+	}
+	for _, tc := range []struct {
+		name string
+		a, b computeRequest
+	}{
+		{"place sample", place(6), place(flip(6))},
+		{"eval node", eval(7, 8), eval(flip(7), 8)},
+		{"eval anchor", eval(7, 8), eval(7, flip(8))},
+	} {
+		if a, b := tc.a.digest(), tc.b.digest(); a == b {
+			t.Errorf("%s: one bit apart, same digest %s", tc.name, a)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func latticeNodes(region geom.Rect, n int, vertex bool) (xs, ys []float64) {
 func fillLattice(f field.Field, xs, ys []float64) []float64 {
 	vals := make([]float64, len(xs)*len(ys))
 	s := newLatticeScan(f, xs, ys)
-	bands.Run(len(xs), s.width(), func(w, lo, hi int) {
+	bands.Run(len(xs), bandRows, func(w, lo, hi int) {
 		s.rows(w, lo, hi, vals[lo*len(ys):])
 	})
 	return vals

@@ -123,42 +123,45 @@ func TestLatticeScanMatchesEval(t *testing.T) {
 	}
 }
 
-// TestFlatFillIgnoresEarlierQueries: a flat TIN's lattice fill walks from
-// a fixed triangle, so a per-point pass over the same lattice beforehand,
-// which leaves the shared walk cursor elsewhere, cannot change a bit of
-// it. The TINs are 1e-4 wide: corners with Z = X, the two points of
-// TestAddDirtyFlatTriangle, and ten points at random on the diagonal with
-// random values. A fill that walked from the shared cursor gave the (0,0)
-// node a diagonal value on the fresh TIN of every seed here and the
-// corner's 0 after the pass.
-func TestFlatFillIgnoresEarlierQueries(t *testing.T) {
-	const size, n = 1e-4, 10
+// flatTIN is a flat TIN (see TIN.flat) 1e-4 wide: corners with Z = X,
+// the two points of TestAddDirtyFlatTriangle, and ten points at random on
+// the diagonal with random values drawn from seed.
+func flatTIN(t *testing.T, seed int64) *TIN {
+	t.Helper()
+	const size = 1e-4
 	region := geom.Square(size)
-	for seed := int64(0); seed < 20; seed++ {
-		build := func() *TIN {
-			tin := NewTIN(region)
-			for _, c := range region.Corners() {
-				if err := tin.Add(field.Sample{Pos: c, Z: c.X}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, p := range []geom.Vec2{geom.V2(size/2, size/2), geom.V2(size/4, size/8)} {
-				if err := tin.Add(field.Sample{Pos: p, Z: p.Y}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rng := rand.New(rand.NewSource(seed))
-			for range 10 {
-				d := rng.Float64() * size
-				_ = tin.Add(field.Sample{Pos: geom.V2(d, d), Z: rng.NormFloat64()}) // duplicates keep the first value
-			}
-			if !tin.flat {
-				t.Fatalf("seed %d: the 1e-4-wide TIN is not flat", seed)
-			}
-			return tin
+	tin := NewTIN(region)
+	for _, c := range region.Corners() {
+		if err := tin.Add(field.Sample{Pos: c, Z: c.X}); err != nil {
+			t.Fatal(err)
 		}
-		fresh := NewLocalErrorGrid(build(), n)
-		queried := build()
+	}
+	for _, p := range []geom.Vec2{geom.V2(size/2, size/2), geom.V2(size/4, size/8)} {
+		if err := tin.Add(field.Sample{Pos: p, Z: p.Y}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for range 10 {
+		d := rng.Float64() * size
+		_ = tin.Add(field.Sample{Pos: geom.V2(d, d), Z: rng.NormFloat64()}) // duplicates keep the first value
+	}
+	if !tin.flat {
+		t.Fatalf("seed %d: the 1e-4-wide TIN is not flat", seed)
+	}
+	return tin
+}
+
+// TestFlatFillIgnoresEarlierQueries: a flat TIN's lattice fill cannot
+// depend on the queries made before it, so a per-point pass over the same
+// lattice beforehand cannot change a bit of it. A fill that walked from a
+// cursor the queries moved gave the (0,0) node a diagonal value on the
+// fresh TIN of every seed here and the corner's 0 after the pass.
+func TestFlatFillIgnoresEarlierQueries(t *testing.T) {
+	const n = 10
+	for seed := int64(0); seed < 20; seed++ {
+		fresh := NewLocalErrorGrid(flatTIN(t, seed), n)
+		queried := flatTIN(t, seed)
 		for i := 0; i <= n; i++ {
 			for j := 0; j <= n; j++ {
 				queried.Eval(fresh.Pos(i, j))
@@ -168,6 +171,35 @@ func TestFlatFillIgnoresEarlierQueries(t *testing.T) {
 		for k := range fresh.ref {
 			if math.Float64bits(after.ref[k]) != math.Float64bits(fresh.ref[k]) {
 				t.Errorf("seed %d: node %d = %v after a per-point pass, %v fresh", seed, k, after.ref[k], fresh.ref[k])
+			}
+		}
+	}
+}
+
+// TestEvalIgnoresEarlierQueries: TIN.Eval is a function of the TIN and
+// the point alone. On flat TINs, where a point on a zero-area triangle's
+// edge resolves by the triangle the walk stops in, each node of the
+// 10-division lattice is evaluated once in row order and once right after
+// its mirror node, and the two must agree bit for bit. A walk that
+// started where the previous query ended gave seed 0's (0,0) node 2.3797
+// the first time and 0 the second.
+func TestEvalIgnoresEarlierQueries(t *testing.T) {
+	const n = 10
+	xs, ys := latticeNodes(geom.Square(1e-4), n, true)
+	for seed := int64(0); seed < 200; seed++ {
+		tin := flatTIN(t, seed)
+		first := make([]float64, (n+1)*(n+1))
+		for i := 0; i <= n; i++ {
+			for j := 0; j <= n; j++ {
+				first[i*(n+1)+j] = tin.Eval(geom.V2(xs[i], ys[j]))
+			}
+		}
+		for i := 0; i <= n; i++ {
+			for j := 0; j <= n; j++ {
+				tin.Eval(geom.V2(xs[n-i], ys[n-j]))
+				if got := tin.Eval(geom.V2(xs[i], ys[j])); math.Float64bits(got) != math.Float64bits(first[i*(n+1)+j]) {
+					t.Errorf("seed %d: node (%d,%d) = %v after its mirror, %v in row order", seed, i, j, got, first[i*(n+1)+j])
+				}
 			}
 		}
 	}

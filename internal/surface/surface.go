@@ -112,13 +112,7 @@ func (t *TIN) Bounds() geom.Rect { return t.tri.Bounds() }
 // empty TIN) fall back to the nearest sample value; a fully empty TIN
 // returns 0.
 func (t *TIN) Eval(p geom.Vec2) float64 {
-	v, ok := t.tri.Find(p)
-	return t.evalIn(v, ok, p)
-}
-
-// evalIn is Eval given the located triangle v (ok false: none found).
-func (t *TIN) evalIn(v [3]int, ok bool, p geom.Vec2) float64 {
-	if ok {
+	if v, ok := t.tri.Find(p); ok {
 		if z, ok := t.interpTriangle(v, p); ok {
 			return z
 		}
@@ -227,9 +221,8 @@ const bandRows = 8
 // of rows at a time. A TIN's triangles are scan-converted over the band
 // (scanTriangle), and a node none covers, outside the hull, takes Eval's
 // fallback: TIN.Eval's bits without a walk per node. Any other field is
-// evaluated per node. So is a flat TIN (see TIN.flat), in row order, by
-// walks that chain from a fixed triangle on every fill: the fill then
-// depends on the TIN alone, not on the queries made before it.
+// evaluated per node, and so is a flat TIN (see TIN.flat), whose
+// scan-converted triangles could disagree with Eval on their edges.
 type latticeScan struct {
 	f      field.Field
 	t      *TIN      // f as a TIN, or nil
@@ -246,32 +239,14 @@ func newLatticeScan(f field.Field, xs, ys []float64) *latticeScan {
 	return &latticeScan{f: f, t: t, xs: xs, ys: ys, covered: make([][]bool, w), vals: make([][]float64, w)}
 }
 
-// width is the band width for bands.Run. A flat TIN is filled as one
-// band, serially in row order: where its walks start changes its answers.
-func (s *latticeScan) width() int {
-	if s.t != nil && s.t.flat {
-		return len(s.xs)
-	}
-	return bandRows
-}
-
 // rows writes the values of rows [lo, hi) to dst, row-major with stride
 // len(ys), as worker w.
 func (s *latticeScan) rows(w, lo, hi int, dst []float64) {
 	t, m := s.t, len(s.ys)
 	dst = dst[:(hi-lo)*m]
-	if t == nil {
+	if t == nil || t.flat {
 		for k := range dst {
 			dst[k] = s.f.Eval(geom.V2(s.xs[lo+k/m], s.ys[k%m]))
-		}
-		return
-	}
-	if t.flat {
-		cur := 0
-		for k := range dst {
-			p := geom.V2(s.xs[lo+k/m], s.ys[k%m])
-			v, ok := t.tri.FindFrom(&cur, p)
-			dst[k] = t.evalIn(v, ok, p)
 		}
 		return
 	}
@@ -419,16 +394,14 @@ func Delta(f field.Field, g field.Field, n int) float64 {
 	xs, ys := latticeNodes(r, n, false)
 	gs := newLatticeScan(g, xs, ys)
 	var fBand func(w, lo, hi int) []float64
-	width := gs.width()
 	if ref, ok := f.(*Reference); ok {
 		vals := ref.lattice(n, false)
 		fBand = func(_, lo, hi int) []float64 { return vals[lo*n : hi*n] }
 	} else {
-		fs := newLatticeScan(f, xs, ys)
-		fBand, width = fs.band, max(width, fs.width())
+		fBand = newLatticeScan(f, xs, ys).band
 	}
 	rowSum := make([]float64, n)
-	bands.Run(n, width, func(w, lo, hi int) {
+	bands.Run(n, bandRows, func(w, lo, hi int) {
 		fv, gv := fBand(w, lo, hi), gs.band(w, lo, hi)
 		for i := lo; i < hi; i++ {
 			s := 0.0
@@ -509,7 +482,7 @@ func (g *LocalErrorGrid) idx(i, j int) int { return i*(g.n+1) + j }
 // results are bit-identical for any GOMAXPROCS.
 func (g *LocalErrorGrid) Update(t *TIN) {
 	s := newLatticeScan(t, g.xs, g.ys)
-	bands.Run(g.n+1, s.width(), func(w, lo, hi int) {
+	bands.Run(g.n+1, bandRows, func(w, lo, hi int) {
 		s.rows(w, lo, hi, g.err[g.idx(lo, 0):])
 		for k := g.idx(lo, 0); k < g.idx(hi, 0); k++ {
 			g.err[k] = math.Abs(g.ref[k] - g.err[k])

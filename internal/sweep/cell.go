@@ -51,27 +51,10 @@ type Result struct {
 }
 
 // MobileResult is the mobile (movement strategy + fault injection) phase
-// of a cell.
+// of a cell: the run's eval.DegradationRow, whose Rate the cell records as
+// FaultRate, and one score derived from it.
 type MobileResult struct {
-	// DeltaEnd and DeltaMean are δ at the end of the run and averaged
-	// over slots, reconstructed from surviving nodes only.
-	DeltaEnd  float64 `json:"delta_end"`
-	DeltaMean float64 `json:"delta_mean"`
-	// ConvergenceT and Converged report when (if ever) the swarm's mean
-	// displacement settled below eval.ConvergenceEps.
-	ConvergenceT float64 `json:"convergence_t"`
-	Converged    bool    `json:"converged"`
-	// ConnectedUptime and SinkReach summarize network health over the
-	// run; AliveEnd/Deaths/Repairs/Rebuilds the fault toll.
-	ConnectedUptime float64 `json:"connected_uptime"`
-	SinkReach       float64 `json:"sink_reach"`
-	AliveEnd        int     `json:"alive_end"`
-	Deaths          int     `json:"deaths"`
-	Repairs         int     `json:"repairs"`
-	Rebuilds        int     `json:"rebuilds"`
-	// Energy is the swarm's total distance traveled over the run (meters)
-	// — the bench-off's movement-cost axis.
-	Energy float64 `json:"energy"`
+	eval.DegradationRow
 	// DeltaPerLength is the Dutta-style tour-efficiency score: mean δ
 	// normalized by mean per-node travel, DeltaMean / (1 + Energy/k).
 	// The +1 meter keeps zero-travel strategies finite and comparable —
@@ -178,17 +161,7 @@ func runMobileCell(s *Spec, c Cell, dyn field.DynField, reg *obs.Registry) (*Mob
 		return nil, err
 	}
 	return &MobileResult{
-		DeltaEnd:        row.DeltaEnd,
-		DeltaMean:       row.DeltaMean,
-		ConvergenceT:    row.ConvergenceT,
-		Converged:       row.Converged,
-		ConnectedUptime: row.ConnectedUptime,
-		SinkReach:       row.SinkReach,
-		AliveEnd:        row.AliveEnd,
-		Deaths:          row.Deaths,
-		Repairs:         row.Repairs,
-		Rebuilds:        row.Rebuilds,
-		Energy:          row.Energy,
-		DeltaPerLength:  row.DeltaMean / (1 + row.Energy/float64(c.K)),
+		DegradationRow: row,
+		DeltaPerLength: row.DeltaMean / (1 + row.Energy/float64(c.K)),
 	}, nil
 }

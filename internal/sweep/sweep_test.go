@@ -2,10 +2,12 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +174,43 @@ func TestMobilePhaseDeterministic(t *testing.T) {
 	}
 	if faulty.Mobile.Deaths == 0 {
 		t.Fatal("rate-0.4 cell recorded no deaths")
+	}
+}
+
+// TestMobileResultJSONPinned pins the JSON of a cell with a mobile phase,
+// key names and order, to a recorded literal: checkpoints and reports
+// written by earlier builds must keep resuming and comparing byte for
+// byte. The value also round-trips.
+func TestMobileResultJSONPinned(t *testing.T) {
+	m := &MobileResult{}
+	m.DeltaEnd, m.DeltaMean = 1.5, 2.5
+	m.ConvergenceT, m.Converged = 3, true
+	m.ConnectedUptime, m.SinkReach = 0.25, 0.75
+	m.AliveEnd, m.Deaths, m.Repairs, m.Rebuilds = 4, 5, 6, 7
+	m.Energy, m.DeltaPerLength = 8.5, 9.5
+	r := Result{
+		Index: 1, Digest: "d", Field: "forest", K: 2, Rc: 10, Strategy: "fra",
+		FaultRate: 0.5, Seed: 3, Delta: 11.5, Refined: 12, Relays: 13, Connected: true,
+		DeltaRandom: 14.5, Mobile: m,
+	}
+	got, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"index":1,"digest":"d","field":"forest","k":2,"rc":10,"strategy":"fra",` +
+		`"fault_rate":0.5,"seed":3,"delta":11.5,"refined":12,"relays":13,"connected":true,` +
+		`"delta_random":14.5,"mobile":{"delta_end":1.5,"delta_mean":2.5,"convergence_t":3,` +
+		`"converged":true,"connected_uptime":0.25,"sink_reach":0.75,"alive_end":4,"deaths":5,` +
+		`"repairs":6,"rebuilds":7,"energy":8.5,"delta_per_length":9.5}}`
+	if string(got) != want {
+		t.Fatalf("JSON\n%s\nwant\n%s", got, want)
+	}
+	var back Result
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, r) {
+		t.Fatalf("round trip %+v, want %+v", back, r)
 	}
 }
 

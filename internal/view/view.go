@@ -15,21 +15,17 @@ package view
 
 import "repro/internal/geom"
 
-// Alive is a snapshot of the swarm: node positions, an aliveness mask, and
-// the epoch (slot number) at which the snapshot was taken. The zero value
-// is an empty, all-alive view.
+// Alive is a snapshot of the swarm: node positions and an aliveness mask.
+// The zero value is an empty, all-alive view.
 //
 // A view is a read-only borrow: holders must not mutate Pos or Mask, and
-// producers may reuse the backing arrays once the epoch advances.
+// producers may reuse the backing arrays once the swarm moves on.
 type Alive struct {
 	// Pos are the node positions on the region plane.
 	Pos []geom.Vec2
 	// Mask reports per-node aliveness; nil means every node is alive.
 	// When non-nil it must have len(Pos) entries.
 	Mask []bool
-	// Epoch is the simulation slot the snapshot belongs to. Consumers use
-	// it to invalidate caches (e.g. a spatial index) built over Pos.
-	Epoch int
 }
 
 // FromDown converts a legacy down-mask (true = failed) over pos into a

@@ -86,8 +86,6 @@ type (
 	World = engine.Engine
 	// WorldOptions configures a World.
 	WorldOptions = engine.Options
-	// Snapshot is a recorded simulation step.
-	Snapshot = engine.Snapshot
 	// StepStats summarizes one simulation slot.
 	StepStats = engine.StepStats
 )
