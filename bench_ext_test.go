@@ -50,13 +50,10 @@ func BenchmarkExtTraceSampling(b *testing.B) {
 // failure for FRA networks of growing size.
 func BenchmarkExtNetworkCost(b *testing.B) {
 	ref := benchForest().Reference()
-	opts := DefaultDeltaVsKOptions()
-	opts.GridN = benchGridN
-	opts.DeltaN = benchDeltaN
 	var rows []NetworkRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = NetworkVsK(ref, []int{50, 100}, opts)
+		rows, err = NetworkVsK(ref, []int{50, 100}, 10, benchGridN, benchDeltaN)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/field"
 	"repro/internal/surface"
+	"repro/internal/sweep"
 )
 
 const (
@@ -111,26 +112,33 @@ func BenchmarkFig5FRA30(b *testing.B) { benchFRA(b, 30) }
 func BenchmarkFig6FRA100(b *testing.B) { benchFRA(b, 100) }
 
 // BenchmarkFig7DeltaVsK regenerates Fig. 7: δ versus k for FRA and random
-// deployment. Reported metrics: δ at k = 100 for both curves and the
-// saturation δ at k = 200 (the paper's "converge into a nearly constant δ"
-// floor past k ≈ 125).
+// deployment, as the scenario sweep cmd/osd -sweep runs. Reported metrics:
+// δ at k = 100 for both curves and the saturation δ at k = 200 (the
+// paper's "converge into a nearly constant δ" floor past k ≈ 125).
 func BenchmarkFig7DeltaVsK(b *testing.B) {
-	ref := benchForest().Reference()
-	ks := []int{10, 50, 100, 150, 200}
-	opts := eval.DeltaVsKOptions{
-		Rc: 10, GridN: benchGridN, DeltaN: benchDeltaN, RandomDraws: 3, Seed: 1,
+	spec := sweep.Spec{
+		Name:        "fig7",
+		Fields:      []sweep.FieldSpec{{Kind: "forest"}},
+		Ks:          []int{10, 50, 100, 150, 200},
+		Rcs:         []float64{10},
+		Seeds:       []int64{1},
+		GridN:       benchGridN,
+		DeltaN:      benchDeltaN,
+		RandomDraws: 3,
 	}
 	var rows []eval.DeltaVsKRow
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = eval.DeltaVsK(ref, ks, opts)
+		rep, err := sweep.Run(spec, sweep.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		if rows, err = sweep.DeltaVsKRows(rep); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(rows[2].FRA, "δ_fra_k100")
+	b.ReportMetric(rows[2].Delta, "δ_fra_k100")
 	b.ReportMetric(rows[2].Random, "δ_rand_k100")
-	b.ReportMetric(rows[4].FRA, "δ_fra_k200")
+	b.ReportMetric(rows[4].Delta, "δ_fra_k200")
 }
 
 // BenchmarkFig8CMAInitial regenerates Fig. 8: the 100-node connected grid

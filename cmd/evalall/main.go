@@ -90,12 +90,9 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 	}
 
 	fmt.Printf("\n=== Fig. 7: δ vs k, %s vs random deployment ===\n", strings.ToUpper(strat))
-	// The δ-versus-k sweep rides the scenario-sweep engine: a single-field,
-	// single-rc, fault-free grid over the paper's k values. Each cell runs
-	// eval.PlaceCell and eval.RandomDraw, the same Fig. 7 cell as
-	// eval.DeltaVsK, so the rows — and therefore this table — equal
-	// DeltaVsK's bit for bit, while the cells shard across the worker
-	// pool, checkpoint, and show up in the sweep metrics.
+	// The δ-versus-k sweep is a scenario sweep: a single-field,
+	// single-rc, fault-free grid over the paper's k values, whose cells
+	// shard across the worker pool and show up in the sweep metrics.
 	kSpec := sweep.Spec{
 		Name:        "fig7",
 		Fields:      []sweep.FieldSpec{{Kind: "forest"}},
@@ -111,7 +108,11 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 	if err != nil {
 		return err
 	}
-	if err := eval.WriteDeltaVsKTable(os.Stdout, sweep.DeltaVsKRows(kRep)); err != nil {
+	kRows, err := sweep.DeltaVsKRows(kRep)
+	if err != nil {
+		return err
+	}
+	if err := eval.WriteDeltaVsKTable(os.Stdout, strat, kRows); err != nil {
 		return err
 	}
 
@@ -159,8 +160,7 @@ func realMain(full, ext bool, strat string, reg *obs.Registry) error {
 	}
 
 	fmt.Println("\n=== Extension: collection cost & robustness of FRA networks ===")
-	nOpts := eval.DeltaVsKOptions{Rc: 10, GridN: gridN, DeltaN: deltaN, RandomDraws: 5, Seed: 1}
-	nRows, err := eval.NetworkVsK(ref, []int{50, 100, 150}, nOpts)
+	nRows, err := eval.NetworkVsK(ref, []int{50, 100, 150}, 10, gridN, deltaN, nil)
 	if err != nil {
 		return err
 	}

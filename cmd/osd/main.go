@@ -51,7 +51,7 @@ func main() {
 
 	var (
 		k      = flag.Int("k", 100, "number of CPS nodes for a single placement")
-		sweep  = flag.String("sweep", "", "δ-vs-k sweep as min:max:step (Fig. 7)")
+		kSweep = flag.String("sweep", "", "δ-vs-k sweep as min:max:step (Fig. 7)")
 		rc     = flag.Float64("rc", 10, "communication radius Rc in meters")
 		gridN  = flag.Int("grid", 100, "local-error lattice divisions per side")
 		deltaN = flag.Int("delta-grid", 100, "δ integration lattice divisions")
@@ -76,8 +76,8 @@ func main() {
 	}
 	var ks []int
 	kMax := *k
-	if *sweep != "" {
-		if ks, err = parseSweep(*sweep); err != nil {
+	if *kSweep != "" {
+		if ks, err = parseSweep(*kSweep); err != nil {
 			fatalf("bad -sweep: %v", err)
 		}
 		kMax = ks[len(ks)-1]
@@ -86,23 +86,31 @@ func main() {
 		fatal(err)
 	}
 
-	forest := field.NewForest(field.DefaultForestConfig())
-	ref := forest.Reference()
-
-	if *sweep != "" {
-		opts := eval.DeltaVsKOptions{
-			Rc: *rc, GridN: *gridN, DeltaN: *deltaN,
-			RandomDraws: *draws, Seed: *seed, Metrics: reg,
-			Strategy: *strat,
+	if *kSweep != "" {
+		// Fig. 7 is a one-field scenario sweep over the k grid, on the
+		// same t = 0 forest the single placement below uses.
+		rep, err := sweep.Run(sweep.Spec{
+			Name:        "fig7",
+			Fields:      []sweep.FieldSpec{{Kind: "forest"}},
+			Ks:          ks,
+			Rcs:         []float64{*rc},
+			Strategies:  []string{*strat},
+			Seeds:       []int64{*seed},
+			GridN:       *gridN,
+			DeltaN:      *deltaN,
+			RandomDraws: *draws,
+		}, sweep.RunOptions{Metrics: reg})
+		if err != nil {
+			fatal(err)
 		}
-		rows, err := eval.DeltaVsK(ref, ks, opts)
+		rows, err := sweep.DeltaVsKRows(rep)
 		if err != nil {
 			fatal(err)
 		}
 		if *csv {
-			err = eval.WriteDeltaVsKCSV(os.Stdout, rows)
+			err = eval.WriteDeltaVsKCSV(os.Stdout, *strat, rows)
 		} else {
-			err = eval.WriteDeltaVsKTable(os.Stdout, rows)
+			err = eval.WriteDeltaVsKTable(os.Stdout, *strat, rows)
 		}
 		if err != nil {
 			fatal(err)
@@ -110,6 +118,8 @@ func main() {
 		closeRun()
 		return
 	}
+
+	ref := field.NewForest(field.DefaultForestConfig()).Reference()
 
 	p, err := placer.Place(ref, strategy.PlaceOptions{
 		K: *k, Rc: *rc, GridN: *gridN, Seed: *seed, Metrics: reg,

@@ -66,6 +66,26 @@ func TestBadNumericFlagsExit(t *testing.T) {
 	}
 }
 
+// TestSweepCSVPinned runs the Fig. 7 sweep front door on a small grid
+// and pins its CSV byte for byte: the column names, the row order and
+// every δ digit.
+func TestSweepCSVPinned(t *testing.T) {
+	const want = `k,delta_fra,delta_random,refined,relays,connected
+10,23451.36327993721,24569.269364099728,4,6,true
+40,16178.567836158752,16321.886915340072,25,15,true
+`
+	cmd := exec.Command(os.Args[0], "-test.run=^$", "--",
+		"-sweep", "10:40:30", "-grid", "20", "-delta-grid", "20", "-draws", "2", "-csv")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("osd -sweep: %v", err)
+	}
+	if string(out) != want {
+		t.Errorf("osd -sweep -csv printed\n%s\nwant\n%s", out, want)
+	}
+}
+
 func TestParseSweep(t *testing.T) {
 	tests := []struct {
 		in      string

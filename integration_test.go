@@ -3,6 +3,8 @@ package repro
 import (
 	"math"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // Integration tests exercising whole experiment pipelines end to end at
@@ -12,12 +14,20 @@ import (
 // FRA beats random deployment by a growing margin in the operating range,
 // and both curves decrease with k.
 func TestIntegrationFig7Shape(t *testing.T) {
-	ref := NewForest(DefaultForestConfig()).Reference()
-	opts := DefaultDeltaVsKOptions()
-	opts.GridN = 40
-	opts.DeltaN = 40
-	opts.RandomDraws = 3
-	rows, err := DeltaVsK(ref, []int{50, 100, 150}, opts)
+	rep, err := sweep.Run(sweep.Spec{
+		Name:        "fig7",
+		Fields:      []sweep.FieldSpec{{Kind: "forest"}},
+		Ks:          []int{50, 100, 150},
+		Rcs:         []float64{10},
+		Seeds:       []int64{1},
+		GridN:       40,
+		DeltaN:      40,
+		RandomDraws: 3,
+	}, sweep.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sweep.DeltaVsKRows(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +35,12 @@ func TestIntegrationFig7Shape(t *testing.T) {
 		if !r.Connected {
 			t.Errorf("k=%d: FRA placement disconnected", r.K)
 		}
-		if r.FRA >= r.Random {
-			t.Errorf("k=%d: FRA δ=%v not below random δ=%v", r.K, r.FRA, r.Random)
+		if r.Delta >= r.Random {
+			t.Errorf("k=%d: FRA δ=%v not below random δ=%v", r.K, r.Delta, r.Random)
 		}
-		if i > 0 && r.FRA >= rows[i-1].FRA {
+		if i > 0 && r.Delta >= rows[i-1].Delta {
 			t.Errorf("FRA δ not decreasing: k=%d %v -> k=%d %v",
-				rows[i-1].K, rows[i-1].FRA, r.K, r.FRA)
+				rows[i-1].K, rows[i-1].Delta, r.K, r.Delta)
 		}
 	}
 }

@@ -17,42 +17,6 @@ func refField() field.Field {
 	return field.NewForest(field.DefaultForestConfig()).Reference()
 }
 
-func TestDeltaVsKErrors(t *testing.T) {
-	if _, err := DeltaVsK(refField(), nil, DefaultDeltaVsKOptions()); !errors.Is(err, ErrBadParams) {
-		t.Errorf("want ErrBadParams, got %v", err)
-	}
-}
-
-func TestDeltaVsKSweep(t *testing.T) {
-	opts := DefaultDeltaVsKOptions()
-	opts.GridN = 25
-	opts.DeltaN = 25
-	opts.RandomDraws = 2
-	rows, err := DeltaVsK(refField(), []int{10, 40, 80}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// δ decreases (weakly, within tolerance) with k for both curves.
-	if rows[2].FRA > rows[0].FRA*1.1 {
-		t.Errorf("FRA δ grew with k: %v -> %v", rows[0].FRA, rows[2].FRA)
-	}
-	if rows[2].Random > rows[0].Random*1.1 {
-		t.Errorf("random δ grew with k: %v -> %v", rows[0].Random, rows[2].Random)
-	}
-	// FRA beats random at moderate k — the Fig. 7 headline.
-	if rows[1].FRA >= rows[1].Random {
-		t.Errorf("k=40: FRA %v not below random %v", rows[1].FRA, rows[1].Random)
-	}
-	for _, r := range rows {
-		if r.Refined+r.Relays != r.K {
-			t.Errorf("k=%d: refined+relays = %d", r.K, r.Refined+r.Relays)
-		}
-	}
-}
-
 func TestDeltaVsTime(t *testing.T) {
 	forest := field.NewForest(field.DefaultForestConfig())
 	w, err := engine.New(forest, field.GridLayout(forest.Bounds(), 64), engine.DefaultOptions())
@@ -156,12 +120,12 @@ func TestCompareCWD(t *testing.T) {
 }
 
 func TestTableWriters(t *testing.T) {
-	kRows := []DeltaVsKRow{{K: 10, FRA: 1.5, Random: 2.5, Refined: 6, Relays: 4, Connected: true}}
+	kRows := []DeltaVsKRow{{K: 10, Delta: 1.5, Random: 2.5, Refined: 6, Relays: 4, Connected: true}}
 	tRows := []DeltaVsTimeRow{{T: 1, Delta: 3.5, Moved: 9, MeanDisplacement: 0.25, Connected: true}}
 	cRows := []CWDRow{{Pattern: "cwd", Delta: 1, TotalCurvature: 2, BalanceResidual: 3, MeanNNDist: 4}}
 
 	var buf bytes.Buffer
-	if err := WriteDeltaVsKTable(&buf, kRows); err != nil {
+	if err := WriteDeltaVsKTable(&buf, "fra", kRows); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "δ(FRA)") || !strings.Contains(buf.String(), "10") {
@@ -169,7 +133,7 @@ func TestTableWriters(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteDeltaVsKCSV(&buf, kRows); err != nil {
+	if err := WriteDeltaVsKCSV(&buf, "fra", kRows); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "k,delta_fra,") {
@@ -177,6 +141,22 @@ func TestTableWriters(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "10,1.5,2.5,6,4,true") {
 		t.Errorf("csv row missing: %q", buf.String())
+	}
+
+	// The δ column is named after the strategy under test.
+	buf.Reset()
+	if err := WriteDeltaVsKTable(&buf, "lloyd", kRows); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "δ(LLOYD)") {
+		t.Errorf("lloyd table = %q", buf.String())
+	}
+	buf.Reset()
+	if err := WriteDeltaVsKCSV(&buf, "lloyd", kRows); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(buf.String(), "k,delta_lloyd,delta_random,") {
+		t.Errorf("lloyd csv = %q", buf.String())
 	}
 
 	buf.Reset()

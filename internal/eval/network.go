@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // NetworkRow quantifies what the paper's connectivity constraint buys:
@@ -35,27 +36,29 @@ type NetworkRow struct {
 	Biconnected bool
 }
 
-// NetworkVsK runs FRA for each k, then measures the collection cost (from
-// the energy-optimal sink) and the robustness of the resulting network.
-// Placements whose network is disconnected (tiny k) are skipped.
-func NetworkVsK(f field.Field, ks []int, opts DeltaVsKOptions) ([]NetworkRow, error) {
+// NetworkVsK runs FRA for each k at radius rc on a gridN lattice, scores
+// δ on a deltaN lattice, then measures the collection cost (from the
+// energy-optimal sink) and the robustness of the resulting network.
+// Placements whose network is disconnected (tiny k) are skipped. reg,
+// when non-nil, receives FRA's metrics.
+func NetworkVsK(f field.Field, ks []int, rc float64, gridN, deltaN int, reg *obs.Registry) ([]NetworkRow, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("%w: no k values", ErrBadParams)
 	}
 	var rows []NetworkRow
 	for _, k := range ks {
 		p, err := core.FRA(f, core.FRAOptions{
-			K: k, Rc: opts.Rc, GridN: opts.GridN, Metrics: opts.Metrics,
+			K: k, Rc: rc, GridN: gridN, Metrics: reg,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("eval: FRA k=%d: %w", k, err)
 		}
-		ev, err := core.Evaluate(f, p, opts.Rc, opts.DeltaN)
+		ev, err := core.Evaluate(f, p, rc, deltaN)
 		if err != nil {
 			return nil, fmt.Errorf("eval: evaluate k=%d: %w", k, err)
 		}
 		row := NetworkRow{K: k, Delta: ev.Delta, Relays: p.Relays}
-		g := graph.NewUnitDisk(p.Nodes, opts.Rc)
+		g := graph.NewUnitDisk(p.Nodes, rc)
 		if !g.Connected() {
 			continue
 		}

@@ -8,10 +8,7 @@ import (
 )
 
 func TestNetworkVsK(t *testing.T) {
-	opts := DefaultDeltaVsKOptions()
-	opts.GridN = 25
-	opts.DeltaN = 25
-	rows, err := NetworkVsK(refField(), []int{30, 80}, opts)
+	rows, err := NetworkVsK(refField(), []int{30, 80}, 10, 25, 25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +36,7 @@ func TestNetworkVsK(t *testing.T) {
 }
 
 func TestNetworkVsKBadParams(t *testing.T) {
-	if _, err := NetworkVsK(refField(), nil, DefaultDeltaVsKOptions()); !errors.Is(err, ErrBadParams) {
+	if _, err := NetworkVsK(refField(), nil, 10, 100, 100, nil); !errors.Is(err, ErrBadParams) {
 		t.Errorf("want ErrBadParams, got %v", err)
 	}
 }

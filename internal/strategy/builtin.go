@@ -41,9 +41,8 @@ func init() {
 }
 
 // placeFRA is the paper's Foresighted Refinement Algorithm, exactly as
-// eval.DeltaVsK and the sweep's static phase invoke it (corner-anchored
-// reconstruction, metrics passthrough). The Seed is ignored: FRA is
-// deterministic.
+// the sweep's static phase invokes it (corner-anchored reconstruction,
+// metrics passthrough). The Seed is ignored: FRA is deterministic.
 func placeFRA(f field.Field, o PlaceOptions) (core.Placement, error) {
 	gridN := o.GridN
 	if gridN == 0 {

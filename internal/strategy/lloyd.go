@@ -289,6 +289,13 @@ func (c *lloydController) Plan(pos geom.Vec2, neighbors []mobile.NeighborInfo) (
 
 // Step moves toward the announced centroid, velocity-limited by MaxStep.
 func (c *lloydController) Step(pos geom.Vec2, d mobile.Decision) geom.Vec2 {
+	return stepToward(c.cfg, pos, d)
+}
+
+// stepToward moves pos toward d.Target when d.Move is set, at most
+// cfg.MaxStep, clamped to cfg.Region: the kinematics the Lloyd and tour
+// controllers share.
+func stepToward(cfg mobile.Config, pos geom.Vec2, d mobile.Decision) geom.Vec2 {
 	if !d.Move {
 		return pos
 	}
@@ -298,8 +305,8 @@ func (c *lloydController) Step(pos geom.Vec2, d mobile.Decision) geom.Vec2 {
 		return pos
 	}
 	step := dist
-	if step > c.cfg.MaxStep {
-		step = c.cfg.MaxStep
+	if step > cfg.MaxStep {
+		step = cfg.MaxStep
 	}
-	return c.cfg.Region.ClampPoint(pos.Add(dir.Scale(step / dist)))
+	return cfg.Region.ClampPoint(pos.Add(dir.Scale(step / dist)))
 }

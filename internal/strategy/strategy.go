@@ -209,9 +209,9 @@ func validatePlace(o PlaceOptions) error {
 }
 
 // cornerAnchors returns the region corners as reconstruction anchors —
-// the same fairness convention eval.DeltaVsK applies to the random
-// baseline, so every strategy's δ is integrated over a reconstruction
-// that covers the whole region.
+// the same fairness convention the sweep's static phase applies to the
+// random baseline, so every strategy's δ is integrated over a
+// reconstruction that covers the whole region.
 func cornerAnchors(region geom.Rect) []geom.Vec2 {
 	corners := region.Corners()
 	return append([]geom.Vec2(nil), corners[:]...)

@@ -158,19 +158,7 @@ func (c *tourController) Plan(pos geom.Vec2, _ []mobile.NeighborInfo) (mobile.De
 // Step moves toward the current waypoint, velocity-limited by MaxStep —
 // the same kinematics as every other movement strategy.
 func (c *tourController) Step(pos geom.Vec2, d mobile.Decision) geom.Vec2 {
-	if !d.Move {
-		return pos
-	}
-	dir := d.Target.Sub(pos)
-	dist := dir.Len()
-	if dist == 0 {
-		return pos
-	}
-	step := dist
-	if step > c.cfg.MaxStep {
-		step = c.cfg.MaxStep
-	}
-	return c.cfg.Region.ClampPoint(pos.Add(dir.Scale(step / dist)))
+	return stepToward(c.cfg, pos, d)
 }
 
 // placeTour is the tour-seeded static deployment: from the deterministic

@@ -100,23 +100,27 @@ func WriteTable(w io.Writer, rep *Report) error {
 	return nil
 }
 
-// DeltaVsKRows projects a report onto the Fig. 7 series: one row per
-// cell, in cell order. It is how cmd/evalall's δ-versus-k sweep rides the
-// sweep engine. RunCell's static phase is eval.PlaceCell plus
-// eval.RandomDraw, the cell eval.DeltaVsK runs, so a single-field,
-// single-rc, fault-free spec over the paper's k grid reproduces
-// DeltaVsK's rows bit for bit (TestFig7Parity).
-func DeltaVsKRows(rep *Report) []eval.DeltaVsKRow {
+// DeltaVsKRows projects a report onto the Fig. 7 series, δ versus k for a
+// placement strategy against random deployment: one row per cell, in cell
+// order. A single-field, single-rc, fault-free spec over a k grid is the
+// Fig. 7 sweep; cmd/osd -sweep and cmd/evalall both run it this way. A
+// failed cell has no δ to print, so the first one, in cell order, is
+// returned as the error, naming the cell.
+func DeltaVsKRows(rep *Report) ([]eval.DeltaVsKRow, error) {
 	rows := make([]eval.DeltaVsKRow, 0, len(rep.Cells))
 	for _, r := range rep.Cells {
+		if r.Err != "" {
+			return nil, fmt.Errorf("sweep: cell %d (%s k=%d rc=%g %s seed=%d): %s",
+				r.Index, r.Field, r.K, r.Rc, r.Strategy, r.Seed, r.Err)
+		}
 		rows = append(rows, eval.DeltaVsKRow{
 			K:         r.K,
-			FRA:       r.Delta,
+			Delta:     r.Delta,
 			Random:    r.DeltaRandom,
 			Refined:   r.Refined,
 			Relays:    r.Relays,
 			Connected: r.Connected,
 		})
 	}
-	return rows
+	return rows, nil
 }

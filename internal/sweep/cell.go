@@ -2,7 +2,10 @@ package sweep
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/field"
@@ -72,7 +75,58 @@ type MobileResult struct {
 // exported for internal/dsweep, whose workers run leased cells through
 // exactly this path so a distributed sweep's per-cell results are
 // bit-identical to a local run's.
-func RunCell(s *Spec, c Cell, reg *obs.Registry) (res Result) {
+func RunCell(s *Spec, c Cell, reg *obs.Registry) Result {
+	return runCell(s, c, reg, new(envCache))
+}
+
+// envCache holds the most recent environment of one Ledger.Run, shared
+// by its workers and keyed by the environment part of the cell digest.
+// Cells are enumerated environment-major, so the workers mostly run
+// cells on the same environment; sharing it fills each reference
+// lattice about once per environment instead of once per cell, while
+// the cache keeps a single environment alive. Reuse changes no bit of a
+// result: the built fields are immutable, and the reference returns a
+// direct fill's values whenever it is filled.
+type envCache struct {
+	mu  sync.Mutex
+	key string
+	env *cellEnv
+}
+
+// cellEnv is a built environment and its t = 0 reference.
+type cellEnv struct {
+	dyn field.DynField
+	ref *surface.Reference
+}
+
+// load returns c's environment, building it unless e holds it already.
+func (e *envCache) load(c Cell) (*cellEnv, error) {
+	var key strings.Builder
+	c.writeEnvDigest(&key)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.env != nil && e.key == key.String() {
+		return e.env, nil
+	}
+	dyn, err := c.BuildEnv()
+	if err != nil {
+		return nil, err
+	}
+	e.key, e.env = key.String(), &cellEnv{dyn: dyn, ref: surface.NewReference(field.Slice(dyn, 0))}
+	return e.env, nil
+}
+
+// drop forgets env if e still holds it.
+func (e *envCache) drop(env *cellEnv) {
+	e.mu.Lock()
+	if e.env == env {
+		e.env = nil
+	}
+	e.mu.Unlock()
+}
+
+// runCell is RunCell with the sweep's environment cache.
+func runCell(s *Spec, c Cell, reg *obs.Registry, cache *envCache) (res Result) {
 	name := c.Strategy
 	if name == "" {
 		name = "fra" // pre-strategy specs and checkpoints
@@ -82,42 +136,44 @@ func RunCell(s *Spec, c Cell, reg *obs.Registry) (res Result) {
 		Field: c.EnvLabel(), K: c.K, Rc: c.Rc, Strategy: name,
 		FaultRate: c.Fault.Rate, Seed: c.Seed,
 	}
+	var env *cellEnv
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Sprintf("panic: %v", r)
+			cache.drop(env) // the panic may have cut a lattice fill short
 		}
 	}()
-	dyn, err := c.BuildEnv()
+	env, err := cache.load(c)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	// Static phase: the cell's placement strategy and its random baseline
-	// against the reference surface — the same Fig. 7 cell eval.DeltaVsK
-	// runs, so a sweep cell reproduces that series bit for bit. The
-	// reference fills its lattices once for the placement and every draw.
-	ref := surface.NewReference(field.Slice(dyn, 0))
+	// Static phase, the Fig. 7 cell: the cell's placement strategy scored
+	// by δ against the reference surface, then the random baseline.
 	placer, err := strategy.LookupPlacement(name)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	row, err := eval.PlaceCell(ref, placer, strategy.PlaceOptions{
+	p, err := placer.Place(env.ref, strategy.PlaceOptions{
 		K: c.K, Rc: c.Rc, GridN: s.GridN, Seed: c.Seed, Metrics: reg,
-	}, s.DeltaN)
+	})
 	if err != nil {
-		res.Err = err.Error()
+		res.Err = fmt.Sprintf("%s: %v", placer.Name(), err)
 		return res
 	}
-	res.Delta = row.FRA
-	res.Refined = row.Refined
-	res.Relays = row.Relays
-	res.Connected = row.Connected
+	ev, err := core.Evaluate(env.ref, p, c.Rc, s.DeltaN)
+	if err != nil {
+		res.Err = fmt.Sprintf("evaluate %s: %v", placer.Name(), err)
+		return res
+	}
+	res.Delta, res.Connected = ev.Delta, ev.Connected
+	res.Refined, res.Relays = p.Refined, p.Relays
 
 	if s.RandomDraws > 0 {
 		sum := 0.0
 		for d := 0; d < s.RandomDraws; d++ {
-			delta, err := eval.RandomDraw(ref, c.K, c.Rc, s.DeltaN, c.Seed, d)
+			delta, err := randomDraw(env.ref, c, s.DeltaN, d)
 			if err != nil {
 				res.Err = err.Error()
 				return res
@@ -128,7 +184,7 @@ func RunCell(s *Spec, c Cell, reg *obs.Registry) (res Result) {
 	}
 
 	if s.Slots > 0 {
-		m, err := runMobileCell(s, c, dyn, reg)
+		m, err := runMobileCell(s, c, env.dyn, reg)
 		if err != nil {
 			res.Err = fmt.Sprintf("mobile: %v", err)
 			return res
@@ -136,6 +192,21 @@ func RunCell(s *Spec, c Cell, reg *obs.Registry) (res Result) {
 		res.Mobile = m
 	}
 	return res
+}
+
+// randomDraw is δ of random deployment number d (seeded c.Seed+d) of
+// c.K nodes on f. The draw reuses FRA's reconstruction anchors, the
+// region corners, for fairness. A cell's DeltaRandom is the mean of
+// draws 0..RandomDraws-1 summed in draw order.
+func randomDraw(f field.Field, c Cell, deltaN, d int) (float64, error) {
+	corners := f.Bounds().Corners()
+	r := core.RandomPlacement(f.Bounds(), c.K, c.Seed+int64(d))
+	r.Anchors = corners[:]
+	ev, err := core.Evaluate(f, r, c.Rc, deltaN)
+	if err != nil {
+		return 0, fmt.Errorf("evaluate random draw %d: %w", d, err)
+	}
+	return ev.Delta, nil
 }
 
 // runMobileCell runs the cell's movement swarm for Spec.Slots slots under

@@ -113,7 +113,8 @@ func Run(spec Spec, opts RunOptions) (*Report, error) {
 // each into the ledger, which stays open; opts.Checkpoint and
 // opts.Resume are ignored. Cells are sharded by an atomic cursor and run
 // in isolation (panics become per-cell errors), so the report is
-// bit-identical to a serial run.
+// bit-identical to a serial run. The workers share the most recent
+// environment and its reference while their cells are on it (envCache).
 func (l *Ledger) Run(opts RunOptions) (*Report, error) {
 	met := newSweepMetrics(opts.Metrics)
 	met.resumed.Add(int64(l.resumed))
@@ -140,6 +141,7 @@ func (l *Ledger) Run(opts RunOptions) (*Report, error) {
 		wg       sync.WaitGroup
 		timeCell = met.cellSeconds.StartTimer
 	)
+	var env envCache
 	worker := func() {
 		defer wg.Done()
 		for !failed.Load() {
@@ -156,7 +158,7 @@ func (l *Ledger) Run(opts RunOptions) (*Report, error) {
 			met.started.Inc()
 			met.busy.Add(1)
 			t := timeCell()
-			r := RunCell(&l.spec, l.cells[i], opts.Metrics)
+			r := runCell(&l.spec, l.cells[i], opts.Metrics, &env)
 			t.Stop()
 			met.busy.Add(-1)
 			met.completed.Inc()

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/field"
 	"repro/internal/geom"
@@ -206,7 +207,7 @@ func (s *Spec) Normalize() {
 // Validate rejects empty or malformed grids. Call Normalize first.
 func (s *Spec) Validate() error {
 	if s.NumEnvs() == 0 || len(s.Ks) == 0 || len(s.Rcs) == 0 {
-		return fmt.Errorf("sweep: spec needs at least one environment (field, dynfield or trace), k and rc")
+		return fmt.Errorf("sweep: %w: spec needs at least one environment (field, dynfield or trace), k and rc", eval.ErrBadParams)
 	}
 	for _, fs := range s.Fields {
 		if err := fs.Validate(); err != nil {
@@ -392,21 +393,28 @@ func (s *Spec) Cells() []Cell {
 // inputs changed.
 func (s *Spec) Digest(c Cell) string {
 	h := fnv.New64a()
+	c.writeEnvDigest(h)
+	fmt.Fprintf(h, "k=%d;rc=%g;strategy=%s;fault=%g|%d;seed=%d;", c.K, c.Rc, c.Strategy, c.Fault.Rate, c.Fault.Seed, c.Seed)
+	fmt.Fprintf(h, "grid=%d;delta=%d;draws=%d;slots=%d", s.GridN, s.DeltaN, s.RandomDraws, s.Slots)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// writeEnvDigest writes the environment part of the cell digest. Two
+// cells that write the same bytes build the same environment, which is
+// what lets a sweep worker reuse one cell's environment for the next.
+func (c Cell) writeEnvDigest(w io.Writer) {
 	switch {
 	case c.Dyn != nil:
 		// Distinct prefixes per environment kind: a checkpoint written
 		// before the dynfield/trace axes existed can never satisfy a
 		// dynamic cell, and a plain-field cell's digest is unchanged from
 		// the pre-axis format so old checkpoints keep replaying.
-		c.Dyn.WriteDigest(h)
+		c.Dyn.WriteDigest(w)
 	case c.Trace != nil:
-		fmt.Fprintf(h, "trace=%s|%g;", c.Trace.contentHash(), c.Trace.Size)
+		fmt.Fprintf(w, "trace=%s|%g;", c.Trace.contentHash(), c.Trace.Size)
 	default:
-		c.Field.WriteDigest(h)
+		c.Field.WriteDigest(w)
 	}
-	fmt.Fprintf(h, "k=%d;rc=%g;strategy=%s;fault=%g|%d;seed=%d;", c.K, c.Rc, c.Strategy, c.Fault.Rate, c.Fault.Seed, c.Seed)
-	fmt.Fprintf(h, "grid=%d;delta=%d;draws=%d;slots=%d", s.GridN, s.DeltaN, s.RandomDraws, s.Slots)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // SpecDigest is a stable identity for the whole sweep: the FNV-1a 64

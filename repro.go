@@ -92,10 +92,6 @@ type (
 
 // Experiment harness API.
 type (
-	// DeltaVsKRow is one point of the Fig. 7 sweep.
-	DeltaVsKRow = eval.DeltaVsKRow
-	// DeltaVsKOptions configures the Fig. 7 sweep.
-	DeltaVsKOptions = eval.DeltaVsKOptions
 	// DeltaVsTimeRow is one point of the Fig. 10 series.
 	DeltaVsTimeRow = eval.DeltaVsTimeRow
 	// CWDRow is one side of the Fig. 3 comparison.
@@ -229,14 +225,6 @@ func NewWorld(dyn DynField, positions []Vec2, opts WorldOptions) (*World, error)
 // DefaultWorldOptions returns the paper's Section 6 OSTD settings.
 func DefaultWorldOptions() WorldOptions { return engine.DefaultOptions() }
 
-// DeltaVsK regenerates the Fig. 7 data series.
-func DeltaVsK(f Field, ks []int, opts DeltaVsKOptions) ([]DeltaVsKRow, error) {
-	return eval.DeltaVsK(f, ks, opts)
-}
-
-// DefaultDeltaVsKOptions returns the paper's Fig. 7 sweep settings.
-func DefaultDeltaVsKOptions() DeltaVsKOptions { return eval.DefaultDeltaVsKOptions() }
-
 // DeltaVsTime regenerates the Fig. 10 data series from a world.
 func DeltaVsTime(w *World, slots, deltaN int) ([]DeltaVsTimeRow, error) {
 	return eval.DeltaVsTime(w, slots, deltaN)
@@ -301,9 +289,10 @@ func AnalyzeRobustness(positions []Vec2, rc float64) Robustness {
 }
 
 // NetworkVsK runs the collection-cost and robustness experiment over FRA
-// placements for each k.
-func NetworkVsK(f Field, ks []int, opts DeltaVsKOptions) ([]NetworkRow, error) {
-	return eval.NetworkVsK(f, ks, opts)
+// placements for each k at radius rc, placing on a gridN lattice and
+// scoring δ on a deltaN lattice.
+func NetworkVsK(f Field, ks []int, rc float64, gridN, deltaN int) ([]NetworkRow, error) {
+	return eval.NetworkVsK(f, ks, rc, gridN, deltaN, nil)
 }
 
 // CompareMobile runs the distributed CMA against the centralized
