@@ -20,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"strings"
 
@@ -35,34 +34,18 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("evalall: ")
-
 	full := flag.Bool("full", false, "run at the paper's full resolution")
 	ext := flag.Bool("ext", false, "also run the extension experiments (network cost, CMA vs centralized)")
 	strat := flag.String("strategy", "fra",
 		"strategy for the Fig. 7 placement and Fig. 10 movement ("+strings.Join(strategy.PlacementNames(), ", ")+")")
-	reg := obs.NewRegistry()
-	run := obscli.New(reg)
-	run.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	if err := run.Start(); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := strategy.LookupPlacement(*strat); err != nil {
-		run.Close()
-		log.Fatalf("bad -strategy: %v", err)
-	}
-	err := realMain(*full, *ext, *strat, reg)
-	// Close before exiting so profiles and metric exports are flushed and
-	// closed on the error path too; its own failure is still reported.
-	if cerr := run.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	obscli.Main("evalall", func() error {
+		if _, err := strategy.LookupPlacement(*strat); err != nil {
+			return fmt.Errorf("bad -strategy: %w", err)
+		}
+		return nil
+	}, func(reg *obs.Registry) error {
+		return realMain(*full, *ext, *strat, reg)
+	})
 }
 
 func realMain(full, ext bool, strat string, reg *obs.Registry) error {

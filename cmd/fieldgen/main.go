@@ -12,8 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -25,26 +23,7 @@ import (
 	"repro/internal/sweep"
 )
 
-// obsRun is the command's observability edge (see internal/obs/obscli);
-// fatal/fatalf close it first so profiles and metric files are flushed on
-// error exits too.
-var obsRun *obscli.Run
-
-func fatal(v ...any)                 { obsRun.Close(); log.Fatal(v...) }
-func fatalf(format string, v ...any) { obsRun.Close(); log.Fatalf(format, v...) }
-
-// closeRun flushes the observability outputs at a success exit, failing
-// the command if an export cannot be written.
-func closeRun() {
-	if err := obsRun.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("fieldgen: ")
-
 	var (
 		out   = flag.String("o", "", "output file (default stdout)")
 		times = flag.String("times", "0", "comma-separated epoch times in minutes")
@@ -53,45 +32,35 @@ func main() {
 		gaps  = flag.Int("gaps", 12, "number of canopy gaps")
 		noise = flag.Float64("noise", 0, "sensing noise standard deviation")
 	)
-	obsRun = obscli.New(obs.NewRegistry())
-	obsRun.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if err := obsRun.Start(); err != nil {
-		log.Fatal(err)
-	}
-
-	ts, err := parseTimes(*times)
-	if err != nil {
-		fatalf("bad -times: %v", err)
-	}
-	if err := checkFlags(*n, *gaps, len(ts), *noise); err != nil {
-		fatal(err)
-	}
-
-	cfg := field.DefaultForestConfig()
-	cfg.Seed = *seed
-	cfg.Gaps = *gaps
-	forest := field.NewForest(cfg)
-
-	records := field.GenerateTrace(forest, *n, ts, field.NewSampler(*noise, *seed))
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	var ts []float64
+	obscli.Main("fieldgen", func() (err error) {
+		if ts, err = parseTimes(*times); err != nil {
+			return fmt.Errorf("bad -times: %w", err)
 		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
+		return checkFlags(*n, *gaps, len(ts), *noise)
+	}, func(*obs.Registry) (err error) {
+		cfg := field.DefaultForestConfig()
+		cfg.Seed = *seed
+		cfg.Gaps = *gaps
+		forest := field.NewForest(cfg)
+
+		records := field.GenerateTrace(forest, *n, ts, field.NewSampler(*noise, *seed))
+
+		w := os.Stdout
+		if *out != "" {
+			f, err := os.Create(*out)
+			if err != nil {
+				return err
 			}
-		}()
-		w = f
-	}
-	if err := field.WriteTrace(w, records); err != nil {
-		fatal(err)
-	}
-	closeRun()
+			defer func() {
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}()
+			w = f
+		}
+		return field.WriteTrace(w, records)
+	})
 }
 
 // checkFlags refuses the numeric flags the command cannot honor, naming
@@ -113,7 +82,8 @@ func checkFlags(n, gaps, epochs int, noise float64) error {
 	return nil
 }
 
-// parseTimes parses the comma-separated epoch times, which must be finite.
+// parseTimes parses the comma-separated epoch times, each of which the
+// forest must evaluate to finite values (see field.CheckTime).
 func parseTimes(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
@@ -121,8 +91,8 @@ func parseTimes(s string) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("time %v is not finite", v)
+		if err := field.CheckTime(v); err != nil {
+			return nil, err
 		}
 		out = append(out, v)
 	}

@@ -44,6 +44,7 @@ func TestBadNumericFlagsExit(t *testing.T) {
 		{[]string{"-gaps", "0"}, "-gaps"},
 		{[]string{"-gaps", "100000000"}, "-gaps"},
 		{[]string{"-times", "0,NaN"}, "-times"},
+		{[]string{"-times", "0,3e307"}, "-times"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--", "-o", out}, tc.args...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

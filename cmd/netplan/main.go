@@ -12,10 +12,10 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"os"
 	"strconv"
@@ -30,103 +30,81 @@ import (
 	"repro/internal/sweep"
 )
 
-// obsRun is the command's observability edge (see internal/obs/obscli);
-// fatal closes it first so profiles and metric files are flushed on
-// error exits too.
-var obsRun *obscli.Run
-
-func fatal(v ...any) { obsRun.Close(); log.Fatal(v...) }
-
-// closeRun flushes the observability outputs at a success exit, failing
-// the command if an export cannot be written.
-func closeRun() {
-	if err := obsRun.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("netplan: ")
-
 	var (
 		posFile = flag.String("pos", "", "CSV of node positions (x,y rows)")
 		fraK    = flag.Int("fra", 0, "generate an FRA placement with this many nodes instead")
 		rc      = flag.Float64("rc", 10, "communication radius")
 		gridN   = flag.Int("grid", 50, "FRA local-error lattice divisions")
 	)
-	reg := obs.NewRegistry()
-	obsRun = obscli.New(reg)
-	obsRun.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if !(*rc > 0) || math.IsInf(*rc, 1) {
-		log.Fatalf("bad radius rc=%v: want a positive finite number", *rc)
-	}
-	if err := checkFlags(*fraK, *gridN); err != nil {
-		log.Fatal(err)
-	}
-	if err := obsRun.Start(); err != nil {
-		log.Fatal(err)
-	}
+	obscli.Main("netplan", func() error {
+		if !(*rc > 0) || math.IsInf(*rc, 1) {
+			return fmt.Errorf("bad radius rc=%v: want a positive finite number", *rc)
+		}
+		if err := checkFlags(*fraK, *gridN); err != nil {
+			return err
+		}
+		if *posFile == "" && *fraK == 0 {
+			return errors.New("need -pos FILE or -fra K")
+		}
+		return nil
+	}, func(reg *obs.Registry) error {
+		var nodes []geom.Vec2
+		switch {
+		case *posFile != "":
+			f, err := os.Open(*posFile)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			nodes, err = readPositions(f)
+			if err != nil {
+				return err
+			}
+		case *fraK > 0:
+			ref := field.NewForest(field.DefaultForestConfig()).Reference()
+			p, err := core.FRA(ref, core.FRAOptions{
+				K: *fraK, Rc: *rc, GridN: *gridN, Metrics: reg,
+			})
+			if err != nil {
+				return err
+			}
+			nodes = p.Nodes
+			fmt.Printf("FRA placement: %d refined + %d relays\n", p.Refined, p.Relays)
+		}
+		if len(nodes) == 0 {
+			return errors.New("no nodes")
+		}
 
-	var nodes []geom.Vec2
-	switch {
-	case *posFile != "":
-		f, err := os.Open(*posFile)
+		g := graph.NewUnitDisk(nodes, *rc)
+		fmt.Printf("nodes: %d, edges: %d, mean degree: %.2f\n",
+			g.N(), g.NumEdges(), 2*float64(g.NumEdges())/float64(g.N()))
+		fmt.Printf("connected: %v (%d components)\n", g.Connected(), g.NumComponents())
+
+		if !g.Connected() {
+			relays := graph.RelayPositions(nodes, *rc)
+			fmt.Printf("relays needed to connect: %d\n", len(relays))
+			for _, r := range relays {
+				fmt.Printf("  relay at %v\n", r)
+			}
+			return nil
+		}
+
+		sink, stats, err := collect.BestSink(g)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer f.Close()
-		nodes, err = readPositions(f)
-		if err != nil {
-			fatal(err)
+		fmt.Printf("collection (best sink = node %d): %d tx/epoch, energy %.0f, max depth %d, bottleneck %d tx\n",
+			sink, stats.TotalTx, stats.Energy, stats.MaxDepth, stats.Bottleneck)
+
+		rob := g.AnalyzeRobustness()
+		fmt.Printf("robustness: biconnected=%v, %d articulation points, %d bridges\n",
+			rob.Biconnected, len(rob.ArticulationPoints), len(rob.Bridges))
+		for _, v := range rob.ArticulationPoints {
+			fmt.Printf("  single point of failure: node %d at %v\n", v, g.Pos(v))
 		}
-	case *fraK > 0:
-		ref := field.NewForest(field.DefaultForestConfig()).Reference()
-		p, err := core.FRA(ref, core.FRAOptions{
-			K: *fraK, Rc: *rc, GridN: *gridN, Metrics: reg,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		nodes = p.Nodes
-		fmt.Printf("FRA placement: %d refined + %d relays\n", p.Refined, p.Relays)
-	default:
-		fatal("need -pos FILE or -fra K")
-	}
-	if len(nodes) == 0 {
-		fatal("no nodes")
-	}
-
-	g := graph.NewUnitDisk(nodes, *rc)
-	fmt.Printf("nodes: %d, edges: %d, mean degree: %.2f\n",
-		g.N(), g.NumEdges(), 2*float64(g.NumEdges())/float64(g.N()))
-	fmt.Printf("connected: %v (%d components)\n", g.Connected(), g.NumComponents())
-
-	if !g.Connected() {
-		relays := graph.RelayPositions(nodes, *rc)
-		fmt.Printf("relays needed to connect: %d\n", len(relays))
-		for _, r := range relays {
-			fmt.Printf("  relay at %v\n", r)
-		}
-		closeRun()
-		return
-	}
-
-	sink, stats, err := collect.BestSink(g)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("collection (best sink = node %d): %d tx/epoch, energy %.0f, max depth %d, bottleneck %d tx\n",
-		sink, stats.TotalTx, stats.Energy, stats.MaxDepth, stats.Bottleneck)
-
-	rob := g.AnalyzeRobustness()
-	fmt.Printf("robustness: biconnected=%v, %d articulation points, %d bridges\n",
-		rob.Biconnected, len(rob.ArticulationPoints), len(rob.Bridges))
-	for _, v := range rob.ArticulationPoints {
-		fmt.Printf("  single point of failure: node %d at %v\n", v, g.Pos(v))
-	}
-	closeRun()
+		return nil
+	})
 }
 
 // checkFlags refuses the FRA flags the run cannot honor before anything

@@ -13,7 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -29,26 +29,7 @@ import (
 	"repro/internal/sweep"
 )
 
-// obsRun is the command's observability edge (see internal/obs/obscli);
-// fatal/fatalf close it first so profiles and metric files are flushed on
-// error exits too.
-var obsRun *obscli.Run
-
-func fatal(v ...any)                 { obsRun.Close(); log.Fatal(v...) }
-func fatalf(format string, v ...any) { obsRun.Close(); log.Fatalf(format, v...) }
-
-// closeRun flushes the observability outputs at a success exit, failing
-// the command if an export cannot be written.
-func closeRun() {
-	if err := obsRun.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("osd: ")
-
 	var (
 		k      = flag.Int("k", 100, "number of CPS nodes for a single placement")
 		kSweep = flag.String("sweep", "", "δ-vs-k sweep as min:max:step (Fig. 7)")
@@ -62,115 +43,101 @@ func main() {
 		strat  = flag.String("strategy", "fra",
 			"placement strategy ("+strings.Join(strategy.PlacementNames(), ", ")+")")
 	)
-	reg := obs.NewRegistry()
-	obsRun = obscli.New(reg)
-	obsRun.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if err := obsRun.Start(); err != nil {
-		log.Fatal(err)
-	}
-
-	placer, err := strategy.LookupPlacement(*strat)
-	if err != nil {
-		fatalf("bad -strategy: %v", err)
-	}
-	var ks []int
-	kMax := *k
-	if *kSweep != "" {
-		if ks, err = parseSweep(*kSweep); err != nil {
-			fatalf("bad -sweep: %v", err)
+	var (
+		placer strategy.Placement
+		ks     []int
+	)
+	obscli.Main("osd", func() (err error) {
+		if placer, err = strategy.LookupPlacement(*strat); err != nil {
+			return fmt.Errorf("bad -strategy: %w", err)
 		}
-		kMax = ks[len(ks)-1]
-	}
-	if err := checkFlags(kMax, *gridN, *deltaN, *draws); err != nil {
-		fatal(err)
-	}
+		kMax := *k
+		if *kSweep != "" {
+			if ks, err = parseSweep(*kSweep); err != nil {
+				return fmt.Errorf("bad -sweep: %w", err)
+			}
+			kMax = ks[len(ks)-1]
+		}
+		return checkFlags(kMax, *rc, *gridN, *deltaN, *draws)
+	}, func(reg *obs.Registry) error {
+		if *kSweep != "" {
+			// Fig. 7 is a one-field scenario sweep over the k grid, on the
+			// same t = 0 forest the single placement below uses.
+			rep, err := sweep.Run(sweep.Spec{
+				Name:        "fig7",
+				Fields:      []sweep.FieldSpec{{Kind: "forest"}},
+				Ks:          ks,
+				Rcs:         []float64{*rc},
+				Strategies:  []string{*strat},
+				Seeds:       []int64{*seed},
+				GridN:       *gridN,
+				DeltaN:      *deltaN,
+				RandomDraws: *draws,
+			}, sweep.RunOptions{Metrics: reg})
+			if err != nil {
+				return err
+			}
+			rows, err := sweep.DeltaVsKRows(rep)
+			if err != nil {
+				return err
+			}
+			if *csv {
+				return eval.WriteDeltaVsKCSV(os.Stdout, *strat, rows)
+			}
+			return eval.WriteDeltaVsKTable(os.Stdout, *strat, rows)
+		}
 
-	if *kSweep != "" {
-		// Fig. 7 is a one-field scenario sweep over the k grid, on the
-		// same t = 0 forest the single placement below uses.
-		rep, err := sweep.Run(sweep.Spec{
-			Name:        "fig7",
-			Fields:      []sweep.FieldSpec{{Kind: "forest"}},
-			Ks:          ks,
-			Rcs:         []float64{*rc},
-			Strategies:  []string{*strat},
-			Seeds:       []int64{*seed},
-			GridN:       *gridN,
-			DeltaN:      *deltaN,
-			RandomDraws: *draws,
-		}, sweep.RunOptions{Metrics: reg})
+		ref := field.NewForest(field.DefaultForestConfig()).Reference()
+
+		p, err := placer.Place(ref, strategy.PlaceOptions{
+			K: *k, Rc: *rc, GridN: *gridN, Seed: *seed, Metrics: reg,
+		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		rows, err := sweep.DeltaVsKRows(rep)
+		ev, err := core.Evaluate(ref, p, *rc, *deltaN)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if *csv {
-			err = eval.WriteDeltaVsKCSV(os.Stdout, *strat, rows)
-		} else {
-			err = eval.WriteDeltaVsKTable(os.Stdout, *strat, rows)
+		// The summary line is shared with the serving layer's /v1/place text
+		// response; ci/serve_smoke.sh compares the two byte for byte.
+		fmt.Println(serve.PlacementSummary(*strat, *k, p, ev))
+
+		if *quiet {
+			return nil
 		}
+		fmt.Println("\ntopology (o = node, . = Rc link):")
+		if err := surface.RenderTopologyASCII(os.Stdout, ref.Bounds(), p.Nodes, *rc, 72, 36); err != nil {
+			return err
+		}
+
+		samples := make([]field.Sample, 0, len(p.Nodes)+len(p.Anchors))
+		for _, pos := range p.Anchors {
+			samples = append(samples, field.Sample{Pos: pos, Z: ref.Eval(pos)})
+		}
+		for _, pos := range p.Nodes {
+			samples = append(samples, field.Sample{Pos: pos, Z: ref.Eval(pos)})
+		}
+		tin, err := surface.FromSamples(ref.Bounds(), samples)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		closeRun()
-		return
-	}
-
-	ref := field.NewForest(field.DefaultForestConfig()).Reference()
-
-	p, err := placer.Place(ref, strategy.PlaceOptions{
-		K: *k, Rc: *rc, GridN: *gridN, Seed: *seed, Metrics: reg,
+		fmt.Println("\nreference surface:")
+		if err := surface.RenderASCII(os.Stdout, ref, 72, 36); err != nil {
+			return err
+		}
+		fmt.Println("\nrebuilt surface (Delaunay interpolation of node samples):")
+		return surface.RenderASCII(os.Stdout, tin, 72, 36)
 	})
-	if err != nil {
-		fatal(err)
-	}
-	ev, err := core.Evaluate(ref, p, *rc, *deltaN)
-	if err != nil {
-		fatal(err)
-	}
-	// The summary line is shared with the serving layer's /v1/place text
-	// response; ci/serve_smoke.sh compares the two byte for byte.
-	fmt.Println(serve.PlacementSummary(*strat, *k, p, ev))
-
-	if *quiet {
-		closeRun()
-		return
-	}
-	fmt.Println("\ntopology (o = node, . = Rc link):")
-	if err := surface.RenderTopologyASCII(os.Stdout, ref.Bounds(), p.Nodes, *rc, 72, 36); err != nil {
-		fatal(err)
-	}
-
-	samples := make([]field.Sample, 0, len(p.Nodes)+len(p.Anchors))
-	for _, pos := range p.Anchors {
-		samples = append(samples, field.Sample{Pos: pos, Z: ref.Eval(pos)})
-	}
-	for _, pos := range p.Nodes {
-		samples = append(samples, field.Sample{Pos: pos, Z: ref.Eval(pos)})
-	}
-	tin, err := surface.FromSamples(ref.Bounds(), samples)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println("\nreference surface:")
-	if err := surface.RenderASCII(os.Stdout, ref, 72, 36); err != nil {
-		fatal(err)
-	}
-	fmt.Println("\nrebuilt surface (Delaunay interpolation of node samples):")
-	if err := surface.RenderASCII(os.Stdout, tin, 72, 36); err != nil {
-		fatal(err)
-	}
-	closeRun()
 }
 
 // checkFlags refuses the numeric flags the run cannot honor before
 // anything is allocated; k is the largest node budget of the run. Each
 // error names its flag.
-func checkFlags(k, gridN, deltaN, draws int) error {
+func checkFlags(k int, rc float64, gridN, deltaN, draws int) error {
 	switch {
+	case !(rc > 0) || math.IsInf(rc, 1):
+		return fmt.Errorf("bad -rc: rc=%v is not positive and finite", rc)
 	case gridN < 1:
 		return fmt.Errorf("bad -grid %d: must be at least 1", gridN)
 	case deltaN < 1:

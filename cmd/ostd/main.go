@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"strconv"
 	"strings"
@@ -32,26 +31,7 @@ import (
 	"repro/internal/sweep"
 )
 
-// obsRun is the command's observability edge (see internal/obs/obscli);
-// fatal/fatalf close it first so profiles and metric files are flushed on
-// error exits too.
-var obsRun *obscli.Run
-
-func fatal(v ...any)                 { obsRun.Close(); log.Fatal(v...) }
-func fatalf(format string, v ...any) { obsRun.Close(); log.Fatalf(format, v...) }
-
-// closeRun flushes the observability outputs at a success exit, failing
-// the command if an export cannot be written.
-func closeRun() {
-	if err := obsRun.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ostd: ")
-
 	var (
 		k          = flag.Int("k", 100, "number of mobile CPS nodes")
 		slots      = flag.Int("slots", 45, "time slots (minutes) to simulate")
@@ -67,78 +47,72 @@ func main() {
 		strat      = flag.String("strategy", "cma",
 			"movement strategy ("+strings.Join(strategy.MovementNames(), ", ")+")")
 	)
-	reg := obs.NewRegistry()
-	obsRun = obscli.New(reg)
-	obsRun.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if err := obsRun.Start(); err != nil {
-		fatal(err)
-	}
-	if err := checkFlags(*k, *slots, *deltaN, *noise, *faultRate); err != nil {
-		fatal(err)
-	}
+	var (
+		snapAt map[float64]bool
+		mv     strategy.Movement
+		rates  []float64
+	)
+	obscli.Main("ostd", func() (err error) {
+		if err := checkFlags(*k, *slots, *deltaN, *beta, *noise, *faultRate); err != nil {
+			return err
+		}
+		if snapAt, err = parseSnaps(*snaps); err != nil {
+			return fmt.Errorf("bad -snap: %w", err)
+		}
+		if mv, err = strategy.LookupMovement(*strat); err != nil {
+			return fmt.Errorf("bad -strategy: %w", err)
+		}
+		if *faultSweep != "" {
+			if rates, err = parseRates(*faultSweep); err != nil {
+				return fmt.Errorf("bad -fault-sweep: %w", err)
+			}
+		}
+		return nil
+	}, func(reg *obs.Registry) error {
+		forest := field.NewForest(field.DefaultForestConfig())
+		// One set of options drives both the single run and every rate of the
+		// degradation sweep.
+		opts := engine.DefaultOptions()
+		opts.Config.Beta = *beta
+		opts.NoiseStd = *noise
+		opts.Seed = *seed
+		opts.Metrics = reg
+		opts.NewController = mv.NewController
 
-	snapAt, err := parseSnaps(*snaps)
-	if err != nil {
-		fatalf("bad -snap: %v", err)
-	}
-	mv, err := strategy.LookupMovement(*strat)
-	if err != nil {
-		fatalf("bad -strategy: %v", err)
-	}
+		if *faultSweep != "" {
+			rows, err := eval.DegradationSweep(forest, opts, *k, *slots, *deltaN, rates, *faultSeed)
+			if err != nil {
+				return err
+			}
+			if *csv {
+				return eval.WriteDegradationCSV(os.Stdout, rows)
+			}
+			return eval.WriteDegradationTable(os.Stdout, rows)
+		}
 
-	forest := field.NewForest(field.DefaultForestConfig())
-	// One set of options drives both the single run and every rate of the
-	// degradation sweep.
-	opts := engine.DefaultOptions()
-	opts.Config.Beta = *beta
-	opts.NoiseStd = *noise
-	opts.Seed = *seed
-	opts.Metrics = reg
-	opts.NewController = mv.NewController
-
-	if *faultSweep != "" {
-		rates, err := parseRates(*faultSweep)
+		if *faultRate > 0 {
+			opts = eval.WithFaults(opts, fault.ProfileSpec{Rate: *faultRate}, *k, *slots, *faultSeed)
+		}
+		w, err := engine.New(forest, field.GridLayout(forest.Bounds(), *k), opts)
 		if err != nil {
-			fatalf("bad -fault-sweep: %v", err)
+			return err
 		}
-		rows, err := eval.DegradationSweep(forest, opts, *k, *slots, *deltaN, rates, *faultSeed)
+		rows, err := eval.DeltaVsTime(w, *slots, *deltaN)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if *csv {
-			err = eval.WriteDegradationCSV(os.Stdout, rows)
-		} else {
-			err = eval.WriteDegradationTable(os.Stdout, rows)
+		for _, r := range rows {
+			if snapAt[r.T] {
+				if err := snap(forest.Bounds(), r.Positions, r.T, opts.Config.Rc); err != nil {
+					return err
+				}
+			}
 		}
-		if err != nil {
-			fatal(err)
-		}
-		closeRun()
-		return
-	}
-
-	if *faultRate > 0 {
-		opts = eval.WithFaults(opts, fault.ProfileSpec{Rate: *faultRate}, *k, *slots, *faultSeed)
-	}
-	w, err := engine.New(forest, field.GridLayout(forest.Bounds(), *k), opts)
-	if err != nil {
-		fatal(err)
-	}
-	rows, err := eval.DeltaVsTime(w, *slots, *deltaN)
-	if err != nil {
-		fatal(err)
-	}
-	for _, r := range rows {
-		if snapAt[r.T] {
-			snap(forest.Bounds(), r.Positions, r.T, opts.Config.Rc)
-		}
-	}
-	emit(rows, *csv)
-	closeRun()
+		return emit(rows, *csv)
+	})
 }
 
-func emit(rows []eval.DeltaVsTimeRow, csv bool) {
+func emit(rows []eval.DeltaVsTimeRow, csv bool) error {
 	var err error
 	if csv {
 		err = eval.WriteDeltaVsTimeCSV(os.Stdout, rows)
@@ -146,29 +120,33 @@ func emit(rows []eval.DeltaVsTimeRow, csv bool) {
 		err = eval.WriteDeltaVsTimeTable(os.Stdout, rows)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if conv, ok := eval.ConvergenceTime(rows); ok {
 		fmt.Printf("converged at t=%.0f min (mean displacement < %g)\n", conv, eval.ConvergenceEps)
 	} else {
 		fmt.Println("not converged within the run")
 	}
+	return nil
 }
 
 // snap renders the topology of nodes at minute t.
-func snap(region geom.Rect, nodes []geom.Vec2, t float64, rc float64) {
+func snap(region geom.Rect, nodes []geom.Vec2, t float64, rc float64) error {
 	fmt.Printf("\ntopology at t=%.0f min:\n", t)
 	if err := surface.RenderTopologyASCII(os.Stdout, region, nodes, rc, 72, 36); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println()
+	return nil
 }
 
 // checkFlags refuses the numeric flags the run cannot honor, with the
 // library's own checks where one exists, before anything is allocated.
 // Each error names its flag.
-func checkFlags(k, slots, deltaN int, noise, faultRate float64) error {
+func checkFlags(k, slots, deltaN int, beta, noise, faultRate float64) error {
 	switch {
+	case k < 1:
+		return fmt.Errorf("bad -k %d: must be at least 1", k)
 	case slots < 0:
 		return fmt.Errorf("bad -slots %d: must be at least 0", slots)
 	case deltaN < 1:
@@ -176,6 +154,11 @@ func checkFlags(k, slots, deltaN int, noise, faultRate float64) error {
 	}
 	if err := sweep.CheckWork(k, 0, deltaN, slots); err != nil {
 		return fmt.Errorf("bad -k, -delta-grid or -slots: %w", err)
+	}
+	cfg := engine.DefaultOptions().Config
+	cfg.Beta = beta
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("bad -beta: %w", err)
 	}
 	if err := engine.CheckNoise(noise); err != nil {
 		return fmt.Errorf("bad -noise: %w", err)

@@ -39,6 +39,11 @@ func TestBadNumericFlagsExit(t *testing.T) {
 		flag string
 	}{
 		{[]string{"-k", "25", "-slots", "-1"}, "-slots"},
+		{[]string{"-k", "0"}, "-k"},
+		{[]string{"-k", "-3"}, "-k"},
+		{[]string{"-beta", "-1"}, "-beta"},
+		{[]string{"-beta", "NaN"}, "-beta"},
+		{[]string{"-beta", "+Inf"}, "-beta"},
 		{[]string{"-delta-grid", "-5"}, "-delta-grid"},
 		{[]string{"-delta-grid", "0"}, "-delta-grid"},
 		{[]string{"-delta-grid", "5000"}, "-delta-grid"},

@@ -14,8 +14,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
-	"math"
 	"os"
 
 	"repro/internal/field"
@@ -25,26 +23,7 @@ import (
 	"repro/internal/sweep"
 )
 
-// obsRun is the command's observability edge (see internal/obs/obscli);
-// fatal/fatalf close it first so profiles and metric files are flushed on
-// error exits too.
-var obsRun *obscli.Run
-
-func fatal(v ...any)                 { obsRun.Close(); log.Fatal(v...) }
-func fatalf(format string, v ...any) { obsRun.Close(); log.Fatalf(format, v...) }
-
-// closeRun flushes the observability outputs at a success exit, failing
-// the command if an export cannot be written.
-func closeRun() {
-	if err := obsRun.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("render: ")
-
 	var (
 		name   = flag.String("field", "forest", "field to render: forest | peaks | terrain | ridge")
 		t      = flag.Float64("t", 0, "time in minutes (forest field)")
@@ -55,50 +34,49 @@ func main() {
 		gridN  = flag.Int("grid", 100, "lattice divisions (csv)")
 		out    = flag.String("o", "", "output file (default stdout)")
 	)
-	obsRun = obscli.New(obs.NewRegistry())
-	obsRun.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if err := obsRun.Start(); err != nil {
-		log.Fatal(err)
-	}
-	if err := checkFlags(*t, *gridN, *cols, *rows); err != nil {
-		fatal(err)
-	}
-
-	dyn, err := sweep.FieldSpec{Kind: *name, Seed: *seed}.Build()
-	if err != nil {
-		fatalf("bad -field: %v", err)
-	}
-	f := field.Slice(dyn, *t)
-
-	w := os.Stdout
-	if *out != "" {
-		file, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	var spec sweep.FieldSpec
+	obscli.Main("render", func() error {
+		if err := checkFlags(*t, *gridN, *cols, *rows); err != nil {
+			return err
 		}
-		defer func() {
-			if err := file.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = file
-	}
+		spec = sweep.FieldSpec{Kind: *name, Seed: *seed}
+		if err := spec.Validate(); err != nil {
+			return fmt.Errorf("bad -field: %w", err)
+		}
+		switch *format {
+		case "ascii", "pgm", "csv":
+			return nil
+		}
+		return fmt.Errorf("unknown -format %q (want ascii, pgm or csv)", *format)
+	}, func(*obs.Registry) (err error) {
+		dyn, err := spec.Build()
+		if err != nil {
+			return err
+		}
+		f := field.Slice(dyn, *t)
 
-	switch *format {
-	case "ascii":
-		err = surface.RenderASCII(w, f, *cols, *rows)
-	case "pgm":
-		err = surface.RenderPGM(w, f, *cols, *rows)
-	case "csv":
-		err = surface.WriteGridCSV(w, f, *gridN)
-	default:
-		fatalf("unknown -format %q (want ascii, pgm or csv)", *format)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	closeRun()
+		w := os.Stdout
+		if *out != "" {
+			file, err := os.Create(*out)
+			if err != nil {
+				return err
+			}
+			defer func() {
+				if cerr := file.Close(); err == nil {
+					err = cerr
+				}
+			}()
+			w = file
+		}
+
+		switch *format {
+		case "ascii":
+			return surface.RenderASCII(w, f, *cols, *rows)
+		case "pgm":
+			return surface.RenderPGM(w, f, *cols, *rows)
+		}
+		return surface.WriteGridCSV(w, f, *gridN)
+	})
 }
 
 // checkFlags refuses the numeric flags the command cannot honor, before
@@ -106,10 +84,10 @@ func main() {
 // budget, and so does each side of the render grid, as the side of a
 // square lattice. Each error names its flag.
 func checkFlags(t float64, gridN, cols, rows int) error {
-	switch {
-	case math.IsNaN(t) || math.IsInf(t, 0):
-		return fmt.Errorf("bad -t %v: must be finite", t)
-	case gridN < 1:
+	if err := field.CheckTime(t); err != nil {
+		return fmt.Errorf("bad -t: %w", err)
+	}
+	if gridN < 1 {
 		return fmt.Errorf("bad -grid %d: must be at least 1", gridN)
 	}
 	if err := sweep.CheckWork(1, gridN, 0, 0); err != nil {

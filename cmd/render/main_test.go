@@ -36,6 +36,9 @@ func TestBadNumericFlagsExit(t *testing.T) {
 	}{
 		{[]string{"-t", "NaN"}, "-t"},
 		{[]string{"-t", "+Inf"}, "-t"},
+		// 2π·t overflows past MaxFloat64/2π ≈ 2.86e307 minutes.
+		{[]string{"-t", "2.9e307"}, "-t"},
+		{[]string{"-t", "-2.9e307", "-format", "csv"}, "-t"},
 		{[]string{"-grid", "-3"}, "-grid"},
 		{[]string{"-grid", "0", "-format", "csv"}, "-grid"},
 		{[]string{"-grid", "5000", "-format", "csv"}, "-grid"},

@@ -66,9 +66,6 @@ type config struct {
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("served: ")
-
 	var cfg config
 	flag.StringVar(&cfg.Addr, "addr", ":7786", "listen address")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", 0, "per-tenant concurrent compute requests; 0 = 4")
@@ -78,24 +75,9 @@ func main() {
 	flag.IntVar(&cfg.Workers, "sweep-workers", 0, "worker pool per sweep job; 0 = NumCPU")
 	flag.StringVar(&cfg.JobDir, "job-dir", "", "directory for per-job sweep checkpoints; empty keeps results in memory only")
 	flag.BoolVar(&cfg.Quiet, "quiet", false, "suppress request/job progress lines")
-	reg := obs.NewRegistry()
-	run := obscli.New(reg)
-	run.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if err := checkFlags(cfg); err != nil {
-		log.Fatal(err)
-	}
-
-	if err := run.Start(); err != nil {
-		log.Fatal(err)
-	}
-	err := realMain(cfg, reg)
-	if cerr := run.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	obscli.Main("served", func() error { return checkFlags(cfg) }, func(reg *obs.Registry) error {
+		return realMain(cfg, reg)
+	})
 }
 
 // checkFlags refuses the negative sizes serve.Config would read as "use

@@ -81,9 +81,6 @@ type config struct {
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sweep: ")
-
 	var cfg config
 	flag.StringVar(&cfg.SpecPath, "spec", "", "path to the JSON scenario spec (required unless -example or -join)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "worker pool size; 0 = NumCPU")
@@ -98,24 +95,9 @@ func main() {
 	flag.StringVar(&cfg.Serve, "serve", "", "run the distributed-sweep coordinator on this address (e.g. :7787)")
 	flag.StringVar(&cfg.Join, "join", "", "join a coordinator as a worker (e.g. http://host:7787)")
 	flag.DurationVar(&cfg.LeaseTTL, "lease-ttl", 0, "coordinator lease duration before a silent worker's cells are re-granted; 0 = 15s")
-	reg := obs.NewRegistry()
-	run := obscli.New(reg)
-	run.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if err := checkFlags(cfg); err != nil {
-		log.Fatal(err)
-	}
-
-	if err := run.Start(); err != nil {
-		log.Fatal(err)
-	}
-	err := realMain(cfg, reg)
-	if cerr := run.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	obscli.Main("sweep", func() error { return checkFlags(cfg) }, func(reg *obs.Registry) error {
+		return realMain(cfg, reg)
+	})
 }
 
 // checkFlags refuses the negative values the sweep and dsweep options

@@ -1,6 +1,7 @@
 package field
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -125,6 +126,20 @@ func (f *Forest) EvalAt(p geom.Vec2, t float64) float64 {
 		z = 0
 	}
 	return z
+}
+
+// maxTime is the largest |t| in minutes whose diurnal phase 2π·t in
+// EvalAt is finite; the next float64 up overflows it to ±Inf and every
+// value of the slice to NaN.
+const maxTime = math.MaxFloat64 / (2 * math.Pi)
+
+// CheckTime refuses a time at which EvalAt is not finite: NaN, ±Inf and
+// any |t| beyond MaxFloat64/2π minutes.
+func CheckTime(t float64) error {
+	if !(math.Abs(t) <= maxTime) {
+		return fmt.Errorf("field: time %v is not finite or beyond ±%g minutes", t, maxTime)
+	}
+	return nil
 }
 
 // Reference returns the static slice at t = 0 — the reproduction's

@@ -121,3 +121,28 @@ func TestForestReferenceMatchesT0(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckTimeBound pins CheckTime to EvalAt: every time it accepts
+// evaluates to finite values, and the first time past the bound, as well
+// as NaN and ±Inf, is refused.
+func TestCheckTimeBound(t *testing.T) {
+	f := NewForest(DefaultForestConfig())
+	p := geom.V2(37, 61)
+	for _, tm := range []float64{0, 45, -45, maxTime, -maxTime} {
+		if err := CheckTime(tm); err != nil {
+			t.Errorf("CheckTime(%v) = %v, want nil", tm, err)
+		}
+		if z := f.EvalAt(p, tm); math.IsNaN(z) || math.IsInf(z, 0) {
+			t.Errorf("EvalAt(t=%v) = %v, want finite", tm, z)
+		}
+	}
+	past := math.Nextafter(maxTime, math.Inf(1))
+	if z := f.EvalAt(p, past); !math.IsNaN(z) {
+		t.Errorf("EvalAt(t=%v) = %v, want NaN past the bound", past, z)
+	}
+	for _, tm := range []float64{past, -past, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if CheckTime(tm) == nil {
+			t.Errorf("CheckTime(%v) = nil, want an error", tm)
+		}
+	}
+}

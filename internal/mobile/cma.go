@@ -49,9 +49,6 @@ type Config struct {
 	// StopEps is the force magnitude below which the node stops (the
 	// paper's Fs == 0 test, with numeric tolerance).
 	StopEps float64
-	// PeakFitM is the number of nearest samples used when estimating the
-	// curvature at candidate peak positions; 0 defaults to 12.
-	PeakFitM int
 	// CurvGain scales the curvature attractions F1 and F2 relative to the
 	// repulsion Fr. The controller normalizes curvature weights into
 	// [0, 1] to stay scale-free across environments, which makes the
@@ -87,7 +84,6 @@ func DefaultConfig() Config {
 		Beta:        2,
 		MaxStep:     1,
 		StopEps:     0.8,
-		PeakFitM:    DefaultPeakFitM,
 		CurvGain:    0.15,
 		RepulseFrac: 1,
 	}
@@ -180,9 +176,9 @@ type Controller struct {
 	peakG float64
 }
 
-// DefaultPeakFitM is the nearest-sample count of the peak-candidate fits
-// when Config.PeakFitM is zero.
-const DefaultPeakFitM = 12
+// peakFitM is the number of nearest samples used when estimating the
+// curvature at candidate peak positions.
+const peakFitM = 12
 
 // restartFactor is the hysteresis ratio between the wake-up and stop
 // thresholds of the movement deadband.
@@ -205,9 +201,6 @@ const minFitSamples = 6
 func NewController(id int, cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.PeakFitM == 0 {
-		cfg.PeakFitM = DefaultPeakFitM
 	}
 	if cfg.StopEps <= 0 {
 		cfg.StopEps = 0.8
@@ -404,5 +397,5 @@ func (c *Controller) weight(g float64) float64 {
 // Each candidate's |G| is the m-nearest fit of Eqn 14 over the node's
 // own samples (curvature.Fitter.Peak).
 func (c *Controller) findPeak(f *curvature.Fitter, pos geom.Vec2, samples []field.Sample) (geom.Vec2, float64) {
-	return f.Peak(pos, samples, c.cfg.PeakFitM, 0.7*c.cfg.Rs)
+	return f.Peak(pos, samples, peakFitM, 0.7*c.cfg.Rs)
 }

@@ -84,7 +84,6 @@ func TestControllerAccessors(t *testing.T) {
 		name            string
 		zero, def, want float64
 	}{
-		{"PeakFitM", float64(zc.PeakFitM), float64(dc.PeakFitM), 12},
 		{"StopEps", zc.StopEps, dc.StopEps, 0.8},
 		{"CurvGain", zc.CurvGain, dc.CurvGain, 0.15},
 		{"RepulseFrac", zc.RepulseFrac, dc.RepulseFrac, 1},

@@ -4,19 +4,20 @@
 // server and CPU profile, and at Close writes the profiles, exports the
 // metrics registry and emits a structured end-of-run report.
 //
-// Lifecycle:
+// Lifecycle: a command declares its own flags on flag.CommandLine and
+// hands the rest to Main, which owns the whole edge:
 //
-//	reg := obs.NewRegistry()
-//	run := obscli.New(reg)
-//	run.RegisterFlags(flag.CommandLine)
-//	flag.Parse()
-//	if err := run.Start(); err != nil { ... }
-//	defer run.Close()
+//	func main() {
+//		k := flag.Int("k", 100, "node count")
+//		obscli.Main("osd", func() error {
+//			return checkFlags(*k) // flag checks; nothing started yet
+//		}, func(reg *obs.Registry) error {
+//			return run(*k, reg) // the command body
+//		})
+//	}
 //
-// Close is idempotent and safe on every exit path, so commands that
-// structure main as run() error get profile handles closed — and write
-// errors reported — even on early errors, which the original per-command
-// pprof plumbing did not.
+// The checks run before Start, so a refused flag starts no profile or
+// listener and writes no export; see Main for the exit statuses.
 package obscli
 
 import (
@@ -24,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // mounts the profiling handlers served at -pprof
@@ -34,6 +36,41 @@ import (
 
 	"repro/internal/obs"
 )
+
+// Main runs the command name behind the shared edge and returns only on
+// success. It sets the "name: " log prefix, registers the shared flags on
+// flag.CommandLine next to the command's own, parses the command line (a
+// malformed one exits 2), and then calls check, Start, body and Close in
+// that order; Close runs whenever Start succeeded. The first error of
+// check, Start, body or Close is printed as "name: err" and the process
+// exits with status 1.
+func Main(name string, check func() error, body func(reg *obs.Registry) error) {
+	log.SetFlags(0)
+	log.SetPrefix(name + ": ")
+	r := New(obs.NewRegistry())
+	r.RegisterFlags(flag.CommandLine)
+	flag.Parse()
+	if err := r.exec(check, body); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// exec runs check, then body between Start and Close, and returns the
+// first error.
+func (r *Run) exec(check func() error, body func(reg *obs.Registry) error) (err error) {
+	if err := check(); err != nil {
+		return err
+	}
+	if err := r.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return body(r.reg)
+}
 
 // Run owns a command's observability lifecycle. The zero value is not
 // usable; use New.
@@ -56,9 +93,6 @@ type Run struct {
 // New returns a Run that will export reg at Close. A nil registry is
 // allowed: profiles and pprof still work, metric exports are empty.
 func New(reg *obs.Registry) *Run { return &Run{reg: reg} }
-
-// Registry returns the registry the run exports.
-func (r *Run) Registry() *obs.Registry { return r.reg }
 
 // RegisterFlags installs the shared observability flags on fs.
 func (r *Run) RegisterFlags(fs *flag.FlagSet) {

@@ -2,17 +2,104 @@ package obscli
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
+
+// mainEnv, when set, makes the test binary run a tiny command through
+// Main with the arguments after "--" instead of the tests: "check" fails
+// its flag check, "body" fails its body, anything else succeeds.
+const mainEnv = "OBSCLI_TEST_MAIN"
+
+func TestMain(m *testing.M) {
+	if mode := os.Getenv(mainEnv); mode != "" {
+		for i, a := range os.Args {
+			if a == "--" {
+				os.Args = append(os.Args[:1], os.Args[i+1:]...)
+				break
+			}
+		}
+		Main("tiny", func() error {
+			if mode == "check" {
+				return errors.New("bad -x 0: must be at least 1")
+			}
+			return nil
+		}, func(reg *obs.Registry) error {
+			reg.Counter("tiny_runs_total").Inc()
+			if mode == "body" {
+				return errors.New("body failed")
+			}
+			return nil
+		})
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestMainEdge pins the exit contract of Main: a failing check exits 1
+// before Start and writes no export, a failing body exits 1 after the
+// exports are written, an export that cannot be written exits 1, and a
+// flag error exits 2.
+func TestMainEdge(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		mode, export string
+		code         int
+		stderr       string
+		written      bool
+	}{
+		{"ok", "ok.json", 0, "", true},
+		{"check", "check.json", 1, "tiny: bad -x 0: must be at least 1\n", false},
+		{"body", "body.json", 1, "tiny: body failed\n", true},
+		{"ok", "missing/close.json", 1, "tiny: open ", false},
+	} {
+		export := filepath.Join(dir, tc.export)
+		code, stderr := runTiny(t, tc.mode, "-metrics-json", export)
+		if code != tc.code || !strings.HasPrefix(stderr, tc.stderr) {
+			t.Errorf("%s: exit %d, stderr %q; want exit %d, stderr starting %q", tc.mode, code, stderr, tc.code, tc.stderr)
+		}
+		data, err := os.ReadFile(export)
+		if !tc.written {
+			if err == nil {
+				t.Errorf("%s: %s written on a refused run", tc.mode, tc.export)
+			}
+			continue
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(data, &snap); err != nil || snap.Counters["tiny_runs_total"] != 1 {
+			t.Errorf("%s: export %s = %s (%v), want tiny_runs_total 1", tc.mode, tc.export, data, err)
+		}
+	}
+	if code, _ := runTiny(t, "ok", "-no-such-flag"); code != 2 {
+		t.Errorf("unknown flag: exit %d, want 2", code)
+	}
+}
+
+// runTiny runs the tiny command in a child process and returns its exit
+// status and standard error.
+func runTiny(t *testing.T, mode string, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, args...)...)
+	cmd.Env = append(os.Environ(), mainEnv+"="+mode)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("%s %v: %v", mode, args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
 
 // newRun builds a Run with flags parsed from args against a fresh set.
 func newRun(t *testing.T, reg *obs.Registry, args ...string) *Run {
