@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -32,8 +33,10 @@ func TestMain(m *testing.M) {
 // and dsweep options would read as the default and demands exit 1 with
 // output naming the flag. No run names a spec, so none starts a worker,
 // even where a check is missing; -workers 0, the default, passes the
-// checks and fails only at the missing -spec.
+// checks and fails only at the missing -spec. A refused command line
+// writes no metrics export.
 func TestBadNumericFlagsExit(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "m.json")
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -42,6 +45,7 @@ func TestBadNumericFlagsExit(t *testing.T) {
 		{[]string{"-limit", "-1"}, "-limit"},
 		{[]string{"-lease-ttl", "-1s"}, "-lease-ttl"},
 		{[]string{"-workers", "0"}, "-spec"},
+		{[]string{"-metrics-json", metrics}, "-spec"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		args := append([]string{"-test.run=^$", "--", "-quiet"}, tc.args...)
@@ -56,6 +60,9 @@ func TestBadNumericFlagsExit(t *testing.T) {
 		}
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("%v: output does not name %s:\n%s", tc.args, tc.want, out)
+		}
+		if _, err := os.Stat(metrics); !os.IsNotExist(err) {
+			t.Errorf("%v: a refused run wrote %s (stat: %v)", tc.args, metrics, err)
 		}
 	}
 }

@@ -101,7 +101,9 @@ func main() {
 }
 
 // checkFlags refuses the negative values the sweep and dsweep options
-// would read as "use the default", naming the flag; 0 is the default.
+// would read as "use the default", naming the flag (0 is the default),
+// and the flag combinations no mode accepts, so that no refused command
+// line starts the run or writes its exports.
 func checkFlags(cfg config) error {
 	switch {
 	case cfg.Workers < 0:
@@ -110,28 +112,29 @@ func checkFlags(cfg config) error {
 		return fmt.Errorf("bad -limit %d: must be at least 0 (0 runs every cell)", cfg.Limit)
 	case cfg.LeaseTTL < 0:
 		return fmt.Errorf("bad -lease-ttl %v: must be at least 0 (0 = 15s)", cfg.LeaseTTL)
+	case cfg.Example:
+		return nil
+	case cfg.Serve != "" && cfg.Join != "":
+		return fmt.Errorf("-serve and -join are mutually exclusive")
+	case cfg.Join != "" && cfg.SpecPath != "":
+		return fmt.Errorf("-join fetches the spec from the coordinator; drop -spec")
+	case cfg.Join != "":
+		return nil
+	case cfg.SpecPath == "":
+		return fmt.Errorf("missing -spec (or -example); see -h")
+	case cfg.Resume && cfg.Checkpoint == "":
+		return fmt.Errorf("-resume needs -checkpoint")
 	}
 	return nil
 }
 
+// realMain runs the mode cfg selects; cfg has passed checkFlags.
 func realMain(cfg config, reg *obs.Registry) error {
 	if cfg.Example {
 		return writeExample(os.Stdout)
 	}
-	if cfg.Serve != "" && cfg.Join != "" {
-		return fmt.Errorf("-serve and -join are mutually exclusive")
-	}
 	if cfg.Join != "" {
-		if cfg.SpecPath != "" {
-			return fmt.Errorf("-join fetches the spec from the coordinator; drop -spec")
-		}
 		return runJoin(cfg, reg)
-	}
-	if cfg.SpecPath == "" {
-		return fmt.Errorf("missing -spec (or -example); see -h")
-	}
-	if cfg.Resume && cfg.Checkpoint == "" {
-		return fmt.Errorf("-resume needs -checkpoint")
 	}
 	spec, err := sweep.LoadSpecFile(cfg.SpecPath)
 	if err != nil {

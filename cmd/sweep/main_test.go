@@ -63,30 +63,27 @@ func TestWriteExampleRoundTrips(t *testing.T) {
 	}
 }
 
-// TestRealMainArgErrors pins the flag-validation failures.
+// TestRealMainArgErrors pins the flag-combination failures, which
+// checkFlags refuses before the run starts, and the absent spec file,
+// which only realMain can find.
 func TestRealMainArgErrors(t *testing.T) {
-	if err := realMain(config{Quiet: true}, nil); err == nil ||
-		!strings.Contains(err.Error(), "-spec") {
-		t.Fatalf("missing -spec: got %v", err)
-	}
-	if err := realMain(config{SpecPath: "x.json", Resume: true, Quiet: true}, nil); err == nil ||
-		!strings.Contains(err.Error(), "-checkpoint") {
-		t.Fatalf("-resume without -checkpoint: got %v", err)
+	for _, tc := range []struct {
+		name string
+		cfg  config
+		want string
+	}{
+		{"missing -spec", config{Quiet: true}, "-spec"},
+		{"-resume without -checkpoint", config{SpecPath: "x.json", Resume: true, Quiet: true}, "-checkpoint"},
+		{"-serve with -join", config{Serve: ":0", Join: "http://x", Quiet: true}, "mutually exclusive"},
+		{"-join with -spec", config{Join: "http://x", SpecPath: "x.json", Quiet: true}, "drop -spec"},
+		{"-serve without -spec", config{Serve: ":0", Quiet: true}, "-spec"},
+	} {
+		if err := checkFlags(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got %v", tc.name, err)
+		}
 	}
 	if err := realMain(config{SpecPath: filepath.Join(t.TempDir(), "absent.json"), Quiet: true}, nil); err == nil {
 		t.Fatal("absent spec file: want error")
-	}
-	if err := realMain(config{Serve: ":0", Join: "http://x", Quiet: true}, nil); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("-serve with -join: got %v", err)
-	}
-	if err := realMain(config{Join: "http://x", SpecPath: "x.json", Quiet: true}, nil); err == nil ||
-		!strings.Contains(err.Error(), "drop -spec") {
-		t.Fatalf("-join with -spec: got %v", err)
-	}
-	if err := realMain(config{Serve: ":0", Quiet: true}, nil); err == nil ||
-		!strings.Contains(err.Error(), "-spec") {
-		t.Fatalf("-serve without -spec: got %v", err)
 	}
 }
 

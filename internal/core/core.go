@@ -61,9 +61,13 @@ type FRAOptions struct {
 	fullGridUpdates bool
 	// Metrics, when non-nil, receives the refinement-loop counters
 	// (fra_runs_total, fra_refined_total, fra_relays_total,
-	// fra_banned_total, fra_refine_attempts_total), the wall-time
-	// histogram fra_run_seconds, and the relay-budget gauges
-	// fra_relay_budget / fra_relay_bill refreshed at every selection.
+	// fra_banned_total, fra_refine_attempts_total,
+	// fra_prefix_picks_total), the wall-time histogram fra_run_seconds,
+	// and the relay-budget gauges fra_relay_budget / fra_relay_bill
+	// refreshed at every selection. fra_refined_total and
+	// fra_relays_total count what the placements hold; attempts and bans
+	// count the candidates this run examined, so picks taken from a
+	// Reference's trajectory (fra_prefix_picks_total) add none.
 	// Observation only; placements are bit-identical with or without it.
 	Metrics *obs.Registry
 }
@@ -81,6 +85,10 @@ func DefaultFRAOptions(k int) FRAOptions {
 // budget is still sufficient to stitch the connectivity graph together —
 // when it is exactly sufficient, spend the rest on relay nodes along the
 // Prim/Kruskal component links.
+//
+// When f is a surface.Reference, the steps every budget shares are taken
+// from the Reference's budget-free trajectory (trajectory.go) rather than
+// recomputed; the placement is the same bit for bit.
 func FRA(f field.Field, opts FRAOptions) (Placement, error) {
 	if opts.K <= 0 || !(opts.Rc > 0) || math.IsInf(opts.Rc, 1) {
 		return Placement{}, fmt.Errorf("%w: k=%d rc=%v", ErrBadParams, opts.K, opts.Rc)
@@ -96,108 +104,193 @@ func FRA(f field.Field, opts FRAOptions) (Placement, error) {
 	met.runs.Inc()
 	runTimer := met.runSeconds.StartTimer()
 	defer runTimer.Stop()
-	region := f.Bounds()
 
-	tin := surface.NewTIN(region)
-	var placement Placement
-	// Initialize A into 2 triangles by link (0,0) and (√A,√A) (Table 1):
-	// the corners are virtual, valued from the historical surface.
-	for _, c := range region.Corners() {
-		if err := tin.Add(field.Sample{Pos: c, Z: f.Eval(c)}); err != nil {
-			return Placement{}, fmt.Errorf("core: seed corner %v: %w", c, err)
-		}
-		placement.Anchors = append(placement.Anchors, c)
+	st, err := newFRAState(f, opts.Rc, opts.K)
+	if err != nil {
+		return Placement{}, err
+	}
+	st.fullGridUpdates = opts.fullGridUpdates
+	foresight := !opts.DisableForesight
+	if ref, ok := f.(*surface.Reference); ok && foresight && !opts.fullGridUpdates {
+		st.follow(trajectoryOf(ref, gridN, opts.Rc), opts.K, gridN, &met)
+	} else {
+		st.startRefining(gridN, foresight)
+		st.run(opts.K, foresight, &met)
 	}
 
-	errGrid := surface.NewLocalErrorGrid(f, gridN)
-	errGrid.Update(tin)
-
-	selected := make([]geom.Vec2, 0, opts.K)
-	selectedSet := make(map[geom.Vec2]bool, opts.K)
-	banned := make(map[geom.Vec2]bool)
-	tried := make(map[geom.Vec2]bool) // scratch, cleared per refinement step
-
-	// The oracle answers the affordability check L(G ∪ {p}, Rc) ≤ budget
-	// incrementally instead of rebuilding the unit-disk graph per
-	// candidate; it is not needed when foresight is off.
-	var oracle *graph.RelayOracle
-	if !opts.DisableForesight {
-		oracle = graph.NewRelayOracle(opts.Rc)
-	}
-
-	// addNode inserts p into the reconstruction and reports the triangles
-	// the insertion created (exact=false demands a full refresh).
-	addNode := func(p geom.Vec2) (created []delaunay.Triangle, exact bool, err error) {
-		created, exact, err = tin.AddDirty(field.Sample{Pos: p, Z: f.Eval(p)})
-		if err != nil {
-			return nil, false, err
-		}
-		selected = append(selected, p)
-		selectedSet[p] = true
-		if oracle != nil {
-			oracle.Commit(p)
-		}
-		return created, exact, nil
-	}
-
-	spendRestOnRelays := func() {
-		for _, rp := range graph.RelayPositions(selected, opts.Rc) {
-			if len(selected) >= opts.K {
-				break
-			}
-			if _, _, err := addNode(region.ClampPoint(rp)); err != nil {
-				continue // duplicate relay position; skip
-			}
-			placement.Relays++
-		}
-	}
-
-	for len(selected) < opts.K {
-		remaining := opts.K - len(selected)
-		bill := 0
-		if oracle != nil {
-			bill = oracle.Relays()
-			met.relayBudget.Set(float64(remaining - 1))
-			met.relayBill.Set(float64(bill))
-		}
-		if !opts.DisableForesight && len(selected) > 0 && bill >= remaining {
-			// Foresight trigger: the rest of the budget goes to relays.
-			spendRestOnRelays()
-			break
-		}
-
-		// Refinement step: position of maximum local error, skipping
-		// positions whose addition would make connectivity unaffordable.
-		budget := remaining - 1
-		if opts.DisableForesight {
-			budget = int(^uint(0) >> 1) // unconstrained
-		}
-		p, ok := nextRefinement(errGrid, oracle, selectedSet, banned, tried, budget, met.attempts)
-		if !ok {
-			if opts.DisableForesight {
-				break
-			}
-			spendRestOnRelays()
-			break
-		}
-		created, exact, err := addNode(p)
-		if err != nil {
-			banned[p] = true
-			met.banned.Inc()
-			continue
-		}
-		placement.Refined++
-		if exact && !opts.fullGridUpdates {
-			errGrid.UpdateTriangles(tin, created)
-		} else {
-			errGrid.Update(tin)
-		}
-	}
-
-	placement.Nodes = selected
+	corners := f.Bounds().Corners()
+	placement := Placement{Nodes: st.selected, Refined: st.refined, Relays: st.relays, Anchors: corners[:]}
 	met.refined.Add(int64(placement.Refined))
 	met.relays.Add(int64(placement.Relays))
 	return placement, nil
+}
+
+// fraState is the refinement loop's state over one field: the
+// reconstruction, seeded with the region corners (virtual anchors valued
+// from the historical surface, Table 1's initial two triangles), the
+// local-error lattice, the relay oracle, and the selected and banned
+// positions. FRA's loop (run) and a trajectory's extension both advance
+// it through refine.
+type fraState struct {
+	f      field.Field
+	region geom.Rect
+	rc     float64
+	tin    *surface.TIN
+	// grid and oracle are nil until startRefining; oracle stays nil
+	// without foresight.
+	grid   *surface.LocalErrorGrid
+	oracle *graph.RelayOracle
+
+	selected    []geom.Vec2
+	selectedSet map[geom.Vec2]bool
+	banned      map[geom.Vec2]bool
+	tried       map[geom.Vec2]bool // nextRefinement's scratch
+
+	refined, relays int
+	// fullGridUpdates disables the incremental lattice refresh
+	// (FRAOptions.fullGridUpdates).
+	fullGridUpdates bool
+}
+
+// newFRAState seeds a reconstruction of f with the region corners and
+// sizes the selection for k nodes.
+func newFRAState(f field.Field, rc float64, k int) (*fraState, error) {
+	region := f.Bounds()
+	st := &fraState{
+		f: f, region: region, rc: rc,
+		tin:         surface.NewTIN(region),
+		selected:    make([]geom.Vec2, 0, k),
+		selectedSet: make(map[geom.Vec2]bool, k),
+		banned:      make(map[geom.Vec2]bool),
+		tried:       make(map[geom.Vec2]bool),
+	}
+	for _, c := range region.Corners() {
+		if err := st.tin.Add(st.sample(c)); err != nil {
+			return nil, fmt.Errorf("core: seed corner %v: %w", c, err)
+		}
+	}
+	return st, nil
+}
+
+// startRefining builds the local-error lattice against the current
+// reconstruction and, with foresight, the relay oracle over the current
+// selection. The oracle answers the affordability check
+// L(G ∪ {p}, Rc) ≤ budget incrementally instead of rebuilding the
+// unit-disk graph per candidate.
+func (st *fraState) startRefining(gridN int, foresight bool) {
+	st.grid = surface.NewLocalErrorGrid(st.f, gridN)
+	st.grid.Update(st.tin)
+	if foresight {
+		st.oracle = graph.NewRelayOracle(st.rc)
+		for _, p := range st.selected {
+			st.oracle.Commit(p)
+		}
+	}
+}
+
+// sample is f's value at p.
+func (st *fraState) sample(p geom.Vec2) field.Sample {
+	return field.Sample{Pos: p, Z: st.f.Eval(p)}
+}
+
+// add inserts s into the reconstruction and the selection and reports the
+// triangles the insertion created (exact=false demands a full refresh).
+// A duplicate position returns the insertion's error and changes only the
+// triangulation's walk hint.
+func (st *fraState) add(s field.Sample) (created []delaunay.Triangle, exact bool, err error) {
+	created, exact, err = st.tin.AddDirty(s)
+	if err != nil {
+		return nil, false, err
+	}
+	st.selected = append(st.selected, s.Pos)
+	st.selectedSet[s.Pos] = true
+	if st.oracle != nil {
+		st.oracle.Commit(s.Pos)
+	}
+	return created, exact, nil
+}
+
+// run is FRA's loop from the current state until k nodes are placed: a
+// foresight check before every selection, then a refinement step. The
+// state must be refining (startRefining).
+func (st *fraState) run(k int, foresight bool, met *fraMetrics) {
+	for len(st.selected) < k {
+		remaining := k - len(st.selected)
+		bill := 0
+		if st.oracle != nil {
+			bill = st.oracle.Relays()
+			met.relayBudget.Set(float64(remaining - 1))
+			met.relayBill.Set(float64(bill))
+		}
+		if foresight && len(st.selected) > 0 && bill >= remaining {
+			// Foresight trigger: the rest of the budget goes to relays.
+			st.spendRestOnRelays(k)
+			return
+		}
+		// Refinement step, skipping positions whose addition would make
+		// connectivity unaffordable.
+		budget := remaining - 1
+		if !foresight {
+			budget = math.MaxInt // unconstrained
+		}
+		if _, _, out := st.refine(budget, met); out == stepExhausted {
+			if foresight {
+				st.spendRestOnRelays(k)
+			}
+			return
+		}
+	}
+}
+
+// stepOutcome is what one refinement step did.
+type stepOutcome int
+
+const (
+	stepPicked    stepOutcome = iota // the node joined the reconstruction
+	stepBanned                       // the node duplicated a sample and is banned
+	stepExhausted                    // no lattice node qualified
+)
+
+// refine is one refinement step (Table 1, lines 9–11): the lattice node of
+// maximum local error whose addition keeps the relay bill within
+// budgetAfter, inserted into the reconstruction with the local errors
+// refreshed. It returns the node's sample, the relay bill with the node
+// (0 without an oracle) and the outcome; on stepExhausted the state is
+// unchanged.
+func (st *fraState) refine(budgetAfter int, met *fraMetrics) (s field.Sample, billWith int, out stepOutcome) {
+	p, billWith, ok := nextRefinement(st.grid, st.oracle, st.selectedSet, st.banned, st.tried, budgetAfter, met.attempts)
+	if !ok {
+		return field.Sample{}, 0, stepExhausted
+	}
+	s = st.sample(p)
+	created, exact, err := st.add(s)
+	if err != nil {
+		st.banned[p] = true
+		met.banned.Inc()
+		return s, billWith, stepBanned
+	}
+	st.refined++
+	if exact && !st.fullGridUpdates {
+		st.grid.UpdateTriangles(st.tin, created)
+	} else {
+		st.grid.Update(st.tin)
+	}
+	return s, billWith, stepPicked
+}
+
+// spendRestOnRelays places relays along the component links of the
+// selection until k nodes are placed; a relay position that duplicates a
+// sample is skipped.
+func (st *fraState) spendRestOnRelays(k int) {
+	for _, rp := range graph.RelayPositions(st.selected, st.rc) {
+		if len(st.selected) >= k {
+			break
+		}
+		if _, _, err := st.add(st.sample(st.region.ClampPoint(rp))); err != nil {
+			continue
+		}
+		st.relays++
+	}
 }
 
 // fraMetrics is FRA's observability surface. The zero value (from a nil
@@ -209,6 +302,7 @@ type fraMetrics struct {
 	relays      *obs.Counter   // fra_relays_total
 	banned      *obs.Counter   // fra_banned_total (duplicate-insert rejections)
 	attempts    *obs.Counter   // fra_refine_attempts_total (argmax candidates tried)
+	prefix      *obs.Counter   // fra_prefix_picks_total (picks taken from a trajectory)
 	runSeconds  *obs.Histogram // fra_run_seconds
 	relayBudget *obs.Gauge     // fra_relay_budget: nodes spendable after the next pick
 	relayBill   *obs.Gauge     // fra_relay_bill: relays the oracle currently demands
@@ -224,6 +318,7 @@ func newFRAMetrics(reg *obs.Registry) fraMetrics {
 		relays:      reg.Counter("fra_relays_total"),
 		banned:      reg.Counter("fra_banned_total"),
 		attempts:    reg.Counter("fra_refine_attempts_total"),
+		prefix:      reg.Counter("fra_prefix_picks_total"),
 		runSeconds:  reg.Histogram("fra_run_seconds", nil),
 		relayBudget: reg.Gauge("fra_relay_budget"),
 		relayBill:   reg.Gauge("fra_relay_bill"),
@@ -233,14 +328,15 @@ func newFRAMetrics(reg *obs.Registry) fraMetrics {
 // nextRefinement scans lattice positions in decreasing local-error order
 // and returns the best position whose addition keeps the relay bill within
 // budgetAfter (checked through the oracle; a nil oracle means the budget
-// is unconstrained). ok is false when no position qualifies. Local errors
+// is unconstrained), and that bill (0 without an oracle). ok is false
+// when no position qualifies. Local errors
 // are highly peaked, so trying candidates in argmax order converges after
 // a handful of attempts in practice; the attempt budget bounds the worst
 // case. The first attempt reads the argmax from the grid's row maxima
 // when nothing is banned; later attempts scan the grid. tried is
 // caller-owned scratch, cleared here, so steady-state refinement
 // allocates nothing per attempt.
-func nextRefinement(g *surface.LocalErrorGrid, oracle *graph.RelayOracle, selectedSet, banned, tried map[geom.Vec2]bool, budgetAfter int, attempts *obs.Counter) (geom.Vec2, bool) {
+func nextRefinement(g *surface.LocalErrorGrid, oracle *graph.RelayOracle, selectedSet, banned, tried map[geom.Vec2]bool, budgetAfter int, attempts *obs.Counter) (p geom.Vec2, bill int, ok bool) {
 	n := g.N()
 	clear(tried)
 	const maxAttempts = 64
@@ -268,7 +364,7 @@ func nextRefinement(g *surface.LocalErrorGrid, oracle *graph.RelayOracle, select
 			}
 		}
 		if bestE < 0 {
-			return geom.Vec2{}, false
+			return geom.Vec2{}, 0, false
 		}
 		tried[bestP] = true
 		if selectedSet[bestP] {
@@ -276,11 +372,14 @@ func nextRefinement(g *surface.LocalErrorGrid, oracle *graph.RelayOracle, select
 		}
 		// Affordability check: would connectivity still be payable after
 		// adding this node?
-		if oracle == nil || oracle.RelaysWith(bestP) <= budgetAfter {
-			return bestP, true
+		if oracle == nil {
+			return bestP, 0, true
+		}
+		if bill := oracle.RelaysWith(bestP); bill <= budgetAfter {
+			return bestP, bill, true
 		}
 	}
-	return geom.Vec2{}, false
+	return geom.Vec2{}, 0, false
 }
 
 // RandomPlacement returns the paper's baseline: k positions drawn

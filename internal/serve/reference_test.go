@@ -8,9 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/surface"
 )
 
 // refSeries reads the reference cache's three series.
@@ -27,6 +29,24 @@ func evalBody(env string, n, variant int) string {
 		env, 40+variant, n)
 }
 
+// forestRefBytes is the size of a Reference of the default forest after
+// a direct FRA placement and δ evaluation per k at placeBody's Rc 10,
+// grid_n 40 and delta_n 40: its two lattices and FRA's trajectory.
+func forestRefBytes(t *testing.T, ks ...int) int64 {
+	t.Helper()
+	ref := surface.NewReference(field.Slice(field.NewForest(field.DefaultForestConfig()), 0))
+	for _, k := range ks {
+		p, err := core.FRA(ref, core.FRAOptions{K: k, Rc: 10, GridN: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Evaluate(ref, p, 10, 40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ref.Bytes()
+}
+
 // TestServeReferenceWarmMatchesCold places twice on one field with
 // different k: the second request reuses the field's lattices (a
 // reference hit, a response-cache miss) and must answer with the bytes a
@@ -39,8 +59,13 @@ func TestServeReferenceWarmMatchesCold(t *testing.T) {
 			t.Fatalf("place: code %d body %s", w.Code, w.Body.String())
 		}
 	}
-	if hits, misses, size := refSeries(reg); hits != 1 || misses != 1 || size != (41*41+40*40)*8 {
-		t.Fatalf("reference hits/misses/bytes = %d/%d/%g, want 1/1/%d", hits, misses, size, (41*41+40*40)*8)
+	// The forest's lattices, and FRA's trajectory on top of them.
+	forest := forestRefBytes(t, 20, 33)
+	if forest <= (41*41+40*40)*8 {
+		t.Fatalf("a placed-on reference holds %d bytes, no more than its lattices", forest)
+	}
+	if hits, misses, size := refSeries(reg); hits != 1 || misses != 1 || size != float64(forest) {
+		t.Fatalf("reference hits/misses/bytes = %d/%d/%g, want 1/1/%d", hits, misses, size, forest)
 	}
 	cold, _ := newTestServer(t, nil)
 	for _, format := range []string{"", "?format=text"} {
@@ -65,7 +90,7 @@ func TestServeReferenceWarmMatchesCold(t *testing.T) {
 			t.Fatalf("eval %d: code %d body %s", i, w.Code, w.Body.String())
 		}
 	}
-	want := int64((41*41+40*40)*8 + 2*20*20*8)
+	want := forest + 2*20*20*8
 	if hits, misses, size := refSeries(reg); hits != 3 || misses != 3 || size != float64(want) {
 		t.Fatalf("reference hits/misses/bytes = %d/%d/%g, want 3/3/%d", hits, misses, size, want)
 	}

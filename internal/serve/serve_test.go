@@ -391,7 +391,7 @@ func TestMetricsExport(t *testing.T) {
 		"serve_queue_depth",
 		"serve_cache_misses_total",
 		"serve_reference_misses_total 1",
-		"serve_reference_bytes 26248",
+		fmt.Sprintf("serve_reference_bytes %d", forestRefBytes(t, 20)),
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)

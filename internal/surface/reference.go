@@ -22,11 +22,22 @@ import (
 // δ-vs-k sweep's field. Do not wrap an approximation: it changes with
 // every placement, and a TIN passed as Delta's g is scan-filled only when
 // it is not wrapped.
+//
+// A Reference also keeps state other packages derive from the field
+// alone (Derived), such as FRA's budget-free trajectories; it lives and
+// dies with the Reference.
 type Reference struct {
-	f     field.Field
-	mu    sync.Mutex
-	fills map[latticeKey]*latticeFill
-	bytes atomic.Int64
+	f       field.Field
+	mu      sync.Mutex
+	fills   map[latticeKey]*latticeFill
+	derived map[any]Derived
+	bytes   atomic.Int64
+}
+
+// Derived is state derived from a Reference's field alone and kept with
+// it. Bytes reports its current size; it must be safe for concurrent use.
+type Derived interface {
+	Bytes() int64
 }
 
 // latticeKey names one lattice of a Reference: its divisions per side and
@@ -44,7 +55,7 @@ type latticeFill struct {
 
 // NewReference wraps f.
 func NewReference(f field.Field) *Reference {
-	return &Reference{f: f, fills: make(map[latticeKey]*latticeFill)}
+	return &Reference{f: f, fills: make(map[latticeKey]*latticeFill), derived: make(map[any]Derived)}
 }
 
 // Eval implements field.Field.
@@ -53,9 +64,31 @@ func (r *Reference) Eval(p geom.Vec2) float64 { return r.f.Eval(p) }
 // Bounds implements field.Field.
 func (r *Reference) Bounds() geom.Rect { return r.f.Bounds() }
 
-// Bytes returns the size of the lattices filled so far: their float64
-// values times 8.
-func (r *Reference) Bytes() int64 { return r.bytes.Load() }
+// Bytes returns the size of the lattices filled so far, their float64
+// values times 8, plus the Bytes of every Derived value.
+func (r *Reference) Bytes() int64 {
+	n := r.bytes.Load()
+	r.mu.Lock()
+	for _, d := range r.derived {
+		n += d.Bytes()
+	}
+	r.mu.Unlock()
+	return n
+}
+
+// Derived returns the value kept under key, a comparable value, storing
+// mk() first when there is none. mk runs under the Reference's lock, so
+// it should only allocate.
+func (r *Reference) Derived(key any, mk func() Derived) Derived {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	d := r.derived[key]
+	if d == nil {
+		d = mk()
+		r.derived[key] = d
+	}
+	return d
+}
 
 // lattice returns the values of the n-division vertex or midpoint lattice,
 // row-major, filling it on first use. The slice is shared: read only.

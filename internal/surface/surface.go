@@ -468,6 +468,12 @@ func NewLocalErrorGrid(f field.Field, n int) *LocalErrorGrid {
 // N returns the number of divisions per side.
 func (g *LocalErrorGrid) N() int { return g.n }
 
+// Bytes returns the size of the grid's own arrays; the reference values
+// it may share with a Reference are not counted.
+func (g *LocalErrorGrid) Bytes() int64 {
+	return 8 * int64(len(g.err)+len(g.rowMax)+len(g.rowArg)+len(g.xs)+len(g.ys))
+}
+
 // Pos returns the plane position of lattice node (i, j).
 func (g *LocalErrorGrid) Pos(i, j int) geom.Vec2 { return geom.V2(g.xs[i], g.ys[j]) }
 
