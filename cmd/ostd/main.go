@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -53,9 +54,6 @@ func main() {
 		rates  []float64
 	)
 	obscli.Main("ostd", func() (err error) {
-		if err := checkFlags(*k, *slots, *deltaN, *beta, *noise, *faultRate); err != nil {
-			return err
-		}
 		if snapAt, err = parseSnaps(*snaps); err != nil {
 			return fmt.Errorf("bad -snap: %w", err)
 		}
@@ -67,7 +65,7 @@ func main() {
 				return fmt.Errorf("bad -fault-sweep: %w", err)
 			}
 		}
-		return nil
+		return checkFlags(*k, *slots, *deltaN, *beta, *noise, *faultRate, snapAt, rates)
 	}, func(reg *obs.Registry) error {
 		forest := field.NewForest(field.DefaultForestConfig())
 		// One set of options drives both the single run and every rate of the
@@ -90,10 +88,7 @@ func main() {
 			return eval.WriteDegradationTable(os.Stdout, rows)
 		}
 
-		if *faultRate > 0 {
-			opts = eval.WithFaults(opts, fault.ProfileSpec{Rate: *faultRate}, *k, *slots, *faultSeed)
-		}
-		w, err := engine.New(forest, field.GridLayout(forest.Bounds(), *k), opts)
+		w, err := eval.NewFaultedEngine(forest, opts, fault.ProfileSpec{Rate: *faultRate}, *k, *slots, *faultSeed)
 		if err != nil {
 			return err
 		}
@@ -113,13 +108,11 @@ func main() {
 }
 
 func emit(rows []eval.DeltaVsTimeRow, csv bool) error {
-	var err error
+	write := eval.WriteDeltaVsTimeTable
 	if csv {
-		err = eval.WriteDeltaVsTimeCSV(os.Stdout, rows)
-	} else {
-		err = eval.WriteDeltaVsTimeTable(os.Stdout, rows)
+		write = eval.WriteDeltaVsTimeCSV
 	}
-	if err != nil {
+	if err := write(os.Stdout, rows); err != nil {
 		return err
 	}
 	if conv, ok := eval.ConvergenceTime(rows); ok {
@@ -141,9 +134,12 @@ func snap(region geom.Rect, nodes []geom.Vec2, t float64, rc float64) error {
 }
 
 // checkFlags refuses the numeric flags the run cannot honor, with the
-// library's own checks where one exists, before anything is allocated.
-// Each error names its flag.
-func checkFlags(k, slots, deltaN int, beta, noise, faultRate float64) error {
+// library's own checks where one exists, and the flag combinations it
+// would silently ignore: a -fault-sweep (rates non-empty) with no slots,
+// with -fault-rate or with -snap, and a -snap time that is not a slot
+// time. It runs before anything is allocated, and each error names its
+// flag.
+func checkFlags(k, slots, deltaN int, beta, noise, faultRate float64, snapAt map[float64]bool, rates []float64) error {
 	switch {
 	case k < 1:
 		return fmt.Errorf("bad -k %d: must be at least 1", k)
@@ -151,6 +147,12 @@ func checkFlags(k, slots, deltaN int, beta, noise, faultRate float64) error {
 		return fmt.Errorf("bad -slots %d: must be at least 0", slots)
 	case deltaN < 1:
 		return fmt.Errorf("bad -delta-grid %d: must be at least 1", deltaN)
+	case len(rates) > 0 && slots == 0:
+		return fmt.Errorf("bad -slots 0: -fault-sweep needs at least 1 slot")
+	case len(rates) > 0 && faultRate != 0:
+		return fmt.Errorf("bad -fault-rate %g: -fault-sweep runs its own rates", faultRate)
+	case len(rates) > 0 && len(snapAt) > 0:
+		return fmt.Errorf("bad -snap: -fault-sweep renders no topology")
 	}
 	if err := sweep.CheckWork(k, 0, deltaN, slots); err != nil {
 		return fmt.Errorf("bad -k, -delta-grid or -slots: %w", err)
@@ -165,6 +167,11 @@ func checkFlags(k, slots, deltaN int, beta, noise, faultRate float64) error {
 	}
 	if err := (fault.ProfileSpec{Rate: faultRate}).Validate(); err != nil {
 		return fmt.Errorf("bad -fault-rate: %w", err)
+	}
+	for t := range snapAt {
+		if !(t >= 0 && t <= float64(slots) && t == math.Trunc(t)) {
+			return fmt.Errorf("bad -snap: every time must be a slot time in [0, %d]", slots)
+		}
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,9 +34,12 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadNumericFlagsExit runs the command on numeric flag values it
-// cannot honor and demands a non-zero exit whose output names the flag.
-// Every case is refused before the field or the swarm is built.
+// cannot honor, and on flag combinations it would silently ignore, and
+// demands exit status 1 with output that names the flag. Every case is
+// refused before the field or the swarm is built, so none writes its
+// -metrics-json export.
 func TestBadNumericFlagsExit(t *testing.T) {
+	export := filepath.Join(t.TempDir(), "m.json")
 	for _, tc := range []struct {
 		args []string
 		flag string
@@ -55,16 +61,27 @@ func TestBadNumericFlagsExit(t *testing.T) {
 		{[]string{"-fault-rate", "-0.1"}, "-fault-rate"},
 		{[]string{"-fault-sweep", "0,NaN"}, "-fault-sweep"},
 		{[]string{"-fault-sweep", "0,1"}, "-fault-sweep"},
+		{[]string{"-k", "9", "-slots", "0", "-fault-sweep", "0.1"}, "-slots"},
+		{[]string{"-fault-sweep", "0.1", "-fault-rate", "0.2"}, "-fault-rate"},
+		{[]string{"-fault-sweep", "0.1", "-snap", "0"}, "-snap"},
+		{[]string{"-slots", "5", "-snap", "0,6"}, "-snap"},
+		{[]string{"-slots", "5", "-snap", "2.5"}, "-snap"},
+		{[]string{"-snap", "-1"}, "-snap"},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, tc.args...)...)
+		args := append([]string{"-test.run=^$", "--", "-metrics-json", export}, tc.args...)
+		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		out, err := cmd.CombinedOutput()
-		if _, ok := err.(*exec.ExitError); !ok {
-			t.Errorf("%v: err = %v, want a non-zero exit; output:\n%s", tc.args, err, out)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("%v: err = %v, want exit status 1; output:\n%s", tc.args, err, out)
 			continue
 		}
 		if !strings.Contains(string(out), tc.flag) {
 			t.Errorf("%v: output does not name %s:\n%s", tc.args, tc.flag, out)
+		}
+		if _, err := os.Stat(export); err == nil {
+			t.Errorf("%v: refused, yet wrote %s", tc.args, export)
+			os.Remove(export)
 		}
 	}
 }
@@ -99,6 +116,66 @@ func TestFaultSweepHonorsRunFlags(t *testing.T) {
 	}
 	if out := runMain(t, append(sweep, "-noise", "2", "-seed", "9")...); out == noisy {
 		t.Errorf("-seed does not change the noisy degradation table:\n%s", out)
+	}
+}
+
+// csvColumn returns column col of every data row of the CSV table that
+// opens out, in row order; an empty cell is NaN. The table ends at the
+// first line without a comma.
+func csvColumn(t *testing.T, out string, col int) []float64 {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	var vals []float64
+	for _, line := range lines[1:] {
+		cells := strings.Split(line, ",")
+		if len(cells) == 1 {
+			break
+		}
+		if cells[col] == "" {
+			vals = append(vals, math.NaN())
+			continue
+		}
+		v, err := strconv.ParseFloat(cells[col], 64)
+		if err != nil {
+			t.Fatalf("row %q: %v", line, err)
+		}
+		vals = append(vals, v)
+	}
+	return vals
+}
+
+// TestFaultRunMatchesFaultSweep: -fault-rate r and -fault-sweep r run the
+// same swarm under the same fault stream and apply one δ rule, so the
+// single run's last δ and its mean δ over the slots after t = 0 that have
+// one are, bit for bit, the sweep row's delta_end and delta_mean — also
+// when the swarm dies down below 3 nodes or out altogether.
+func TestFaultRunMatchesFaultSweep(t *testing.T) {
+	for _, tc := range []struct{ k, rate, slots, grid string }{
+		{"100", "0.2", "8", "20"},
+		{"9", "0.9", "45", "20"},
+		{"4", "0.99", "200", "10"},
+	} {
+		run := []string{"-k", tc.k, "-slots", tc.slots, "-delta-grid", tc.grid, "-csv"}
+		deltas := csvColumn(t, runMain(t, append(run, "-fault-rate", tc.rate)...), 1)
+		if slots, _ := strconv.Atoi(tc.slots); len(deltas) != slots+1 {
+			t.Fatalf("k=%s rate=%s: %d rows, want %d", tc.k, tc.rate, len(deltas), slots+1)
+		}
+		last, sum, n := 0.0, 0.0, 0
+		for _, d := range deltas[1:] {
+			if !math.IsNaN(d) {
+				last, sum, n = d, sum+d, n+1
+			}
+		}
+		mean := 0.0
+		if n > 0 {
+			mean = sum / float64(n)
+		}
+		sweep := runMain(t, append(run, "-fault-sweep", tc.rate)...)
+		end, avg := csvColumn(t, sweep, 1)[0], csvColumn(t, sweep, 2)[0]
+		if math.Float64bits(last) != math.Float64bits(end) || math.Float64bits(mean) != math.Float64bits(avg) {
+			t.Errorf("k=%s rate=%s: single run δ last %v mean %v, sweep delta_end %v delta_mean %v",
+				tc.k, tc.rate, last, mean, end, avg)
+		}
 	}
 }
 

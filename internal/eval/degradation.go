@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
-	"text/tabwriter"
 
 	"repro/internal/collect"
 	"repro/internal/engine"
@@ -24,10 +22,10 @@ type DegradationRow struct {
 	// Rate is the run-level failure rate fed to fault.Profile. A sweep
 	// cell records it as its fault_rate instead.
 	Rate float64 `json:"-"`
-	// DeltaEnd is δ at the end of the run, reconstructed from the
-	// surviving nodes only.
+	// DeltaEnd is δ at the last slot with at least 3 nodes alive,
+	// reconstructed from those nodes only; 0 when no slot had 3.
 	DeltaEnd float64 `json:"delta_end"`
-	// DeltaMean is the mean per-slot δ over the run.
+	// DeltaMean is the mean δ over the slots with at least 3 alive.
 	DeltaMean float64 `json:"delta_mean"`
 	// ConvergenceT is the first time at which the swarm's mean
 	// displacement drops below ConvergenceEps and stays there for the
@@ -67,19 +65,18 @@ const ConvergenceEps = 0.1
 // bursty link loss and sensing faults all scaled by the one knob — while a
 // collection tree is maintained over the survivors by local repair where
 // possible and rebuild where not. Each rate's engine is built from base by
-// WithFaults, so base carries everything else: the CMA configuration, the
-// sensing noise and seed, the movement strategy's controller factory
-// (nil for CMA) and the metrics registry. Rate 0 runs the exact
-// fault-free dynamics, so the first row of a sweep starting at 0 doubles
-// as the baseline.
+// NewFaultedEngine, so base carries everything else: the CMA
+// configuration, the sensing noise and seed, the movement strategy's
+// controller factory (nil for CMA) and the metrics registry. Rate 0 runs
+// the exact fault-free dynamics, so the first row of a sweep starting at 0
+// doubles as the baseline.
 func DegradationSweep(dyn field.DynField, base engine.Options, k, slots, deltaN int, rates []float64, seed int64) ([]DegradationRow, error) {
 	if k < 1 || slots < 1 || deltaN < 1 || len(rates) == 0 {
 		return nil, fmt.Errorf("%w: k=%d slots=%d deltaN=%d rates=%v", ErrBadParams, k, slots, deltaN, rates)
 	}
-	init := field.GridLayout(dyn.Bounds(), k)
 	rows := make([]DegradationRow, 0, len(rates))
 	for _, rate := range rates {
-		w, err := engine.New(dyn, init, WithFaults(base, fault.ProfileSpec{Rate: rate}, k, slots, seed))
+		w, err := NewFaultedEngine(dyn, base, fault.ProfileSpec{Rate: rate}, k, slots, seed)
 		if err != nil {
 			return nil, fmt.Errorf("eval: degradation world rate=%g: %w", rate, err)
 		}
@@ -93,71 +90,52 @@ func DegradationSweep(dyn field.DynField, base engine.Options, k, slots, deltaN 
 	return rows, nil
 }
 
-// WithFaults returns base set up for one degradation run of k nodes over
-// slots slots under the fault profile spec: a fresh injector seeded from
-// seed (unless spec pins its own), and the robust (Huber) curvature fit
-// whenever the rate is above 0 — the degraded-mode backend that keeps
-// outlier samples from hijacking forces.
-func WithFaults(base engine.Options, spec fault.ProfileSpec, k, slots int, seed int64) engine.Options {
+// NewFaultedEngine builds base's engine for k nodes on dyn's grid layout,
+// run for slots slots under the fault profile spec. Above rate 0 it
+// attaches a fresh injector seeded from seed (unless spec pins its own)
+// and the robust (Huber) curvature fit — the degraded-mode backend that
+// keeps outlier samples from hijacking forces; at rate 0 it attaches
+// neither, so the run and its metrics are those of a fault-free engine.
+func NewFaultedEngine(dyn field.DynField, base engine.Options, spec fault.ProfileSpec, k, slots int, seed int64) (*engine.Engine, error) {
 	base.Config.RobustFit = spec.Rate > 0
-	base.Faults = spec.NewInjector(k, slots, seed)
-	return base
+	base.Faults = nil
+	if spec.Rate > 0 {
+		base.Faults = spec.NewInjector(k, slots, seed)
+	}
+	return engine.New(dyn, field.GridLayout(dyn.Bounds(), k), base)
 }
 
-// RunDegradation drives one already-built engine for slots steps,
-// maintaining a collection tree over the survivors (local repair where
-// possible, rebuild where not) and accumulating the row's metrics —
-// including the convergence time of the swarm's mean displacement. It is
-// the single-cell unit under DegradationSweep, exported so scenario
-// harnesses (internal/sweep) can run one fault profile per cell without
-// re-running the whole rate grid. Link checks use the engine's own Rc.
+// RunDegradation drives one already-built engine for slots steps through
+// the swarm loop, maintaining a collection tree over the survivors (local
+// repair where possible, rebuild where not) after every slot, and folds
+// the slots' rows into the run's metrics — including the convergence time
+// of the swarm's mean displacement. It is the single-cell unit under
+// DegradationSweep, exported so scenario harnesses (internal/sweep) can
+// run one fault profile per cell without re-running the whole rate grid.
+// Link checks use the engine's own Rc.
 func RunDegradation(w *engine.Engine, slots, deltaN int) (DegradationRow, error) {
-	var row DegradationRow
-	rc := w.Rc()
-	inj := w.Injector()
-	var tree *collect.Tree
-	connected, deltaSlots := 0, 0
-	reachSum := 0.0
-	conv := -1.0
-	for s := 0; s < slots; s++ {
-		stats, err := w.Step()
-		if err != nil {
-			return row, fmt.Errorf("slot %d: %w", s, err)
-		}
-		conv = settle(conv, stats.T, stats.MeanDisplacement)
-		if w.Connected() {
-			connected++
-		}
-		alive := view.Alive{Pos: w.Positions(), Mask: w.AliveMask()}
-		aliveCount := alive.Count()
-		if aliveCount >= 3 {
-			d, err := w.Delta(deltaN)
-			if err != nil {
-				return row, fmt.Errorf("slot %d δ: %w", s, err)
-			}
-			row.DeltaEnd = d
-			row.DeltaMean += d
-			deltaSlots++
-		}
-		g := graph.NewUnitDisk(alive.Pos, rc)
-		tree, row.Repairs, row.Rebuilds = maintainTree(tree, g, alive, row.Repairs, row.Rebuilds)
-		reachSum += sinkReach(tree, alive, aliveCount)
+	if slots < 1 || deltaN < 1 {
+		return DegradationRow{}, fmt.Errorf("%w: slots=%d deltaN=%d", ErrBadParams, slots, deltaN)
 	}
-	row.ConnectedUptime = float64(connected) / float64(slots)
+	var row DegradationRow
+	var tree *collect.Tree
+	reachSum := 0.0
+	rows, err := runSlots(w, 1, slots, deltaN, func(r DeltaVsTimeRow) {
+		alive := view.Alive{Pos: r.Positions, Mask: w.AliveMask()}
+		g := graph.NewUnitDisk(alive.Pos, w.Rc())
+		tree, row.Repairs, row.Rebuilds = maintainTree(tree, g, alive, row.Repairs, row.Rebuilds)
+		reachSum += sinkReach(tree, alive, r.Alive)
+	})
+	if err != nil {
+		return row, err
+	}
+	row.DeltaEnd, row.DeltaMean, _, row.ConnectedUptime = summarize(rows)
+	row.ConvergenceT, row.Converged = ConvergenceTime(rows)
 	row.SinkReach = reachSum / float64(slots)
 	row.Energy = w.TotalEnergy()
-	if conv >= 0 {
-		row.ConvergenceT = conv
-		row.Converged = true
-	}
-	if deltaSlots > 0 {
-		row.DeltaMean /= float64(deltaSlots)
-	}
-	if inj != nil {
-		row.AliveEnd = inj.AliveCount()
+	row.AliveEnd = rows[slots-1].Alive
+	if inj := w.Injector(); inj != nil {
 		row.Deaths = inj.Deaths()
-	} else {
-		row.AliveEnd = w.N()
 	}
 	return row, nil
 }
@@ -254,30 +232,20 @@ func sinkReach(tree *collect.Tree, alive view.Alive, aliveCount int) float64 {
 
 // WriteDegradationTable renders the sweep as an aligned text table.
 func WriteDegradationTable(w io.Writer, rows []DegradationRow) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "rate\tδ_end\tδ_mean\tconn_uptime\tsink_reach\tenergy\talive_end\tdeaths\trepairs\trebuilds")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%.2f\t%.1f\t%.1f\t%.2f\t%.2f\t%.1f\t%d\t%d\t%d\t%d\n",
+	head := "rate\tδ_end\tδ_mean\tconn_uptime\tsink_reach\tenergy\talive_end\tdeaths\trepairs\trebuilds"
+	return writeTable(w, head, rows, func(r DegradationRow) string {
+		return fmt.Sprintf("%.2f\t%.1f\t%.1f\t%.2f\t%.2f\t%.1f\t%d\t%d\t%d\t%d",
 			r.Rate, r.DeltaEnd, r.DeltaMean, r.ConnectedUptime, r.SinkReach,
 			r.Energy, r.AliveEnd, r.Deaths, r.Repairs, r.Rebuilds)
-	}
-	if err := tw.Flush(); err != nil {
-		return fmt.Errorf("eval: write table: %w", err)
-	}
-	return nil
+	})
 }
 
 // WriteDegradationCSV renders the sweep as CSV.
 func WriteDegradationCSV(w io.Writer, rows []DegradationRow) error {
-	var b strings.Builder
-	b.WriteString("rate,delta_end,delta_mean,conn_uptime,sink_reach,energy,alive_end,deaths,repairs,rebuilds\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%g,%g,%g,%g,%g,%g,%d,%d,%d,%d\n",
+	head := "rate,delta_end,delta_mean,conn_uptime,sink_reach,energy,alive_end,deaths,repairs,rebuilds"
+	return writeLines(w, "csv", head, rows, func(r DegradationRow) string {
+		return fmt.Sprintf("%g,%g,%g,%g,%g,%g,%d,%d,%d,%d",
 			r.Rate, r.DeltaEnd, r.DeltaMean, r.ConnectedUptime, r.SinkReach,
 			r.Energy, r.AliveEnd, r.Deaths, r.Repairs, r.Rebuilds)
-	}
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return fmt.Errorf("eval: write csv: %w", err)
-	}
-	return nil
+	})
 }

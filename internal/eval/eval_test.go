@@ -3,12 +3,16 @@ package eval
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/field"
 	"repro/internal/geom"
 )
@@ -56,6 +60,84 @@ func TestDeltaVsTime(t *testing.T) {
 	}
 	if len(only) != 1 || only[0].T != rows[len(rows)-1].T || only[0].Delta != rows[len(rows)-1].Delta {
 		t.Errorf("slots=0 rows = %+v, want the last row again", only)
+	}
+}
+
+// TestDeltaVsTimeBelowThreeAlive: once a schedule leaves 2 of 9 nodes
+// alive, DeltaVsTime's rows carry no δ, and both writers leave exactly
+// that cell blank. TestDeltaVsTime demands a δ on every row, so the
+// faulted run is its own test.
+func TestDeltaVsTimeBelowThreeAlive(t *testing.T) {
+	forest := field.NewForest(field.DefaultForestConfig())
+	const k, killAt = 9, 2
+	var kills []fault.Event
+	for i := 2; i < k; i++ {
+		kills = append(kills, fault.Event{Slot: killAt, Node: i})
+	}
+	opts := engine.DefaultOptions()
+	opts.Faults = fault.NewInjector(k, fault.Config{Schedule: kills})
+	w, err := engine.New(forest, field.GridLayout(forest.Bounds(), k), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := DeltaVsTime(w, 4, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		wantAlive := k
+		if i > killAt { // row i ends slot i-1
+			wantAlive = 2
+		}
+		if r.Alive != wantAlive {
+			t.Errorf("row %d alive = %d, want %d", i, r.Alive, wantAlive)
+		}
+		if hasDelta := !math.IsNaN(r.Delta); hasDelta != (wantAlive >= 3) || hasDelta && r.Delta <= 0 {
+			t.Errorf("row %d (%d alive) δ = %v", i, wantAlive, r.Delta)
+		}
+	}
+
+	var csv bytes.Buffer
+	if err := WriteDeltaVsTimeCSV(&csv, rows); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(csv.String(), "\n"), "\n")
+	for i, r := range rows {
+		delta := ""
+		if !math.IsNaN(r.Delta) {
+			delta = fmt.Sprintf("%g", r.Delta)
+		}
+		want := fmt.Sprintf("%g,%s,%d,%g,%v", r.T, delta, r.Moved, r.MeanDisplacement, r.Connected)
+		if lines[i+1] != want {
+			t.Errorf("csv row %d = %q, want %q", i, lines[i+1], want)
+		}
+	}
+
+	var tbl bytes.Buffer
+	if err := WriteDeltaVsTimeTable(&tbl, rows); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSuffix(tbl.String(), "\n"), "\n")
+	// The rows are ASCII; the header's column offsets count runes.
+	head := lines[0]
+	deltaAt := strings.Index(head, "δ")
+	movedAt := utf8.RuneCountInString(head[:strings.Index(head, "moved")])
+	for i, r := range rows {
+		line := lines[i+1]
+		if got, want := line[:deltaAt], fmt.Sprintf("%.0f", r.T); strings.TrimSpace(got) != want {
+			t.Errorf("table row %d t = %q, want %q", i, got, want)
+		}
+		delta := ""
+		if !math.IsNaN(r.Delta) {
+			delta = fmt.Sprintf("%.1f", r.Delta)
+		}
+		if got := line[deltaAt:movedAt]; strings.TrimSpace(got) != delta {
+			t.Errorf("table row %d δ cell = %q, want %q", i, got, delta)
+		}
+		want := fmt.Sprintf("%d %.3f %v", r.Moved, r.MeanDisplacement, r.Connected)
+		if got := strings.Join(strings.Fields(line[movedAt:]), " "); got != want {
+			t.Errorf("table row %d = %q after δ, want %q", i, got, want)
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"math"
-	"text/tabwriter"
 
 	"repro/internal/central"
 	"repro/internal/engine"
@@ -32,9 +30,10 @@ type MobileRow struct {
 // from the same initial grid over the same dynamic field and reports the
 // paper's qualitative claim as numbers: the local controller holds
 // connectivity every slot with one-hop traffic only, while the
-// centralized strawman pays global reporting and transit lag.
+// centralized strawman pays global reporting and transit lag. It needs
+// k ≥ 3, the fewest nodes whose δ the CMA row can read.
 func CompareMobile(dyn field.DynField, k, slots, deltaN int) ([]MobileRow, error) {
-	if k < 1 || slots < 1 || deltaN < 1 {
+	if k < minDeltaAlive || slots < 1 || deltaN < 1 {
 		return nil, fmt.Errorf("%w: k=%d slots=%d deltaN=%d", ErrBadParams, k, slots, deltaN)
 	}
 	init := field.GridLayout(dyn.Bounds(), k)
@@ -48,26 +47,16 @@ func CompareMobile(dyn field.DynField, k, slots, deltaN int) ([]MobileRow, error
 	if err != nil {
 		return nil, fmt.Errorf("eval: cma: %w", err)
 	}
-	// One hello broadcast per node per slot.
-	cma := MobileRow{Name: "cma", DeltaMin: math.Inf(1), Messages: k * slots}
-	connected := 0
-	for _, r := range rows[1:] { // row 0 is the state before the first slot
-		cma.DeltaEnd = r.Delta
-		cma.DeltaMin = math.Min(cma.DeltaMin, r.Delta)
-		if r.Connected {
-			connected++
-		}
-	}
-	cma.ConnectedFrac = float64(connected) / float64(slots)
+	// Row 0 is the state before the first slot; one hello broadcast per
+	// node per slot.
+	cma := mobileRow("cma", rows[1:], k*slots)
 
 	// Centralized replanner.
-	opts := central.DefaultOptions()
-	p, err := central.New(dyn, init, opts)
+	p, err := central.New(dyn, init, central.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("eval: central planner: %w", err)
 	}
-	cen := MobileRow{Name: "central", DeltaMin: math.Inf(1)}
-	connected = 0
+	rows = make([]DeltaVsTimeRow, 0, slots)
 	for s := 0; s < slots; s++ {
 		if err := p.Step(); err != nil {
 			return nil, fmt.Errorf("eval: central step: %w", err)
@@ -76,28 +65,22 @@ func CompareMobile(dyn field.DynField, k, slots, deltaN int) ([]MobileRow, error
 		if err != nil {
 			return nil, fmt.Errorf("eval: central delta: %w", err)
 		}
-		cen.DeltaEnd = d
-		cen.DeltaMin = math.Min(cen.DeltaMin, d)
-		if p.Connected() {
-			connected++
-		}
+		rows = append(rows, DeltaVsTimeRow{Delta: d, Connected: p.Connected()})
 	}
-	cen.ConnectedFrac = float64(connected) / float64(slots)
-	cen.Messages = p.ReportsSent()
+	cen := mobileRow("central", rows, p.ReportsSent())
 
 	return []MobileRow{cma, cen}, nil
 }
 
+// mobileRow folds one strategy's per-slot rows into its MobileRow.
+func mobileRow(name string, rows []DeltaVsTimeRow, messages int) MobileRow {
+	end, _, best, connected := summarize(rows)
+	return MobileRow{Name: name, DeltaEnd: end, DeltaMin: best, ConnectedFrac: connected, Messages: messages}
+}
+
 // WriteMobileTable renders the strategy comparison as an aligned table.
 func WriteMobileTable(w io.Writer, rows []MobileRow) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "strategy\tδ_end\tδ_min\tconnected_frac\tmessages")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.2f\t%d\n",
-			r.Name, r.DeltaEnd, r.DeltaMin, r.ConnectedFrac, r.Messages)
-	}
-	if err := tw.Flush(); err != nil {
-		return fmt.Errorf("eval: write table: %w", err)
-	}
-	return nil
+	return writeTable(w, "strategy\tδ_end\tδ_min\tconnected_frac\tmessages", rows, func(r MobileRow) string {
+		return fmt.Sprintf("%s\t%.1f\t%.1f\t%.2f\t%d", r.Name, r.DeltaEnd, r.DeltaMin, r.ConnectedFrac, r.Messages)
+	})
 }

@@ -14,6 +14,10 @@ func TestCompareMobileBadParams(t *testing.T) {
 	if _, err := CompareMobile(f, 0, 5, 10); !errors.Is(err, ErrBadParams) {
 		t.Errorf("want ErrBadParams, got %v", err)
 	}
+	// Two CMA nodes have no δ to compare.
+	if _, err := CompareMobile(f, 2, 5, 10); !errors.Is(err, ErrBadParams) {
+		t.Errorf("k=2: want ErrBadParams, got %v", err)
+	}
 	if _, err := CompareMobile(f, 5, 0, 10); !errors.Is(err, ErrBadParams) {
 		t.Errorf("want ErrBadParams, got %v", err)
 	}

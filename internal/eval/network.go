@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"repro/internal/collect"
 	"repro/internal/core"
@@ -80,15 +79,10 @@ func NetworkVsK(f field.Field, ks []int, rc float64, gridN, deltaN int, reg *obs
 
 // WriteNetworkTable renders the network experiment as an aligned table.
 func WriteNetworkTable(w io.Writer, rows []NetworkRow) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "k\tδ\trelays\ttx/epoch\tenergy\tmax_depth\tbottleneck\tart_points\tbiconnected")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%.1f\t%d\t%d\t%.0f\t%d\t%d\t%d\t%v\n",
+	head := "k\tδ\trelays\ttx/epoch\tenergy\tmax_depth\tbottleneck\tart_points\tbiconnected"
+	return writeTable(w, head, rows, func(r NetworkRow) string {
+		return fmt.Sprintf("%d\t%.1f\t%d\t%d\t%.0f\t%d\t%d\t%d\t%v",
 			r.K, r.Delta, r.Relays, r.TotalTx, r.Energy, r.MaxDepth,
 			r.Bottleneck, r.ArticulationPoints, r.Biconnected)
-	}
-	if err := tw.Flush(); err != nil {
-		return fmt.Errorf("eval: write table: %w", err)
-	}
-	return nil
+	})
 }

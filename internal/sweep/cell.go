@@ -211,10 +211,10 @@ func randomDraw(f field.Field, c Cell, deltaN, d int) (float64, error) {
 
 // runMobileCell runs the cell's movement swarm for Spec.Slots slots under
 // the cell's fault profile with eval.DegradationSweep's per-rate setup
-// (eval.WithFaults): grid initial layout, robust curvature fits whenever
-// faults are active, and a collection tree maintained over the survivors.
-// The controllers come from the cell strategy's movement phase — CMA for
-// strategies without one of their own.
+// (eval.NewFaultedEngine): grid initial layout, robust curvature fits
+// whenever faults are active, and a collection tree maintained over the
+// survivors. The controllers come from the cell strategy's movement
+// phase — CMA for strategies without one of their own.
 func runMobileCell(s *Spec, c Cell, dyn field.DynField, reg *obs.Registry) (*MobileResult, error) {
 	opts := engine.DefaultOptions()
 	opts.Config.Region = dyn.Bounds()
@@ -222,8 +222,7 @@ func runMobileCell(s *Spec, c Cell, dyn field.DynField, reg *obs.Registry) (*Mob
 	opts.Seed = c.Seed
 	opts.Metrics = reg
 	opts.NewController = strategy.MovementFor(c.Strategy).NewController
-	opts = eval.WithFaults(opts, c.Fault, c.K, s.Slots, c.Seed)
-	w, err := engine.New(dyn, field.GridLayout(dyn.Bounds(), c.K), opts)
+	w, err := eval.NewFaultedEngine(dyn, opts, c.Fault, c.K, s.Slots, c.Seed)
 	if err != nil {
 		return nil, err
 	}
